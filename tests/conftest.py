@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+# First import: `repro` pins BLAS to one thread before numpy loads, so tier-1
+# runs the way `python -m repro.cli serve` does.
+import repro  # noqa: F401
 import numpy as np
 import pytest
 

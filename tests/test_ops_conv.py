@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ops.blocked_conv as blocked_conv
 from repro.ops import (
     conv2d_nchw,
     conv2d_nchw_naive,
@@ -15,7 +16,7 @@ from repro.ops import (
     workload_from_shapes,
 )
 from repro.schedule import ConvSchedule
-from repro.tensor import to_blocked_nchwc
+from repro.tensor import from_blocked_nchwc, to_blocked_nchwc
 
 
 def random_case(seed, n=1, c=8, h=8, w=8, k=16, r=3, s=3):
@@ -170,6 +171,90 @@ class TestBlockedConvTemplate:
     def test_workload_from_shapes_validation(self):
         with pytest.raises(ValueError):
             workload_from_shapes((1, 8, 8, 8), (8, 3, 3, 3), 1, 1)
+
+
+def _blocked_case(seed, n, c, h, w, k, r, s, ic_bn, oc_bn, **conv):
+    """Blocked operands + workload for one conv, and the NCHW operands."""
+    data, weight = random_case(seed, n=n, c=c, h=h, w=w, k=k, r=r, s=s)
+    schedule = ConvSchedule(ic_bn, oc_bn, 1, False)
+    workload = workload_from_shapes(
+        data.shape, weight.shape, conv.get("stride", 1), conv.get("padding", 0),
+        conv.get("dilation", 1),
+    )
+    blocked = to_blocked_nchwc(data, ic_bn)
+    packed = prepack_weights(weight, schedule)
+    return data, weight, blocked, packed, workload, schedule
+
+
+#: name -> (shape kwargs, conv kwargs); every case is checked against
+#: ``conv2d_nchw``, which stays the reference.
+LOWERING_CASES = {
+    "1x1": (dict(c=8, h=6, w=6, k=8, r=1, s=1, ic_bn=4, oc_bn=4), {}),
+    "1x1-stride2": (dict(c=8, h=7, w=7, k=8, r=1, s=1, ic_bn=8, oc_bn=4), dict(stride=2)),
+    "3x3-pad1": (dict(c=8, h=6, w=6, k=8, r=3, s=3, ic_bn=4, oc_bn=8), dict(padding=1)),
+    "3x3-stride2-pad1": (
+        dict(c=8, h=9, w=9, k=16, r=3, s=3, ic_bn=2, oc_bn=16), dict(stride=2, padding=1)
+    ),
+    "7x7-stride2-pad3-stem": (
+        dict(c=3, h=16, w=16, k=8, r=7, s=7, ic_bn=3, oc_bn=8), dict(stride=2, padding=3)
+    ),
+    "dilation2": (dict(c=4, h=10, w=10, k=4, r=3, s=3, ic_bn=4, oc_bn=2), dict(dilation=2)),
+    "non-square": (
+        dict(c=4, h=5, w=11, k=8, r=3, s=3, ic_bn=2, oc_bn=4), dict(stride=(1, 2), padding=1)
+    ),
+    "256-panels-of-8": (dict(c=8, h=3, w=3, k=2048, r=1, s=1, ic_bn=8, oc_bn=8), {}),
+}
+
+
+class TestGemmLowering:
+    """The packed-panel GEMM lowering of the blocked template."""
+
+    @pytest.mark.parametrize("name", sorted(LOWERING_CASES))
+    def test_matches_reference(self, name):
+        shape, conv = LOWERING_CASES[name]
+        data, weight, blocked, packed, workload, schedule = _blocked_case(
+            20, n=2, **shape, **conv
+        )
+        bias = np.linspace(-1, 1, shape["k"]).astype(np.float32)
+        out = conv2d_nchwc(blocked, packed, workload, schedule, bias)
+        assert out.dtype == np.float32
+        assert out.shape == (
+            2, shape["k"] // schedule.oc_bn, workload.out_height, workload.out_width,
+            schedule.oc_bn,
+        )
+        ref = conv2d_nchw(data, weight, bias=bias, **conv)
+        np.testing.assert_allclose(from_blocked_nchwc(out, schedule.oc_bn), ref, atol=1e-3)
+
+    @pytest.mark.parametrize("batch", [3, 8])
+    @pytest.mark.parametrize("tile_rows", [None, 3])
+    def test_batched_samples_byte_identical_to_batch_one(
+        self, batch, tile_rows, monkeypatch
+    ):
+        """Each sample gets the same GEMMs whatever it is coalesced with —
+        also when the row-tile bound cuts a sample into ragged tiles."""
+        shape = dict(c=8, h=10, w=10, k=16, r=3, s=3, ic_bn=4, oc_bn=8)
+        _, _, blocked, packed, workload, schedule = _blocked_case(
+            21, n=batch, **shape, padding=1
+        )
+        if tile_rows is not None:
+            # 10 output rows in tiles of 3 -> 3 + 3 + 3 + 1.
+            row_bytes = workload.out_width * 8 * 3 * 3 * 4
+            monkeypatch.setattr(blocked_conv, "IM2COL_TILE_BYTES", tile_rows * row_bytes)
+        stacked = conv2d_nchwc(blocked, packed, workload, schedule)
+        single = workload_from_shapes((1, 8, 10, 10), (16, 8, 3, 3), 1, 1)
+        for i in range(batch):
+            alone = conv2d_nchwc(blocked[i : i + 1], packed, single, schedule)
+            assert np.array_equal(stacked[i : i + 1], alone)
+
+    def test_tiled_equals_untiled(self, monkeypatch):
+        _, _, blocked, packed, workload, schedule = _blocked_case(
+            22, n=2, c=8, h=10, w=10, k=16, r=3, s=3, ic_bn=4, oc_bn=8, padding=1
+        )
+        whole = conv2d_nchwc(blocked, packed, workload, schedule)
+        monkeypatch.setattr(blocked_conv, "IM2COL_TILE_BYTES", 1)  # one row per tile
+        np.testing.assert_allclose(
+            conv2d_nchwc(blocked, packed, workload, schedule), whole, atol=1e-4
+        )
 
 
 @settings(deadline=None, max_examples=15)

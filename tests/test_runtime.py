@@ -103,6 +103,92 @@ class TestGraphExecutor:
             executor.run({"data": np.zeros((2, 3, 8, 8), dtype=np.float32)})
 
 
+class TestCompileTimeFold:
+    """``compile_time`` nodes fed only by constants run once per executor."""
+
+    @pytest.fixture
+    def module(self, skylake):
+        return compile_graph(build_tiny_cnn(), skylake, CompileConfig())
+
+    @pytest.fixture
+    def transform_calls(self, monkeypatch):
+        """Calls of the ``layout_transform`` compute, counted per node attrs."""
+        from repro.ops.registry import registry
+
+        op_def = registry.get("layout_transform")
+        original = op_def.compute
+        calls = {}
+
+        def counting(attrs, inputs):
+            calls[id(attrs)] = calls.get(id(attrs), 0) + 1
+            return original(attrs, inputs)
+
+        monkeypatch.setattr(op_def, "compute", counting)
+        return calls
+
+    @staticmethod
+    def _transforms(graph):
+        nodes = graph.op_nodes("layout_transform")
+        weight = [n for n in nodes if n.attrs.get("compile_time")]
+        data = [n for n in nodes if not n.attrs.get("compile_time")]
+        assert weight and data
+        return weight, data
+
+    def test_weight_transforms_once_data_transforms_per_run(
+        self, module, tiny_input, transform_calls
+    ):
+        weight, data = self._transforms(module.graph)
+        executor = module.create_executor(seed=0)
+        outputs = [executor.run({"data": tiny_input})[0] for _ in range(3)]
+        assert [transform_calls[id(n.attrs)] for n in weight] == [1] * len(weight)
+        assert [transform_calls[id(n.attrs)] for n in data] == [3] * len(data)
+        assert np.array_equal(outputs[0], outputs[2])
+
+    def test_rebinding_a_source_constant_refolds(self, module, tiny_input):
+        weight, _ = self._transforms(module.graph)
+        executor = module.create_executor(seed=0)
+        before = executor.run({"data": tiny_input})[0]
+        source = weight[0].inputs[0]
+        source.bind_value(np.flip(source.value, axis=0).copy())
+        after = executor.run({"data": tiny_input}, return_all=True)
+        fresh = GraphExecutor(module.graph).run({"data": tiny_input}, return_all=True)
+        assert np.array_equal(after[weight[0].name], fresh[weight[0].name])
+        output = module.graph.outputs[0].name
+        assert np.array_equal(after[output], fresh[output])
+        assert not np.array_equal(after[output], before)
+
+    def test_return_all_includes_folded_nodes(self, module, tiny_input):
+        weight, _ = self._transforms(module.graph)
+        values = module.create_executor(seed=0).run({"data": tiny_input}, return_all=True)
+        assert set(values) == {node.name for node in module.graph.topological_order()}
+        for node in weight:
+            assert values[node.name].shape == node.spec.concrete_shape
+
+    def test_compile_time_node_with_request_input_is_not_folded(
+        self, module, tiny_input, transform_calls
+    ):
+        _, data = self._transforms(module.graph)
+        data[0].attrs["compile_time"] = True  # mislabelled: it reads the request
+        executor = module.create_executor(seed=0)
+        first = executor.run({"data": tiny_input})[0]
+        second = executor.run({"data": tiny_input * 2.0})[0]
+        assert transform_calls[id(data[0].attrs)] == 2
+        assert not np.array_equal(first, second)
+
+    def test_executors_over_one_module_share_no_fold_state(
+        self, module, tiny_input, transform_calls
+    ):
+        weight, _ = self._transforms(module.graph)
+        one = module.create_executor(seed=0)
+        two = module.create_executor(seed=0)
+        assert [transform_calls[id(n.attrs)] for n in weight] == [2] * len(weight)
+        name = weight[0].name
+        mine = one.run({"data": tiny_input}, return_all=True)[name]
+        assert one.run({"data": tiny_input}, return_all=True)[name] is mine
+        theirs = two.run({"data": tiny_input}, return_all=True)[name]
+        assert theirs is not mine and np.array_equal(theirs, mine)
+
+
 class TestStaticPartition:
     def test_even_split(self):
         assert static_partition(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
