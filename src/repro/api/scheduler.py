@@ -1,38 +1,46 @@
 """Dynamic-batching request scheduler for the serving surface.
 
-PR 2's ``serve_concurrent`` was a bare thread-pool map: every request ran
-alone, requests never shared an executor pass, a slow queue meant a silent
-hang, and a worker exception lost track of which request caused it.  This
-module is the real scheduler the ROADMAP called for:
+The scheduling *policy* is written once, in :class:`BatchingPolicy` — a pure
+state machine with no clock, no lock and no thread.  Events go in (a request
+arrived, an executor slot was freed, "it is now ``t``"); decisions come out
+("run this batch", "these requests expired", "ask me again at ``t``").  It
+owns every rule:
 
-* a **bounded request queue** (:class:`~repro.runtime.threadpool.BoundedQueue`)
-  — submitters block when the queue is at ``queue_depth``, which is the
-  backpressure that keeps a burst from growing tail latency without bound;
-* **per-request deadlines** — a request that cannot be served before its
-  deadline fails fast with :class:`DeadlineExceeded` instead of hanging, and
-  an expired request is dropped *before* execution so it never wastes
-  executor time or poisons the requests behind it;
-* **dynamic batching** — the collector thread coalesces consecutive
-  shape-compatible requests (up to ``max_batch_size``, waiting at most
-  ``batch_timeout_ms`` for stragglers) into one executor pass over the
-  stacked batch.  Per-request :class:`~concurrent.futures.Future` objects
-  keep response order and error attribution exact: each caller observes only
-  its own result or its own exception (tagged with ``request_index``);
-* **priority classes** — every request belongs to a class
+* **priority classes, weighted-fair** — every request belongs to a class
   (``"interactive"``, ``"normal"`` or ``"bulk"`` by default; the ``priority=``
-  knob on :meth:`RequestScheduler.submit` and every engine entry point), and
-  the queue is a :class:`~repro.runtime.threadpool.WeightedFairQueue`:
-  dispatch order across classes follows the configured weights (stride
-  scheduling — latency-sensitive traffic overtakes bulk backfill by its
-  weight ratio but can never starve it), while order *within* a class stays
-  strictly FIFO and batches never mix classes.
+  knob on :meth:`RequestScheduler.submit` and every engine entry point).  The
+  next class is picked by stride scheduling (latency-sensitive traffic
+  overtakes bulk backfill by its weight ratio but can never starve it, and an
+  idle class earns no credit); order *within* a class is strictly FIFO and a
+  batch never mixes classes;
+* **dynamic batching** — consecutive signature-compatible requests of one
+  class coalesce into one runner call, up to ``max_batch_size``, waiting at
+  most the batching window for stragglers; a lone head pays no window;
+* **a batch is formed only when an executor slot is free** — while every
+  slot is busy the queue accumulates, and what accumulated leaves as one
+  batch when a slot frees;
+* **per-request deadlines**, checked when the batch is dispatched — an
+  expired request is dropped *before* execution so it never wastes executor
+  time or poisons the requests behind it;
+* the **queue bound** (``queue_depth``) — the backpressure signal that keeps
+  a burst from growing tail latency without bound.
 
-The scheduler is deliberately engine-agnostic: it schedules *requests* and
-delegates execution to a ``runner`` callable that maps a list of compatible
-request inputs to a list of per-request outputs.
-:class:`~repro.api.engine.InferenceEngine` supplies a runner that stacks the
+Two drivers feed it.  :class:`RequestScheduler` is the real-time one: one
+condition variable, submitters block for queue space and push, a collector
+thread polls the policy with ``time.monotonic()`` and sleeps until the wake
+time it returns, worker threads run the batches and report their slot free.
+:mod:`repro.trace.replayer` is the simulated-time one, polling the *same
+object* from a discrete-event heap — which is why a replay reproduces the
+recorded batch composition instead of approximating it.
+
+Per-request :class:`~concurrent.futures.Future` objects keep response order
+and error attribution exact: each caller observes only its own result or its
+own exception (tagged with ``request_index``).  The scheduler is
+engine-agnostic: it delegates execution to a ``runner`` callable that maps a
+list of compatible request inputs to a list of per-request outputs
+(:class:`~repro.api.engine.InferenceEngine` supplies one that stacks the
 inputs along the batch axis and splits the outputs back — see
-``InferenceEngine._execute_group``.
+``InferenceEngine._execute_group``).
 """
 
 from __future__ import annotations
@@ -41,22 +49,28 @@ import itertools
 import random
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    InvalidStateError,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime.threadpool import WeightedFairQueue
-
 __all__ = [
     "AdaptiveTimeout",
+    "BatchingPolicy",
     "DEFAULT_PRIORITY",
     "DEFAULT_PRIORITY_WEIGHTS",
     "DeadlineExceeded",
     "LatencyReservoir",
     "RequestScheduler",
     "SchedulerStats",
+    "percentiles_ms",
     "request_signature",
 ]
 
@@ -184,6 +198,20 @@ def request_signature(inputs: Mapping[str, object]) -> Tuple:
     return tuple(items)
 
 
+def percentiles_ms(values_s: Sequence[float]) -> Dict[str, float]:
+    """``{"p50", "p95", "p99", "mean"}`` in milliseconds of observations in
+    seconds (zeros when there are none)."""
+    if not values_s:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
+    array = np.sort(np.asarray(values_s, dtype=np.float64)) * 1e3
+    return {
+        "p50": float(np.percentile(array, 50)),
+        "p95": float(np.percentile(array, 95)),
+        "p99": float(np.percentile(array, 99)),
+        "mean": float(np.mean(array)),
+    }
+
+
 class LatencyReservoir:
     """A bounded uniform sample of latency observations (Algorithm R).
 
@@ -220,17 +248,8 @@ class LatencyReservoir:
         return self._count
 
     def percentiles_ms(self) -> Dict[str, float]:
-        """``{"p50", "p95", "p99", "mean"}`` in milliseconds (zeros when
-        nothing was observed yet)."""
-        if not self._samples:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-        array = np.sort(np.asarray(self._samples, dtype=np.float64)) * 1e3
-        return {
-            "p50": float(np.percentile(array, 50)),
-            "p95": float(np.percentile(array, 95)),
-            "p99": float(np.percentile(array, 99)),
-            "mean": float(np.mean(array)),
-        }
+        """:func:`percentiles_ms` of the retained sample."""
+        return percentiles_ms(self._samples)
 
 
 @dataclass
@@ -275,6 +294,177 @@ class SchedulerStats:
     def mean_batch_size(self) -> float:
         """Average number of requests per executor dispatch."""
         return self.executed / self.batches if self.batches else 0.0
+
+
+class BatchingPolicy:
+    """The scheduling policy: a clock-free, lock-free, thread-free state machine.
+
+    A driver tells it what happened — :meth:`push` (a request arrived),
+    :meth:`slot_freed` (a dispatched batch finished), :meth:`close` (no more
+    arrivals) — and calls :meth:`poll` with the current time to learn what to
+    do.  Time is whatever the driver says it is: ``time.monotonic()`` in
+    :class:`RequestScheduler`, the event heap's clock in the replayer.  The
+    policy never blocks and holds no lock; a multi-threaded driver serializes
+    its calls.
+
+    Args:
+        max_batch_size: most requests in one batch.
+        window: how long a forming batch waits for stragglers — seconds, or
+            an :class:`AdaptiveTimeout` (which then observes every arrival).
+        queue_depth: the bound :attr:`full` reports against.
+        slots: executor slots; each dispatched batch holds one until
+            :meth:`slot_freed`.
+        weights: request classes and their weighted-fair service weights.
+    """
+
+    def __init__(
+        self,
+        max_batch_size: int,
+        window: "float | AdaptiveTimeout",
+        queue_depth: int,
+        slots: int,
+        weights: Mapping[str, float],
+    ) -> None:
+        if max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
+        if not weights:
+            raise ValueError("the policy needs at least one request class")
+        for key, weight in weights.items():
+            if not weight > 0:
+                raise ValueError(f"class {key!r} weight must be > 0, got {weight}")
+        self.max_batch_size = max_batch_size
+        self.window = window
+        self.queue_depth = queue_depth
+        self.free_slots = slots
+        self.weights = {str(key): float(weight) for key, weight in weights.items()}
+        # Heaviest class first, then by name: equal pass values break the
+        # same way whatever order the caller declared the classes in.
+        order = sorted(self.weights, key=lambda key: (-self.weights[key], key))
+        #: per-class FIFO of ``(request, signature, deadline)``
+        self._queues: Dict[str, Deque[Tuple[object, object, Optional[float]]]] = {
+            key: deque() for key in order
+        }
+        self._pass = {key: 0.0 for key in order}
+        self._vtime = 0.0
+        self.queued = 0  #: requests pushed and not yet popped into a batch
+        self._batch: Optional[List[Tuple[object, object, Optional[float]]]] = None
+        self._batch_class = ""
+        self._window_end = 0.0
+        self.closed = False
+
+    @property
+    def window_s(self) -> float:
+        """The window a batch formed right now would get, in seconds."""
+        if isinstance(self.window, AdaptiveTimeout):
+            return self.window.window_s
+        return self.window
+
+    @property
+    def full(self) -> bool:
+        """The queue is at ``queue_depth``: a submitter should hold off."""
+        return self.queued >= self.queue_depth
+
+    @property
+    def pending(self) -> bool:
+        """Some pushed request has not been handed out by :meth:`poll` yet."""
+        return self.queued > 0 or self._batch is not None
+
+    def push(
+        self,
+        request: object,
+        priority: str,
+        signature: object,
+        deadline: Optional[float],
+        now: float,
+    ) -> None:
+        """A request of class ``priority`` arrived at ``now``.
+
+        Only equal ``signature`` values may share a batch; ``deadline`` is on
+        the caller's clock (None: never expires).  Unknown classes raise
+        ``KeyError``.  The bound is not enforced here — a real-time driver
+        waits while :attr:`full`, a replay counts the overflow instead.
+        """
+        queue = self._queues[priority]
+        if isinstance(self.window, AdaptiveTimeout):
+            self.window.observe(now)
+        if not queue:
+            # Re-entering service: no credit accrues while idle.
+            self._pass[priority] = max(self._pass[priority], self._vtime)
+        queue.append((request, signature, deadline))
+        self.queued += 1
+
+    def slot_freed(self) -> None:
+        """A batch handed out by :meth:`poll` finished running."""
+        self.free_slots += 1
+
+    def close(self) -> None:
+        """No more arrivals: a forming batch stops waiting for stragglers."""
+        self.closed = True
+
+    def _pop(self, key: str) -> Tuple[object, object, Optional[float]]:
+        """Serve the head of class ``key`` and charge the class one stride."""
+        self.queued -= 1
+        self._vtime = self._pass[key]
+        self._pass[key] += 1.0 / self.weights[key]
+        return self._queues[key].popleft()
+
+    def poll(self, now: float) -> Tuple[List[List[object]], List[object], Optional[float]]:
+        """Advance to ``now``; returns ``(batches, expired, wake_at)``.
+
+        ``batches`` are the request groups to run now, one runner call and one
+        executor slot each; ``expired`` are requests whose deadline passed
+        before their batch was dispatched; ``wake_at`` is when to poll again
+        if nothing else happens first (None: only an arrival or a freed slot
+        can change the answer).
+        """
+        batches: List[List[object]] = []
+        expired: List[object] = []
+        while True:
+            if self._batch is None:
+                # A batch is formed only when an executor slot is free: while
+                # every slot is busy the queue keeps what arrives, and that
+                # backlog is what the next batch coalesces.
+                if not self.queued or not self.free_slots:
+                    return batches, expired, None
+                key = min(
+                    (key for key, queue in self._queues.items() if queue),
+                    key=self._pass.__getitem__,
+                )
+                self._batch, self._batch_class = [self._pop(key)], key
+                # A lone head dispatches without paying the window: nothing
+                # else is queued, and a synchronous caller is blocked on this
+                # very request, so no straggler can arrive.
+                self._window_end = now + (self.window_s if self.queued else 0.0)
+            batch, queue = self._batch, self._queues[self._batch_class]
+            # Per-class FIFO: only the head of the batch's own class is ever
+            # considered, so coalescing never reorders a class's stream and a
+            # batch never mixes classes.
+            while len(batch) < self.max_batch_size and queue and queue[0][1] == batch[0][1]:
+                batch.append(self._pop(self._batch_class))
+            # Still gathering unless the batch is full, the class head does
+            # not match (``queue`` is non-empty only then), the window ended,
+            # or nothing more can arrive.
+            if not (
+                len(batch) >= self.max_batch_size
+                or queue
+                or now >= self._window_end
+                or self.closed
+            ):
+                return batches, expired, self._window_end
+            self._batch = None
+            live = []
+            for request, _, deadline in batch:
+                if deadline is not None and now > deadline:
+                    expired.append(request)
+                else:
+                    live.append(request)
+            if live:
+                self.free_slots -= 1
+                batches.append(live)
 
 
 class _Request:
@@ -327,9 +517,10 @@ class RequestScheduler:
             from the observed inter-arrival rate instead of fixing it.
         queue_depth: bound of the request queue; submitters block (up to
             their deadline) while the queue is full.
-        num_workers: worker threads executing dispatched batches.  Two by
-            default so a batch can execute while the collector gathers the
-            next one.
+        num_workers: worker threads (executor slots) running dispatched
+            batches.  Two by default so a batch can execute while the
+            collector gathers the next one; a batch is formed only when one
+            of them is free.
         priority_weights: request classes and their weighted-fair service
             weights (:data:`DEFAULT_PRIORITY_WEIGHTS` when omitted).  The
             class set is fixed at construction; ``submit(priority=...)``
@@ -361,8 +552,6 @@ class RequestScheduler:
         recorder: Optional["object"] = None,
         reservoir_size: int = 2048,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self._runner = runner
@@ -382,23 +571,29 @@ class RequestScheduler:
         self.priority_weights = weights
         self.default_priority = default_priority
         self.adaptive_timeout: Optional[AdaptiveTimeout] = None
-        self._fixed_timeout_s = 0.0
+        window: "float | AdaptiveTimeout"
         if isinstance(batch_timeout_ms, AdaptiveTimeout):
-            self.adaptive_timeout = batch_timeout_ms
+            window = self.adaptive_timeout = batch_timeout_ms
         elif isinstance(batch_timeout_ms, str):
             if batch_timeout_ms != "auto":
                 raise ValueError(
                     f"batch_timeout_ms must be a number or 'auto', "
                     f"got {batch_timeout_ms!r}"
                 )
-            self.adaptive_timeout = AdaptiveTimeout()
+            window = self.adaptive_timeout = AdaptiveTimeout()
         else:
             if batch_timeout_ms < 0:
                 raise ValueError("batch_timeout_ms must be >= 0")
-            self._fixed_timeout_s = batch_timeout_ms / 1e3
+            window = batch_timeout_ms / 1e3
         self.queue_depth = queue_depth
         self._signature = signature
-        self._queue = WeightedFairQueue(queue_depth, weights)
+        # One condition guards the policy: submitters wait on it for queue
+        # space, the collector for work, and both are woken by pushes, freed
+        # slots and close().
+        self._cond = threading.Condition()
+        self._policy = BatchingPolicy(
+            max_batch_size, window, queue_depth, num_workers, weights
+        )
         self._stats = SchedulerStats()
         self._stats_lock = threading.Lock()
         self._counter = itertools.count()
@@ -427,9 +622,8 @@ class RequestScheduler:
         tracks the observed arrival rate (see :class:`AdaptiveTimeout`), so
         consecutive reads may differ.
         """
-        if self.adaptive_timeout is not None:
-            return self.adaptive_timeout.window_s
-        return self._fixed_timeout_s
+        with self._cond:
+            return self._policy.window_s
 
     # ------------------------------------------------------------------ #
     # submission side
@@ -459,8 +653,9 @@ class RequestScheduler:
             A future resolving to the request's output list.  Failures carry
             the original worker exception, tagged with ``request_index``.
         """
-        if self._closed:
-            raise RuntimeError("scheduler is closed")
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("scheduler is closed")
         if priority is None:
             priority = self.default_priority
         elif priority not in self.priority_weights:
@@ -470,8 +665,6 @@ class RequestScheduler:
             )
         future: "Future[List[np.ndarray]]" = Future()
         now = time.monotonic()
-        if self.adaptive_timeout is not None:
-            self.adaptive_timeout.observe(now)
         deadline = now + timeout_ms / 1e3 if timeout_ms is not None else None
         request = _Request(
             inputs,
@@ -493,14 +686,25 @@ class RequestScheduler:
                 sig=self._signature_hash(request.signature),
                 deadline_ms=timeout_ms,
             )
-        queue_timeout = None if deadline is None else max(0.0, deadline - now)
-        if not self._queue.put(request, priority, timeout=queue_timeout):
-            if self._queue.closed:
-                self._resolve_error(
-                    request, RuntimeError("scheduler closed while request queued")
-                )
-            else:
-                self._resolve_deadline(request, "request queue stayed full")
+        with self._cond:
+            # Backpressure: hold the submitter (up to its deadline) while the
+            # queue is at queue_depth.
+            while self._policy.full and not self._closed:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            closed = self._closed
+            accepted = not closed and not self._policy.full
+            if accepted:
+                self._policy.push(request, priority, request.signature, deadline, now)
+                self._cond.notify_all()
+        if closed:
+            self._resolve_error(
+                request, RuntimeError("scheduler closed while request queued")
+            )
+        elif not accepted:
+            self._resolve_deadline(request, "request queue stayed full")
         elif self._recorder is not None:
             self._recorder.record("enqueue", req=request.index)
         return future
@@ -541,70 +745,58 @@ class RequestScheduler:
     # collector / execution side
     # ------------------------------------------------------------------ #
     def _collect_loop(self) -> None:
+        """The real-time driver: ask the policy what to do now, do it, sleep
+        until the wake time it named (or a push / freed slot / close)."""
         while True:
-            # Blocking get: close() wakes the wait, so an idle scheduler
-            # parks here without polling.  The weighted-fair queue picks the
-            # next request class by stride order; within the class, FIFO.
-            request, _ = self._queue.get()  # repro: noqa[REP011] -- close() enqueues a wake-up sentinel; an idle collector parks here by design
-            if request is None:
-                if self._queue.closed and not len(self._queue):
-                    return
-                continue
+            with self._cond:
+                queued = self._policy.queued
+                batches, expired, wake_at = self._policy.poll(time.monotonic())
+                if self._policy.queued < queued:
+                    self._cond.notify_all()  # queue space for held submitters
+                if not batches and not expired:
+                    if self._closed and not self._policy.pending:
+                        return
+                    # No wake time: an idle collector parks here by design
+                    # until a push, a freed slot or close() notifies it.
+                    self._cond.wait(
+                        None if wake_at is None else max(0.0, wake_at - time.monotonic())
+                    )
+                    continue
             if self._recorder is not None:
-                self._recorder.record("dequeue", req=request.index)
-            batch = [request]
-            # Gather only when more requests are already queued: a lone
-            # synchronous caller must not pay batch_timeout_ms of latency
-            # waiting for stragglers that cannot arrive (the caller is
-            # blocked on this very request).
-            if self.max_batch_size > 1 and len(self._queue) > 0:
-                self._gather(batch)
-            try:
-                self._workers.submit(self._execute_batch, batch)
-            except RuntimeError as error:  # executor shut down under us
-                for queued in batch:
-                    self._resolve_error(queued, error)
-
-    def _gather(self, batch: List[_Request]) -> None:
-        """Coalesce consecutive compatible requests into ``batch``.
-
-        Per-class strict FIFO: only the head of the *batch's own class* is
-        ever considered, so an incompatible request never overtakes (or is
-        overtaken by) the batch being formed within its class, and a batch
-        never mixes priority classes — bulk backfill cannot ride along in
-        (and thereby delay) an interactive dispatch.
-        """
-        signature = batch[0].signature
-        wait_until = time.monotonic() + self.batch_timeout_s
-        while len(batch) < self.max_batch_size:
-            remaining = wait_until - time.monotonic()
-            request, status = self._queue.pop_matching(
-                batch[0].priority,
-                lambda r: r.signature == signature,
-                timeout=max(0.0, remaining),
-            )
-            if request is not None:
-                if self._recorder is not None:
+                for request in itertools.chain(expired, *batches):
                     self._recorder.record("dequeue", req=request.index)
-                batch.append(request)
-                continue
-            if status == "mismatch" or remaining <= 0 or self._closed:
-                return
+            for request in expired:
+                self._resolve_deadline(request, "request expired while queued")
+            for batch in batches:
+                try:
+                    self._workers.submit(self._execute_batch, batch)
+                except RuntimeError as error:  # executor shut down under us
+                    for request in batch:
+                        self._resolve_error(request, error)
+                    self._release_slot()
+
+    def _release_slot(self) -> None:
+        with self._cond:
+            self._policy.slot_freed()
+            self._cond.notify_all()
 
     def _execute_batch(self, batch: List[_Request]) -> None:
-        now = time.monotonic()
-        live: List[_Request] = []
-        for request in batch:
-            if request.deadline is not None and now > request.deadline:
-                self._resolve_deadline(request, "request expired while queued")
-            elif request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:  # caller cancelled the future while it was queued
-                with self._stats_lock:
-                    self._stats.failed += 1
-        if not live:
-            return
-        self._count_dispatch(live, now)
+        """Run one dispatched batch on a worker thread; always frees its slot."""
+        try:
+            live: List[_Request] = []
+            for request in batch:
+                if request.future.set_running_or_notify_cancel():
+                    live.append(request)
+                else:  # caller cancelled the future while it was queued
+                    self._resolve_error(request, CancelledError())
+            if live:
+                self._run_batch(live)
+        finally:
+            self._release_slot()
+
+    def _run_batch(self, live: List[_Request]) -> None:
+        """One runner call over ``live``: count it, trace it, resolve it."""
+        self._count_dispatch(live, time.monotonic())
         batch_id = next(self._batch_counter)
         if self._recorder is not None:
             self._recorder.record(
@@ -635,9 +827,12 @@ class RequestScheduler:
                 # One request of the batch is bad (wrong input name, shape
                 # drift, NaN guard, ...), but a coalesced execution cannot
                 # say which.  Re-run each request alone: the offender fails
-                # with its own exception and index, the rest complete.
+                # with its own exception and index, the rest complete.  Each
+                # re-run is a real runner dispatch and is counted and traced
+                # as one, or ``executed``/``mean_batch_size`` would
+                # under-report what the runner saw.
                 for request in live:
-                    self._execute_single(request)
+                    self._run_batch([request])
         else:
             if self._recorder is not None:
                 self._recorder.record("exec_end", batch=batch_id, ok=True)
@@ -658,30 +853,6 @@ class RequestScheduler:
                     + 1
                 )
                 self._wait_reservoir.observe(max(0.0, now - request.arrival))
-
-    def _execute_single(self, request: _Request) -> None:
-        # A serial re-run after a batch failure is a real runner dispatch:
-        # count it, or ``executed``/``mean_batch_size`` under-report actual
-        # runner calls (the failed batch counted once, then N re-runs ran
-        # invisibly).
-        self._count_dispatch([request], time.monotonic())
-        batch_id = next(self._batch_counter)
-        if self._recorder is not None:
-            self._recorder.record(
-                "exec_start", batch=batch_id, reqs=[request.index], pri=request.priority
-            )
-        try:
-            outputs = self._runner([request.inputs])
-        except BaseException as error:
-            if self._recorder is not None:
-                self._recorder.record("exec_end", batch=batch_id, ok=False)
-            self._resolve_error(request, error)
-            if not isinstance(error, Exception):
-                raise
-        else:
-            if self._recorder is not None:
-                self._recorder.record("exec_end", batch=batch_id, ok=True)
-            self._resolve_ok(request, outputs[0])
 
     # ------------------------------------------------------------------ #
     # resolution helpers
@@ -705,7 +876,7 @@ class RequestScheduler:
             self._recorder.record("done", req=request.index, status="error")
         try:
             request.future.set_exception(_attach_index(error, request.index))
-        except InvalidStateError:  # pragma: no cover - cancelled mid-flight
+        except InvalidStateError:  # the caller cancelled it; nobody is waiting
             pass
 
     def _resolve_deadline(self, request: _Request, reason: str) -> None:
@@ -733,10 +904,12 @@ class RequestScheduler:
         queue before exiting); with ``wait=True`` the call blocks until every
         in-flight request resolved.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.close()
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            self._policy.close()
+            self._cond.notify_all()
         if wait:
             self._collector.join(timeout=30.0)
         self._workers.shutdown(wait=wait)

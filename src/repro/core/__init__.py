@@ -7,7 +7,7 @@ PBQP approximation (section 3.3.2), and the compiler that applies the chosen
 schemes through the graph passes (sections 3.1-3.2).
 """
 
-from .compiler import compile_graph, compile_model, select_schedules
+from .compiler import compile_graph, select_schedules
 from .config import CompileConfig, OptLevel
 from .global_search import (
     ConvCandidate,
@@ -50,7 +50,6 @@ __all__ = [
     "register_migration",
     "search_fingerprint",
     "compile_graph",
-    "compile_model",
     "extract_dependency_graph",
     "select_schedules",
     "solve_pbqp",

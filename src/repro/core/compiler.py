@@ -14,15 +14,13 @@ the paper describes:
 4. operation fusion and a final constant-folding sweep;
 5. packaging into a :class:`~repro.runtime.module.CompiledModule`.
 
-``compile_model`` is the deprecated free-function entry point kept for
-backward compatibility; new code should go through the session API
-(:class:`repro.api.Optimizer`), which adds tuning-database persistence and an
-on-disk artifact cache on top of this pipeline.
+Most callers should go through the session API (:class:`repro.api.Optimizer`),
+which adds tuning-database persistence and an on-disk artifact cache on top of
+this pipeline.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -48,7 +46,7 @@ from .global_search import GlobalSearch
 from .local_search import CostModelMeasurer, LocalSearch
 from .tuning_db import TuningDatabase
 
-__all__ = ["compile_graph", "compile_model", "select_schedules"]
+__all__ = ["compile_graph", "select_schedules"]
 
 
 def _local_search(cpu: CPUSpec, config: CompileConfig,
@@ -202,36 +200,4 @@ def compile_graph(
         schedules=schedules,
         search_method=search_method,
         pass_report="\n".join([pre.report(), post.report()]),
-    )
-
-
-def compile_model(
-    graph: Graph,
-    target: "CPUSpec | str",
-    config: Optional[CompileConfig] = None,
-    params: Optional[Mapping[str, np.ndarray]] = None,
-    tuning_database: Optional[TuningDatabase] = None,
-    in_place: bool = False,
-) -> CompiledModule:
-    """Deprecated free-function entry point; use :class:`repro.api.Optimizer`.
-
-    Thin wrapper over :func:`compile_graph` with the same signature and
-    semantics (including compiling from a copy of ``graph`` unless
-    ``in_place=True``).  Kept so existing callers continue to work; the
-    session API additionally persists tuning results and caches compiled
-    artifacts on disk.
-    """
-    warnings.warn(
-        "compile_model is deprecated; use repro.api.Optimizer(target, config)"
-        ".compile(graph) (or repro.core.compile_graph for the bare pipeline)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_graph(
-        graph,
-        target,
-        config=config,
-        params=params,
-        tuning_database=tuning_database,
-        in_place=in_place,
     )

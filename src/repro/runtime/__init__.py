@@ -22,11 +22,9 @@ from .executor import GraphExecutor, initialize_parameters
 from .module import CompiledModule
 from .profiler import Timer, format_report, time_callable, top_costs
 from .threadpool import (
-    BoundedQueue,
     BufferPool,
     SPSCQueue,
     ThreadPool,
-    WeightedFairQueue,
     parallel_for,
     static_partition,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "ARTIFACT_VERSION",
     "SUPPORTED_VERSIONS",
     "ArtifactError",
-    "BoundedQueue",
     "BufferPool",
     "CompiledModule",
     "GraphExecutor",
@@ -43,7 +40,6 @@ __all__ = [
     "StaleArtifactError",
     "ThreadPool",
     "Timer",
-    "WeightedFairQueue",
     "bundle_fingerprint",
     "compilation_fingerprint",
     "format_report",

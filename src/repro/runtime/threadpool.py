@@ -12,9 +12,11 @@ an atomic-style completion counter for the join, static partitioning of the
 outermost loop into one contiguous chunk per worker, and no use of
 hyper-threads.  What it cannot reproduce is the *performance* (the GIL
 serializes numpy-free Python code), which is why the scalability figures come
-from the analytical model in :mod:`repro.costmodel.parallel`; the thread pool
-here is exercised functionally by the executor's parallel convolution path
-and by the test suite.
+from the analytical model in :mod:`repro.costmodel.parallel`.  Nothing in
+``src/`` calls :class:`ThreadPool` or :func:`parallel_for`: they are a
+structural exhibit of the paper's custom thread pool, exercised by the test
+suite only.  The file holds that exhibit plus :class:`BufferPool` (the
+serving engine's staging-buffer pool, which *is* on the serving path).
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BoundedQueue",
     "BufferPool",
     "SPSCQueue",
     "ThreadPool",
-    "WeightedFairQueue",
     "parallel_for",
     "static_partition",
 ]
@@ -90,278 +90,6 @@ class SPSCQueue:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class BoundedQueue:
-    """A bounded multi-producer single-consumer FIFO.
-
-    This is the request queue of the serving scheduler
-    (:class:`repro.api.scheduler.RequestScheduler`): many submitter threads
-    :meth:`put` concurrently, one collector thread consumes.  ``put`` blocks
-    while the queue is at capacity — that is the backpressure that keeps a
-    traffic burst from growing the queue (and the tail latency) without bound
-    — and both sides honor timeouts so a caller with a deadline is never
-    parked forever.
-
-    Unlike :class:`SPSCQueue`, every operation takes the lock: with multiple
-    producers the lock-free deque trick no longer applies, and the consumer
-    needs an atomic look-at-head-then-pop (:meth:`pop_matching`) to gather
-    shape-compatible requests without reordering the stream.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque = deque()
-        self._mutex = threading.Lock()
-        self._not_full = threading.Condition(self._mutex)
-        self._not_empty = threading.Condition(self._mutex)
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        with self._mutex:
-            return self._closed
-
-    def put(self, item, timeout: Optional[float] = None) -> bool:
-        """Enqueue ``item``, blocking while the queue is full.
-
-        Returns True on success, False when the queue stayed full past
-        ``timeout`` or was closed while waiting.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            while len(self._items) >= self.capacity:
-                if self._closed:
-                    return False
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._not_full.wait(remaining)
-            if self._closed:
-                return False
-            self._items.append(item)
-            self._not_empty.notify()
-            return True
-
-    def get(self, timeout: Optional[float] = None):
-        """Dequeue the head item, or return None on timeout / closed-and-empty."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            while not self._items:
-                if self._closed:
-                    return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._not_empty.wait(remaining)
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
-
-    def pop_matching(
-        self, predicate: Callable[[object], bool], timeout: Optional[float] = None
-    ) -> Tuple[Optional[object], str]:
-        """Pop the head item only if ``predicate(head)`` holds.
-
-        Waits up to ``timeout`` for an item to arrive when empty.  Returns
-        ``(item, "ok")`` on a match, ``(None, "mismatch")`` when the head
-        exists but does not match (it stays queued, FIFO order preserved), and
-        ``(None, "empty")`` on timeout or close.  This is the batching
-        collector's gather step: coalesce *consecutive* compatible requests,
-        stop at the first incompatible one.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            while not self._items:
-                if self._closed:
-                    return None, "empty"
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None, "empty"
-                self._not_empty.wait(remaining)
-            if not predicate(self._items[0]):
-                return None, "mismatch"
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item, "ok"
-
-    def close(self) -> None:
-        """Refuse further puts and wake every waiter; queued items stay readable."""
-        with self._mutex:
-            self._closed = True
-            self._not_full.notify_all()
-            self._not_empty.notify_all()
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return len(self._items)
-
-
-class WeightedFairQueue:
-    """A bounded MPSC queue with weighted-fair dequeue across request classes.
-
-    The serving scheduler's request queue, generalized from strict FIFO to
-    *per-class* FIFO: every request belongs to one of a fixed set of classes
-    (``weights`` keys — e.g. latency-sensitive ``"interactive"`` traffic vs.
-    ``"bulk"`` backfill), each class keeps its own FIFO, and the consumer's
-    :meth:`get` picks the next class by stride scheduling: the class with the
-    smallest virtual *pass* value is served and its pass advances by
-    ``1 / weight``.  Over any backlogged interval class service converges to
-    the weight ratio, and because the minimum pass always wins, no non-empty
-    class is ever starved — a flood of interactive traffic slows bulk down
-    by its weight ratio, never to zero.
-
-    A class whose queue was empty re-enters at the current virtual time
-    (``max(own pass, last served pass)``), so idling earns no credit: a
-    class cannot save up service while idle and then monopolize the
-    consumer.  Within one class, order is strictly FIFO — :meth:`pop_matching`
-    (the batching collector's gather step) only ever looks at *that class's*
-    head, so coalescing never reorders a class's stream.
-
-    The capacity bound spans all classes; like
-    :class:`BoundedQueue`, ``put`` blocking on a full queue is the
-    backpressure that keeps a burst from growing tail latency without bound.
-    """
-
-    def __init__(self, capacity: int, weights: Mapping[str, float]) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not weights:
-            raise ValueError("WeightedFairQueue needs at least one class")
-        for key, weight in weights.items():
-            if not weight > 0:
-                raise ValueError(f"class {key!r} weight must be > 0, got {weight}")
-        self.capacity = capacity
-        self.weights = {str(key): float(weight) for key, weight in weights.items()}
-        self._mutex = threading.Lock()
-        self._not_full = threading.Condition(self._mutex)
-        self._not_empty = threading.Condition(self._mutex)
-        self._queues: Dict[str, deque] = {key: deque() for key in self.weights}
-        self._pass: Dict[str, float] = {key: 0.0 for key in self.weights}
-        self._vtime = 0.0
-        self._size = 0
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        with self._mutex:
-            return self._closed
-
-    def put(self, item, class_key: str, timeout: Optional[float] = None) -> bool:
-        """Enqueue ``item`` under ``class_key``, blocking while full.
-
-        Returns True on success, False when the queue stayed full past
-        ``timeout`` or was closed while waiting.  Unknown classes raise
-        ``KeyError`` — the class set is fixed at construction so the
-        consumer's scheduling state covers every queue.
-        """
-        if class_key not in self.weights:
-            raise KeyError(
-                f"unknown request class {class_key!r} "
-                f"(declared: {sorted(self.weights)})"
-            )
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            while self._size >= self.capacity:
-                if self._closed:
-                    return False
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._not_full.wait(remaining)
-            if self._closed:
-                return False
-            queue = self._queues[class_key]
-            if not queue:
-                # Re-entering service: no credit accrues while idle.
-                self._pass[class_key] = max(self._pass[class_key], self._vtime)
-            queue.append(item)
-            self._size += 1
-            self._not_empty.notify()
-            return True
-
-    def _select_class_locked(self) -> str:
-        """The non-empty class with the smallest pass value (caller holds lock)."""
-        best = None
-        for key, queue in self._queues.items():
-            if queue and (best is None or self._pass[key] < self._pass[best]):
-                best = key
-        assert best is not None, "selection requires a non-empty class"
-        return best
-
-    def get(self, timeout: Optional[float] = None):
-        """Dequeue by weighted-fair order: ``(item, class_key)``.
-
-        Returns ``(None, None)`` on timeout or when closed and drained.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            while self._size == 0:
-                if self._closed:
-                    return None, None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None, None
-                self._not_empty.wait(remaining)
-            key = self._select_class_locked()
-            item = self._queues[key].popleft()
-            self._size -= 1
-            self._vtime = self._pass[key]
-            self._pass[key] += 1.0 / self.weights[key]
-            self._not_full.notify()
-            return item, key
-
-    def pop_matching(
-        self,
-        class_key: str,
-        predicate: Callable[[object], bool],
-        timeout: Optional[float] = None,
-    ) -> Tuple[Optional[object], str]:
-        """Pop the head of ``class_key``'s queue only if the predicate holds.
-
-        The batching collector's gather step, scoped to the class of the
-        batch being formed: coalesce *consecutive* compatible requests of
-        one class, stop at the first incompatible one.  Returns
-        ``(item, "ok")`` on a match, ``(None, "mismatch")`` when the class
-        head exists but does not match (it stays queued, per-class FIFO
-        preserved), and ``(None, "empty")`` on timeout or close.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._mutex:
-            queue = self._queues[class_key]
-            while not queue:
-                if self._closed:
-                    return None, "empty"
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None, "empty"
-                self._not_empty.wait(remaining)
-            if not predicate(queue[0]):
-                return None, "mismatch"
-            item = queue.popleft()
-            self._size -= 1
-            self._vtime = self._pass[class_key]
-            self._pass[class_key] += 1.0 / self.weights[class_key]
-            self._not_full.notify()
-            return item, "ok"
-
-    def close(self) -> None:
-        """Refuse further puts and wake every waiter; queued items stay readable."""
-        with self._mutex:
-            self._closed = True
-            self._not_full.notify_all()
-            self._not_empty.notify_all()
-
-    def depth(self, class_key: str) -> int:
-        """Queued items of one class (diagnostics)."""
-        with self._mutex:
-            return len(self._queues[class_key])
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return self._size
 
 
 class BufferPool:

@@ -6,9 +6,10 @@ The serving tier's flight recorder and wind tunnel:
   per-request event capture from the live scheduler / dispatcher / daemon,
   written as a versioned, crash-safe JSONL trace directory.
 * :func:`replay` / :mod:`repro.trace.replayer` — a deterministic
-  discrete-event simulator that re-runs a recorded trace through models of
-  the weighted-fair queue, batching policy, adaptive timeout, and worker
-  fleet, calibrated by the trace's own measured executor times.
+  discrete-event simulator that re-runs a recorded trace through the live
+  scheduler's own ``BatchingPolicy`` (driven in simulated time) and a model
+  of the worker fleet, calibrated by the trace's own measured executor
+  times.
 * :func:`sweep` / :mod:`repro.trace.whatif` — knob sweeps over one trace:
   the predicted throughput/p99 frontier without touching hardware.
 

@@ -33,8 +33,9 @@ kind       fields
 ========== ==========================================================
 arrival    ``req`` (scheduler-local id), ``pri`` (class), ``sig``
            (batching-signature hash), ``deadline_ms`` (may be null)
-enqueue    ``req`` — the request entered the weighted-fair queue
-dequeue    ``req`` — the collector popped it (queue exit)
+enqueue    ``req`` — the request entered the scheduling policy's queue
+dequeue    ``req`` — it left the queue: its batch was dispatched, or
+           it was dropped as expired
 exec_start ``batch`` (batch id), ``reqs`` (member request ids),
            ``pri`` — one runner dispatch begins
 exec_end   ``batch``, ``ok`` — the runner returned (or raised)

@@ -1,14 +1,16 @@
 """Trace-driven replay: a deterministic discrete-event serving simulator.
 
 :func:`replay` re-runs a recorded request stream (see
-:mod:`repro.trace.recorder`) through faithful models of the serving stack's
-moving parts — the weighted-fair queue (stride scheduling, idle classes earn
-no credit), the batching collector (lone requests dispatch immediately;
-gathering waits up to the window, stops on a signature mismatch, and the
-window itself may be the real :class:`~repro.api.scheduler.AdaptiveTimeout`
-policy), per-request deadlines (checked at execution, exactly where the real
-scheduler checks them), the scheduler's executor thread slots, and the
-multi-process dispatcher's least-outstanding routing.
+:mod:`repro.trace.recorder`) through the serving stack's scheduling policy —
+not a model of it: every simulated worker process owns a real
+:class:`~repro.api.scheduler.BatchingPolicy`, the same object
+:class:`~repro.api.scheduler.RequestScheduler` drives from its collector
+thread, and this module is its simulated-time driver (arrivals, timers and
+freed executor slots come off an event heap instead of threads and a clock).
+Stride pick, per-class FIFO, coalescing, the window, deadlines and the
+free-slot rule are therefore the live ones by construction.  What *is*
+modelled here: batch cost, core contention, the multi-process dispatcher's
+least-outstanding routing, and one collector wake-up latency.
 
 Execution cost comes from the trace itself: every recorded runner dispatch
 contributes one ``(batch size, duration)`` sample, and
@@ -37,13 +39,12 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.scheduler import AdaptiveTimeout
+from ..api.scheduler import AdaptiveTimeout, BatchingPolicy, percentiles_ms
 from .format import Trace, TraceFormatError
 
 __all__ = [
@@ -60,18 +61,11 @@ __all__ = [
 ]
 
 #: Simulated collector wake-up latency, seconds.  The real collector is a
-#: thread: between a request landing in an empty queue and the collector's
-#: blocking ``get`` returning lies one OS wake-up (tens of microseconds).
-#: During a burst that latency is what lets the queue accumulate so the
-#: collector finds stragglers to coalesce; a zero-latency simulated collector
-#: would drain every arrival instantly and predict no batching at all.
-#:
-#: The second half of the model: while every executor slot in a process is
-#: busy, the collector thread is starved (the executor threads hold the GIL
-#: for most of each dispatch), so it stops forming batches until a dispatch
-#: completes.  The simulator mirrors that by suspending a saturated worker's
-#: collector and waking it from ``exec_end`` — which is exactly the
-#: accumulation that produces the large recorded batches under load.
+#: thread: between an arrival (or a freed slot) notifying it and its next
+#: look at the policy lies one OS wake-up (tens of microseconds).  During a
+#: burst that latency is what lets the queue accumulate so the collector
+#: finds stragglers to coalesce; a zero-latency simulated collector would
+#: drain every arrival instantly and predict no batching at all.
 COLLECTOR_WAKE_S = 1e-4
 
 
@@ -284,18 +278,6 @@ def knobs_from_trace(trace: Trace) -> ReplayKnobs:
 # --------------------------------------------------------------------------- #
 # metrics
 # --------------------------------------------------------------------------- #
-def _percentiles_ms(values_s: Sequence[float]) -> Dict[str, float]:
-    if not values_s:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-    array = np.sort(np.asarray(values_s, dtype=np.float64)) * 1e3
-    return {
-        "p50": float(np.percentile(array, 50)),
-        "p95": float(np.percentile(array, 95)),
-        "p99": float(np.percentile(array, 99)),
-        "mean": float(np.mean(array)),
-    }
-
-
 @dataclass
 class ReplayMetrics:
     """Aggregate serving metrics, identical in shape for measured and
@@ -429,8 +411,8 @@ def measured_metrics(trace: Trace) -> ReplayMetrics:
         metrics.duration_s = max(0.0, last_done - t0)
     if metrics.duration_s > 0:
         metrics.throughput_rps = metrics.completed / metrics.duration_s
-    metrics.latency_ms = _percentiles_ms(latencies)
-    metrics.queue_wait_ms = _percentiles_ms(waits)
+    metrics.latency_ms = percentiles_ms(latencies)
+    metrics.queue_wait_ms = percentiles_ms(waits)
     metrics.batches = len(batch_sizes)
     if batch_sizes:
         metrics.mean_batch_size = float(sum(batch_sizes)) / len(batch_sizes)
@@ -442,42 +424,21 @@ def measured_metrics(trace: Trace) -> ReplayMetrics:
 # the simulator
 # --------------------------------------------------------------------------- #
 class _SimProcess:
-    """One simulated worker process: WFQ + collector + executor slots."""
+    """One simulated worker process: its scheduling policy plus what the
+    driver tracks around it."""
 
-    __slots__ = (
-        "index",
-        "queues",
-        "service_pass",
-        "vtime",
-        "qsize",
-        "gather",
-        "gather_token",
-        "wake_pending",
-        "free_slots",
-        "backlog",
-        "outstanding",
-        "adaptive",
-    )
+    __slots__ = ("index", "policy", "outstanding", "poll_at")
 
-    def __init__(self, index: int, classes: Sequence[str], slots: int, adaptive) -> None:
+    def __init__(self, index: int, policy: BatchingPolicy) -> None:
         self.index = index
-        self.queues: Dict[str, Deque[RecordedRequest]] = {
-            key: deque() for key in classes
-        }
-        self.service_pass: Dict[str, float] = {key: 0.0 for key in classes}
-        self.vtime = 0.0
-        self.qsize = 0
-        #: active gather state: (token, batch, class, sig) — None when idle.
-        self.gather: Optional[Tuple[int, List[RecordedRequest], str, str]] = None
-        self.gather_token = 0
-        self.wake_pending = False
-        self.free_slots = slots
-        self.backlog: Deque[List[RecordedRequest]] = deque()
-        self.outstanding = 0
-        self.adaptive = adaptive
+        self.policy = policy
+        self.outstanding = 0  #: routed and unresolved (the routing key)
+        self.poll_at: Optional[float] = None  #: the pending collector poll
 
 
 class _Replayer:
+    """The simulated-time driver of :class:`BatchingPolicy`."""
+
     def __init__(
         self,
         requests: Sequence[RecordedRequest],
@@ -487,10 +448,8 @@ class _Replayer:
     ) -> None:
         self.requests = requests
         self.cost = cost_model
-        self.knobs = knobs
         weights = knobs.weights()
-        self.classes = sorted(weights)
-        self.weights = weights
+        self.fallback_class = min(weights)
         cores = max(1, knobs.cores)
         # Capacity scaling: executor dispatches dilate once processes
         # oversubscribe the cores, relative to the recorded configuration.
@@ -500,9 +459,15 @@ class _Replayer:
         self.workers = [
             _SimProcess(
                 index,
-                self.classes,
-                max(1, knobs.scheduler_workers),
-                self._make_adaptive(),
+                BatchingPolicy(
+                    knobs.max_batch_size,
+                    AdaptiveTimeout(**dict(knobs.adaptive))
+                    if knobs.batch_timeout_ms == "auto"
+                    else float(knobs.batch_timeout_ms) / 1e3,
+                    knobs.queue_depth,
+                    max(1, knobs.scheduler_workers),
+                    weights,
+                ),
             )
             for index in range(max(1, knobs.processes))
         ]
@@ -515,17 +480,19 @@ class _Replayer:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
 
-    def _make_adaptive(self) -> Optional[AdaptiveTimeout]:
-        if self.knobs.batch_timeout_ms != "auto":
-            return None
-        return AdaptiveTimeout(**dict(self.knobs.adaptive))
-
     # -- event plumbing ---------------------------------------------------- #
-    _ARRIVAL, _GATHER_DEADLINE, _EXEC_END, _WAKE = 0, 1, 2, 3
+    _ARRIVAL, _POLL, _EXEC_END = 0, 1, 2
 
     def _push(self, t: float, kind: int, payload: object) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
+
+    def _poll_at(self, worker: _SimProcess, t: float) -> None:
+        """Have ``worker``'s collector look at its policy at ``t`` (an
+        earlier pending look wins; a later one is superseded)."""
+        if worker.poll_at is None or t < worker.poll_at:
+            worker.poll_at = t
+            self._push(t, self._POLL, worker)
 
     def run(self) -> ReplayMetrics:
         for request in self.requests:
@@ -534,12 +501,10 @@ class _Replayer:
             t, _, kind, payload = heapq.heappop(self._heap)
             if kind == self._ARRIVAL:
                 self._on_arrival(t, payload)
-            elif kind == self._GATHER_DEADLINE:
-                self._on_gather_deadline(t, payload)
-            elif kind == self._EXEC_END:
-                self._on_exec_end(t, payload)
+            elif kind == self._POLL:
+                self._on_poll(t, payload)
             else:
-                self._on_wake(t, payload)
+                self._on_exec_end(t, payload)
         return self._finish()
 
     # -- arrival / routing -------------------------------------------------- #
@@ -548,162 +513,42 @@ class _Replayer:
             self._first_arrival = t
         worker = min(self.workers, key=lambda w: (w.outstanding, w.index))
         worker.outstanding += 1
-        if worker.adaptive is not None:
-            worker.adaptive.observe(t)
-        if worker.qsize >= self.knobs.queue_depth:
+        policy = worker.policy
+        if policy.full:
             # A real submitter would block here (backpressure); an open-loop
             # replay cannot delay the recorded client, so account it and
             # admit the request — the queue-depth what-if reads this counter.
             self.metrics.backpressure_events += 1
-        cls = request.priority if request.priority in self.weights else self.classes[0]
-        queue = worker.queues[cls]
-        if not queue:
-            worker.service_pass[cls] = max(worker.service_pass[cls], worker.vtime)
-        queue.append(request)
-        worker.qsize += 1
-        self.metrics.peak_queue_depth = max(self.metrics.peak_queue_depth, worker.qsize)
-        if worker.gather is not None:
-            self._feed_gather(worker, t)
-        elif worker.free_slots > 0 and not worker.wake_pending:
-            # The collector is parked in its blocking get: it sees this
-            # request one wake-up latency from now (by which time a burst
-            # may have stacked more arrivals behind it — that accumulation
-            # is where real coalescing comes from).  A saturated worker
-            # (no free slots) gets no wake at all: its GIL-starved collector
-            # resumes from ``_free_slot`` when a dispatch completes.
-            worker.wake_pending = True
-            self._push(t + COLLECTOR_WAKE_S, self._WAKE, worker)
+        policy.push(
+            request,
+            request.priority if request.priority in policy.weights else self.fallback_class,
+            request.sig,
+            None
+            if request.deadline_ms is None
+            else request.arrival + request.deadline_ms / 1e3,
+            t,
+        )
+        self.metrics.peak_queue_depth = max(self.metrics.peak_queue_depth, policy.queued)
+        self._poll_at(worker, t + COLLECTOR_WAKE_S)
 
-    def _on_wake(self, t: float, worker: _SimProcess) -> None:
-        worker.wake_pending = False
-        if worker.gather is None:
-            self._collector_cycle(worker, t)
-
-    # -- collector --------------------------------------------------------- #
-    def _window_s(self, worker: _SimProcess) -> float:
-        if worker.adaptive is not None:
-            return worker.adaptive.window_s
-        return float(self.knobs.batch_timeout_ms) / 1e3
-
-    def _select_class(self, worker: _SimProcess) -> str:
-        best = None
-        for key in self.classes:
-            if worker.queues[key] and (
-                best is None or worker.service_pass[key] < worker.service_pass[best]
-            ):
-                best = key
-        assert best is not None
-        return best
-
-    def _pop_class(self, worker: _SimProcess, cls: str) -> RecordedRequest:
-        request = worker.queues[cls].popleft()
-        worker.qsize -= 1
-        worker.vtime = worker.service_pass[cls]
-        worker.service_pass[cls] += 1.0 / self.weights[cls]
-        return request
-
-    def _collector_cycle(self, worker: _SimProcess, t: float) -> None:
-        """Mirror of ``RequestScheduler._collect_loop``: pop, maybe gather,
-        dispatch, repeat — all instantaneous except the gather wait.  The
-        loop stops while the worker is saturated (no free slot): the real
-        collector is GIL-starved then, and the queue it leaves untouched is
-        what the next cycle coalesces into a batch."""
-        while worker.gather is None and worker.qsize > 0 and worker.free_slots > 0:
-            cls = self._select_class(worker)
-            head = self._pop_class(worker, cls)
-            batch = [head]
-            if self.knobs.max_batch_size > 1 and worker.qsize > 0:
-                if self._gather_drain(worker, batch, cls, t):
-                    continue  # batch dispatched synchronously
-                # Head-of-class queue is empty (or batch not yet full): park
-                # the collector until the window expires or a compatible
-                # arrival lands.
-                worker.gather_token += 1
-                worker.gather = (worker.gather_token, batch, cls, head.sig)
-                deadline = t + self._window_s(worker)
-                self._push(
-                    deadline,
-                    self._GATHER_DEADLINE,
-                    (worker, worker.gather_token),
-                )
-                return
-            self._dispatch(worker, batch, t)
-
-    def _gather_drain(
-        self,
-        worker: _SimProcess,
-        batch: List[RecordedRequest],
-        cls: str,
-        t: float,
-    ) -> bool:
-        """Pop already-queued compatible requests (the zero-wait part of the
-        gather loop).  Returns True when the batch was dispatched."""
-        sig = batch[0].sig
-        queue = worker.queues[cls]
-        while len(batch) < self.knobs.max_batch_size and queue:
-            if queue[0].sig != sig:
-                self._dispatch(worker, batch, t)  # mismatch: stop gathering
-                return True
-            batch.append(self._pop_class(worker, cls))
-        if len(batch) >= self.knobs.max_batch_size:
-            self._dispatch(worker, batch, t)
-            return True
-        return False
-
-    def _feed_gather(self, worker: _SimProcess, t: float) -> None:
-        """An arrival landed while this worker's collector was gathering."""
-        token, batch, cls, sig = worker.gather
-        queue = worker.queues[cls]
-        if not queue:
-            return  # other-class arrival: gathering continues undisturbed
-        if queue[0].sig != sig:
-            # Incompatible head of the batch's own class: the real
-            # pop_matching returns "mismatch" and the batch dispatches now.
-            worker.gather = None
-            self._dispatch(worker, batch, t)
-            self._collector_cycle(worker, t)
-            return
-        batch.append(self._pop_class(worker, cls))
-        if len(batch) >= self.knobs.max_batch_size:
-            worker.gather = None
-            self._dispatch(worker, batch, t)
-            self._collector_cycle(worker, t)
-
-    def _on_gather_deadline(self, t: float, payload) -> None:
-        worker, token = payload
-        if worker.gather is None or worker.gather[0] != token:
-            return  # the batch already dispatched; stale timer
-        _, batch, _, _ = worker.gather
-        worker.gather = None
-        self._dispatch(worker, batch, t)
-        self._collector_cycle(worker, t)
+    # -- collector ---------------------------------------------------------- #
+    def _on_poll(self, t: float, worker: _SimProcess) -> None:
+        if t != worker.poll_at:
+            return  # superseded by an earlier poll
+        worker.poll_at = None
+        batches, expired, wake_at = worker.policy.poll(t)
+        self.metrics.deadline_misses += len(expired)
+        worker.outstanding -= len(expired)
+        for live in batches:
+            self._exec_start(worker, live, t)
+        if wake_at is not None:
+            self._poll_at(worker, wake_at)
 
     # -- execution ---------------------------------------------------------- #
-    def _dispatch(self, worker: _SimProcess, batch: List[RecordedRequest], t: float) -> None:
-        if worker.free_slots > 0:
-            worker.free_slots -= 1
-            self._exec_start(worker, batch, t)
-        else:
-            worker.backlog.append(batch)
-
-    def _exec_start(self, worker: _SimProcess, batch: List[RecordedRequest], t: float) -> None:
-        live: List[RecordedRequest] = []
-        for request in batch:
-            if (
-                request.deadline_ms is not None
-                and t > request.arrival + request.deadline_ms / 1e3
-            ):
-                self.metrics.deadline_misses += 1
-                worker.outstanding -= 1
-            else:
-                live.append(request)
-        if not live:
-            self._free_slot(worker, t)
-            return
-        for request in live:
-            self._waits.append(max(0.0, t - request.arrival))
+    def _exec_start(self, worker: _SimProcess, live: List[RecordedRequest], t: float) -> None:
         self._batch_sizes.append(len(live))
         for request in live:
+            self._waits.append(max(0.0, t - request.arrival))
             self.metrics.by_priority[request.priority] = (
                 self.metrics.by_priority.get(request.priority, 0) + 1
             )
@@ -717,19 +562,8 @@ class _Replayer:
             worker.outstanding -= 1
             self._latencies.append(max(0.0, t - request.arrival))
         self._last_completion = t
-        self._free_slot(worker, t)
-
-    def _free_slot(self, worker: _SimProcess, t: float) -> None:
-        if worker.backlog:
-            self._exec_start(worker, worker.backlog.popleft(), t)
-            return
-        worker.free_slots += 1
-        if worker.qsize > 0 and worker.gather is None and not worker.wake_pending:
-            # The dispatch that just completed un-starves the collector:
-            # everything that queued up while the worker was saturated is
-            # coalesced one wake-up later.
-            worker.wake_pending = True
-            self._push(t + COLLECTOR_WAKE_S, self._WAKE, worker)
+        worker.policy.slot_freed()
+        self._poll_at(worker, t + COLLECTOR_WAKE_S)
 
     # -- results ------------------------------------------------------------ #
     def _finish(self) -> ReplayMetrics:
@@ -738,8 +572,8 @@ class _Replayer:
             metrics.duration_s = max(0.0, self._last_completion - self._first_arrival)
         if metrics.duration_s > 0:
             metrics.throughput_rps = metrics.completed / metrics.duration_s
-        metrics.latency_ms = _percentiles_ms(self._latencies)
-        metrics.queue_wait_ms = _percentiles_ms(self._waits)
+        metrics.latency_ms = percentiles_ms(self._latencies)
+        metrics.queue_wait_ms = percentiles_ms(self._waits)
         metrics.batches = len(self._batch_sizes)
         if self._batch_sizes:
             metrics.mean_batch_size = float(sum(self._batch_sizes)) / len(

@@ -40,6 +40,76 @@ def build_tiny_cnn(name: str = "tinynet", image: int = 16, with_branch: bool = T
     return graph
 
 
+def run_policy_script(policy, script):
+    """Drive a ``BatchingPolicy`` through a scripted ``(t, event)`` list.
+
+    No clock, no threads, no sleeps: time is the ``t`` of each step.  Events
+    are ``("push", name, priority, signature[, deadline])``, ``("free",)`` (a
+    dispatched batch finished), ``("close",)`` and ``("poll",)``.  Requests
+    are just their names.  Returns one ``(t, batches, expired, wake_at)``
+    tuple per ``poll`` step, so a test can assert the exact decisions.
+    """
+    decisions = []
+    for t, event in script:
+        kind, *args = event
+        if kind == "push":
+            name, priority, signature, *deadline = args
+            policy.push(name, priority, signature, deadline[0] if deadline else None, t)
+        elif kind == "free":
+            policy.slot_freed()
+        elif kind == "close":
+            policy.close()
+        else:
+            assert kind == "poll", f"unknown script event {kind!r}"
+            decisions.append((t, *policy.poll(t)))
+    return decisions
+
+
+def drain_policy(policy, count, t=0.0):
+    """Serve ``count`` batches one at a time through a single slot: poll, take
+    the one batch the free slot allows, free the slot.  Returns the batches."""
+    served = []
+    for _ in range(count):
+        batches, _, _ = policy.poll(t)
+        assert len(batches) == 1, f"expected one dispatch per free slot, got {batches}"
+        served.append(batches[0])
+        policy.slot_freed()
+    return served
+
+
+def traced_scheduler(trace_dir, runner, **knobs):
+    """A ``RequestScheduler`` recording into ``trace_dir``; returns
+    ``(scheduler, recorder)`` — close both, scheduler first.
+
+    The unit-level recording path: same scheduler, same recorder, same knob
+    manifest the engine writes (so ``knobs_from_trace`` replays the recorded
+    configuration), without paying for a compiled artifact.
+    """
+    from repro.api.scheduler import (
+        DEFAULT_PRIORITY,
+        DEFAULT_PRIORITY_WEIGHTS,
+        RequestScheduler,
+    )
+    from repro.trace import TraceRecorder
+
+    knobs = {
+        "max_batch_size": 8,
+        "batch_timeout_ms": 5.0,
+        "queue_depth": 64,
+        "num_workers": 2,
+        **knobs,
+    }
+    manifest = {
+        **knobs,
+        "priority_weights": dict(DEFAULT_PRIORITY_WEIGHTS),
+        "default_priority": DEFAULT_PRIORITY,
+    }
+    if knobs["batch_timeout_ms"] == "auto":
+        manifest["adaptive"] = {}
+    recorder = TraceRecorder(trace_dir, role="scheduler", meta={"knobs": manifest})
+    return RequestScheduler(runner, recorder=recorder, **knobs), recorder
+
+
 @pytest.fixture
 def tiny_cnn():
     return build_tiny_cnn()

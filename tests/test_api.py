@@ -15,7 +15,7 @@ from repro.api import (
     Optimizer,
     StaleArtifactError,
 )
-from repro.core import CostModelMeasurer, LocalSearch, NumpyMeasurer, compile_model
+from repro.core import CostModelMeasurer, LocalSearch, NumpyMeasurer, compile_graph
 from repro.graph import infer_shapes
 from repro.runtime import GraphExecutor, read_manifest
 from repro.schedule import ConvWorkload
@@ -462,26 +462,23 @@ class TestInferenceEngine:
 
 
 class TestCompileModelCompat:
-    def test_compile_model_deprecated_but_working(self, skylake, tiny_input):
-        graph = build_tiny_cnn()
-        with pytest.warns(DeprecationWarning, match="Optimizer"):
-            module = compile_model(graph, skylake, CompileConfig())
-        out = module.run({"data": tiny_input}, seed=21)[0]
-        reference = GraphExecutor(build_tiny_cnn(), seed=21).run({"data": tiny_input})[0]
-        np.testing.assert_allclose(out, reference, atol=1e-4)
+    """Graph-ownership contract of the bare pipeline entry point.
+
+    These assertions were written against the deprecated ``compile_model``
+    wrapper (deleted in ISSUE 24); ``compile_graph`` is what it forwarded to,
+    and the contract is the same.
+    """
 
     def test_compile_model_copies_by_default(self, skylake):
         graph = build_tiny_cnn()
         histogram = graph.op_histogram()
-        with pytest.warns(DeprecationWarning):
-            compile_model(graph, skylake, CompileConfig())
+        compile_graph(graph, skylake, CompileConfig())
         # batch_norm / dropout survive in the caller's graph.
         assert graph.op_histogram() == histogram
 
     def test_compile_model_in_place_opt_out(self, skylake):
         graph = build_tiny_cnn()
-        with pytest.warns(DeprecationWarning):
-            module = compile_model(graph, skylake, CompileConfig(), in_place=True)
+        module = compile_graph(graph, skylake, CompileConfig(), in_place=True)
         assert module.graph is graph  # historical behavior on request
         assert "batch_norm" not in graph.op_histogram()
 

@@ -1,14 +1,23 @@
 """repro.trace tests: format, recorder, replayer, what-if, CLI, integration.
 
-The invariants this file defends (ISSUE 10 acceptance):
+The invariants this file defends:
 
 * the on-disk trace format is versioned, forward-compatible (unknown fields
   and kinds are ignored, unknown versions refused) and REP002-durable
   (segments land complete via write-then-rename, no tmp litter);
 * replay is a pure function of ``(trace, knobs)`` — byte-identical reports
   across runs *and across processes*;
-* replay at the recorded knobs predicts the recorded throughput to within
-  the fidelity gate (±20%);
+* the replayer is the simulated-time driver of the *same*
+  ``BatchingPolicy`` object the live scheduler drives (one policy, two
+  drivers; a batch is formed only when an executor slot is free), so batch
+  composition is not something these tests gate with a tolerance — the
+  exact, single-shot parity tests are
+  ``tests/test_scheduler.py::TestOnePolicyTwoDrivers``.  What is left to
+  model is batch cost and timing, and that is what the throughput gates
+  here check: one free-running recording each, predicted within
+  ``FIDELITY_TOLERANCE`` (20%), no retry — except the one live wall-clock
+  smoke through the multi-process daemon, which keeps best-of-3 because a
+  loaded machine can make a *recording* unrepresentative;
 * the AdaptiveTimeout policy behaves correctly on *recorded* arrival
   streams — coalescing under bursts, collapsing under sparse traffic —
   and the replayer reproduces it;
@@ -30,7 +39,6 @@ import pytest
 from repro.api import build, load_engine
 from repro.api.daemon import DaemonClient, ServingDaemon
 from repro.api.scheduler import (
-    DEFAULT_PRIORITY,
     DEFAULT_PRIORITY_WEIGHTS,
     AdaptiveTimeout,
     LatencyReservoir,
@@ -53,36 +61,30 @@ from repro.trace import (
 )
 from repro import cli
 
-from tests.conftest import build_tiny_cnn
+from tests.conftest import build_tiny_cnn, traced_scheduler
 
 RESULT_TIMEOUT_S = 120.0
 FIDELITY_TOLERANCE = 0.20
-#: Fully-saturated bursts against the busy-spin stub runner are the worst
-#: case for the collector-starvation model: every thread contends for the
-#: GIL at once and the simulator over-predicts throughput by ~15% (the real
-#: engine, which releases the GIL inside kernels, replays within a few
-#: percent — see TestServingIntegration).  The unit gate is widened so the
-#: test asserts the model's real accuracy, not wall-clock luck.
-BURST_FIDELITY_TOLERANCE = 0.30
 
 
 # --------------------------------------------------------------------------- #
 # helpers: record real scheduler traffic into a trace directory
 # --------------------------------------------------------------------------- #
-def spin_runner(base_ms=2.0, per_sample_ms=1.0):
-    """A CPU-bound runner whose cost is affine in batch size.
+def affine_runner(base_ms=2.0, per_sample_ms=1.0):
+    """A stub runner whose cost is affine in batch size.
 
-    Busy-spins instead of sleeping: real inference kernels hold the GIL for
-    most of each dispatch, and the replayer's collector-starvation model
-    assumes exactly that.  A sleeping stub would release the GIL, keep the
-    collector perfectly responsive, and record batching behaviour no real
-    engine exhibits.
+    It sleeps, so the interpreter stays free while a batch "executes": the
+    recording's timing is then the policy's and the runner's, which is what
+    a replay models.  (A busy-spinning stub holds the GIL for the whole
+    dispatch and adds one 5 ms thread-switch interval to every hand-off —
+    measured: with a free slot and a full batch queued, the second dispatch
+    of a burst started 5.2 ms after the first.  Real engines release the GIL
+    inside the kernels and show no such stall: ResNet-50 recordings replay
+    to within 0.2-3%.)
     """
 
     def run(batch):
-        end = time.perf_counter() + (base_ms + per_sample_ms * len(batch)) / 1e3
-        while time.perf_counter() < end:
-            pass
+        time.sleep((base_ms + per_sample_ms * len(batch)) / 1e3)
         return [[np.zeros(1, dtype=np.float32)] for _ in batch]
 
     return run
@@ -101,30 +103,14 @@ def record_scheduler_trace(
     base_ms=2.0,
     per_sample_ms=1.0,
 ):
-    """Drive one in-process RequestScheduler under a recorder; return the trace.
-
-    This is the unit-level recording path: same scheduler, same recorder,
-    same knob manifest the engine writes — without paying for a compiled
-    artifact.
-    """
-    knobs = {
-        "max_batch_size": max_batch_size,
-        "batch_timeout_ms": batch_timeout_ms,
-        "queue_depth": queue_depth,
-        "num_workers": num_workers,
-        "priority_weights": dict(DEFAULT_PRIORITY_WEIGHTS),
-        "default_priority": DEFAULT_PRIORITY,
-    }
-    if batch_timeout_ms == "auto":
-        knobs["adaptive"] = {}
-    recorder = TraceRecorder(trace_dir, role="scheduler", meta={"knobs": knobs})
-    scheduler = RequestScheduler(
-        spin_runner(base_ms, per_sample_ms),
+    """Drive one in-process RequestScheduler under a recorder; return the trace."""
+    scheduler, recorder = traced_scheduler(
+        trace_dir,
+        affine_runner(base_ms, per_sample_ms),
         max_batch_size=max_batch_size,
         batch_timeout_ms=batch_timeout_ms,
         queue_depth=queue_depth,
         num_workers=num_workers,
-        recorder=recorder,
     )
     inputs = {"data": np.zeros((1, 4), dtype=np.float32)}
     try:
@@ -295,7 +281,7 @@ class TestLatencyReservoir:
         }
 
     def test_scheduler_stats_expose_wait_and_latency_percentiles(self):
-        scheduler = RequestScheduler(spin_runner(base_ms=3.0), max_batch_size=4)
+        scheduler = RequestScheduler(affine_runner(base_ms=3.0), max_batch_size=4)
         inputs = {"data": np.zeros((1, 4), dtype=np.float32)}
         try:
             for future in [scheduler.submit(inputs) for _ in range(8)]:
@@ -387,31 +373,29 @@ class TestReplayDeterminism:
 
 
 class TestReplayFidelity:
+    """One free-running recording each, no retry: the policy is shared, so
+    what a replay can still get wrong is cost and timing."""
+
     def test_paced_stream_within_gate(self, tmp_path):
-        record_within_gate(
-            lambda attempt: record_scheduler_trace(
-                tmp_path / f"trace-{attempt}", requests=32, gap_ms=1.0,
-                priorities=("interactive", "normal", "bulk"),
-            ),
-            FIDELITY_TOLERANCE,
+        trace = record_scheduler_trace(
+            tmp_path / "trace", requests=32, gap_ms=1.0,
+            priorities=("interactive", "normal", "bulk"),
         )
+        assert throughput_error(trace) <= FIDELITY_TOLERANCE
 
     def test_burst_within_gate(self, tmp_path):
-        record_within_gate(
-            lambda attempt: record_scheduler_trace(
-                tmp_path / f"trace-{attempt}", requests=32, gap_ms=0.0
-            ),
-            BURST_FIDELITY_TOLERANCE,
-        )
+        trace = record_scheduler_trace(tmp_path / "trace", requests=32, gap_ms=0.0)
+        assert throughput_error(trace) <= FIDELITY_TOLERANCE
+        # A burst outruns both executor slots, so what queued behind them
+        # left in full batches — in the recording and in its replay.
+        assert measured_metrics(trace).mean_batch_size > 4.0
+        assert replay(trace).metrics.mean_batch_size > 4.0
 
     def test_sparse_stream_within_gate(self, tmp_path):
-        trace = record_within_gate(
-            lambda attempt: record_scheduler_trace(
-                tmp_path / f"trace-{attempt}", requests=8, gap_ms=12.0
-            ),
-            FIDELITY_TOLERANCE,
-        )
-        # Sparse traffic never coalesces — in reality or in the model.
+        trace = record_scheduler_trace(tmp_path / "trace", requests=8, gap_ms=12.0)
+        assert throughput_error(trace) <= FIDELITY_TOLERANCE
+        # Sparse traffic never coalesces — in reality or in the replay: every
+        # request is a lone head and pays no window.
         assert measured_metrics(trace).mean_batch_size == 1.0
         assert replay(trace).metrics.mean_batch_size == 1.0
 
@@ -447,24 +431,17 @@ class TestAdaptiveTimeoutOnRecordedTraces:
         return adaptive
 
     def test_bursty_trace_coalesces(self, tmp_path):
-        trace = record_within_gate(
-            lambda attempt: record_scheduler_trace(
-                tmp_path / f"trace-{attempt}", requests=32, gap_ms=0.0,
-                batch_timeout_ms="auto",
-            ),
-            BURST_FIDELITY_TOLERANCE,
+        trace = record_scheduler_trace(
+            tmp_path / "trace", requests=32, gap_ms=0.0, batch_timeout_ms="auto",
         )
         assert measured_metrics(trace).mean_batch_size > 1.5
         assert replay(trace).metrics.mean_batch_size > 1.5
 
     def test_sparse_trace_collapses_window(self, tmp_path):
-        trace = record_within_gate(
-            lambda attempt: record_scheduler_trace(
-                tmp_path / f"trace-{attempt}", requests=8, gap_ms=15.0,
-                batch_timeout_ms="auto",
-            ),
-            FIDELITY_TOLERANCE,
+        trace = record_scheduler_trace(
+            tmp_path / "trace", requests=8, gap_ms=15.0, batch_timeout_ms="auto",
         )
+        assert throughput_error(trace) <= FIDELITY_TOLERANCE
         adaptive = self._recorded_gap_windows(trace)
         # 15ms gaps x multiplier exceed max_ms: the window collapses to the
         # floor instead of taxing every lone request with a hopeless wait.
@@ -618,10 +595,13 @@ def repo(tmp_path_factory):
 
 class TestServingIntegration:
     def test_record_replay_gate_through_the_daemon(self, repo, tmp_path, capsys):
-        # Best-of-3 on the recording (not the model): a daemon recording on a
-        # loaded machine can be unrepresentative, so each attempt records
-        # fresh traffic and one clean recording passing --check 20 suffices.
-        for attempt in range(3):
+        # The one live wall-clock smoke, hence the one best-of-3 (on the
+        # recording, not the model): each attempt records fresh traffic
+        # through the whole stack.  Eight samples per request keep the
+        # dispatches executor-bound — on the tiny CNN a one-sample request is
+        # mostly pipe and reply overhead, which no cost model calibrated from
+        # executor times can price.
+        def record(attempt):
             trace_dir = tmp_path / f"trace-{attempt}"
             rc = cli.main(
                 [
@@ -629,19 +609,19 @@ class TestServingIntegration:
                     "trace", "record", repo["artifact"].name,
                     "--out", str(trace_dir),
                     "--workers", "2", "--requests", "24", "--gap-ms", "0",
-                    "--batch-timeout-ms", "5",
+                    "--batch", "8", "--batch-timeout-ms", "5",
                     "--priorities", "interactive,normal,bulk",
                 ]
             )
             assert rc == 0
             assert "recorded 24 request(s)" in capsys.readouterr().out
-            # The acceptance gate: replay at recorded knobs within +-20%.
-            if cli.main(["trace", "replay", str(trace_dir), "--check", "20"]) == 0:
-                break
-        else:
-            pytest.fail("3 daemon recordings all replayed outside +-20%")
+            return read_trace(trace_dir)
 
-        trace = read_trace(trace_dir)
+        trace = record_within_gate(record, FIDELITY_TOLERANCE)
+        trace_dir = trace.path
+        # The CLI gate agrees with the helper's verdict on that recording.
+        assert cli.main(["trace", "replay", str(trace_dir), "--check", "20"]) == 0
+
         roles = {role for _, role in trace.metas}
         assert roles == {"scheduler", "dispatch", "daemon"}
         assert len(trace.scheduler_pids()) == 2  # one stream per worker
