@@ -5,10 +5,11 @@ Two tools share this package:
 * the **convention linter** (:class:`LintEngine`, ``python -m repro.analysis``,
   ``repro.cli analyze``) — AST rules REP001..REP005 enforcing the
   determinism, durability, symbolic-batch, lock-order and error-handling
-  conventions the ROADMAP asks reviewers to preserve, plus the lockset-based
+  conventions the ROADMAP asks reviewers to preserve, the lockset-based
   concurrency rules REP006..REP008 (data races, atomicity violations,
-  thread escape) built on the shared model in
-  :mod:`repro.analysis.concurrency`;
+  thread escape) and the serving-tier rules REP009..REP011; REP004,
+  REP006..REP008 and REP010 query one set of per-function facts built per
+  run in :mod:`repro.analysis.concurrency`;
 * the **graph-IR verifier** (:func:`verify_graph`) — semantic checks over a
   built :class:`~repro.graph.graph.Graph`, wired into compilation under
   ``CompileConfig.verify_ir`` and into ``repro.cli verify --deep``.

@@ -33,24 +33,20 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .engine import ModuleSource, Rule, register_rule
+from .concurrency import ConcurrencyModel, LockInfo
+from .engine import (
+    ModuleSource,
+    ProjectRule,
+    Rule,
+    dotted_name,
+    iter_functions,
+    register_rule,
+    scope_walk,
+)
 from .findings import Finding
-from .lockorder import _dotted_name, _iter_functions, extract_module_locks
 from .rules import _DISPATCH_MODULES
 
 __all__ = ["ProcessBoundaryRule", "UnboundedBlockingRule"]
-
-
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk one function's own scope, stopping at nested defs/lambdas."""
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
 
 
 # --------------------------------------------------------------------------- #
@@ -81,7 +77,7 @@ def _ctor_reason(call: ast.Call) -> Optional[str]:
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open":
         return _UNPICKLABLE_CTORS["open"]
-    dotted = _dotted_name(func) or ""
+    dotted = dotted_name(func) or ""
     tail = dotted.rsplit(".", 1)[-1]
     if tail in _UNPICKLABLE_CTORS:
         if tail == "socket" and not dotted.startswith("socket."):
@@ -112,7 +108,7 @@ class _FunctionFacts:
 
 
 @register_rule
-class ProcessBoundaryRule(Rule):
+class ProcessBoundaryRule(ProjectRule):
     rule_id = "REP010"
     summary = "unpicklable value crosses a process boundary"
     rationale = (
@@ -124,11 +120,18 @@ class ProcessBoundaryRule(Rule):
         "obvious, not in a crashed worker at 1M users."
     )
 
-    def check(self, module: ModuleSource) -> Iterable[Finding]:
-        locks = extract_module_locks(module)
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: ConcurrencyModel
+    ) -> Iterable[Finding]:
+        for module in modules:
+            yield from self._check_module(module, model.locks[module.display_path])
+
+    def _check_module(
+        self, module: ModuleSource, locks: Dict[str, LockInfo]
+    ) -> List[Finding]:
         stem = module.path.stem
         facts: Dict[str, _FunctionFacts] = {}
-        for qual, owner, node in _iter_functions(module):
+        for qual, owner, node in iter_functions(module):
             fact = _FunctionFacts(qual, node, owner)
             self._classify_locals(fact)
             facts.setdefault(qual.rsplit(".", 1)[-1], fact)
@@ -141,7 +144,7 @@ class ProcessBoundaryRule(Rule):
         while changed:
             changed = False
             findings = []
-            for qual, owner, node in _iter_functions(module):
+            for qual, _owner, _node in iter_functions(module):
                 fact = facts[qual]
                 for finding, new_boundary in self._check_function(
                     module, stem, locks, fact, boundary_params
@@ -157,7 +160,7 @@ class ProcessBoundaryRule(Rule):
         return findings
 
     def _classify_locals(self, fact: _FunctionFacts) -> None:
-        for node in _scope_nodes(fact.node):
+        for node in scope_walk(fact.node):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node is not fact.node:
                     fact.local_defs[node.name] = node
@@ -172,7 +175,7 @@ class ProcessBoundaryRule(Rule):
                 continue
             if not isinstance(value, ast.Call):
                 continue
-            dotted = _dotted_name(value.func) or ""
+            dotted = dotted_name(value.func) or ""
             if dotted.rsplit(".", 1)[-1] == "Pipe":
                 for target in node.targets:
                     if isinstance(target, ast.Tuple):
@@ -186,7 +189,7 @@ class ProcessBoundaryRule(Rule):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     fact.unpicklable[target.id] = reason
-        # Nested defs are their own _iter_functions entries too; recording
+        # Nested defs are their own iter_functions entries too; recording
         # them here only serves the closure-capture check.
         for child in ast.iter_child_nodes(fact.node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -196,7 +199,7 @@ class ProcessBoundaryRule(Rule):
         self,
         expr: ast.AST,
         stem: str,
-        locks: Dict[str, object],
+        locks: Dict[str, LockInfo],
         fact: _FunctionFacts,
         in_process_args: bool,
     ) -> Optional[str]:
@@ -217,7 +220,7 @@ class ProcessBoundaryRule(Rule):
                 return reason
             return None
         if isinstance(expr, ast.Attribute):
-            dotted = _dotted_name(expr) or ""
+            dotted = dotted_name(expr) or ""
             if dotted.startswith("self.") and fact.owner:
                 key = f"{stem}.{fact.owner}.{dotted[5:]}"
                 if key in locks:
@@ -247,11 +250,11 @@ class ProcessBoundaryRule(Rule):
         self,
         module: ModuleSource,
         stem: str,
-        locks: Dict[str, object],
+        locks: Dict[str, LockInfo],
         fact: _FunctionFacts,
         boundary_params: Dict[str, Set[int]],
     ) -> Iterator[Tuple[Optional[Finding], Optional[Tuple[str, int]]]]:
-        for node in _scope_nodes(fact.node):
+        for node in scope_walk(fact.node):
             if not isinstance(node, ast.Call):
                 continue
             for sink_expr, context, in_process_args in self._sinks_of(
@@ -303,13 +306,13 @@ class ProcessBoundaryRule(Rule):
     ) -> Iterator[Tuple[ast.AST, str, bool]]:
         """Yield ``(expr, context, in_process_args)`` for boundary-crossing args."""
         func = call.func
-        dotted = _dotted_name(func) or ""
+        dotted = dotted_name(func) or ""
         tail = dotted.rsplit(".", 1)[-1]
         if isinstance(func, ast.Attribute) and func.attr == "send":
-            receiver = (_dotted_name(func.value) or "").rsplit(".", 1)[-1].lower()
+            receiver = (dotted_name(func.value) or "").rsplit(".", 1)[-1].lower()
             if any(fragment in receiver for fragment in _CONNISH_FRAGMENTS):
                 for arg in call.args:
-                    yield arg, f"{_dotted_name(func.value)}.send()", False
+                    yield arg, f"{dotted_name(func.value)}.send()", False
             return
         if dotted in {"pickle.dumps", "pickle.dump"} and call.args:
             yield call.args[0], f"{dotted}()", False
@@ -335,7 +338,7 @@ class ProcessBoundaryRule(Rule):
     def _process_target_def(
         self, call: ast.Call, fact: _FunctionFacts
     ) -> Optional[ast.FunctionDef]:
-        dotted = _dotted_name(call.func) or ""
+        dotted = dotted_name(call.func) or ""
         if dotted.rsplit(".", 1)[-1] != "Process":
             return None
         for keyword in call.keywords:
@@ -421,7 +424,7 @@ class UnboundedBlockingRule(Rule):
         if not self._is_serving_module(module):
             return
         class_timeouts = self._settimeout_receivers(module)
-        for qual, owner, node in _iter_functions(module):
+        for qual, owner, node in iter_functions(module):
             yield from self._check_function(
                 module, qual, owner, node, class_timeouts
             )
@@ -433,7 +436,7 @@ class UnboundedBlockingRule(Rule):
         ``settimeout`` anywhere — sockets configured once, used in many
         methods."""
         receivers: Dict[str, Set[str]] = {}
-        for qual, owner, node in _iter_functions(module):
+        for qual, owner, node in iter_functions(module):
             for inner in ast.walk(node):
                 if (
                     isinstance(inner, ast.Call)
@@ -442,7 +445,7 @@ class UnboundedBlockingRule(Rule):
                     and inner.args
                     and not _is_none(inner.args[0])
                 ):
-                    receiver = _dotted_name(inner.func.value)
+                    receiver = dotted_name(inner.func.value)
                     if receiver:
                         receivers.setdefault(owner, set()).add(receiver)
         return receivers
@@ -460,12 +463,12 @@ class UnboundedBlockingRule(Rule):
         )
         polled: Set[str] = set()
         timeout_guarded: List[Tuple[int, int]] = []
-        for node in _scope_nodes(func):
+        for node in scope_walk(func):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr == "poll" and node.args and not _is_none(
                     node.args[0]
                 ):
-                    receiver = _dotted_name(node.func.value)
+                    receiver = dotted_name(node.func.value)
                     if receiver:
                         polled.add(receiver)
             if isinstance(node, ast.Try):
@@ -481,10 +484,10 @@ class UnboundedBlockingRule(Rule):
         def in_timeout_guard(line: int) -> bool:
             return any(start <= line <= end for start, end in timeout_guarded)
 
-        for node in _scope_nodes(func):
+        for node in scope_walk(func):
             if not isinstance(node, ast.Call):
                 continue
-            if (_dotted_name(node.func) or "").rsplit(".", 1)[-1] == "create_connection":
+            if (dotted_name(node.func) or "").rsplit(".", 1)[-1] == "create_connection":
                 if not any(
                     keyword.arg == "timeout" and not _is_none(keyword.value)
                     for keyword in node.keywords
@@ -500,7 +503,7 @@ class UnboundedBlockingRule(Rule):
             if not isinstance(node.func, ast.Attribute):
                 continue
             attr = node.func.attr
-            receiver = _dotted_name(node.func.value) or ""
+            receiver = dotted_name(node.func.value) or ""
             if attr in {"recv", "recv_into", "recv_bytes"}:
                 if not _receiver_matches(receiver, _SOCKISH) and receiver:
                     continue
@@ -596,7 +599,7 @@ class UnboundedBlockingRule(Rule):
             return False
         elements = node.elts if isinstance(node, ast.Tuple) else [node]
         for element in elements:
-            dotted = _dotted_name(element) or ""
+            dotted = dotted_name(element) or ""
             tail = dotted.rsplit(".", 1)[-1]
             if tail in {"timeout", "TimeoutError"}:
                 return True

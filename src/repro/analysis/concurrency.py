@@ -1,14 +1,22 @@
-"""Shared concurrency model behind REP006/REP007/REP008 (see ``races.py``).
+"""The shared concurrency facts behind REP004, REP006-REP008 and REP010.
 
-The lock-order analyzer (REP004, ``lockorder.py``) answers "in what order are
-locks taken"; the rules built on *this* module answer the Eraser-style
-question "which lock protects this piece of shared state, and is it held
-everywhere the state is touched".  The model is built once per project run
-and shared by the three race rules:
+:meth:`LintEngine.run <repro.analysis.engine.LintEngine.run>` builds one
+:class:`ConcurrencyModel` per run and hands it to every project rule.  Its
+core is a single held-lock walk of every function, which records what each
+rule queries:
 
-* **lock discovery and alias resolution** are reused verbatim from
-  ``lockorder.py`` (``extract_module_locks`` + ``LockInfo.resolve``), so a
-  ``Condition(self._mutex)`` guards the same state its underlying mutex does;
+* **lock discovery and alias resolution** — ``self._x = threading.Lock()``
+  (also ``RLock``/``Condition``) in a method body, a dataclass field
+  annotated ``threading.Lock``, or a module-level ``NAME = threading.Lock()``
+  each define a lock keyed ``module.Class._x`` / ``module:NAME``; a ``with``
+  on an undiscovered attribute still counts when its name contains ``lock``
+  or ``mutex`` (a lock handed in from outside is still a lock), and
+  ``Condition(self._mutex)`` *aliases* the lock it wraps, so entering the
+  condition enters ``_mutex`` and the condition guards the same state;
+* **lock acquisitions and calls** — every ``with <lock>:`` acquisition with
+  the locks already held, and every call with the locks held at it (held or
+  not), which is what the lock-order rule (``lockorder.py``) builds its
+  acquisition graph, may-acquire fixpoint and blocking-call check from;
 * **shared-state discovery** — every ``self.<field>`` access in a class's
   methods, classified read vs write (plain stores, augmented assignments,
   subscript stores and mutating method calls such as ``.append``/``.pop``
@@ -22,11 +30,10 @@ and shared by the three race rules:
   surface of any lock-defining class or module (a class that allocates a
   lock is declaring itself thread-safe: its public methods are its
   concurrency boundary).  Reachability closes over same-module calls;
-* **calling-context locksets** — the same-module call-graph fixpoint from
-  the lock-order analysis, re-aimed: a helper only ever invoked while lock L
+* **calling-context locksets** — a helper only ever invoked while lock L
   is held is analyzed *as if* it held L (the intersection over its call
-  sites), which is what makes guarded-increment helpers lint clean without
-  annotations;
+  sites, to a fixpoint), which is what makes guarded-increment helpers lint
+  clean without annotations;
 * **majority-protection inference** — a field whose post-``__init__``
   accesses hold lock L at a strict majority of sites (and at least twice)
   is *guarded by L*; every other access had better hold L too.  ``__init__``
@@ -35,46 +42,33 @@ and shared by the three race rules:
 
 Known blind spots, by construction (documented in the README rule catalog):
 state never accessed under any lock has no guard candidate and is invisible
-to lockset analysis; a deliberately lock-free majority (e.g. an SPSC queue
-relying on GIL-atomic deque ops) defeats inference and is likewise not
-reported; double-checked locking reads can outnumber guarded sites and
-suppress the guard the same way.
+to lockset analysis; a deliberately lock-free majority defeats inference and
+is likewise not reported; double-checked locking reads can outnumber guarded
+sites and suppress the guard the same way.
 """
 
 from __future__ import annotations
 
 import ast
-import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .engine import ModuleSource
-from .lockorder import (
-    LockInfo,
-    _dotted_name,
-    _iter_functions,
-    extract_module_locks,
-)
+from .engine import ModuleSource, dotted_name, iter_functions
 
 __all__ = [
     "Access",
+    "Acquisition",
     "BranchCheck",
+    "CallSite",
     "ConcurrencyModel",
     "FunctionInfo",
     "GuardInference",
+    "LockInfo",
     "SpawnSite",
     "WithBlock",
     "build_project_model",
+    "extract_module_locks",
+    "lock_key",
 ]
 
 
@@ -116,13 +110,123 @@ _REGISTRY_CTORS = {
 #: other threads call these, so they execute concurrently by convention.
 _TEARDOWN_HOOKS = {"__del__", "close", "shutdown"}
 
-#: receiver-name fragments marking ``.map``/``parallel_for`` as a thread
-#: pool handing its argument to worker threads.
+#: receiver-name fragments marking ``.map`` as a thread pool handing its
+#: argument to worker threads.
 _POOLISH_FRAGMENTS = ("pool", "executor", "workers")
 
 #: call attribute names that block until handed-off work completed; a
 #: mutation of a captured local *after* one of these is sequenced, not racy.
 SYNC_CALLS = {"join", "result", "shutdown", "wait"}
+
+#: attribute/name fragments that mark an undiscovered object as a lock.
+_LOCKISH_FRAGMENTS = ("lock", "mutex")
+
+_CTOR_KIND = {"Lock": "lock", "RLock": "rlock", "Condition": "condition"}
+
+
+@dataclass
+class LockInfo:
+    """One discovered lock (or condition) and how to refer to it."""
+
+    key: str  # canonical graph key, e.g. "scheduler.RequestScheduler._mutex"
+    kind: str  # "lock" | "rlock" | "condition"
+    alias_of: Optional[str] = None  # condition wrapping an existing lock
+
+    def resolve(self, table: Dict[str, "LockInfo"]) -> str:
+        """The key of the underlying lock, following condition aliases."""
+        seen = {self.key}
+        info = self
+        while info.alias_of is not None and info.alias_of in table:
+            if info.alias_of in seen:
+                break
+            seen.add(info.alias_of)
+            info = table[info.alias_of]
+        return info.key
+
+
+def threading_class(node: ast.AST) -> Optional[str]:
+    """``"Lock"``/``"Thread"``/... when node calls ``threading.<Class>(...)``
+    (or a bare name, as after ``from threading import ...``)."""
+    if not isinstance(node, ast.Call):
+        return None
+    dotted = dotted_name(node.func) or ""
+    tail = dotted.rsplit(".", 1)[-1]
+    return tail if dotted == tail or dotted.startswith("threading.") else None
+
+
+def extract_module_locks(module: ModuleSource) -> Dict[str, LockInfo]:
+    """Discover every lock defined in one module, keyed canonically."""
+    stem = module.path.stem
+    table: Dict[str, LockInfo] = {}
+
+    def record(key: str, ctor_call: ast.Call, owner_class: str) -> None:
+        ctor = threading_class(ctor_call)
+        alias: Optional[str] = None
+        if ctor == "Condition" and ctor_call.args:
+            inner = ctor_call.args[0]
+            inner_dotted = dotted_name(inner) or ""
+            if inner_dotted.startswith("self.") and owner_class:
+                alias = f"{stem}.{owner_class}.{inner_dotted[5:]}"
+            elif isinstance(inner, ast.Name):
+                alias = f"{stem}:{inner.id}"
+            # Condition(threading.Lock()) wraps a private lock: no alias.
+        table[key] = LockInfo(key=key, kind=_CTOR_KIND[ctor], alias_of=alias)
+
+    # Module-level: NAME = threading.Lock()
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign) and threading_class(node.value) in _CTOR_KIND:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    record(f"{stem}:{target.id}", node.value, "")
+
+    # Class-level and self-attribute locks.
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        cls = node.name
+        for stmt in node.body:
+            # Dataclass field: _lock: threading.Lock = field(...)
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                tail = (dotted_name(stmt.annotation) or "").rsplit(".", 1)[-1]
+                if tail in _CTOR_KIND:
+                    key = f"{stem}.{cls}.{stmt.target.id}"
+                    table[key] = LockInfo(key=key, kind=_CTOR_KIND[tail])
+        for inner in ast.walk(node):
+            # self._x = threading.Lock() anywhere in the class's methods.
+            if (
+                isinstance(inner, ast.Assign)
+                and threading_class(inner.value) in _CTOR_KIND
+            ):
+                for target in inner.targets:
+                    dotted = dotted_name(target) or ""
+                    if dotted.startswith("self."):
+                        record(f"{stem}.{cls}.{dotted[5:]}", inner.value, cls)
+    return table
+
+
+def lock_key(
+    expr: ast.AST, stem: str, owner_class: str, locks: Dict[str, LockInfo]
+) -> Optional[str]:
+    """The canonical key of the lock ``expr`` names, following aliases.
+
+    ``self.<attr>`` resolves against the owning class, a bare name against
+    the module; an undiscovered name counts only when it looks like a lock.
+    """
+    dotted = dotted_name(expr)
+    if dotted is None:
+        return None
+    if dotted.startswith("self.") and owner_class:
+        name = dotted[5:]
+        key = f"{stem}.{owner_class}.{name}"
+    elif "." not in dotted:
+        name = dotted
+        key = f"{stem}:{dotted}"
+    else:
+        return None
+    if key in locks:
+        return locks[key].resolve(locks)
+    lowered = name.lower()
+    return key if any(f in lowered for f in _LOCKISH_FRAGMENTS) else None
 
 
 @dataclass
@@ -170,12 +274,31 @@ class WithBlock:
 
 
 @dataclass
+class Acquisition:
+    """One ``with <lock>:`` acquisition (for the lock-order graph)."""
+
+    lock: str
+    held: Tuple[str, ...]  # locks already held, outermost first
+    line: int
+    col: int
+
+
+@dataclass
+class CallSite:
+    """One call, with the locks held where it is made."""
+
+    held: Tuple[str, ...]  # outermost first
+    callee: Optional[str]  # same-module callee qualname, when resolvable
+    node: ast.Call
+
+
+@dataclass
 class SpawnSite:
     """A point where a callable is handed to another thread."""
 
     line: int
     col: int
-    kind: str  # "thread-start" | "submit" | "map"
+    kind: str  # "thread-ctor" | "submit" | "map"
     target: Optional[str]  # resolved local qualname of the target, if any
     #: for REP008: name of a locally-defined callable handed off here.
     closure: Optional[str] = None
@@ -183,7 +306,7 @@ class SpawnSite:
 
 @dataclass
 class FunctionInfo:
-    """Everything the race rules need to know about one function."""
+    """Everything the concurrency rules need to know about one function."""
 
     module: str  # display path
     stem: str
@@ -192,8 +315,9 @@ class FunctionInfo:
     node: ast.AST
     is_init: bool = False
     accesses: List[Access] = field(default_factory=list)
-    #: (held locks, callee local qualname, line) — *every* call, held or not.
-    call_sites: List[Tuple[FrozenSet[str], str, int]] = field(default_factory=list)
+    acquisitions: List[Acquisition] = field(default_factory=list)
+    #: *every* call, held or not, in visit order.
+    calls: List[CallSite] = field(default_factory=list)
     branch_checks: List[BranchCheck] = field(default_factory=list)
     with_blocks: List[WithBlock] = field(default_factory=list)
     spawns: List[SpawnSite] = field(default_factory=list)
@@ -218,9 +342,11 @@ class GuardInference:
 
 @dataclass
 class ConcurrencyModel:
-    """The project-wide model shared by REP006/REP007/REP008."""
+    """The project-wide facts shared by REP004, REP006-REP008 and REP010."""
 
-    #: module display path -> {qualname -> FunctionInfo}
+    #: module display path -> {lock key -> LockInfo}
+    locks: Dict[str, Dict[str, LockInfo]] = field(default_factory=dict)
+    #: module display path -> {qualname -> FunctionInfo} (first def wins)
     functions: Dict[str, Dict[str, FunctionInfo]] = field(default_factory=dict)
     #: field key -> inferred guard (only fields that *have* one).
     guards: Dict[str, GuardInference] = field(default_factory=dict)
@@ -284,7 +410,7 @@ def _module_registries(module: ModuleSource) -> Set[str]:
         mutable = isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
                                      ast.ListComp, ast.SetComp))
         if isinstance(value, ast.Call):
-            dotted = _dotted_name(value.func) or ""
+            dotted = dotted_name(value.func) or ""
             mutable = dotted.rsplit(".", 1)[-1] in _REGISTRY_CTORS
         if mutable:
             for target in node.targets:
@@ -303,15 +429,16 @@ def _value_names(node: ast.AST) -> FrozenSet[str]:
 
 
 class _AccessScan(ast.NodeVisitor):
-    """Walk one function: held-lock stack, field accesses, call/spawn sites.
+    """The held-lock walk of one function, recording every fact rules query.
 
-    The held-lock tracking and lock-key resolution mirror
-    ``lockorder._FunctionScan`` (same ``with`` semantics, same
-    condition-alias resolution); this scan additionally records every shared
-    field/registry access with the locally held lockset, every same-module
-    call site (held or not — the context fixpoint needs them all), branch
-    tests over shared fields, per-``with``-block read/write summaries, and
-    thread spawn/handoff sites.
+    It tracks the held-lock stack through ``with`` (conditions resolved to
+    the lock they wrap) and records each lock acquisition with the locks
+    already held, every call with its held locks (held or not — the
+    may-acquire and calling-context fixpoints need them all), every shared
+    field/registry access with the locally held lockset, branch tests over
+    shared fields, per-``with``-block read/write summaries, and thread
+    spawn/handoff sites.  Nested ``def``s and lambdas run later, in their
+    own context, so the walk does not enter them.
     """
 
     def __init__(
@@ -330,26 +457,6 @@ class _AccessScan(ast.NodeVisitor):
         self._with_stack: List[WithBlock] = []
 
     # -- key resolution -------------------------------------------------- #
-    def _lock_key(self, expr: ast.AST) -> Optional[str]:
-        dotted = _dotted_name(expr)
-        if dotted is None:
-            return None
-        if dotted.startswith("self.") and self.info.owner_class:
-            attr = dotted[5:]
-            key = f"{self.stem}.{self.info.owner_class}.{attr}"
-            if key in self.locks:
-                return self.locks[key].resolve(self.locks)
-            if "lock" in attr.lower() or "mutex" in attr.lower():
-                return key
-            return None
-        if "." not in dotted:
-            key = f"{self.stem}:{dotted}"
-            if key in self.locks:
-                return self.locks[key].resolve(self.locks)
-            if "lock" in dotted.lower() or "mutex" in dotted.lower():
-                return key
-        return None
-
     def _field_key(self, node: ast.AST) -> Optional[str]:
         """Canonical shared-state key for ``self.f`` or a module registry."""
         f = _base_self_field(node)
@@ -391,18 +498,20 @@ class _AccessScan(ast.NodeVisitor):
 
     # -- traversal ------------------------------------------------------- #
     def visit_With(self, node: ast.With) -> None:
-        pushed = 0
         acquired: List[str] = []
         for item in node.items:
-            key = self._lock_key(item.context_expr)
+            expr = item.context_expr
+            key = lock_key(expr, self.stem, self.info.owner_class, self.locks)
             if key is None:
-                self.visit(item.context_expr)
+                self.visit(expr)
                 if item.optional_vars is not None:
                     self.visit(item.optional_vars)
                 continue
+            self.info.acquisitions.append(
+                Acquisition(key, tuple(self.held), expr.lineno, expr.col_offset + 1)
+            )
             self.held.append(key)
             acquired.append(key)
-            pushed += 1
         block: Optional[WithBlock] = None
         if acquired:
             block = WithBlock(locks=tuple(acquired), line=node.lineno)
@@ -412,8 +521,7 @@ class _AccessScan(ast.NodeVisitor):
             self.visit(stmt)
         if block is not None:
             self._with_stack.pop()
-        for _ in range(pushed):
-            self.held.pop()
+        del self.held[len(self.held) - len(acquired):]
 
     visit_AsyncWith = visit_With
 
@@ -432,6 +540,14 @@ class _AccessScan(ast.NodeVisitor):
                 key, line, col, _ = block.writes[-1]
                 block.writes[-1] = (key, line, col, names)
 
+    def _visit_target_calls(self, target: ast.AST) -> None:
+        """Visit the calls inside a store target (``self._slots[key()] = v``)."""
+        for child in ast.iter_child_nodes(target):
+            if isinstance(child, ast.Call):
+                self.visit(child)
+            else:
+                self._visit_target_calls(child)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             if isinstance(target, (ast.Attribute, ast.Subscript)):
@@ -441,6 +557,7 @@ class _AccessScan(ast.NodeVisitor):
                 for element in target.elts:
                     if isinstance(element, (ast.Attribute, ast.Subscript)):
                         self._record(element, "write")
+            self._visit_target_calls(target)
         # Track ``local = <expr reading guarded field>`` for split-update
         # detection (REP007's released-between-compound-updates shape).
         if self._with_stack and len(node.targets) == 1:
@@ -462,12 +579,14 @@ class _AccessScan(ast.NodeVisitor):
         if isinstance(node.target, (ast.Attribute, ast.Subscript)):
             if self._record(node.target, "write", rmw=True) and self._with_stack:
                 self._patch_write_names(node.value)
+        self._visit_target_calls(node.target)
         self.visit(node.value)
 
     def visit_Delete(self, node: ast.Delete) -> None:
         for target in node.targets:
             if isinstance(target, (ast.Attribute, ast.Subscript)):
                 self._record(target, "write")
+            self._visit_target_calls(target)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load) and _direct_self_field(node) is not None:
@@ -551,7 +670,7 @@ class _AccessScan(ast.NodeVisitor):
             return f, f
         if isinstance(expr, ast.Name):
             return expr.id, expr.id
-        dotted = _dotted_name(expr)
+        dotted = dotted_name(expr)
         if dotted and "." in dotted:
             return None, dotted.rsplit(".", 1)[-1]
         return None, None
@@ -568,9 +687,9 @@ class _AccessScan(ast.NodeVisitor):
                 if isinstance(base, ast.Name) and base.id in self.registries:
                     self._record(base, "write")
                     handled_func = True
-        callee = self._local_callee(node)
-        if callee is not None:
-            self.info.call_sites.append((frozenset(self.held), callee, node.lineno))
+        self.info.calls.append(
+            CallSite(tuple(self.held), self._local_callee(node), node)
+        )
         self._check_spawn(node)
         if not handled_func:
             self.visit(func)
@@ -581,67 +700,33 @@ class _AccessScan(ast.NodeVisitor):
 
     def _check_spawn(self, node: ast.Call) -> None:
         func = node.func
-        dotted = _dotted_name(func) or ""
-        tail = dotted.rsplit(".", 1)[-1]
-        if tail == "Thread" and (dotted == "Thread" or dotted.startswith("threading.")):
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    qual, simple = self._resolve_target(keyword.value)
-                    self.info.spawns.append(
-                        SpawnSite(
-                            line=node.lineno,
-                            col=node.col_offset + 1,
-                            kind="thread-ctor",
-                            target=qual or simple,
-                            closure=keyword.value.id
-                            if isinstance(keyword.value, ast.Name)
-                            else None,
-                        )
-                    )
+        if threading_class(node) == "Thread":
+            kind = "thread-ctor"
+            handed = next((k.value for k in node.keywords if k.arg == "target"), None)
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("submit", "map")
+            and node.args
+        ):
+            receiver = (dotted_name(func.value) or "").rsplit(".", 1)[-1].lower()
+            poolish = any(f in receiver for f in _POOLISH_FRAGMENTS)
+            if func.attr == "map" and not poolish:
+                return
+            kind, handed = func.attr, node.args[0]
+        else:
             return
-        if not isinstance(func, ast.Attribute):
+        if handed is None:
             return
-        receiver = (_dotted_name(func.value) or "").rsplit(".", 1)[-1].lower()
-        poolish = any(fragment in receiver for fragment in _POOLISH_FRAGMENTS)
-        if func.attr == "submit" and node.args:
-            qual, simple = self._resolve_target(node.args[0])
-            self.info.spawns.append(
-                SpawnSite(
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    kind="submit",
-                    target=qual or simple,
-                    closure=node.args[0].id
-                    if isinstance(node.args[0], ast.Name)
-                    else None,
-                )
+        qual, simple = self._resolve_target(handed)
+        self.info.spawns.append(
+            SpawnSite(
+                line=node.lineno,
+                col=node.col_offset + 1,
+                kind=kind,
+                target=qual or simple,
+                closure=handed.id if isinstance(handed, ast.Name) else None,
             )
-        elif func.attr == "map" and poolish and node.args:
-            qual, simple = self._resolve_target(node.args[0])
-            self.info.spawns.append(
-                SpawnSite(
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    kind="map",
-                    target=qual or simple,
-                    closure=node.args[0].id
-                    if isinstance(node.args[0], ast.Name)
-                    else None,
-                )
-            )
-        elif func.attr == "parallel_for" and len(node.args) >= 2:
-            qual, simple = self._resolve_target(node.args[1])
-            self.info.spawns.append(
-                SpawnSite(
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    kind="map",
-                    target=qual or simple,
-                    closure=node.args[1].id
-                    if isinstance(node.args[1], ast.Name)
-                    else None,
-                )
-            )
+        )
 
 
 def _lock_owning_classes(locks: Dict[str, LockInfo], stem: str) -> Set[str]:
@@ -698,9 +783,9 @@ def _context_fixpoint(functions: Dict[str, FunctionInfo]) -> None:
     """H(f) = ∩ over call sites of (held ∪ H(caller)); entries start empty."""
     callers: Dict[str, List[Tuple[str, FrozenSet[str]]]] = {}
     for qual, info in functions.items():
-        for held, callee, _line in info.call_sites:
-            if callee in functions:
-                callers.setdefault(callee, []).append((qual, held))
+        for call in info.calls:
+            if call.callee in functions:
+                callers.setdefault(call.callee, []).append((qual, frozenset(call.held)))
     for info in functions.values():
         info.context = frozenset() if info.entry else None
     changed = True
@@ -733,11 +818,11 @@ def _mark_concurrent(functions: Dict[str, FunctionInfo]) -> None:
         functions[qual].concurrent = True
     while worklist:
         qual = worklist.pop()
-        for _held, callee, _line in functions[qual].call_sites:
-            target = functions.get(callee)
+        for call in functions[qual].calls:
+            target = functions.get(call.callee)
             if target is not None and not target.concurrent:
                 target.concurrent = True
-                worklist.append(callee)
+                worklist.append(call.callee)
 
 
 def _infer_guards(
@@ -766,14 +851,14 @@ def _infer_guards(
     return guards
 
 
-def _build_module(
-    module: ModuleSource, global_entry_names: Set[str]
+def _scan_module(
+    module: ModuleSource, locks: Dict[str, LockInfo]
 ) -> Dict[str, FunctionInfo]:
+    """Run the held-lock walk over every function of one module."""
     stem = module.path.stem
-    locks = extract_module_locks(module)
     registries = _module_registries(module)
     functions: Dict[str, FunctionInfo] = {}
-    for qual, owner, node in _iter_functions(module):
+    for qual, owner, node in iter_functions(module):
         if qual in functions:
             continue  # duplicate defs (overloads/conditionals): first wins
         info = FunctionInfo(
@@ -788,55 +873,39 @@ def _build_module(
         for stmt in getattr(node, "body", []):
             scan.visit(stmt)
         functions[qual] = info
-    _mark_entries(functions, locks, stem, global_entry_names)
-    _context_fixpoint(functions)
-    _mark_concurrent(functions)
-    for info in functions.values():
-        known = info.context is not None
-        for access in info.accesses:
-            access.context_known = known
-            access.effective = access.locks | (info.context or frozenset())
-            access.concurrent = info.concurrent
     return functions
 
 
-#: small FIFO memo so the three race rules build the model once per run.
-_MODEL_CACHE: "OrderedDict[tuple, ConcurrencyModel]" = OrderedDict()
-_MODEL_CACHE_SIZE = 8
-
-
 def build_project_model(modules: Sequence[ModuleSource]) -> ConcurrencyModel:
-    """Build (or reuse) the shared concurrency model for one engine run."""
-    key = tuple(
-        (m.display_path, zlib.crc32(m.text.encode("utf-8"))) for m in modules
-    )
-    cached = _MODEL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Build the shared concurrency facts for one engine run."""
+    model = ConcurrencyModel()
+    for module in modules:
+        locks = extract_module_locks(module)
+        model.locks[module.display_path] = locks
+        model.functions[module.display_path] = _scan_module(module, locks)
 
     # Cross-module, name-based entry marking: a Thread/submit target that a
     # scan could not resolve locally (``worker.loop``) still marks every
     # same-named function project-wide as a thread entry point.
-    global_entry_names: Set[str] = set()
-    prelim: Dict[str, Dict[str, FunctionInfo]] = {}
-    for module in modules:
-        prelim[module.display_path] = _build_module(module, set())
-    for functions in prelim.values():
-        for info in functions.values():
-            for spawn in info.spawns:
-                if spawn.target and spawn.target not in functions:
-                    global_entry_names.add(spawn.target.rsplit(".", 1)[-1])
+    global_entry_names = {
+        spawn.target.rsplit(".", 1)[-1]
+        for functions in model.functions.values()
+        for info in functions.values()
+        for spawn in info.spawns
+        if spawn.target and spawn.target not in functions
+    }
 
-    model = ConcurrencyModel()
     for module in modules:
-        functions = _build_module(module, global_entry_names)
-        model.functions[module.display_path] = functions
+        functions = model.functions[module.display_path]
+        locks = model.locks[module.display_path]
+        _mark_entries(functions, locks, module.path.stem, global_entry_names)
+        _context_fixpoint(functions)
+        _mark_concurrent(functions)
         for info in functions.values():
             for access in info.accesses:
+                access.context_known = info.context is not None
+                access.effective = access.locks | (info.context or frozenset())
+                access.concurrent = info.concurrent
                 model.accesses.setdefault(access.field, []).append(access)
     model.guards = _infer_guards(model.accesses)
-
-    _MODEL_CACHE[key] = model
-    while len(_MODEL_CACHE) > _MODEL_CACHE_SIZE:
-        _MODEL_CACHE.popitem(last=False)
     return model

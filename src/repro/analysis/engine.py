@@ -5,11 +5,16 @@ it can run in CI, in ``repro.cli analyze`` on a deployed host, and inside the
 test suite's self-clean gate without pulling in the numeric stack.
 
 Rules are pluggable.  A rule subclasses :class:`Rule` (one file at a time) or
-:class:`ProjectRule` (all files at once — needed for cross-module properties
-such as the lock-acquisition graph), declares ``rule_id``/``summary``/
-``rationale``, and registers itself with :func:`register_rule`.  The engine
-instantiates the default registry unless handed explicit rule instances,
-which is how tests run a single rule against a fixture.
+:class:`ProjectRule` (all files at once, plus the per-function concurrency
+facts of :mod:`repro.analysis.concurrency` — locks, held-lock walks, call
+graph — which :meth:`LintEngine.run` builds once and hands to every project
+rule), declares ``rule_id``/``summary``/``rationale``, and registers itself
+with :func:`register_rule`.  The engine instantiates the default registry
+unless handed explicit rule instances, which is how tests run a single rule
+against a fixture.
+
+The AST helpers every rule shares live here too: :func:`dotted_name`,
+:func:`iter_functions` and the own-scope walker :func:`scope_walk`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,22 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from .findings import Finding, is_suppressed, line_suppressions, sort_findings
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
+    from .concurrency import ConcurrencyModel
 
 __all__ = [
     "LintEngine",
@@ -30,7 +48,10 @@ __all__ = [
     "Rule",
     "RULE_REGISTRY",
     "default_rules",
+    "dotted_name",
+    "iter_functions",
     "register_rule",
+    "scope_walk",
 ]
 
 
@@ -55,6 +76,50 @@ class ModuleSource:
             tree=tree,
             lines=text.splitlines(),
         )
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def iter_functions(module: ModuleSource) -> Iterator[Tuple[str, str, ast.AST]]:
+    """Yield ``(qualname, owner_class, node)`` for every function in a module."""
+    stack: List[Tuple[ast.AST, str, str]] = [(module.tree, "", "")]
+    while stack:
+        node, prefix, owner = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{prefix}{child.name}"
+                yield qual, owner, child
+                stack.append((child, qual + ".", owner))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, f"{prefix}{child.name}.", child.name))
+            else:
+                stack.append((child, prefix, owner))
+
+
+def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """Like ``ast.walk`` but stopping at nested function definitions.
+
+    Each function is its own scope and gets its own pass; walking it again
+    from the enclosing scope would double-report every finding.  Class
+    bodies and lambdas are descended: they belong to the enclosing scope.
+    """
+    stack: List[ast.AST] = [scope]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.append(child)
 
 
 class Rule:
@@ -87,12 +152,14 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A rule that needs every module at once (cross-file analysis)."""
+    """A rule over every module at once and the shared concurrency facts."""
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: "ConcurrencyModel"
+    ) -> Iterable[Finding]:
         raise NotImplementedError
 
 
@@ -220,8 +287,12 @@ class LintEngine:
         for module in modules:
             for rule in file_rules:
                 raw.extend(rule.check(module))
-        for rule in project_rules:
-            raw.extend(rule.check_project(modules))
+        if project_rules:
+            from .concurrency import build_project_model
+
+            model = build_project_model(modules)
+            for rule in project_rules:
+                raw.extend(rule.check_project(modules, model))
 
         suppressions = {
             module.display_path: line_suppressions(module.lines) for module in modules

@@ -1,47 +1,41 @@
 """REP004: the lock-order analyzer.
 
-Builds a lock-acquisition graph from ``with <lock>:`` nests across the whole
-tree and reports two classes of hazard:
+A query over the shared concurrency facts (:mod:`repro.analysis.concurrency`:
+discovered locks with condition aliases resolved, every ``with <lock>:``
+acquisition and every call with the locks held at it) that builds a
+lock-acquisition graph across the whole tree and reports two classes of
+hazard:
 
 * **lock-order inversions** — a strongly-connected component in the
   acquisition graph means two code paths take the same locks in opposite
   orders, which deadlocks the moment both paths run concurrently (the
-  threadpool and the request scheduler make that the steady state);
-* **blocking calls under a lock** — queue puts/gets, file I/O, subprocess
-  spawns or sleeps made while a lock is held serialize every other holder
-  behind an unbounded wait.
+  request scheduler and the repository pin registry make that the steady
+  state);
+* **blocking calls under a lock** — queue puts/gets, file I/O (``with
+  open(...)`` items included), subprocess spawns or sleeps made while a
+  lock is held serialize every other holder behind an unbounded wait.
 
-The analysis is deliberately syntactic but lock-aware:
-
-* Locks are *discovered*, not guessed: ``self._x = threading.Lock()`` (also
-  ``RLock``/``Condition``) in a method body, a dataclass field annotated
-  ``threading.Lock``, or a module-level ``NAME = threading.Lock()`` each
-  define a lock keyed ``module.Class._x`` / ``module:NAME``.  A ``with`` on
-  an undiscovered attribute still counts when its name contains ``lock`` or
-  ``mutex`` — a lock handed in from outside is still a lock.
-* ``threading.Condition(self._mutex)`` *aliases* the existing lock: entering
-  the condition enters ``_mutex``, and ``cond.wait()`` while holding the
-  aliased lock is the one blocking call that is exempt (waiting releases the
-  lock; that is the point of a condition variable).
-* Within a module, lock acquisition propagates through direct
-  ``self.method()`` / module-function calls to a fixpoint, so a helper that
-  takes lock B is charged to every caller already holding lock A.
+``cond.wait()`` while holding the lock the condition wraps is the one
+blocking call that is exempt (waiting releases the lock; that is the point
+of a condition variable).  Within a module, lock acquisition propagates
+through direct ``self.method()`` / module-function calls — every call site,
+locked or not — to a fixpoint, so a helper that takes lock B, even behind
+an unlocked intermediate helper, is charged to every caller already holding
+lock A.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .engine import ModuleSource, ProjectRule, register_rule
+from .concurrency import CallSite, ConcurrencyModel, FunctionInfo, LockInfo, lock_key
+from .engine import ModuleSource, ProjectRule, dotted_name, register_rule
 from .findings import Finding
 
-__all__ = ["LockOrderRule", "LockInfo", "extract_module_locks"]
+__all__ = ["LockOrderRule"]
 
-
-#: attribute/name fragments that mark an undiscovered object as a lock.
-_LOCKISH_FRAGMENTS = ("lock", "mutex")
 
 #: receiver-name fragments that mark ``.put/.get/.join/.wait/.result`` as
 #: calls on a queue/thread/future (vs. ``str.join`` and friends).
@@ -85,26 +79,6 @@ _BLOCKING_ON_THREADISH = {"put", "get", "join", "wait", "result", "acquire"}
 
 
 @dataclass
-class LockInfo:
-    """One discovered lock (or condition) and how to refer to it."""
-
-    key: str  # canonical graph key, e.g. "threadpool.BoundedQueue._mutex"
-    kind: str  # "lock" | "rlock" | "condition"
-    alias_of: Optional[str] = None  # condition wrapping an existing lock
-
-    def resolve(self, table: Dict[str, "LockInfo"]) -> str:
-        """The key of the underlying lock, following condition aliases."""
-        seen = {self.key}
-        info = self
-        while info.alias_of is not None and info.alias_of in table:
-            if info.alias_of in seen:
-                break
-            seen.add(info.alias_of)
-            info = table[info.alias_of]
-        return info.key
-
-
-@dataclass
 class _Edge:
     src: str
     dst: str
@@ -114,254 +88,70 @@ class _Edge:
     context: str  # "function qualname" for the message
 
 
-@dataclass
-class _Blocking:
-    lock: str
-    call: str
-    path: str
-    line: int
-    col: int
-    context: str
+def _may_acquire(functions: Dict[str, FunctionInfo]) -> Dict[str, Set[str]]:
+    """Every lock a function may take, itself or through same-module calls."""
+    may_acquire = {
+        qual: {acquisition.lock for acquisition in info.acquisitions}
+        for qual, info in functions.items()
+    }
+    changed = True
+    while changed:
+        changed = False
+        for qual, info in functions.items():
+            for call in info.calls:
+                target = may_acquire.get(call.callee)
+                if target and not target <= may_acquire[qual]:
+                    may_acquire[qual] |= target
+                    changed = True
+    return may_acquire
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _threading_ctor(node: ast.AST) -> Optional[str]:
-    """``"Lock"``/``"RLock"``/``"Condition"`` when node constructs one."""
-    if not isinstance(node, ast.Call):
-        return None
-    dotted = _dotted_name(node.func) or ""
-    tail = dotted.rsplit(".", 1)[-1]
-    if tail in {"Lock", "RLock", "Condition"} and (
-        dotted.startswith("threading.") or dotted == tail
-    ):
-        return tail
-    return None
-
-
-_CTOR_KIND = {"Lock": "lock", "RLock": "rlock", "Condition": "condition"}
-
-
-def extract_module_locks(module: ModuleSource) -> Dict[str, LockInfo]:
-    """Discover every lock defined in one module, keyed canonically."""
-    stem = module.path.stem
-    table: Dict[str, LockInfo] = {}
-
-    def record(key: str, ctor: str, ctor_call: ast.Call, owner_class: str) -> None:
-        kind = _CTOR_KIND[ctor]
-        alias: Optional[str] = None
-        if ctor == "Condition" and ctor_call.args:
-            inner = ctor_call.args[0]
-            inner_dotted = _dotted_name(inner) or ""
-            if inner_dotted.startswith("self.") and owner_class:
-                alias = f"{stem}.{owner_class}.{inner_dotted[5:]}"
-            elif isinstance(inner, ast.Name):
-                alias = f"{stem}:{inner.id}"
-            # Condition(threading.Lock()) wraps a private lock: no alias.
-        table[key] = LockInfo(key=key, kind=kind, alias_of=alias)
-
-    # Module-level: NAME = threading.Lock()
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign):
-            ctor = _threading_ctor(node.value)
-            if ctor:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        record(f"{stem}:{target.id}", ctor, node.value, "")
-
-    # Class-level and self-attribute locks.
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        cls = node.name
-        for stmt in node.body:
-            # Dataclass field: _lock: threading.Lock = field(...)
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                ann = _dotted_name(stmt.annotation) or ""
-                tail = ann.rsplit(".", 1)[-1]
-                if tail in _CTOR_KIND:
-                    key = f"{stem}.{cls}.{stmt.target.id}"
-                    table[key] = LockInfo(key=key, kind=_CTOR_KIND[tail])
-        for inner in ast.walk(node):
-            # self._x = threading.Lock() anywhere in the class's methods.
-            if isinstance(inner, ast.Assign):
-                ctor = _threading_ctor(inner.value)
-                if not ctor:
-                    continue
-                for target in inner.targets:
-                    dotted = _dotted_name(target) or ""
-                    if dotted.startswith("self."):
-                        record(
-                            f"{stem}.{cls}.{dotted[5:]}", ctor, inner.value, cls
-                        )
-    return table
-
-
-def _is_lockish(name: str) -> bool:
-    lowered = name.lower()
-    return any(fragment in lowered for fragment in _LOCKISH_FRAGMENTS)
-
-
-class _FunctionScan(ast.NodeVisitor):
-    """Walk one function, tracking the held-lock stack through ``with``."""
-
-    def __init__(
-        self,
-        module: ModuleSource,
-        qualname: str,
-        owner_class: str,
-        locks: Dict[str, LockInfo],
-    ) -> None:
-        self.module = module
-        self.stem = module.path.stem
-        self.qualname = qualname
-        self.owner_class = owner_class
-        self.locks = locks
-        self.held: List[str] = []
-        self.acquired: Set[str] = set()
-        self.edges: List[_Edge] = []
-        self.blocking: List[_Blocking] = []
-        #: (held_locks_tuple, callee_local_name, site) for fixpoint edges
-        self.call_sites: List[Tuple[Tuple[str, ...], str, ast.Call]] = []
-
-    # -- lock expression resolution ------------------------------------- #
-    def _lock_key(self, expr: ast.AST) -> Optional[str]:
-        dotted = _dotted_name(expr)
-        if dotted is None:
-            return None
-        if dotted.startswith("self.") and self.owner_class:
-            attr = dotted[5:]
-            key = f"{self.stem}.{self.owner_class}.{attr}"
-            if key in self.locks:
-                return self.locks[key].resolve(self.locks)
-            if _is_lockish(attr):
-                return key
-            return None
-        if "." not in dotted:
-            key = f"{self.stem}:{dotted}"
-            if key in self.locks:
-                return self.locks[key].resolve(self.locks)
-            if _is_lockish(dotted):
-                return key
-        return None
-
-    # -- traversal ------------------------------------------------------ #
-    def visit_With(self, node: ast.With) -> None:
-        pushed = 0
-        for item in node.items:
-            key = self._lock_key(item.context_expr)
-            if key is None:
-                continue
-            for held in self.held:
-                self.edges.append(
-                    _Edge(
-                        src=held,
-                        dst=key,
-                        path=self.module.display_path,
-                        line=item.context_expr.lineno,
-                        col=item.context_expr.col_offset + 1,
-                        context=self.qualname,
-                    )
-                )
-            self.held.append(key)
-            self.acquired.add(key)
-            pushed += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        for _ in range(pushed):
-            self.held.pop()
-
-    visit_AsyncWith = visit_With  # same shape
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        # Nested defs run later, not while these locks are held.
-        return
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self.held:
-            self._check_blocking(node)
-            callee = self._local_callee(node)
-            if callee is not None:
-                self.call_sites.append((tuple(self.held), callee, node))
-        self.generic_visit(node)
-
-    def _local_callee(self, node: ast.Call) -> Optional[str]:
-        """Name of a same-module callee: ``self.method`` or a bare function."""
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in ("self", "cls")
-        ):
-            return f"{self.owner_class}.{func.attr}" if self.owner_class else func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    def _check_blocking(self, node: ast.Call) -> None:
-        func = node.func
-        dotted = _dotted_name(func) or ""
-        blocking: Optional[str] = None
-        if isinstance(func, ast.Name) and func.id == "open":
-            blocking = "open()"
-        elif dotted in _BLOCKING_DOTTED:
-            blocking = f"{dotted}()"
-        elif isinstance(func, ast.Attribute):
-            attr = func.attr
-            if attr in _BLOCKING_ATTRS:
-                blocking = f".{attr}()"
-            elif attr in _BLOCKING_ON_THREADISH:
-                receiver = _dotted_name(func.value) or ""
-                # A wait on (an alias of) a lock we hold is a condition
-                # wait: it releases the lock while blocked.  Exempt.
-                if attr == "wait":
-                    key = self._lock_key(func.value)
-                    if key is not None and key in self.held:
-                        return
-                tail = receiver.rsplit(".", 1)[-1].lower()
-                if any(f in tail for f in _BLOCKING_RECEIVER_FRAGMENTS):
-                    blocking = f"{receiver}.{attr}()"
-        if blocking is not None:
-            self.blocking.append(
-                _Blocking(
-                    lock=self.held[-1],
-                    call=blocking,
-                    path=self.module.display_path,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    context=self.qualname,
-                )
+def _edges(info: FunctionInfo, may_acquire: Dict[str, Set[str]]) -> Iterator[_Edge]:
+    """The acquisition-graph edges one function contributes: its own ``with``
+    nests, then every lock a callee may take while this function holds one."""
+    for acquisition in info.acquisitions:
+        for held in acquisition.held:
+            yield _Edge(
+                held, acquisition.lock, info.module, acquisition.line,
+                acquisition.col, info.qualname,
             )
+    for call in info.calls:
+        for lock in may_acquire.get(call.callee, ()):
+            for held in call.held:
+                if held != lock:
+                    yield _Edge(
+                        held, lock, info.module, call.node.lineno,
+                        call.node.col_offset + 1, f"{info.qualname} -> {call.callee}",
+                    )
 
 
-def _iter_functions(
-    module: ModuleSource,
-) -> Iterator[Tuple[str, str, ast.AST]]:
-    """Yield ``(qualname, owner_class, node)`` for every function."""
-    stack: List[Tuple[ast.AST, str, str]] = [(module.tree, "", "")]
-    while stack:
-        node, prefix, owner = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                yield qual, owner, child
-                stack.append((child, qual + ".", owner))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}{child.name}.", child.name))
-            else:
-                stack.append((child, prefix, owner))
+def _blocking_call(
+    call: CallSite, info: FunctionInfo, locks: Dict[str, LockInfo]
+) -> Optional[str]:
+    """How to name ``call`` when it can block, else ``None``."""
+    func = call.node.func
+    dotted = dotted_name(func) or ""
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open()"
+    if dotted in _BLOCKING_DOTTED:
+        return f"{dotted}()"
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr in _BLOCKING_ATTRS:
+        return f".{func.attr}()"
+    if func.attr not in _BLOCKING_ON_THREADISH:
+        return None
+    # A wait on (an alias of) a lock we hold is a condition wait: it
+    # releases the lock while blocked.  Exempt.
+    if func.attr == "wait" and (
+        lock_key(func.value, info.stem, info.owner_class, locks) in call.held
+    ):
+        return None
+    receiver = dotted_name(func.value) or ""
+    tail = receiver.rsplit(".", 1)[-1].lower()
+    if any(f in tail for f in _BLOCKING_RECEIVER_FRAGMENTS):
+        return f"{receiver}.{func.attr}()"
+    return None
 
 
 def _tarjan_sccs(graph: Dict[str, Set[str]]) -> List[List[str]]:
@@ -418,77 +208,47 @@ class LockOrderRule(ProjectRule):
     rule_id = "REP004"
     summary = "lock-order inversion or blocking call under a lock"
     rationale = (
-        "The threadpool, the request scheduler and the repository pin "
-        "registry run concurrently in every serving process. Two paths "
+        "The request scheduler, the engine and the repository pin registry "
+        "run concurrently in every serving process. Two paths "
         "taking the same locks in opposite orders deadlock under load, and "
         "a queue/file/subprocess wait made while holding a lock serializes "
         "every other holder behind it. Keep lock order consistent and move "
         "blocking work outside critical sections."
     )
 
-    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: ConcurrencyModel
+    ) -> Iterable[Finding]:
+        kinds = {
+            info.key: info.kind
+            for locks in model.locks.values()
+            for info in locks.values()
+        }
         edges: List[_Edge] = []
-        blocking: List[_Blocking] = []
-        kinds: Dict[str, str] = {}
-
-        for module in modules:
-            locks = extract_module_locks(module)
-            for info in locks.values():
-                kinds[info.key] = info.kind
-
-            scans: Dict[str, _FunctionScan] = {}
-            for qual, owner, node in _iter_functions(module):
-                scan = _FunctionScan(module, qual, owner, locks)
-                for stmt in getattr(node, "body", []):
-                    scan.visit(stmt)
-                # Keyed by callee-resolvable name; later duplicate defs
-                # (overloads, conditionals) merge conservatively.
-                scans.setdefault(qual, scan)
-
-            # Fixpoint: a function's may-acquire set includes every lock a
-            # same-module callee may acquire.
-            may_acquire: Dict[str, Set[str]] = {
-                qual: set(scan.acquired) for qual, scan in scans.items()
-            }
-            changed = True
-            while changed:
-                changed = False
-                for qual, scan in scans.items():
-                    for _, callee, _ in scan.call_sites:
-                        target = may_acquire.get(callee)
-                        if target and not target <= may_acquire[qual]:
-                            may_acquire[qual] |= target
-                            changed = True
-
-            for scan in scans.values():
-                edges.extend(scan.edges)
-                blocking.extend(scan.blocking)
-                for held, callee, site in scan.call_sites:
-                    for lock in may_acquire.get(callee, ()):
-                        for held_lock in held:
-                            if held_lock == lock:
-                                continue
-                            edges.append(
-                                _Edge(
-                                    src=held_lock,
-                                    dst=lock,
-                                    path=scan.module.display_path,
-                                    line=site.lineno,
-                                    col=site.col_offset + 1,
-                                    context=f"{scan.qualname} -> {callee}",
-                                )
-                            )
-
+        blocking: List[Finding] = []
+        for path, functions in model.functions.items():
+            may_acquire = _may_acquire(functions)
+            for info in functions.values():
+                edges.extend(_edges(info, may_acquire))
+                blocking.extend(self._blocking_findings(info, model.locks[path]))
         yield from self._inversion_findings(edges, kinds)
-        for item in blocking:
+        yield from blocking
+
+    def _blocking_findings(
+        self, info: FunctionInfo, locks: Dict[str, LockInfo]
+    ) -> Iterator[Finding]:
+        for call in info.calls:
+            what = _blocking_call(call, info, locks) if call.held else None
+            if what is None:
+                continue
             yield Finding(
                 rule=self.rule_id,
-                path=item.path,
-                line=item.line,
-                col=item.col,
+                path=info.module,
+                line=call.node.lineno,
+                col=call.node.col_offset + 1,
                 message=(
-                    f"blocking call {item.call} while holding {item.lock} "
-                    f"(in {item.context}); move the blocking work outside "
+                    f"blocking call {what} while holding {call.held[-1]} "
+                    f"(in {info.qualname}); move the blocking work outside "
                     "the critical section"
                 ),
             )

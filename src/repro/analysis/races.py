@@ -1,11 +1,11 @@
 """REP006/REP007/REP008: lockset-based race, atomicity, and escape analysis.
 
 All three rules consume the shared :mod:`repro.analysis.concurrency` model
-(built once per engine run): discovered locks and their condition aliases,
-per-field accesses with effective locksets (local ``with`` nesting plus the
-calling-context fixpoint), thread entry points, and majority-protection
-guard inference.  See that module's docstring for the model; this one holds
-only the reporting logic.
+(built once per engine run and handed to every project rule): discovered
+locks and their condition aliases, per-field accesses with effective
+locksets (local ``with`` nesting plus the calling-context fixpoint), thread
+entry points, and majority-protection guard inference.  See that module's
+docstring for the model; this one holds only the reporting logic.
 
 * **REP006 — data race.**  A field whose accesses hold lock L at a strict
   majority of sites is *guarded by L*; any read or write reachable from a
@@ -39,11 +39,10 @@ from .concurrency import (
     SYNC_CALLS,
     ConcurrencyModel,
     FunctionInfo,
-    build_project_model,
+    threading_class,
 )
-from .engine import ModuleSource, ProjectRule, register_rule
+from .engine import ModuleSource, ProjectRule, dotted_name, register_rule
 from .findings import Finding
-from .lockorder import _dotted_name
 
 __all__ = ["DataRaceRule", "AtomicityRule", "ThreadEscapeRule"]
 
@@ -61,7 +60,7 @@ class DataRaceRule(ProjectRule):
     rule_id = "REP006"
     summary = "access to a lock-guarded field without holding its inferred guard"
     rationale = (
-        "Shared mutable state in the scheduler/threadpool/repository layers is "
+        "Shared mutable state in the scheduler/engine/repository layers is "
         "guarded by convention, not by the type system. Majority-protection "
         "inference recovers the convention (a field accessed under lock L at "
         "most sites is guarded by L) and flags the one forgotten site — which "
@@ -70,8 +69,9 @@ class DataRaceRule(ProjectRule):
         "candidate and is out of scope by construction."
     )
 
-    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
-        model = build_project_model(modules)
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: ConcurrencyModel
+    ) -> Iterable[Finding]:
         for field_key, inference in model.guards.items():
             conflict = model.guarded_conflict(field_key)
             for access in model.accesses.get(field_key, ()):
@@ -114,8 +114,9 @@ class AtomicityRule(ProjectRule):
         "Both shapes have bitten queue close/put races in real servers."
     )
 
-    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
-        model = build_project_model(modules)
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: ConcurrencyModel
+    ) -> Iterable[Finding]:
         for functions in model.functions.values():
             for info in functions.values():
                 if info.context is None or not info.concurrent:
@@ -191,16 +192,6 @@ class AtomicityRule(ProjectRule):
                             )
 
 
-def _is_thread_ctor(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _threading_ctor_thread(node)
-
-
-def _threading_ctor_thread(node: ast.Call) -> bool:
-    dotted = _dotted_name(node.func) or ""
-    tail = dotted.rsplit(".", 1)[-1]
-    return tail == "Thread" and (dotted == "Thread" or dotted.startswith("threading."))
-
-
 def _assigned_names(node: ast.AST) -> Set[str]:
     """Every plain name bound anywhere inside ``node`` (stores, loops, withs)."""
     names: Set[str] = set()
@@ -225,8 +216,9 @@ class ThreadEscapeRule(ProjectRule):
         "last, or join before mutating), not locking."
     )
 
-    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
-        model = build_project_model(modules)
+    def check_project(
+        self, modules: Sequence[ModuleSource], model: ConcurrencyModel
+    ) -> Iterable[Finding]:
         for functions in model.functions.values():
             for info in functions.values():
                 if info.is_init:
@@ -248,8 +240,8 @@ class ThreadEscapeRule(ProjectRule):
                     continue
                 if sub.func.attr == "start":
                     receiver = sub.func.value
-                    dotted = _dotted_name(receiver) or ""
-                    if dotted in bound or _is_thread_ctor(receiver):
+                    dotted = dotted_name(receiver) or ""
+                    if dotted in bound or threading_class(receiver) == "Thread":
                         return sub
                 elif sub.func.attr == "submit" and sub.args:
                     return sub
@@ -278,7 +270,7 @@ class ThreadEscapeRule(ProjectRule):
                 return
             if isinstance(stmt, ast.For):
                 # for w in self._workers: ... — loop var inherits thread-ness
-                iter_name = _dotted_name(stmt.iter) or ""
+                iter_name = dotted_name(stmt.iter) or ""
                 if iter_name in bound and isinstance(stmt.target, ast.Name):
                     bound.add(stmt.target.id)
                 for inner in stmt.body + stmt.orelse:
@@ -301,10 +293,10 @@ class ThreadEscapeRule(ProjectRule):
                 return
             # Simple statement, reached in source order.
             if isinstance(stmt, ast.Assign) and any(
-                _is_thread_ctor(sub) for sub in ast.walk(stmt.value)
+                threading_class(sub) == "Thread" for sub in ast.walk(stmt.value)
             ):
                 for target in stmt.targets:
-                    dotted = _dotted_name(target)
+                    dotted = dotted_name(target)
                     if dotted is not None:
                         bound.add(dotted)
             if spawn is not None:
@@ -315,7 +307,7 @@ class ThreadEscapeRule(ProjectRule):
                         stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                     )
                     for target in targets:
-                        dotted = _dotted_name(target) or ""
+                        dotted = dotted_name(target) or ""
                         if dotted.startswith("self."):
                             record_write(
                                 target.lineno, target.col_offset + 1, dotted
@@ -325,12 +317,12 @@ class ThreadEscapeRule(ProjectRule):
                     if (
                         isinstance(func, ast.Attribute)
                         and func.attr in MUTATOR_METHODS
-                        and (_dotted_name(func.value) or "").startswith("self.")
+                        and (dotted_name(func.value) or "").startswith("self.")
                     ):
                         record_write(
                             func.value.lineno,
                             func.value.col_offset + 1,
-                            _dotted_name(func.value) or "",
+                            dotted_name(func.value) or "",
                         )
             else:
                 call = spawn_call(stmt)

@@ -52,11 +52,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .engine import ModuleSource, Rule, register_rule
+from .engine import (
+    ModuleSource,
+    Rule,
+    dotted_name,
+    iter_functions,
+    register_rule,
+    scope_walk,
+)
 from .findings import Finding
-from .lockorder import _dotted_name, _iter_functions
 
 __all__ = ["ResourceLifetimeRule"]
 
@@ -97,8 +103,8 @@ _TEMPFILE_FACTORIES = {
 #: module-level pin acquisitions and their matching releases.
 _PIN_ACQUIRE_TAILS = {"write_pin_file", "pin_artifact"}
 _PIN_RELEASE_TAILS = {
-    "remove_pin_file", "unpin_artifact", "release_pin",
-    "_release_cross_pin", "_release_pins", "sweep_stale_pin_files",
+    "remove_pin_file", "unpin_artifact", "release_pin", "release_artifact",
+    "sweep_stale_pin_files",
 }
 
 
@@ -107,7 +113,7 @@ def _acquisition_kind(call: ast.Call) -> Optional[str]:
     func = call.func
     if isinstance(func, ast.Name):
         return "file handle" if func.id == "open" else None
-    dotted = _dotted_name(func) or ""
+    dotted = dotted_name(func) or ""
     tail = dotted.rsplit(".", 1)[-1]
     if tail in {"create_connection", "create_server"}:
         return "socket"
@@ -124,18 +130,6 @@ def _acquisition_kind(call: ast.Call) -> Optional[str]:
     if dotted.startswith("tempfile.") and tail in _TEMPFILE_FACTORIES:
         return "temp file"
     return None
-
-
-def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's own scope, stopping at nested function defs."""
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
 
 
 def _contains_name(expr: ast.AST, name: str) -> bool:
@@ -173,7 +167,7 @@ def _release_calls(nodes: Sequence[ast.AST]) -> Set[str]:
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _RELEASE_METHODS
             ):
-                receiver = _dotted_name(node.func.value)
+                receiver = dotted_name(node.func.value)
                 if receiver:
                     released.add(receiver)
     return released
@@ -181,7 +175,7 @@ def _release_calls(nodes: Sequence[ast.AST]) -> Set[str]:
 
 def _collect_protections(scope: ast.AST) -> List[_Protection]:
     protections: List[_Protection] = []
-    for node in _scope_statements(scope):
+    for node in scope_walk(scope):
         if not isinstance(node, ast.Try):
             continue
         released = _release_calls(list(node.handlers) + list(node.finalbody))
@@ -205,7 +199,7 @@ def _handler_spans(scope: ast.AST) -> List[Tuple[int, int]]:
     by the handler (the protection contract) or never acquired at all.
     """
     spans: List[Tuple[int, int]] = []
-    for node in _scope_statements(scope):
+    for node in scope_walk(scope):
         if not isinstance(node, ast.Try):
             continue
         for handler in node.handlers:
@@ -242,7 +236,7 @@ class ResourceLifetimeRule(Rule):
     )
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
-        for qual, owner, node in _iter_functions(module):
+        for qual, _owner, node in iter_functions(module):
             yield from self._check_function(module, qual, node)
         yield from self._check_pin_pairing(module)
 
@@ -255,7 +249,7 @@ class ResourceLifetimeRule(Rule):
         calls = sorted(
             (
                 node
-                for node in _scope_statements(func)
+                for node in scope_walk(func)
                 if isinstance(node, ast.Call)
             ),
             key=lambda c: c.lineno,
@@ -279,7 +273,7 @@ class ResourceLifetimeRule(Rule):
         locals_: List[_Resource] = []
         ctor_stores: List[_Resource] = []
         in_init = qual.rsplit(".", 1)[-1] == "__init__"
-        for node in _scope_statements(func):
+        for node in scope_walk(func):
             if not isinstance(node, ast.Assign) or not isinstance(
                 node.value, ast.Call
             ):
@@ -304,7 +298,7 @@ class ResourceLifetimeRule(Rule):
                             _Resource(first.id, kind, node.value, node.lineno)
                         )
                 elif isinstance(target, ast.Attribute):
-                    dotted = _dotted_name(target) or ""
+                    dotted = dotted_name(target) or ""
                     # Descriptor kinds only: a thread stored on self is
                     # owned by its start/join lifecycle, not a descriptor.
                     if (
@@ -326,19 +320,19 @@ class ResourceLifetimeRule(Rule):
         if resource.kind in {"thread handle", "process handle"}:
             release = release | {"start"}
         lines: List[int] = []
-        for node in _scope_statements(func):
+        for node in scope_walk(func):
             line = getattr(node, "lineno", 0)
             if isinstance(node, ast.Call):
                 func_node = node.func
                 if (
                     isinstance(func_node, ast.Attribute)
                     and func_node.attr in release
-                    and (_dotted_name(func_node.value) or "") == name
+                    and (dotted_name(func_node.value) or "") == name
                 ):
                     lines.append(line)
                     continue
                 receiver = (
-                    _dotted_name(func_node.value)
+                    dotted_name(func_node.value)
                     if isinstance(func_node, ast.Attribute)
                     else None
                 )
@@ -380,12 +374,12 @@ class ResourceLifetimeRule(Rule):
                 continue
             func = call.func
             if isinstance(func, ast.Attribute):
-                receiver = _dotted_name(func.value) or ""
+                receiver = dotted_name(func.value) or ""
                 if receiver == resource_name or receiver.startswith(
                     resource_name + "."
                 ):
                     continue
-            dotted = _dotted_name(func) or ""
+            dotted = dotted_name(func) or ""
             if dotted.rsplit(".", 1)[-1] in _SAFE_CALLS:
                 continue
             if _protected(protections, resource_name, line):
@@ -449,12 +443,12 @@ class ResourceLifetimeRule(Rule):
                 continue
             func = call.func
             if isinstance(func, ast.Attribute):
-                receiver = _dotted_name(func.value) or ""
+                receiver = dotted_name(func.value) or ""
                 if receiver == resource.name or receiver.startswith(
                     resource.name + "."
                 ):
                     continue
-            dotted = _dotted_name(func) or ""
+            dotted = dotted_name(func) or ""
             if dotted.rsplit(".", 1)[-1] in _SAFE_CALLS:
                 continue
             if _protected(protections, resource.name, line):
@@ -480,7 +474,7 @@ class ResourceLifetimeRule(Rule):
         spans: Sequence[Tuple[int, int]],
     ) -> Iterator[Finding]:
         temp_names: Set[str] = set()
-        for node in _scope_statements(func):
+        for node in scope_walk(func):
             if (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)
@@ -497,7 +491,7 @@ class ResourceLifetimeRule(Rule):
             rename_line: Optional[int] = None
             for call in calls:
                 func_node = call.func
-                dotted = _dotted_name(func_node) or ""
+                dotted = dotted_name(func_node) or ""
                 is_write = (
                     isinstance(func_node, ast.Name)
                     and func_node.id == "open"
@@ -506,7 +500,7 @@ class ResourceLifetimeRule(Rule):
                 ) or (
                     isinstance(func_node, ast.Attribute)
                     and func_node.attr in {"write_bytes", "write_text"}
-                    and (_dotted_name(func_node.value) or "") == name
+                    and (dotted_name(func_node.value) or "") == name
                 )
                 if is_write and write is None:
                     write = call
@@ -517,7 +511,7 @@ class ResourceLifetimeRule(Rule):
                 elif (
                     isinstance(func_node, ast.Attribute)
                     and func_node.attr in {"unlink", "rename", "replace"}
-                    and (_dotted_name(func_node.value) or "") == name
+                    and (dotted_name(func_node.value) or "") == name
                 ):
                     rename_line = min(rename_line or call.lineno, call.lineno)
             if write is None:
@@ -560,7 +554,7 @@ class ResourceLifetimeRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func) or ""
+            dotted = dotted_name(node.func) or ""
             tail = dotted.rsplit(".", 1)[-1]
             if tail in _PIN_ACQUIRE_TAILS and acquire is None:
                 acquire = node

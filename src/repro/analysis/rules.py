@@ -11,9 +11,16 @@ pattern tree-wide.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
-from .engine import ModuleSource, Rule, register_rule
+from .engine import (
+    ModuleSource,
+    Rule,
+    dotted_name,
+    iter_functions,
+    register_rule,
+    scope_walk,
+)
 from .findings import Finding
 
 __all__ = [
@@ -22,50 +29,6 @@ __all__ = [
     "SymbolicBatchRule",
     "SwallowedExceptionRule",
 ]
-
-
-def _qualname_chain(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield ``(qualname, node)`` for every function/method in a module."""
-    stack: List[Tuple[ast.AST, str]] = [(tree, "")]
-    while stack:
-        node, prefix = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                yield qual, child
-                stack.append((child, qual + "."))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}{child.name}."))
-            else:
-                stack.append((child, prefix))
-
-
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Like ``ast.walk`` but stopping at nested function definitions.
-
-    Each function is its own scope and gets its own pass; walking it again
-    from the enclosing scope would double-report every finding.
-    """
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -140,7 +103,7 @@ class NondeterminismRule(Rule):
         if any(module.display_path.endswith(name) for name in _DETERMINISTIC_MODULES):
             scopes.append(("<module>", module.tree))
             return scopes
-        for qual, node in _qualname_chain(module.tree):
+        for qual, _owner, node in iter_functions(module):
             simple = qual.rsplit(".", 1)[-1].lower()
             if simple == "__hash__":
                 # Python's own hashing protocol; in-process only by contract.
@@ -169,7 +132,7 @@ class NondeterminismRule(Rule):
                     "use zlib.crc32 or hashlib",
                 )
                 continue
-            dotted = _dotted_name(func)
+            dotted = dotted_name(func)
             if dotted is None:
                 continue
             if dotted in _CLOCK_CALLS:
@@ -228,34 +191,16 @@ class RawArtifactWriteRule(Rule):
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
         scopes: List[ast.AST] = [module.tree]
-        scopes.extend(node for _, node in _qualname_chain(module.tree))
+        scopes.extend(node for _, _, node in iter_functions(module))
         for scope in scopes:
             yield from self._check_scope(module, scope)
-
-    def _scope_calls(self, scope: ast.AST) -> Iterator[ast.Call]:
-        """Calls belonging to this scope directly (not to nested functions).
-
-        Nested function definitions are skipped — each gets its own pass, so
-        a helper that *does* use the idiom doesn't launder its enclosing
-        scope, and vice versa.  Class bodies are descended: their statements
-        execute in the enclosing scope.
-        """
-        stack: List[ast.AST] = [scope]
-        while stack:
-            node = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if isinstance(child, ast.Call):
-                    yield child
-                stack.append(child)
 
     def _buffer_names(self, scope: ast.AST) -> Set[str]:
         """Names assigned from io.BytesIO()/io.StringIO() — in-memory sinks."""
         buffers: Set[str] = set()
         for node in ast.walk(scope):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                dotted = _dotted_name(node.value.func) or ""
+                dotted = dotted_name(node.value.func) or ""
                 if dotted.rsplit(".", 1)[-1] in {"BytesIO", "StringIO"}:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
@@ -263,9 +208,11 @@ class RawArtifactWriteRule(Rule):
         return buffers
 
     def _check_scope(self, module: ModuleSource, scope: ast.AST) -> Iterator[Finding]:
-        calls = list(self._scope_calls(scope))
+        # Only this scope's own calls: a nested helper that *does* use the
+        # idiom must not launder its enclosing scope, and vice versa.
+        calls = [node for node in scope_walk(scope) if isinstance(node, ast.Call)]
         has_rename = any(
-            (_dotted_name(call.func) or "") in self._RENAME_CALLS for call in calls
+            (dotted_name(call.func) or "") in self._RENAME_CALLS for call in calls
         )
         if has_rename:
             return
@@ -301,7 +248,7 @@ class RawArtifactWriteRule(Rule):
                     "file and os.replace() it into the final path",
                 )
             return
-        dotted = _dotted_name(func) or ""
+        dotted = dotted_name(func) or ""
         tail = dotted.rsplit(".", 1)[-1]
         if tail in {"write_text", "write_bytes"} and isinstance(func, ast.Attribute):
             yield self.finding(
@@ -356,7 +303,7 @@ class SymbolicBatchRule(Rule):
         )
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
-        scopes: List[ast.AST] = [node for _, node in _qualname_chain(module.tree)]
+        scopes: List[ast.AST] = [node for _, _, node in iter_functions(module)]
         scopes.append(module.tree)
         for scope in scopes:
             yield from self._check_scope(module, scope)
@@ -364,7 +311,7 @@ class SymbolicBatchRule(Rule):
     def _check_scope(self, module: ModuleSource, scope: ast.AST) -> Iterator[Finding]:
         # Names bound (by simple assignment) to axis_extent("N") in this scope.
         tainted: Set[str] = set()
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if isinstance(node, ast.Assign) and self._is_axis_extent_n(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -381,7 +328,7 @@ class SymbolicBatchRule(Rule):
                 return any(is_tainted(value) for value in expr.values)
             return False
 
-        for node in _scope_walk(scope):
+        for node in scope_walk(scope):
             if not isinstance(node, ast.Call):
                 continue
             callee = node.func
@@ -458,7 +405,7 @@ class SwallowedExceptionRule(Rule):
         names = []
         elements = node.elts if isinstance(node, ast.Tuple) else [node]
         for element in elements:
-            dotted = _dotted_name(element) or ""
+            dotted = dotted_name(element) or ""
             if dotted.rsplit(".", 1)[-1] in self._BROAD:
                 names.append(dotted)
         return names

@@ -10,7 +10,7 @@ Layering (each layer only reaches down):
 * ``repro.schedule`` / ``repro.costmodel`` — the convolution schedule
   template and the analytical CPU cost model that prices candidates.
 * ``repro.runtime`` — functional execution, the compiled-module artifact
-  format, thread pool and profiler.
+  format and profiler.
 
 Most programs need only this package::
 
@@ -51,7 +51,6 @@ from .deployment import (
     GCReport,
     ModelRepository,
     build,
-    cross_pinned_artifacts,
     load_engine,
     pinned_artifacts,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "WorkerCrashed",
     "batchability_report",
     "build",
-    "cross_pinned_artifacts",
     "load_engine",
     "pinned_artifacts",
     "StaleArtifactError",

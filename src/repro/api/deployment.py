@@ -80,7 +80,6 @@ __all__ = [
     "load_engine",
     "module_fingerprint",
     "pinned_artifacts",
-    "cross_pinned_artifacts",
 ]
 
 ModelLike = Union[str, Graph]
@@ -97,6 +96,14 @@ ARTIFACT_SUFFIX = ".neocpu"
 # --------------------------------------------------------------------------- #
 # pin registry: artifacts held open by live engines are GC-exempt
 # --------------------------------------------------------------------------- #
+# One refcount per artifact for this process.  Its 0->1 transition also
+# publishes a ``<artifact>.pin.<pid>`` file next to the artifact (see
+# :mod:`repro.runtime.artifact`) and its 1->0 transition removes it, both
+# under the lock: the count and the file's existence are one atomic fact, or
+# a racing release could observe a count with no file yet and remove a pin
+# it never saw.  A ``repro.cli gc`` in this process checks the refcount; one
+# in *another* process checks the pin files (validated for owner liveness),
+# so repository GC is safe to run unattended beside a live worker fleet.
 _PIN_LOCK = threading.Lock()
 _PINS: Dict[str, int] = {}
 
@@ -110,10 +117,13 @@ def _pin_key(path: "str | Path") -> str:
 
 
 def pin_artifact(path: "str | Path") -> None:
-    """Mark an artifact as in use; :meth:`ModelRepository.gc` will not evict it."""
+    """Mark an artifact as in use; no repository GC, in any process, evicts it."""
     key = _pin_key(path)
     with _PIN_LOCK:
-        _PINS[key] = _PINS.get(key, 0) + 1
+        count = _PINS.get(key, 0)
+        if count == 0:
+            write_pin_file(path)
+        _PINS[key] = count + 1
 
 
 def release_artifact(path: "str | Path") -> None:
@@ -123,58 +133,14 @@ def release_artifact(path: "str | Path") -> None:
         count = _PINS.get(key, 0) - 1
         if count > 0:
             _PINS[key] = count
-        else:
-            _PINS.pop(key, None)
+        elif _PINS.pop(key, None) is not None:
+            remove_pin_file(path)
 
 
 def pinned_artifacts() -> "set[str]":
     """Resolved paths of every artifact currently pinned by a live engine."""
     with _PIN_LOCK:
         return set(_PINS)
-
-
-# Cross-process pins: on top of the in-process registry above, the *first*
-# pin a process takes on an artifact also publishes a ``<artifact>.pin.<pid>``
-# file next to it (see :mod:`repro.runtime.artifact`), and the last release
-# removes it.  A ``repro.cli gc`` running in a *different* process checks
-# those pin files — validated for owner liveness — before every unlink, so
-# repository GC is safe to run unattended beside a live worker fleet.  The
-# per-process refcount below exists because pin files are per (artifact,
-# pid): two engines in one process must not drop the shared pin file when
-# the first of them closes.
-_CROSS_LOCK = threading.Lock()
-_CROSS_PINS: Dict[str, int] = {}
-
-
-def _acquire_cross_pin(path: "str | Path") -> None:
-    key = _pin_key(path)
-    with _CROSS_LOCK:
-        count = _CROSS_PINS.get(key, 0) + 1
-        _CROSS_PINS[key] = count
-        if count == 1:
-            # The pin file must appear while the lock is held: the refcount
-            # transition 0->1 and the file's existence are one atomic fact,
-            # or a racing release in another thread could observe count==1
-            # with no file yet and remove a pin it never saw.
-            write_pin_file(path)  # repro: noqa[REP004] -- pin count and pin file must transition together
-
-
-def _release_cross_pin(path: "str | Path") -> None:
-    key = _pin_key(path)
-    with _CROSS_LOCK:
-        count = _CROSS_PINS.get(key, 0) - 1
-        if count > 0:
-            _CROSS_PINS[key] = count
-        else:
-            _CROSS_PINS.pop(key, None)
-            # Same atomicity argument as _acquire_cross_pin, in reverse.
-            remove_pin_file(path)  # repro: noqa[REP004] -- pin count and pin file must transition together
-
-
-def cross_pinned_artifacts() -> "set[str]":
-    """Resolved paths this *process* is currently cross-process-pinning."""
-    with _CROSS_LOCK:
-        return set(_CROSS_PINS)
 
 
 def _unlink_unless_pinned(path: Path) -> str:
@@ -743,15 +709,10 @@ def load_engine(
     # Pin before the first read: a concurrent repository GC sweep must see
     # this artifact as in-use for the whole load, not just once an engine
     # holds it — otherwise an over-budget sweep could unlink the file
-    # between the manifest read and the payload read.  The cross-process pin
-    # file goes down equally early so a GC sweep in *another* process obeys
-    # the same contract.
+    # between the manifest read and the payload read.  The pin file goes
+    # down equally early so a GC sweep in *another* process obeys the same
+    # contract.
     pin_artifact(path)
-    try:
-        _acquire_cross_pin(path)
-    except BaseException:
-        release_artifact(path)
-        raise
     try:
         bundle = ArtifactBundle.load(path)
         entry, reason = bundle.select(host)
@@ -793,18 +754,13 @@ def load_engine(
 
         engine = InferenceEngine(module, params=params, seed=seed, **engine_kwargs)
     except BaseException:
-        _release_cross_pin(path)
         release_artifact(path)
         raise
     engine.artifact_path = path
     engine.host_match = reason
     engine.served_target = module.cpu.name
 
-    def _release_pins() -> None:
-        _release_cross_pin(path)
-        release_artifact(path)
-
-    engine.add_close_hook(_release_pins)
+    engine.add_close_hook(lambda: release_artifact(path))
     _touch(path)
     return engine
 

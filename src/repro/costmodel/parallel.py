@@ -2,10 +2,9 @@
 
 Section 3.1.2 of the paper replaces OpenMP with a custom thread pool (SPSC
 lock-free queues, core pinning, no hyper-threading) because OpenMP's fork/join
-overhead per parallel region limits scalability (Figure 4).  The functional
-thread pool lives in :mod:`repro.runtime.threadpool`; this module models the
-*timing* of both approaches so that the scalability experiment can be
-reproduced analytically:
+overhead per parallel region limits scalability (Figure 4).  This module
+models the *timing* of both approaches so that the scalability experiment can
+be reproduced analytically:
 
 ``T_parallel = T_serial / speedup(threads) + n_regions * fork_join_overhead``
 

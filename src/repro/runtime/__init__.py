@@ -1,5 +1,5 @@
 """Runtime substrate: graph executor, compiled module + artifact format,
-thread pool, profiler."""
+staging-buffer pool, profiler."""
 
 from .artifact import (
     ARTIFACT_VERSION,
@@ -21,13 +21,7 @@ from .artifact import (
 from .executor import GraphExecutor, initialize_parameters
 from .module import CompiledModule
 from .profiler import Timer, format_report, time_callable, top_costs
-from .threadpool import (
-    BufferPool,
-    SPSCQueue,
-    ThreadPool,
-    parallel_for,
-    static_partition,
-)
+from .threadpool import BufferPool
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -36,9 +30,7 @@ __all__ = [
     "BufferPool",
     "CompiledModule",
     "GraphExecutor",
-    "SPSCQueue",
     "StaleArtifactError",
-    "ThreadPool",
     "Timer",
     "bundle_fingerprint",
     "compilation_fingerprint",
@@ -49,11 +41,9 @@ __all__ = [
     "load_module",
     "load_source",
     "manifest_targets",
-    "parallel_for",
     "read_manifest",
     "save_bundle",
     "save_module",
-    "static_partition",
     "time_callable",
     "top_costs",
 ]

@@ -427,6 +427,70 @@ class TestREP004:
         assert len(inversions) == 2
         assert 13 in {f.line for f in inversions}  # the helper() call site
 
+    def test_inversion_through_unlocked_helper_chain_is_found(self, tmp_path):
+        # _helper() takes no lock itself: B is acquired two calls down, so
+        # the may-acquire fixpoint must follow unlocked call sites too.
+        report = lint(
+            tmp_path,
+            """
+            import threading
+
+            A = threading.Lock()
+            B = threading.Lock()
+
+            def _inner():
+                with B:
+                    pass
+
+            def _helper():
+                _inner()
+
+            def one():
+                with A:
+                    _helper()
+
+            def two():
+                with B:
+                    with A:
+                        pass
+            """,
+            [LockOrderRule()],
+        )
+        inversions = [f for f in report.findings if "inversion" in f.message]
+        assert {(f.line, f.col) for f in inversions} == {(16, 9), (20, 14)}
+        assert "one -> _helper" in next(f for f in inversions if f.line == 16).message
+
+    def test_open_as_with_item_under_lock_fires(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def save(self, path):
+                    with self._lock:
+                        with open(path, "w") as handle:
+                            handle.write("x")
+
+                def touch(self, path):
+                    with self._lock, open(path):
+                        pass
+
+                def read_first(self, path):
+                    with open(path), self._lock:
+                        pass
+            """,
+            [LockOrderRule()],
+        )
+        assert [(f.line, f.col) for f in report.findings] == [(10, 18), (14, 26)]
+        assert all(
+            "blocking call open() while holding mod.Store._lock" in f.message
+            for f in report.findings
+        )
+
     def test_blocking_queue_get_under_lock_fires(self, tmp_path):
         report = lint(
             tmp_path,
@@ -665,19 +729,32 @@ class TestEngineAndCli:
 # --------------------------------------------------------------------------- #
 # the self-clean gate: src/ must lint clean with the full rule set
 # --------------------------------------------------------------------------- #
-class TestSelfClean:
-    def test_src_tree_has_zero_unsuppressed_findings(self):
-        report = LintEngine(default_rules()).run([SRC_ROOT])
-        assert report.errors == []
-        assert report.findings == [], "\n" + report.render_text()
+@pytest.fixture(scope="module")
+def src_report():
+    """One full-catalog run over src/, shared by the self-clean gate."""
+    return LintEngine(default_rules()).run([SRC_ROOT])
 
-    def test_every_suppression_in_src_is_justified(self):
-        # Policy: an intentional noqa carries a trailing "-- why" note.
-        report = LintEngine(default_rules()).run([SRC_ROOT])
-        assert report.suppressed, "expected the documented intentional noqas"
-        for finding in report.suppressed:
+
+class TestSelfClean:
+    def test_src_tree_has_zero_unsuppressed_findings(self, src_report):
+        assert src_report.errors == []
+        assert src_report.findings == [], "\n" + src_report.render_text()
+
+    def test_every_suppression_in_src_is_justified(self, src_report):
+        # Policy: an intentional noqa carries a trailing "-- why" note, and
+        # still suppresses a finding (a fix deletes its pragma with it).
+        assert src_report.suppressed, "expected the documented intentional noqas"
+        for finding in src_report.suppressed:
             line = Path(finding.path).read_text().splitlines()[finding.line - 1]
             assert "--" in line.split("noqa", 1)[1], finding.render()
+        used = {(finding.path, finding.line) for finding in src_report.suppressed}
+        stale = [
+            pragma.render()
+            for path in src_report.files
+            for pragma in iter_suppressions(path, Path(path).read_text().splitlines())
+            if (pragma.path, pragma.line) not in used
+        ]
+        assert stale == [], "pragmas that suppress nothing:\n" + "\n".join(stale)
 
 
 # --------------------------------------------------------------------------- #

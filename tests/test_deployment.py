@@ -463,6 +463,45 @@ class TestModelRepository:
         assert report.evicted == [bundle.path]
         assert not bundle.path.exists()
 
+    def test_pin_racing_the_last_release_keeps_its_pin_file(
+        self, tmp_path, monkeypatch
+    ):
+        """One refcount drives the cross-process pin file, under one lock: a
+        pin taken while the last release is still unlinking the file waits
+        for the unlink and then publishes a fresh file, so it is never held
+        with no file on disk."""
+        import threading
+        import time
+
+        from repro.api import deployment
+        from repro.runtime.artifact import live_pin_owners, remove_pin_file
+
+        unlinking = threading.Event()
+
+        def slow_remove(path):
+            unlinking.set()
+            time.sleep(0.05)  # the racing pin must not slip in before this
+            return remove_pin_file(path)
+
+        monkeypatch.setattr(deployment, "remove_pin_file", slow_remove)
+        artifact = tmp_path / "m.neocpu"
+        artifact.write_bytes(b"artifact")
+        deployment.pin_artifact(artifact)
+        releaser = threading.Thread(
+            target=deployment.release_artifact, args=(artifact,)
+        )
+        releaser.start()
+        assert unlinking.wait(timeout=10)
+        deployment.pin_artifact(artifact)
+        releaser.join(timeout=10)
+        assert not releaser.is_alive()
+        try:
+            assert live_pin_owners(artifact), "pin held with no pin file"
+        finally:
+            deployment.release_artifact(artifact)
+        assert live_pin_owners(artifact) == []
+        assert str(artifact.resolve()) not in pinned_artifacts()
+
     def test_gc_skips_in_progress_writes(self, tmp_path):
         repository = self._fill(tmp_path, names=("m1",))
         partial = repository.modules_dir / "m1-partial.neocpu.tmp-999"

@@ -1,4 +1,4 @@
-"""Tests for the runtime: executor, thread pool, profiler, compiled module."""
+"""Tests for the runtime: executor, buffer pool, profiler, compiled module."""
 
 import threading
 import time
@@ -12,12 +12,9 @@ from repro.costmodel import OPENMP, THREAD_POOL
 from repro.runtime import (
     BufferPool,
     GraphExecutor,
-    SPSCQueue,
-    ThreadPool,
     Timer,
     format_report,
     initialize_parameters,
-    static_partition,
     time_callable,
     top_costs,
 )
@@ -188,46 +185,6 @@ class TestCompileTimeFold:
         assert theirs is not mine and np.array_equal(theirs, mine)
 
 
-class TestStaticPartition:
-    def test_even_split(self):
-        assert static_partition(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_remainder_spread(self):
-        chunks = static_partition(10, 4)
-        sizes = [stop - start for start, stop in chunks]
-        assert sum(sizes) == 10 and max(sizes) - min(sizes) <= 1
-
-    def test_fewer_items_than_workers(self):
-        chunks = static_partition(2, 8)
-        assert len(chunks) == 2
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            static_partition(4, 0)
-
-
-class TestSPSCQueue:
-    def test_fifo_order(self):
-        queue = SPSCQueue()
-        for i in range(5):
-            queue.push(i)
-        assert [queue.pop() for _ in range(5)] == list(range(5))
-
-    def test_blocking_pop_wakes_on_push(self):
-        queue = SPSCQueue()
-        result = []
-
-        def consumer():
-            result.append(queue.pop())
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        time.sleep(0.05)
-        queue.push("item")
-        thread.join(timeout=2)
-        assert result == ["item"]
-
-
 class TestBufferPool:
     def test_buffers_are_reused_after_release(self):
         pool = BufferPool()
@@ -252,42 +209,6 @@ class TestBufferPool:
         pool.release(a)
         pool.release(b)  # beyond max_free: dropped, not hoarded
         assert len(pool._free[((2,), "float32")]) == 1
-
-
-class TestThreadPool:
-    def test_parallel_for_covers_range(self):
-        seen = []
-        lock = threading.Lock()
-        with ThreadPool(4) as pool:
-            def body(start, stop):
-                with lock:
-                    seen.extend(range(start, stop))
-            pool.parallel_for(100, body)
-        assert sorted(seen) == list(range(100))
-
-    def test_map_preserves_order(self):
-        with ThreadPool(3) as pool:
-            assert pool.map(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
-
-    def test_reusable_across_regions(self):
-        with ThreadPool(2) as pool:
-            for _ in range(5):
-                totals = pool.map(lambda x: x + 1, list(range(10)))
-                assert sum(totals) == 55
-
-    def test_shutdown_prevents_reuse(self):
-        pool = ThreadPool(2)
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.parallel_for(4, lambda a, b: None)
-
-    def test_single_worker(self):
-        with ThreadPool(1) as pool:
-            assert pool.map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ThreadPool(0)
 
 
 class TestProfilerAndModule:
@@ -329,44 +250,8 @@ class TestProfilerAndModule:
 
 
 # --------------------------------------------------------------------------- #
-# ISSUE 8 regressions: SPSC deadline, buffer budget, region isolation, WFQ
+# regressions: buffer budget, weighted-fair queueing
 # --------------------------------------------------------------------------- #
-class TestSPSCQueueDeadline:
-    def test_spurious_notify_does_not_raise_early(self):
-        """Regression: pop(timeout) is one monotonic deadline, so a notify
-        that carries no item (a consumer racing a prior pop) must neither
-        raise TimeoutError early nor reset the wait window."""
-        queue = SPSCQueue()
-        started = time.monotonic()
-        poker = threading.Thread(
-            target=lambda: [
-                (time.sleep(0.02), queue._not_empty.__enter__(),
-                 queue._not_empty.notify_all(), queue._not_empty.__exit__(None, None, None))
-                for _ in range(10)
-            ],
-            daemon=True,
-        )
-        poker.start()
-        with pytest.raises(TimeoutError):
-            queue.pop(timeout=0.4)
-        elapsed = time.monotonic() - started
-        poker.join()
-        assert elapsed >= 0.35, f"raised early after {elapsed:.3f}s"
-        assert elapsed < 5.0, f"overslept the deadline: {elapsed:.3f}s"
-
-    def test_pop_returns_promptly_when_item_arrives_mid_wait(self):
-        queue = SPSCQueue()
-        threading.Timer(0.05, queue.push, args=("late",)).start()
-        assert queue.pop(timeout=5.0) == "late"
-
-    def test_zero_timeout_polls(self):
-        queue = SPSCQueue()
-        with pytest.raises(TimeoutError):
-            queue.pop(timeout=0.0)
-        queue.push(1)
-        assert queue.pop(timeout=0.0) == 1
-
-
 class TestBufferPoolBudget:
     def test_release_beyond_budget_evicts_least_recently_used_key(self):
         pool = BufferPool(max_free=4, max_bytes=4 * 1024)
@@ -404,46 +289,6 @@ class TestBufferPoolBudget:
         buffer = pool.acquire((8,), "float32")
         pool.release(buffer)
         assert pool.free_bytes == 0
-
-
-class TestThreadPoolRegionIsolation:
-    def test_concurrent_parallel_for_regions_do_not_corrupt_each_other(self):
-        """Regression: fork/join state was pool-global (_done/_pending), so
-        two threads driving regions through one pool could return before
-        their own chunks ran.  Per-region counters make each join private."""
-        pool = ThreadPool(4)
-        failures = []
-        barrier = threading.Barrier(4)
-
-        def drive(which):
-            try:
-                barrier.wait(timeout=10)
-                for _ in range(50):
-                    hits = np.zeros(256, dtype=np.int64)
-
-                    def body(start, stop):
-                        for i in range(start, stop):
-                            hits[i] += 1
-
-                    pool.parallel_for(256, body)
-                    if not (hits == 1).all():
-                        failures.append(
-                            f"driver {which}: {int(hits.sum())} hits over 256 items"
-                        )
-                        return
-            except Exception as error:  # pragma: no cover - diagnostic path
-                failures.append(f"driver {which}: {error!r}")
-
-        drivers = [
-            threading.Thread(target=drive, args=(n,), daemon=True) for n in range(4)
-        ]
-        for thread in drivers:
-            thread.start()
-        for thread in drivers:
-            thread.join(timeout=120)
-            assert not thread.is_alive(), "parallel_for join hung"
-        pool.shutdown()
-        assert failures == []
 
 
 class TestWeightedFairQueue:

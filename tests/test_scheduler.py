@@ -620,8 +620,6 @@ class TestConcurrencyFixes:
     """
 
     def test_adaptive_timeout_concurrent_observe_and_read(self):
-        from repro.runtime.threadpool import ThreadPool  # noqa: F401  (import check)
-
         timeout = AdaptiveTimeout(alpha=0.5, multiplier=2.0, min_ms=0.1, max_ms=50.0)
         stop = threading.Event()
         errors = []
