@@ -3,13 +3,12 @@
 Two tools share this package:
 
 * the **convention linter** (:class:`LintEngine`, ``python -m repro.analysis``,
-  ``repro.cli analyze``) — AST rules REP001..REP005 enforcing the
-  determinism, durability, symbolic-batch, lock-order and error-handling
-  conventions the ROADMAP asks reviewers to preserve, the lockset-based
-  concurrency rules REP006..REP008 (data races, atomicity violations,
-  thread escape) and the serving-tier rules REP009..REP011; REP004,
-  REP006..REP008 and REP010 query one set of per-function facts built per
-  run in :mod:`repro.analysis.concurrency`;
+  ``repro.cli analyze``) — six AST rules, each kept because it caught a real
+  defect or flags a re-introduced historical bug: REP001..REP003 (the
+  determinism, durability and symbolic-batch conventions), the lockset
+  data-race rule REP006 (:mod:`repro.analysis.concurrency`), and the
+  serving-tier rules REP009 (resource lifetime) and REP011 (unbounded
+  blocking);
 * the **graph-IR verifier** (:func:`verify_graph`) — semantic checks over a
   built :class:`~repro.graph.graph.Graph`, wired into compilation under
   ``CompileConfig.verify_ir`` and into ``repro.cli verify --deep``.

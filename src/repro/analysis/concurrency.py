@@ -1,9 +1,8 @@
-"""The shared concurrency facts behind REP004, REP006-REP008 and REP010.
+"""REP006: lockset-based data-race analysis, and the facts it reads.
 
-:meth:`LintEngine.run <repro.analysis.engine.LintEngine.run>` builds one
-:class:`ConcurrencyModel` per run and hands it to every project rule.  Its
-core is a single held-lock walk of every function, which records what each
-rule queries:
+:meth:`DataRaceRule.check_project` builds one :class:`ConcurrencyModel` per
+engine run.  Its core is a single held-lock walk of every function, which
+records:
 
 * **lock discovery and alias resolution** — ``self._x = threading.Lock()``
   (also ``RLock``/``Condition``) in a method body, a dataclass field
@@ -13,10 +12,8 @@ rule queries:
   or ``mutex`` (a lock handed in from outside is still a lock), and
   ``Condition(self._mutex)`` *aliases* the lock it wraps, so entering the
   condition enters ``_mutex`` and the condition guards the same state;
-* **lock acquisitions and calls** — every ``with <lock>:`` acquisition with
-  the locks already held, and every call with the locks held at it (held or
-  not), which is what the lock-order rule (``lockorder.py``) builds its
-  acquisition graph, may-acquire fixpoint and blocking-call check from;
+* **calls** — every call with the locks held at it (held or not), which
+  feeds the calling-context and concurrency closures below;
 * **shared-state discovery** — every ``self.<field>`` access in a class's
   methods, classified read vs write (plain stores, augmented assignments,
   subscript stores and mutating method calls such as ``.append``/``.pop``
@@ -40,6 +37,11 @@ rule queries:
   writes are excluded (the constructor runs before the object is shared),
   which is exactly the Eraser initialization exemption.
 
+REP006 then reports any access reachable from a concurrent entry point that
+does not hold its field's inferred guard, naming the field, the guard (with
+the evidence ratio) and a conflicting guarded site.  This is the Eraser
+lockset discipline: one unguarded site is all a race needs.
+
 Known blind spots, by construction (documented in the README rule catalog):
 state never accessed under any lock has no guard candidate and is invisible
 to lockset analysis; a deliberately lock-free majority defeats inference and
@@ -51,21 +53,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .engine import ModuleSource, dotted_name, iter_functions
+from .engine import ModuleSource, ProjectRule, dotted_name, iter_functions, register_rule
+from .findings import Finding
 
 __all__ = [
     "Access",
-    "Acquisition",
-    "BranchCheck",
     "CallSite",
     "ConcurrencyModel",
+    "DataRaceRule",
     "FunctionInfo",
     "GuardInference",
     "LockInfo",
-    "SpawnSite",
-    "WithBlock",
     "build_project_model",
     "extract_module_locks",
     "lock_key",
@@ -113,10 +113,6 @@ _TEARDOWN_HOOKS = {"__del__", "close", "shutdown"}
 #: receiver-name fragments marking ``.map`` as a thread pool handing its
 #: argument to worker threads.
 _POOLISH_FRAGMENTS = ("pool", "executor", "workers")
-
-#: call attribute names that block until handed-off work completed; a
-#: mutation of a captured local *after* one of these is sequenced, not racy.
-SYNC_CALLS = {"join", "result", "shutdown", "wait"}
 
 #: attribute/name fragments that mark an undiscovered object as a lock.
 _LOCKISH_FRAGMENTS = ("lock", "mutex")
@@ -249,78 +245,27 @@ class Access:
 
 
 @dataclass
-class BranchCheck:
-    """An ``if``/``while`` whose test reads shared fields (for REP007)."""
-
-    fields: Tuple[str, ...]  # field keys read in the test
-    body_writes: Dict[str, Tuple[int, int]]  # field -> first write site in body
-    locks: FrozenSet[str]  # locks held at the branch statement itself
-    path: str
-    line: int
-    col: int
-    qualname: str
-
-
-@dataclass
-class WithBlock:
-    """One ``with <lock>:`` block, for split-compound-update detection."""
-
-    locks: Tuple[str, ...]
-    line: int
-    #: local name -> field keys whose reads flowed into its assignment.
-    local_reads: Dict[str, Set[str]] = field(default_factory=dict)
-    #: writes inside the block: (field, line, col, names used in the value).
-    writes: List[Tuple[str, int, int, FrozenSet[str]]] = field(default_factory=list)
-
-
-@dataclass
-class Acquisition:
-    """One ``with <lock>:`` acquisition (for the lock-order graph)."""
-
-    lock: str
-    held: Tuple[str, ...]  # locks already held, outermost first
-    line: int
-    col: int
-
-
-@dataclass
 class CallSite:
     """One call, with the locks held where it is made."""
 
     held: Tuple[str, ...]  # outermost first
     callee: Optional[str]  # same-module callee qualname, when resolvable
-    node: ast.Call
-
-
-@dataclass
-class SpawnSite:
-    """A point where a callable is handed to another thread."""
-
-    line: int
-    col: int
-    kind: str  # "thread-ctor" | "submit" | "map"
-    target: Optional[str]  # resolved local qualname of the target, if any
-    #: for REP008: name of a locally-defined callable handed off here.
-    closure: Optional[str] = None
 
 
 @dataclass
 class FunctionInfo:
-    """Everything the concurrency rules need to know about one function."""
+    """Everything REP006 needs to know about one function."""
 
-    module: str  # display path
     stem: str
     qualname: str
     owner_class: str
-    node: ast.AST
     is_init: bool = False
     accesses: List[Access] = field(default_factory=list)
-    acquisitions: List[Acquisition] = field(default_factory=list)
     #: *every* call, held or not, in visit order.
     calls: List[CallSite] = field(default_factory=list)
-    branch_checks: List[BranchCheck] = field(default_factory=list)
-    with_blocks: List[WithBlock] = field(default_factory=list)
-    spawns: List[SpawnSite] = field(default_factory=list)
+    #: targets handed to another thread here (``Thread(target=)``,
+    #: ``.submit``, pool ``.map``): local qualname, else simple name.
+    spawns: List[str] = field(default_factory=list)
     entry: bool = False
     #: H(f): locks held at *every* call site, to a fixpoint.  ``None`` means
     #: unknown (never called in-module and not an entry point).
@@ -342,10 +287,8 @@ class GuardInference:
 
 @dataclass
 class ConcurrencyModel:
-    """The project-wide facts shared by REP004, REP006-REP008 and REP010."""
+    """The project-wide facts REP006 reads."""
 
-    #: module display path -> {lock key -> LockInfo}
-    locks: Dict[str, Dict[str, LockInfo]] = field(default_factory=dict)
     #: module display path -> {qualname -> FunctionInfo} (first def wins)
     functions: Dict[str, Dict[str, FunctionInfo]] = field(default_factory=dict)
     #: field key -> inferred guard (only fields that *have* one).
@@ -419,24 +362,13 @@ def _module_registries(module: ModuleSource) -> Set[str]:
     return names
 
 
-def _value_names(node: ast.AST) -> FrozenSet[str]:
-    """Plain names read anywhere inside an expression."""
-    return frozenset(
-        n.id
-        for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    )
-
-
 class _AccessScan(ast.NodeVisitor):
-    """The held-lock walk of one function, recording every fact rules query.
+    """The held-lock walk of one function, recording every fact REP006 reads.
 
     It tracks the held-lock stack through ``with`` (conditions resolved to
-    the lock they wrap) and records each lock acquisition with the locks
-    already held, every call with its held locks (held or not — the
-    may-acquire and calling-context fixpoints need them all), every shared
-    field/registry access with the locally held lockset, branch tests over
-    shared fields, per-``with``-block read/write summaries, and thread
+    the lock they wrap) and records every call with its held locks (held or
+    not — the calling-context fixpoint needs them all), every shared
+    field/registry access with the locally held lockset, and thread
     spawn/handoff sites.  Nested ``def``s and lambdas run later, in their
     own context, so the walk does not enter them.
     """
@@ -454,7 +386,6 @@ class _AccessScan(ast.NodeVisitor):
         self.locks = locks
         self.registries = registries
         self.held: List[str] = []
-        self._with_stack: List[WithBlock] = []
 
     # -- key resolution -------------------------------------------------- #
     def _field_key(self, node: ast.AST) -> Optional[str]:
@@ -472,10 +403,10 @@ class _AccessScan(ast.NodeVisitor):
         return None
 
     # -- recording ------------------------------------------------------- #
-    def _record(self, node: ast.AST, kind: str, rmw: bool = False) -> Optional[str]:
+    def _record(self, node: ast.AST, kind: str, rmw: bool = False) -> None:
         key = self._field_key(node)
         if key is None:
-            return None
+            return
         self.info.accesses.append(
             Access(
                 field=key,
@@ -489,12 +420,6 @@ class _AccessScan(ast.NodeVisitor):
                 in_init=self.info.is_init,
             )
         )
-        if kind == "write":
-            for block in self._with_stack:
-                block.writes.append(
-                    (key, node.lineno, node.col_offset + 1, frozenset())
-                )
-        return key
 
     # -- traversal ------------------------------------------------------- #
     def visit_With(self, node: ast.With) -> None:
@@ -507,20 +432,10 @@ class _AccessScan(ast.NodeVisitor):
                 if item.optional_vars is not None:
                     self.visit(item.optional_vars)
                 continue
-            self.info.acquisitions.append(
-                Acquisition(key, tuple(self.held), expr.lineno, expr.col_offset + 1)
-            )
             self.held.append(key)
             acquired.append(key)
-        block: Optional[WithBlock] = None
-        if acquired:
-            block = WithBlock(locks=tuple(acquired), line=node.lineno)
-            self.info.with_blocks.append(block)
-            self._with_stack.append(block)
         for stmt in node.body:
             self.visit(stmt)
-        if block is not None:
-            self._with_stack.pop()
         del self.held[len(self.held) - len(acquired):]
 
     visit_AsyncWith = visit_With
@@ -531,14 +446,6 @@ class _AccessScan(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
     visit_Lambda = visit_FunctionDef
-
-    def _patch_write_names(self, value: ast.AST) -> None:
-        """Attach the value expression's names to the write just recorded."""
-        names = _value_names(value)
-        for block in self._with_stack:
-            if block.writes:
-                key, line, col, _ = block.writes[-1]
-                block.writes[-1] = (key, line, col, names)
 
     def _visit_target_calls(self, target: ast.AST) -> None:
         """Visit the calls inside a store target (``self._slots[key()] = v``)."""
@@ -551,34 +458,17 @@ class _AccessScan(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             if isinstance(target, (ast.Attribute, ast.Subscript)):
-                if self._record(target, "write") and self._with_stack:
-                    self._patch_write_names(node.value)
+                self._record(target, "write")
             elif isinstance(target, (ast.Tuple, ast.List)):
                 for element in target.elts:
                     if isinstance(element, (ast.Attribute, ast.Subscript)):
                         self._record(element, "write")
             self._visit_target_calls(target)
-        # Track ``local = <expr reading guarded field>`` for split-update
-        # detection (REP007's released-between-compound-updates shape).
-        if self._with_stack and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                read_fields = {
-                    k
-                    for sub in ast.walk(node.value)
-                    if isinstance(sub, (ast.Attribute, ast.Subscript, ast.Name))
-                    for k in [self._field_key(sub)]
-                    if k is not None
-                }
-                if read_fields:
-                    block = self._with_stack[-1]
-                    block.local_reads.setdefault(target.id, set()).update(read_fields)
         self.visit(node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if isinstance(node.target, (ast.Attribute, ast.Subscript)):
-            if self._record(node.target, "write", rmw=True) and self._with_stack:
-                self._patch_write_names(node.value)
+            self._record(node.target, "write", rmw=True)
         self._visit_target_calls(node.target)
         self.visit(node.value)
 
@@ -596,55 +486,6 @@ class _AccessScan(ast.NodeVisitor):
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load) and node.id in self.registries:
             self._record(node, "read")
-
-    def visit_If(self, node: ast.If) -> None:
-        self._branch(node)
-        self.generic_visit(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._branch(node)
-        self.generic_visit(node)
-
-    def _branch(self, node: "ast.If | ast.While") -> None:
-        test_fields = tuple(
-            dict.fromkeys(
-                k
-                for sub in ast.walk(node.test)
-                if isinstance(sub, ast.Attribute) or isinstance(sub, ast.Name)
-                for k in [self._field_key(sub)]
-                if k is not None
-            )
-        )
-        if not test_fields:
-            return
-        body_writes: Dict[str, Tuple[int, int]] = {}
-        for stmt in node.body + node.orelse:
-            for sub in ast.walk(stmt):
-                key = None
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, (ast.Attribute, ast.Subscript)):
-                            key = self._field_key(target)
-                elif isinstance(sub, ast.AugAssign) and isinstance(
-                    sub.target, (ast.Attribute, ast.Subscript)
-                ):
-                    key = self._field_key(sub.target)
-                elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                    if sub.func.attr in MUTATOR_METHODS:
-                        key = self._field_key(sub.func.value)
-                if key is not None and key not in body_writes:
-                    body_writes[key] = (sub.lineno, sub.col_offset + 1)
-        self.info.branch_checks.append(
-            BranchCheck(
-                fields=test_fields,
-                body_writes=body_writes,
-                locks=frozenset(self.held),
-                path=self.module.display_path,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                qualname=self.info.qualname,
-            )
-        )
 
     # -- calls: mutators, local callees, spawns -------------------------- #
     def _local_callee(self, node: ast.Call) -> Optional[str]:
@@ -687,9 +528,7 @@ class _AccessScan(ast.NodeVisitor):
                 if isinstance(base, ast.Name) and base.id in self.registries:
                     self._record(base, "write")
                     handled_func = True
-        self.info.calls.append(
-            CallSite(tuple(self.held), self._local_callee(node), node)
-        )
+        self.info.calls.append(CallSite(tuple(self.held), self._local_callee(node)))
         self._check_spawn(node)
         if not handled_func:
             self.visit(func)
@@ -701,7 +540,6 @@ class _AccessScan(ast.NodeVisitor):
     def _check_spawn(self, node: ast.Call) -> None:
         func = node.func
         if threading_class(node) == "Thread":
-            kind = "thread-ctor"
             handed = next((k.value for k in node.keywords if k.arg == "target"), None)
         elif (
             isinstance(func, ast.Attribute)
@@ -712,21 +550,15 @@ class _AccessScan(ast.NodeVisitor):
             poolish = any(f in receiver for f in _POOLISH_FRAGMENTS)
             if func.attr == "map" and not poolish:
                 return
-            kind, handed = func.attr, node.args[0]
+            handed = node.args[0]
         else:
             return
         if handed is None:
             return
         qual, simple = self._resolve_target(handed)
-        self.info.spawns.append(
-            SpawnSite(
-                line=node.lineno,
-                col=node.col_offset + 1,
-                kind=kind,
-                target=qual or simple,
-                closure=handed.id if isinstance(handed, ast.Name) else None,
-            )
-        )
+        target = qual or simple
+        if target:
+            self.info.spawns.append(target)
 
 
 def _lock_owning_classes(locks: Dict[str, LockInfo], stem: str) -> Set[str]:
@@ -752,11 +584,7 @@ def _mark_entries(
     global_entry_names: Set[str],
 ) -> None:
     """Flag thread entry points, teardown hooks and public lock-class surface."""
-    spawn_targets: Set[str] = set()
-    for info in functions.values():
-        for spawn in info.spawns:
-            if spawn.target:
-                spawn_targets.add(spawn.target)
+    spawn_targets = {target for info in functions.values() for target in info.spawns}
     lock_classes = _lock_owning_classes(locks, stem)
     module_locked = _module_has_lock(locks, stem)
     for qual, info in functions.items():
@@ -862,11 +690,9 @@ def _scan_module(
         if qual in functions:
             continue  # duplicate defs (overloads/conditionals): first wins
         info = FunctionInfo(
-            module=module.display_path,
             stem=stem,
             qualname=qual,
             owner_class=owner,
-            node=node,
             is_init=qual.rsplit(".", 1)[-1] == "__init__",
         )
         scan = _AccessScan(module, info, locks, registries)
@@ -877,27 +703,28 @@ def _scan_module(
 
 
 def build_project_model(modules: Sequence[ModuleSource]) -> ConcurrencyModel:
-    """Build the shared concurrency facts for one engine run."""
+    """Build REP006's concurrency facts for one engine run."""
     model = ConcurrencyModel()
+    locks_by_module: Dict[str, Dict[str, LockInfo]] = {}
     for module in modules:
         locks = extract_module_locks(module)
-        model.locks[module.display_path] = locks
+        locks_by_module[module.display_path] = locks
         model.functions[module.display_path] = _scan_module(module, locks)
 
     # Cross-module, name-based entry marking: a Thread/submit target that a
     # scan could not resolve locally (``worker.loop``) still marks every
     # same-named function project-wide as a thread entry point.
     global_entry_names = {
-        spawn.target.rsplit(".", 1)[-1]
+        target.rsplit(".", 1)[-1]
         for functions in model.functions.values()
         for info in functions.values()
-        for spawn in info.spawns
-        if spawn.target and spawn.target not in functions
+        for target in info.spawns
+        if target not in functions
     }
 
     for module in modules:
         functions = model.functions[module.display_path]
-        locks = model.locks[module.display_path]
+        locks = locks_by_module[module.display_path]
         _mark_entries(functions, locks, module.path.stem, global_entry_names)
         _context_fixpoint(functions)
         _mark_concurrent(functions)
@@ -909,3 +736,56 @@ def build_project_model(modules: Sequence[ModuleSource]) -> ConcurrencyModel:
                 model.accesses.setdefault(access.field, []).append(access)
     model.guards = _infer_guards(model.accesses)
     return model
+
+
+def _display_field(key: str) -> str:
+    """``stem.Class.attr`` -> ``Class.attr``; module registries keep the key."""
+    if ":" in key:
+        return key
+    parts = key.split(".")
+    return ".".join(parts[1:]) if len(parts) >= 3 else key
+
+
+@register_rule
+class DataRaceRule(ProjectRule):
+    rule_id = "REP006"
+    summary = "access to a lock-guarded field without holding its inferred guard"
+    rationale = (
+        "Shared mutable state in the scheduler/engine/repository layers is "
+        "guarded by convention, not by the type system. Majority-protection "
+        "inference recovers the convention (a field accessed under lock L at "
+        "most sites is guarded by L) and flags the one forgotten site — which "
+        "is all a data race needs. Constructor writes are exempt (the object "
+        "is not yet shared); state never touched under any lock has no guard "
+        "candidate and is out of scope by construction."
+    )
+
+    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
+        model = build_project_model(modules)
+        for field_key, inference in model.guards.items():
+            conflict = model.guarded_conflict(field_key)
+            for access in model.accesses.get(field_key, ()):
+                if not access.context_known or access.in_init or not access.concurrent:
+                    continue
+                if inference.lock in access.effective:
+                    continue
+                where = ""
+                if conflict is not None and (
+                    conflict.line != access.line or conflict.path != access.path
+                ):
+                    where = (
+                        f"; conflicts with the guarded {conflict.kind} at "
+                        f"{conflict.path}:{conflict.line} in {conflict.qualname}()"
+                    )
+                yield Finding(
+                    rule=self.rule_id,
+                    path=access.path,
+                    line=access.line,
+                    col=access.col,
+                    message=(
+                        f"data race on {_display_field(field_key)}: "
+                        f"{'read-modify-write' if access.rmw else access.kind} in "
+                        f"{access.qualname}() without holding "
+                        f"{inference.describe()}{where}"
+                    ),
+                )

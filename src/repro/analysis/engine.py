@@ -5,11 +5,10 @@ it can run in CI, in ``repro.cli analyze`` on a deployed host, and inside the
 test suite's self-clean gate without pulling in the numeric stack.
 
 Rules are pluggable.  A rule subclasses :class:`Rule` (one file at a time) or
-:class:`ProjectRule` (all files at once, plus the per-function concurrency
-facts of :mod:`repro.analysis.concurrency` — locks, held-lock walks, call
-graph — which :meth:`LintEngine.run` builds once and hands to every project
-rule), declares ``rule_id``/``summary``/``rationale``, and registers itself
-with :func:`register_rule`.  The engine instantiates the default registry
+:class:`ProjectRule` (all files at once, for analyses that cross module
+boundaries, such as REP006's project-wide lockset model), declares
+``rule_id``/``summary``/``rationale``, and registers itself with
+:func:`register_rule`.  The engine instantiates the default registry
 unless handed explicit rule instances, which is how tests run a single rule
 against a fixture.
 
@@ -24,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -36,9 +34,6 @@ from typing import (
 )
 
 from .findings import Finding, is_suppressed, line_suppressions, sort_findings
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
-    from .concurrency import ConcurrencyModel
 
 __all__ = [
     "LintEngine",
@@ -152,14 +147,12 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A rule over every module at once and the shared concurrency facts."""
+    """A rule over every module at once."""
 
     def check(self, module: ModuleSource) -> Iterable[Finding]:
         return ()
 
-    def check_project(
-        self, modules: Sequence[ModuleSource], model: "ConcurrencyModel"
-    ) -> Iterable[Finding]:
+    def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
         raise NotImplementedError
 
 
@@ -187,8 +180,7 @@ def default_rules(only: Optional[Iterable[str]] = None) -> List[Rule]:
     # the engine alone (e.g. for the Finding type) stays dependency-free.
     from . import (  # noqa: F401  (import-for-registration)
         boundaries,
-        lockorder,
-        races,
+        concurrency,
         resources,
         rules,
     )
@@ -282,17 +274,12 @@ class LintEngine:
             report.files.append(module.display_path)
 
         raw: List[Finding] = []
-        file_rules = [rule for rule in self.rules if not isinstance(rule, ProjectRule)]
-        project_rules = [rule for rule in self.rules if isinstance(rule, ProjectRule)]
-        for module in modules:
-            for rule in file_rules:
-                raw.extend(rule.check(module))
-        if project_rules:
-            from .concurrency import build_project_model
-
-            model = build_project_model(modules)
-            for rule in project_rules:
-                raw.extend(rule.check_project(modules, model))
+        for rule in self.rules:
+            if isinstance(rule, ProjectRule):
+                raw.extend(rule.check_project(modules))
+            else:
+                for module in modules:
+                    raw.extend(rule.check(module))
 
         suppressions = {
             module.display_path: line_suppressions(module.lines) for module in modules

@@ -4,8 +4,8 @@ Each rule encodes one invariant of the stack.  The scoping heuristics are
 deliberately narrow — a convention linter that cries wolf gets ``noqa``'d
 into silence — so every rule restricts itself to the code paths where the
 invariant actually matters (fingerprint helpers, artifact writers, graph
-construction, dispatch loops) rather than flagging every occurrence of a
-pattern tree-wide.
+construction) rather than flagging every occurrence of a pattern
+tree-wide.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "NondeterminismRule",
     "RawArtifactWriteRule",
     "SymbolicBatchRule",
-    "SwallowedExceptionRule",
 ]
 
 
@@ -363,88 +362,3 @@ class SymbolicBatchRule(Rule):
                             "the nominal batch must not be frozen into op "
                             "attributes",
                         )
-
-
-# --------------------------------------------------------------------------- #
-# REP005 — swallowed exceptions in dispatch paths
-# --------------------------------------------------------------------------- #
-
-#: filename fragments that mark a module as a dispatch/worker path.
-_DISPATCH_MODULES = (
-    "scheduler",
-    "threadpool",
-    "engine",
-    "executor",
-    "worker",
-    "dispatch",
-)
-
-
-@register_rule
-class SwallowedExceptionRule(Rule):
-    rule_id = "REP005"
-    summary = "exception swallowed in a dispatch path"
-    rationale = (
-        "A worker or scheduler loop that swallows an exception keeps "
-        "dequeuing with corrupt state, and the request that died is never "
-        "failed back to its caller. Catch the narrowest exception you can "
-        "handle; anything broader must be logged and re-raised or routed to "
-        "the request's error path."
-    )
-
-    _BROAD = {"Exception", "BaseException"}
-
-    def _is_dispatch_module(self, module: ModuleSource) -> bool:
-        name = module.display_path.rsplit("/", 1)[-1]
-        return any(fragment in name for fragment in _DISPATCH_MODULES)
-
-    def _broad_types(self, handler: ast.ExceptHandler) -> List[str]:
-        node = handler.type
-        if node is None:
-            return []
-        names = []
-        elements = node.elts if isinstance(node, ast.Tuple) else [node]
-        for element in elements:
-            dotted = dotted_name(element) or ""
-            if dotted.rsplit(".", 1)[-1] in self._BROAD:
-                names.append(dotted)
-        return names
-
-    def _body_is_silent(self, handler: ast.ExceptHandler) -> bool:
-        """Body does nothing observable: only pass/.../docstrings/continue."""
-        for statement in handler.body:
-            if isinstance(statement, (ast.Pass, ast.Continue)):
-                continue
-            if isinstance(statement, ast.Expr) and isinstance(
-                statement.value, ast.Constant
-            ):
-                continue
-            return False
-        return True
-
-    def check(self, module: ModuleSource) -> Iterable[Finding]:
-        dispatch = self._is_dispatch_module(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                # A bare ``except:`` also traps KeyboardInterrupt/SystemExit;
-                # that is wrong in any module, dispatch path or not.
-                yield self.finding(
-                    module,
-                    node,
-                    "bare except: traps KeyboardInterrupt/SystemExit; name "
-                    "the exception type",
-                )
-                continue
-            if not dispatch:
-                continue
-            broad = self._broad_types(node)
-            if broad and self._body_is_silent(node):
-                yield self.finding(
-                    module,
-                    node,
-                    f"except {'/'.join(broad)} with a silent body in a "
-                    "dispatch path: the failed request is never reported; "
-                    "log and re-raise or route to the error path",
-                )

@@ -167,8 +167,9 @@ def _unlink_unless_pinned(path: Path) -> str:
             return "pinned"
         try:
             # The unlink must happen under _PIN_LOCK: the pin-check and
-            # the delete are one atomic decision (see docstring above).
-            path.unlink()  # repro: noqa[REP004] -- atomicity requires the unlink under the pin lock
+            # the delete are one atomic decision (see docstring above), so
+            # this file I/O under the lock is deliberate.
+            path.unlink()
         except FileNotFoundError:
             return "missing"
     return "evicted"

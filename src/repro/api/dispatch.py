@@ -185,8 +185,8 @@ class EngineDispatcher:
             process *and* inject ``trace_dir`` into every worker's
             ``engine_kwargs`` so each worker engine records its scheduler
             stream into the same trace directory.  Only the path string
-            crosses the process boundary (REP010); each process opens its
-            own recorder.
+            crosses the process boundary (a recorder cannot: it owns a lock
+            and open files); each process opens its own recorder.
     """
 
     def __init__(

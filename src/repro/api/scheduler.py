@@ -923,7 +923,8 @@ class RequestScheduler:
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown path
         try:
             self.close(wait=False)
-        except Exception:  # repro: noqa[REP005] -- interpreter teardown: modules may be half-gone, nowhere to report
+        except Exception:
+            # Interpreter teardown: modules may be half-gone, nowhere to report.
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -102,9 +102,10 @@ class TraceRecorder:
         self.close()
 
     def __reduce__(self):
-        # REP010: a recorder owns a lock and an open trace directory; it must
-        # never ride a pipe into another process.  Workers re-create their
-        # own from the trace_dir string.
+        # A recorder owns a lock and an open trace directory, neither of
+        # which can cross a process boundary, so it must never ride a pipe
+        # into another process.  Workers re-create their own from the
+        # trace_dir string.
         raise TypeError(
             "TraceRecorder is process-local and cannot be pickled; pass the "
             "trace_dir path and build a recorder on the other side"

@@ -612,8 +612,8 @@ class TestAdaptiveTimeout:
 class TestConcurrencyFixes:
     """Behavioral regressions for the races REP006 found and we fixed.
 
-    The static analyzer (``repro.analysis.races``) flagged lock-free reads
-    of guarded state in AdaptiveTimeout; this test hammers the fixed read
+    The static analyzer (``repro.analysis.concurrency``) flagged lock-free
+    reads of guarded state in AdaptiveTimeout; this test hammers the fixed read
     paths from concurrent threads.  It cannot *prove* the absence of a race
     under the GIL, but it pins the invariants the locked reads now guarantee
     (bounded values) and would catch a regression to torn multi-field reads.
