@@ -21,7 +21,7 @@ from pathlib import Path
 import repro  # noqa: F401
 import pytest
 
-from repro.api import Optimizer
+from repro.api import deployment
 
 RESULTS_DIR = Path(__file__).parent / "results"
 TUNING_CACHE_DIR = Path(__file__).parent / ".tuning_cache"
@@ -48,9 +48,9 @@ def tuning_db(tuning_cache_dir):
     sharing the database across benchmarks exercises exactly that reuse, and
     persisting it across sessions (ROADMAP item) makes re-runs start warm.
     """
-    database = Optimizer.load_tuning_database(tuning_cache_dir)
+    database = deployment.load_tuning_database(tuning_cache_dir)
     yield database
-    database.save(tuning_cache_dir / Optimizer.TUNING_DB_FILENAME)
+    database.save(tuning_cache_dir / deployment.TUNING_DB_FILENAME)
 
 
 @pytest.fixture(scope="session")

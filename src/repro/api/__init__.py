@@ -3,8 +3,10 @@
 Layering (each layer only reaches down):
 
 * ``repro.api`` — this package: the :class:`Optimizer` compile session
-  (tuning-database + artifact caches) and the :class:`InferenceEngine`
-  serving surface.
+  (tuning database; with a cache directory each compile is a one-target
+  :func:`build`), the :class:`InferenceEngine` serving surface and the
+  deployment surface (:func:`build`, :func:`load_engine`,
+  :class:`ModelRepository`).
 * ``repro.core`` — the compilation pipeline and the local/global schedule
   search.
 * ``repro.schedule`` / ``repro.costmodel`` — the convolution schedule

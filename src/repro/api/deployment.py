@@ -23,8 +23,9 @@ module is the deployment surface that makes one build serve every host:
   touching one pinned by a live engine.  ``python -m repro.cli`` is the
   command-line face of this class.
 
-:class:`~repro.api.Optimizer`'s single-target ``compile`` is a thin wrapper
-over the same build path (:func:`compile_for_target`).
+A cached :meth:`repro.api.Optimizer.compile` is a one-target :func:`build`,
+so the store holds one kind of file: every artifact carries its source graph
+and can be recompiled for a host it was not built for.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "GCReport",
     "ModelRepository",
     "build",
-    "compile_for_target",
     "load_engine",
     "module_fingerprint",
     "pinned_artifacts",
@@ -85,9 +85,9 @@ __all__ = [
 ModelLike = Union[str, Graph]
 TargetLike = Union[str, CPUSpec]
 
-#: Layout of a cache directory (shared with :class:`~repro.api.Optimizer`
-#: and the benchmark harness): the persisted tuning database and the
-#: compiled-artifact store.
+#: Layout of a cache directory (used by :class:`~repro.api.Optimizer`,
+#: :class:`ModelRepository` and the benchmark harness): the persisted tuning
+#: database and the compiled-artifact store.
 TUNING_DB_FILENAME = "tuning_db.json"
 MODULE_CACHE_DIRNAME = "modules"
 ARTIFACT_SUFFIX = ".neocpu"
@@ -176,7 +176,7 @@ def _unlink_unless_pinned(path: Path) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# fingerprints and the single-target compile path
+# fingerprints and the cache layout
 # --------------------------------------------------------------------------- #
 def module_fingerprint(
     cpu: CPUSpec,
@@ -218,76 +218,6 @@ def artifact_path_for(cache_dir: "str | Path", model_name: str, fingerprint: str
         / MODULE_CACHE_DIRNAME
         / f"{safe_name}-{fingerprint[:16]}{ARTIFACT_SUFFIX}"
     )
-
-
-def compile_for_target(
-    graph: Graph,
-    cpu: CPUSpec,
-    *,
-    config: Optional[CompileConfig] = None,
-    params: Optional[Mapping[str, np.ndarray]] = None,
-    database: Optional[TuningDatabase] = None,
-    cache_dir: Optional["str | Path"] = None,
-    in_place: bool = False,
-    force: bool = False,
-    owns_graph: bool = False,
-) -> CompiledModule:
-    """Compile ``graph`` for one target, through the artifact cache.
-
-    This is the single-target leg of the deployment build path, and what
-    :meth:`repro.api.Optimizer.compile` wraps: fingerprint the inputs, serve
-    a fresh cached artifact when one exists, otherwise run the pipeline and
-    persist the result (plus the tuning database) for the next session.
-
-    Args:
-        graph: the model graph (compiled from a copy unless ``in_place``).
-        cpu: the CPU target.
-        config: compilation options (full NeoCPU pipeline by default).
-        params: concrete parameter values to bind before compilation.
-        database: tuning database to consult/extend.
-        cache_dir: durable cache directory; omit for a purely in-memory
-            compile.
-        in_place: optimize the given graph directly (bypasses the artifact
-            cache: serving a cached artifact would break the promise that
-            *this* object is mutated).
-        force: skip the artifact cache and recompile even on a hit.
-        owns_graph: the caller built ``graph`` solely for this call (e.g.
-            from a zoo name), so the defensive copy would protect an object
-            nobody else can see.
-    """
-    cfg = config if config is not None else CompileConfig()
-    fingerprint = module_fingerprint(cpu, cfg, graph, params)
-    path = (
-        artifact_path_for(cache_dir, graph.name, fingerprint)
-        if cache_dir is not None
-        else None
-    )
-
-    # in_place promises "mutate *this* graph object": serving a cached
-    # artifact instead would keep the promise on cold runs and break it on
-    # warm runs, so the cache is bypassed for in-place compiles.
-    if path is not None and path.exists() and not force and not in_place:
-        try:
-            module = CompiledModule.load(path, expected_fingerprint=fingerprint)
-            _touch(path)
-            return module
-        except ArtifactError:
-            pass  # stale or corrupt artifact: fall through and recompile
-
-    module = compile_graph(
-        graph,
-        cpu,
-        config=cfg,
-        params=params,
-        tuning_database=database,
-        in_place=in_place or owns_graph,
-    )
-    module.fingerprint = fingerprint
-    if path is not None:
-        module.save(path, fingerprint=fingerprint)
-        if database is not None:
-            database.save(Path(cache_dir).expanduser() / TUNING_DB_FILENAME)
-    return module
 
 
 def _touch(path: Path) -> None:
@@ -464,7 +394,10 @@ def build(
 
     A rebuild with unchanged inputs is a pure cache hit: the bundle file is
     keyed by the per-target compilation fingerprints, so a warm repository
-    answers without a single search-measurer call.
+    answers without a single search-measurer call.  A warm file counts as a
+    hit only when it would load — it records exactly these (target,
+    fingerprint) members and passes the shallow :func:`verify_artifact`
+    check — so a stale, torn or bit-flipped file is rebuilt in place.
 
     Args:
         model: a model-zoo name (``"resnet-50"``) or a :class:`Graph` (never
@@ -473,9 +406,9 @@ def build(
             for; duplicates (after alias resolution) collapse.
         params: concrete parameter values to bind before compilation.
         config: compilation options shared by every target.
-        cache_dir: repository directory — holds the bundle, the persisted
-            tuning database, and any single-target artifacts.  One of
-            ``cache_dir``/``output`` is required.
+        cache_dir: repository directory — holds the bundle and the
+            persisted tuning database.  One of ``cache_dir``/``output`` is
+            required.
         output: explicit bundle file path (overrides the repository layout).
         database: share an existing in-memory tuning database.
         jobs: tuning worker processes (default: one per target, capped at
@@ -511,7 +444,8 @@ def build(
             recorded = {
                 (entry["target"], entry["fingerprint"]) for entry in bundle.entries()
             }
-            if recorded == set(zip((cpu.name for cpu in cpus), fingerprints)):
+            expected = set(zip((cpu.name for cpu in cpus), fingerprints))
+            if recorded == expected and not bundle.verify():
                 _touch(path)
                 return bundle
         except ArtifactError:
@@ -525,10 +459,10 @@ def build(
         "params": dict(params) if params else None,
         "config": cfg,
     }
-    save_bundle(list(zip(modules, fingerprints)), path, source=source)
+    manifest = save_bundle(list(zip(modules, fingerprints)), path, source=source)
     if cache_dir is not None:
         database.save(Path(cache_dir).expanduser() / TUNING_DB_FILENAME)
-    return ArtifactBundle.load(path)
+    return ArtifactBundle(path, manifest)
 
 
 # --------------------------------------------------------------------------- #
@@ -556,7 +490,7 @@ class ArtifactBundle:
         return [entry["target"] for entry in self.entries()]
 
     def entries(self) -> List[dict]:
-        """Per-target manifest entries (normalized across format versions)."""
+        """Per-target manifest entries, in payload order."""
         return manifest_targets(self.manifest)
 
     @property
@@ -587,17 +521,6 @@ class ArtifactBundle:
         return verify_artifact(self.path, deep=deep)
 
     # -- host matching ----------------------------------------------------- #
-    def _entry_cpu(self, entry: dict) -> Optional[CPUSpec]:
-        summary = entry.get("cpu")
-        if summary:
-            return cpu_from_summary(summary)
-        # v1 manifests recorded only the target name; presets resolve their
-        # own full names, anything else cannot be scored from the manifest.
-        try:
-            return get_target(entry["target"])
-        except (KeyError, TypeError):
-            return None
-
     def select(self, host: CPUSpec) -> Tuple[Optional[dict], str]:
         """Choose the payload to serve on ``host``.
 
@@ -616,7 +539,8 @@ class ArtifactBundle:
         entry_by_name: Dict[str, dict] = {}
         cpus: List[CPUSpec] = []
         for entry in entries:
-            cpu = self._entry_cpu(entry)
+            summary = entry.get("cpu")
+            cpu = cpu_from_summary(summary) if summary else None
             if cpu is not None and cpu.name not in entry_by_name:
                 entry_by_name[cpu.name] = entry
                 cpus.append(cpu)
@@ -682,7 +606,7 @@ def load_engine(
     refused, not served.
 
     Args:
-        path: artifact file (v1 single-target files and v2 bundles).
+        path: artifact file (a bundle or a one-target artifact).
         host: the serving CPU (preset alias or :class:`CPUSpec`); defaults
             to :func:`repro.hardware.detect_host` (honoring the
             ``REPRO_HOST_TARGET`` environment variable).
@@ -841,7 +765,7 @@ class ModelRepository:
     """Inspect and manage the artifact store under a cache directory.
 
     The repository is the durable half of a deployment: ``modules/*.neocpu``
-    artifacts (single-target and bundles, all self-describing via their
+    artifacts (bundles of one or more targets, all self-describing via their
     manifests) plus the shared ``tuning_db.json``.  It offers the four
     operations a serving fleet needs — list, inspect, verify, and
     size-budgeted garbage collection — and is what ``python -m repro.cli``
@@ -857,10 +781,6 @@ class ModelRepository:
     concurrent reader either sees an intact artifact or none at all, never a
     truncated one.
     """
-
-    TUNING_DB_FILENAME = TUNING_DB_FILENAME
-    MODULE_CACHE_DIRNAME = MODULE_CACHE_DIRNAME
-    ARTIFACT_SUFFIX = ARTIFACT_SUFFIX
 
     def __init__(self, cache_dir: "str | Path") -> None:
         self.root = Path(cache_dir).expanduser()

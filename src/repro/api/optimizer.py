@@ -9,12 +9,14 @@ target:
   compiled in the session reuses the local-search results of every earlier
   one (ResNet-50 and SSD-ResNet-50 share most conv workloads);
 * given a ``cache_dir`` it becomes durable: the tuning database is persisted
-  across sessions, and every compiled module is saved as an on-disk artifact
-  keyed by a fingerprint of the target, the configuration, the model
-  structure and the bound parameters.  A later ``compile`` of the same model
-  is a pure cache hit — no search, no passes, just an artifact load — while
-  any change to the inputs changes the fingerprint and transparently
-  recompiles instead of serving a stale module.
+  across sessions, and ``compile`` is a one-target :func:`repro.api.build`,
+  whose bundle is keyed by a fingerprint of the target, the configuration,
+  the model structure and the bound parameters.  A later ``compile`` of the
+  same model is a pure cache hit — no search, no passes, just an artifact
+  load — while any change to the inputs changes the fingerprint and
+  transparently recompiles instead of serving a stale module.  The cached
+  file is an ordinary bundle: it embeds the source graph, so
+  :func:`repro.api.load_engine` can recompile it for another host.
 
 Typical use::
 
@@ -33,6 +35,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from ..core.compiler import compile_graph
 from ..core.config import CompileConfig
 from ..core.tuning_db import TuningDatabase
 from ..graph.graph import Graph
@@ -67,13 +70,6 @@ class Optimizer:
             shared database.
     """
 
-    #: File names of the durable caches inside ``cache_dir``; shared with
-    #: :class:`~repro.api.ModelRepository` and the benchmark harness, which
-    #: all point at the same layout.
-    TUNING_DB_FILENAME = deployment.TUNING_DB_FILENAME
-    MODULE_CACHE_DIRNAME = deployment.MODULE_CACHE_DIRNAME
-    ARTIFACT_SUFFIX = deployment.ARTIFACT_SUFFIX
-
     def __init__(
         self,
         target: "CPUSpec | str",
@@ -88,41 +84,7 @@ class Optimizer:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.database = database if database is not None else TuningDatabase()
         if self.cache_dir is not None:
-            self.database.merge(self.load_tuning_database(self.cache_dir))
-
-    # ------------------------------------------------------------------ #
-    # cache plumbing
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def load_tuning_database(cls, cache_dir: "str | Path") -> TuningDatabase:
-        """Load the tuning database persisted in ``cache_dir``.
-
-        Returns an empty database when none was persisted yet, or when the
-        persisted file uses an unmigratable schema (stale caches regenerate;
-        they are never allowed to poison a session).
-        """
-        return deployment.load_tuning_database(cache_dir)
-
-    def save_caches(self) -> None:
-        """Persist the tuning database to ``cache_dir`` (no-op without one)."""
-        if self.cache_dir is not None:
-            self.database.save(self.cache_dir / self.TUNING_DB_FILENAME)
-
-    def fingerprint(
-        self,
-        graph: Graph,
-        config: Optional[CompileConfig] = None,
-        params: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> str:
-        """The compilation fingerprint a module for ``graph`` would carry.
-
-        Combines the (target, config) fingerprint with the structural hash of
-        the source graph and the digest of explicitly-bound parameters; any
-        change to any of them invalidates cached artifacts.
-        """
-        return deployment.module_fingerprint(
-            self.cpu, config or self.config, graph, params
-        )
+            self.database.merge(deployment.load_tuning_database(self.cache_dir))
 
     # ------------------------------------------------------------------ #
     # compilation
@@ -132,47 +94,52 @@ class Optimizer:
         model: ModelLike,
         params: Optional[Mapping[str, np.ndarray]] = None,
         config: Optional[CompileConfig] = None,
-        in_place: bool = False,
-        force: bool = False,
     ) -> CompiledModule:
         """Compile a model for this session's target.
 
-        Thin single-target wrapper over the deployment build path
-        (:func:`repro.api.deployment.compile_for_target`); the multi-target
-        :func:`repro.api.build` fans the same path out across presets.
+        With a ``cache_dir`` this is a one-target :func:`repro.api.build`
+        whose member is loaded back: a warm cache answers with no search and
+        no passes, and a stale or corrupt file is rebuilt.  Without one it
+        is a direct :func:`repro.core.compile_graph`.
 
         Args:
             model: a model-zoo name (``"resnet-50"``) or a :class:`Graph`.
                 Graphs are compiled from a structural copy — the caller's
-                object is never mutated — unless ``in_place=True``.
+                object is never mutated.
             params: concrete parameter values to bind before compilation
                 (enables compile-time pre-transformation of weights).
             config: per-call override of the session configuration.
-            in_place: optimize the given graph directly (historical
-                behavior; incompatible with the artifact cache's guarantee
-                that the source graph stays reusable).
-            force: skip the artifact cache and recompile even on a hit.
 
         Returns:
             The compiled module.  ``module.fingerprint`` records the
-            compilation fingerprint; with a ``cache_dir`` the module is also
-            persisted for the next session.
+            compilation fingerprint.
         """
+        cfg = config if config is not None else self.config
+        if self.cache_dir is not None:
+            bundle = deployment.build(
+                model,
+                [self.cpu],
+                params=params,
+                config=cfg,
+                cache_dir=self.cache_dir,
+                database=self.database,
+            )
+            return bundle.load_module(self.cpu.name)
         from_zoo = isinstance(model, str)
         graph = get_model(model) if from_zoo else model
-        return deployment.compile_for_target(
+        fingerprint = deployment.module_fingerprint(self.cpu, cfg, graph, params)
+        module = compile_graph(
             graph,
             self.cpu,
-            config=config if config is not None else self.config,
+            config=cfg,
             params=params,
-            database=self.database,
-            cache_dir=self.cache_dir,
-            in_place=in_place,
-            force=force,
+            tuning_database=self.database,
             # A zoo-name compile owns its freshly built graph outright, so
             # the defensive copy would protect an object nobody else can see.
-            owns_graph=from_zoo,
+            in_place=from_zoo,
         )
+        module.fingerprint = fingerprint
+        return module
 
     def build(
         self,

@@ -3,38 +3,35 @@
 The paper's value proposition is compile-once/serve-forever: the expensive
 joint schedule search happens at compilation time, and the result is a
 standalone module that can be deployed.  This module gives that workflow a
-durable on-disk form: :func:`save_module` / :func:`load_module` round-trip a
+durable on-disk form: one writer, :func:`save_bundle`, and two readers,
+:func:`load_member` (one target's
 :class:`~repro.runtime.module.CompiledModule` — optimized graph, chosen
 per-convolution schedules, pre-transformed parameter values, search method,
-target description and compile configuration — through a single artifact
-file.
+target description and compile configuration) and :func:`load_source` (the
+uncompiled model a host matching no member recompiles from).
 
 Artifact file format (version 2)
 --------------------------------
 
 ``NEOCPU-ARTIFACT\\n`` magic, one line of JSON manifest, then the payloads.
-Version 2 makes the container *multi-target*: the manifest carries a
-``targets`` list — one entry per compiled target with its CPU identity
-summary, compilation fingerprint, payload byte count and SHA-256 — followed
-by the per-target module pickles concatenated in manifest order, and
-optionally one trailing *source* payload (the uncompiled graph + bound
-params + config) that lets a host matching no payload recompile instead of
-being refused.  Everything deployment-relevant (which targets, how compiled,
-are the bytes intact) is readable from the manifest line without unpickling
-anything — that is what ``repro.cli inspect``/``verify`` and the
-:class:`~repro.api.ModelRepository` operate on.
-
-Version-1 files (single payload, no ``targets`` list, no checksums) are
-still read by :func:`load_module`/:func:`load_member`; writing always
-produces version 2.
+The manifest carries a ``targets`` list — one entry per compiled target with
+its CPU identity summary, compilation fingerprint, payload byte count and
+SHA-256 — followed by the per-target module pickles concatenated in manifest
+order, and optionally one trailing *source* payload (the uncompiled graph +
+bound params + config) that lets a host matching no payload recompile
+instead of being refused.  Everything deployment-relevant (which targets,
+how compiled, are the bytes intact) is readable from the manifest line
+without unpickling anything — that is what ``repro.cli inspect``/``verify``
+and the :class:`~repro.api.ModelRepository` operate on.  Any other format
+version is refused.
 
 Fingerprinting
 --------------
 
 An artifact records the fingerprint of everything its contents depend on:
 the artifact format version, the target CPU description, the compile
-configuration, and (when the :class:`~repro.api.Optimizer` saves it) the
-structure of the source graph and a digest of the bound parameters.  Loading
+configuration, and (when :func:`repro.api.build` writes it) the structure
+of the source graph and a digest of the bound parameters.  Loading
 with a different expected fingerprint raises :class:`StaleArtifactError`
 instead of silently serving schedules tuned for another target or
 configuration — the caller recompiles and overwrites.
@@ -61,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ARTIFACT_VERSION",
-    "SUPPORTED_VERSIONS",
     "ArtifactError",
     "StaleArtifactError",
     "bundle_fingerprint",
@@ -71,9 +67,7 @@ __all__ = [
     "manifest_targets",
     "read_manifest",
     "save_bundle",
-    "save_module",
     "load_member",
-    "load_module",
     "load_source",
     "verify_artifact",
     "PIN_INFIX",
@@ -86,14 +80,14 @@ __all__ = [
     "sweep_stale_pin_files",
 ]
 
-#: Version of the artifact container written by this code; bumped when the
-#: layout or the meaning of the stored payload changes.
+#: Version of the artifact container written and read by this code; bumped
+#: when the layout or the meaning of the stored payload changes.
 ARTIFACT_VERSION = 2
 
-#: Container versions this code can still read.
-SUPPORTED_VERSIONS = (1, 2)
-
 _MAGIC = b"NEOCPU-ARTIFACT\n"
+
+#: Fields every manifest target entry must carry to be located and checked.
+_TARGET_KEYS = {"target", "fingerprint", "payload_bytes", "payload_sha256"}
 
 
 class ArtifactError(RuntimeError):
@@ -228,8 +222,12 @@ def save_bundle(
     members: "list[tuple[CompiledModule, str]]",
     path: "str | Path",
     source: Optional[dict] = None,
-) -> Path:
-    """Write a (possibly multi-target) version-2 artifact.
+) -> dict:
+    """Write a (possibly multi-target) artifact; returns its manifest.
+
+    The returned manifest is what :func:`read_manifest` would read back, so
+    a caller can describe the file it just wrote without reopening it (a
+    concurrent repository GC may already have evicted it).
 
     Args:
         members: ``(module, fingerprint)`` pairs, one per compiled target.
@@ -278,27 +276,17 @@ def save_bundle(
         "repro_version": __version__,
         "model": members[0][0].graph.name,
         "targets": targets,
-        "fingerprint": (
-            members[0][1] if len(members) == 1
-            else bundle_fingerprint([fp for _, fp in members])
-        ),
+        "fingerprint": _manifest_fingerprint([fp for _, fp in members]),
         "source_bytes": len(source_blob),
         "source_sha256": hashlib.sha256(source_blob).hexdigest() if source_blob else None,
     }
-    if len(members) == 1:
-        # Single-target convenience fields, same shape v1 manifests had, so
-        # manifest-only consumers need no version dispatch for the common case.
-        manifest.update(
-            target=targets[0]["target"],
-            search_method=targets[0]["search_method"],
-            num_schedules=targets[0]["num_schedules"],
-        )
+    manifest_line = json.dumps(manifest, sort_keys=True)
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buffer = io.BytesIO()
     buffer.write(_MAGIC)
-    buffer.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
+    buffer.write(manifest_line.encode("utf-8"))
     buffer.write(b"\n")
     for blob in payload_blobs:
         buffer.write(blob)
@@ -313,29 +301,7 @@ def save_bundle(
     )
     temp.write_bytes(buffer.getvalue())
     os.replace(temp, path)
-    return path
-
-
-def save_module(
-    module: "CompiledModule",
-    path: "str | Path",
-    fingerprint: Optional[str] = None,
-) -> Path:
-    """Serialize one module (graph, schedules, params, config) to ``path``.
-
-    Single-target convenience over :func:`save_bundle`.
-
-    Args:
-        module: the compiled module to persist.
-        path: destination file.
-        fingerprint: compilation fingerprint to record; defaults to the
-            (target, config) fingerprint.  The :class:`~repro.api.Optimizer`
-            passes its richer fingerprint that also covers the source graph
-            and parameters.
-    """
-    if fingerprint is None:
-        fingerprint = compilation_fingerprint(module.cpu, module.config)
-    return save_bundle([(module, fingerprint)], path)
+    return json.loads(manifest_line)
 
 
 def read_manifest(path: "str | Path") -> dict:
@@ -343,7 +309,7 @@ def read_manifest(path: "str | Path") -> dict:
 
     Raises:
         ArtifactError: when the file is not a NeoCPU artifact or was written
-            by an artifact format version this code cannot read.
+            by another artifact format version.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -357,64 +323,58 @@ def read_manifest(path: "str | Path") -> dict:
     if not isinstance(manifest, dict):
         raise ArtifactError(f"{path} has a corrupt artifact manifest")
     version = manifest.get("artifact_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != ARTIFACT_VERSION:
         raise ArtifactError(
             f"{path} uses artifact format version {version}, but this code "
-            f"reads versions {SUPPORTED_VERSIONS}; recompile to regenerate it"
+            f"reads version {ARTIFACT_VERSION}; recompile to regenerate it"
         )
     return manifest
 
 
 def manifest_targets(manifest: dict) -> "list[dict]":
-    """The per-target entries of a manifest, normalized across versions.
-
-    Version-2 manifests carry the list directly.  For a version-1 manifest a
-    single entry is synthesized with ``payload_bytes``/``payload_sha256``/
-    ``cpu``/``host_fingerprint`` set to ``None`` (v1 recorded none of them).
-    """
-    if manifest.get("artifact_version") == 1:
-        return [
-            {
-                "target": manifest.get("target"),
-                "host_fingerprint": None,
-                "cpu": None,
-                "fingerprint": manifest.get("fingerprint"),
-                "search_method": manifest.get("search_method"),
-                "num_schedules": manifest.get("num_schedules"),
-                "payload_bytes": None,
-                "payload_sha256": None,
-            }
-        ]
+    """The per-target entries of a manifest, in payload order."""
     targets = manifest.get("targets")
     if not isinstance(targets, list) or not targets:
         raise ArtifactError("artifact manifest has no targets list")
+    for entry in targets:
+        if not isinstance(entry, dict) or not _TARGET_KEYS <= entry.keys():
+            raise ArtifactError("artifact manifest has a malformed target entry")
     return targets
 
 
-def _read_payload(path: Path, manifest: dict, index: int) -> bytes:
-    """Raw pickle bytes of the ``index``-th target payload (length+sha checked)."""
+def _manifest_fingerprint(member_fingerprints: "list[str]") -> str:
+    """The manifest-level fingerprint: a single member's own, else the bundle's."""
+    if len(member_fingerprints) == 1:
+        return member_fingerprints[0]
+    return bundle_fingerprint(member_fingerprints)
+
+
+def _read_section(path: Path, manifest: dict, index: int) -> bytes:
+    """Raw bytes of one section, length and SHA-256 checked, never unpickled.
+
+    Sections ``0 .. len(targets) - 1`` are the target payloads in manifest
+    order; section ``len(targets)`` is the source payload (empty when the
+    file embeds none).
+    """
     targets = manifest_targets(manifest)
+    if index < len(targets):
+        entry = targets[index]
+        label = f"payload for target {entry['target']!r}"
+        size, recorded_sha = int(entry["payload_bytes"]), entry["payload_sha256"]
+    else:
+        label = "source payload"
+        size, recorded_sha = int(manifest.get("source_bytes") or 0), manifest.get("source_sha256")
+        if size == 0:
+            return b""
     with path.open("rb") as handle:
         handle.read(len(_MAGIC))
         handle.readline()  # manifest line
-        if manifest.get("artifact_version") == 1:
-            return handle.read()  # v1: one unframed payload to EOF
-        offset = sum(int(entry["payload_bytes"]) for entry in targets[:index])
-        handle.seek(offset, io.SEEK_CUR)
-        entry = targets[index]
-        expected_bytes = int(entry["payload_bytes"])
-        blob = handle.read(expected_bytes)
-    if len(blob) != expected_bytes:
-        raise ArtifactError(
-            f"{path}: payload for target {entry['target']!r} is truncated "
-            f"({len(blob)} of {expected_bytes} bytes)"
-        )
-    recorded_sha = entry.get("payload_sha256")
-    if recorded_sha and hashlib.sha256(blob).hexdigest() != recorded_sha:
-        raise ArtifactError(
-            f"{path}: payload for target {entry['target']!r} fails its "
-            f"checksum; the artifact is corrupt"
-        )
+        handle.seek(sum(int(entry["payload_bytes"]) for entry in targets[:index]), io.SEEK_CUR)
+        blob = handle.read(size)
+    if len(blob) != size:
+        raise ArtifactError(f"{path}: {label} is truncated ({len(blob)} of {size} bytes)")
+    if hashlib.sha256(blob).hexdigest() != recorded_sha:
+        raise ArtifactError(f"{path}: {label} fails its checksum; the artifact is corrupt")
     return blob
 
 
@@ -440,7 +400,7 @@ def load_member(
     """Load one target's compiled module from a (possibly multi-target) artifact.
 
     Args:
-        path: artifact file (version 1 or 2).
+        path: artifact file.
         target: target name of the member to load.  ``None`` requires the
             artifact to have exactly one member (the single-target case).
         expected_fingerprint: when given, the member's recorded fingerprint
@@ -474,9 +434,9 @@ def load_member(
         index = by_name[target]
     entry = targets[index]
     recorded = entry.get("fingerprint")
-    # Single-member artifacts also record a manifest-level fingerprint (the
-    # legacy field every pre-bundle consumer checks); both copies must agree
-    # with the expectation, so tampering with either is caught.
+    # Single-member artifacts record the member's fingerprint at manifest
+    # level too; both copies must agree with the expectation, so tampering
+    # with either is caught.
     manifest_level = manifest.get("fingerprint") if len(targets) == 1 else None
     if expected_fingerprint is not None:
         for candidate in (recorded, manifest_level):
@@ -487,9 +447,8 @@ def load_member(
                     f"{expected_fingerprint[:16]}...; recompile to refresh it"
                 )
     try:
-        blob = _read_payload(path, manifest, index)
-        payload = pickle.loads(blob)
-        return _module_from_payload(payload, recorded or "")
+        blob = _read_section(path, manifest, index)
+        return _module_from_payload(pickle.loads(blob), recorded or "")
     except ArtifactError:
         raise
     except Exception as error:
@@ -498,14 +457,6 @@ def load_member(
         # thing to the caller: this artifact cannot be served and should be
         # recompiled, so surface them uniformly as ArtifactError.
         raise ArtifactError(f"{path} has a corrupt artifact payload: {error}") from error
-
-
-def load_module(
-    path: "str | Path",
-    expected_fingerprint: Optional[str] = None,
-) -> "CompiledModule":
-    """Load the module of a single-target artifact (see :func:`load_member`)."""
-    return load_member(path, target=None, expected_fingerprint=expected_fingerprint)
 
 
 def load_source(path: "str | Path") -> Optional[dict]:
@@ -520,24 +471,9 @@ def load_source(path: "str | Path") -> Optional[dict]:
     """
     path = Path(path)
     manifest = read_manifest(path)
-    source_bytes = int(manifest.get("source_bytes") or 0)
-    if manifest.get("artifact_version") == 1 or source_bytes == 0:
+    blob = _read_section(path, manifest, len(manifest_targets(manifest)))
+    if not blob:
         return None
-    targets = manifest_targets(manifest)
-    offset = sum(int(entry["payload_bytes"]) for entry in targets)
-    with path.open("rb") as handle:
-        handle.read(len(_MAGIC))
-        handle.readline()
-        handle.seek(offset, io.SEEK_CUR)
-        blob = handle.read(source_bytes)
-    if len(blob) != source_bytes:
-        raise ArtifactError(
-            f"{path}: source payload is truncated "
-            f"({len(blob)} of {source_bytes} bytes)"
-        )
-    recorded_sha = manifest.get("source_sha256")
-    if recorded_sha and hashlib.sha256(blob).hexdigest() != recorded_sha:
-        raise ArtifactError(f"{path}: source payload fails its checksum")
     try:
         return pickle.loads(blob)
     except Exception as error:
@@ -583,7 +519,8 @@ def _verify_source_graph(path: Path, source: dict) -> "list[str]":
 def verify_artifact(path: "str | Path", deep: bool = False) -> "list[str]":
     """Integrity-check one artifact; returns a list of problems (empty = ok).
 
-    The shallow check reads the manifest and re-hashes every payload against
+    The shallow check reads the manifest, checks that its fingerprint agrees
+    with its targets', and re-hashes every payload (source included) against
     its recorded length and SHA-256 — no unpickling, so it is safe on
     artifacts from untrusted sources.  ``deep=True`` additionally unpickles
     every member (and the source payload), runs shape inference over the
@@ -593,20 +530,20 @@ def verify_artifact(path: "str | Path", deep: bool = False) -> "list[str]":
     files.
     """
     path = Path(path)
-    problems: "list[str]" = []
     try:
         manifest = read_manifest(path)
+        targets = manifest_targets(manifest)
     except (ArtifactError, OSError) as error:
         return [str(error)]
-    try:
-        targets = manifest_targets(manifest)
-    except ArtifactError as error:
-        return [str(error)]
+    problems: "list[str]" = []
+    recorded = [str(entry.get("fingerprint")) for entry in targets]
+    if manifest.get("fingerprint") != _manifest_fingerprint(recorded):
+        problems.append(f"{path}: manifest fingerprint disagrees with its targets")
     for index, entry in enumerate(targets):
         try:
-            blob = _read_payload(path, manifest, index)
+            blob = _read_section(path, manifest, index)
             if deep:
-                _module_from_payload(pickle.loads(blob), entry.get("fingerprint") or "")
+                _module_from_payload(pickle.loads(blob), recorded[index])
         except (ArtifactError, OSError) as error:
             problems.append(str(error))
         except Exception as error:
@@ -614,16 +551,13 @@ def verify_artifact(path: "str | Path", deep: bool = False) -> "list[str]":
                 f"{path}: payload for target {entry.get('target')!r} does not "
                 f"unpickle: {error}"
             )
-    if manifest.get("artifact_version") != 1:
-        try:
-            source = load_source(path)
-            if deep and source is not None:
-                problems.extend(_verify_source_graph(path, source))
-        except ArtifactError as error:
-            problems.append(str(error))
-    # (v1 payloads record no length/checksum, so for them the shallow check
-    # only proves the manifest parses; the deep unpickle above is the only
-    # real integrity evidence.)
+    try:
+        _read_section(path, manifest, len(targets))
+        source = load_source(path) if deep else None
+        if source is not None:
+            problems.extend(_verify_source_graph(path, source))
+    except (ArtifactError, OSError) as error:
+        problems.append(str(error))
     return problems
 
 

@@ -106,13 +106,21 @@ class CompiledModule:
     def save(self, path: "str | Path", fingerprint: Optional[str] = None) -> Path:
         """Persist this module (graph, schedules, params, config) to a file.
 
-        The artifact records a compilation fingerprint (defaulting to the
-        target + configuration fingerprint) so a later :meth:`load` can
-        refuse to serve schedules compiled under different settings.
+        Writes a one-target artifact (:func:`~repro.runtime.artifact.save_bundle`)
+        recording a compilation fingerprint — the given one, else the
+        module's own, else the target + configuration fingerprint — so a
+        later :meth:`load` can refuse to serve schedules compiled under
+        different settings.
         """
-        from .artifact import save_module
+        from .artifact import compilation_fingerprint, save_bundle
 
-        return save_module(self, path, fingerprint=fingerprint or self.fingerprint or None)
+        fingerprint = (
+            fingerprint
+            or self.fingerprint
+            or compilation_fingerprint(self.cpu, self.config)
+        )
+        save_bundle([(self, fingerprint)], path)
+        return Path(path)
 
     @classmethod
     def load(
@@ -120,14 +128,14 @@ class CompiledModule:
         path: "str | Path",
         expected_fingerprint: Optional[str] = None,
     ) -> "CompiledModule":
-        """Load a module saved by :meth:`save`.
+        """Load the module of a one-target artifact, e.g. one :meth:`save` wrote.
 
         Raises :class:`~repro.runtime.artifact.StaleArtifactError` when
         ``expected_fingerprint`` is given and does not match the artifact.
         """
-        from .artifact import load_module
+        from .artifact import load_member
 
-        return load_module(path, expected_fingerprint=expected_fingerprint)
+        return load_member(path, expected_fingerprint=expected_fingerprint)
 
     # ------------------------------------------------------------------ #
     # reporting

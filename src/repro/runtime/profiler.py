@@ -1,25 +1,17 @@
-"""Profiling helpers: per-operator latency breakdown and timing utilities.
+"""Profiling helpers: the per-operator latency breakdown.
 
-Two kinds of profiling coexist in this reproduction:
-
-* **analytical profiling** — formatting the :class:`LatencyReport` produced by
-  the cost model into the per-operator tables that guide optimization work
-  (which convolutions dominate, how much time goes into layout transforms);
-* **wall-clock timing** — a small repeat/average timer matching the paper's
-  measurement protocol ("averaging the execution times of 1000 samples"),
-  used by tests and examples that time the functional executor on small
-  models, and by the pytest benchmarks.
+Formats the :class:`LatencyReport` produced by the cost model into the
+per-operator tables that guide optimization work (which convolutions
+dominate, how much time goes into layout transforms).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..costmodel.graph_cost import LatencyReport
 
-__all__ = ["format_report", "top_costs", "Timer", "time_callable"]
+__all__ = ["format_report", "top_costs"]
 
 
 def top_costs(report: LatencyReport, k: int = 10) -> List[Tuple[str, float]]:
@@ -45,43 +37,3 @@ def format_report(report: LatencyReport, k: int = 15) -> str:
     for category in sorted(by_category):
         lines.append(f"{'':<40s}{category:<20s}{by_category[category] * 1e3:>10.4f}")
     return "\n".join(lines)
-
-
-@dataclass
-class Timer:
-    """Repeat-and-average wall-clock timer.
-
-    Attributes:
-        repeats: number of timed runs.
-        warmup: untimed warm-up runs executed first.
-    """
-
-    repeats: int = 10
-    warmup: int = 1
-
-    def time(self, func: Callable[[], object]) -> Tuple[float, float]:
-        """Return (mean seconds, standard error) over the timed runs."""
-        for _ in range(self.warmup):
-            func()
-        samples: List[float] = []
-        for _ in range(self.repeats):
-            start = time.perf_counter()
-            func()
-            samples.append(time.perf_counter() - start)
-        mean = sum(samples) / len(samples)
-        if len(samples) > 1:
-            variance = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
-            stderr = (variance / len(samples)) ** 0.5
-        else:
-            stderr = 0.0
-        return mean, stderr
-
-
-def time_callable(
-    func: Callable[[], object],
-    repeats: int = 10,
-    warmup: int = 1,
-) -> float:
-    """Mean wall-clock seconds of ``func`` over ``repeats`` runs."""
-    mean, _ = Timer(repeats=repeats, warmup=warmup).time(func)
-    return mean

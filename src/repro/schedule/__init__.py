@@ -13,7 +13,7 @@ from .candidates import (
     factors,
     generate_candidates,
 )
-from .loopnest import Loop, LoopNest, build_conv_loopnest, conv_parallel_chunks
+from .loopnest import conv_parallel_chunks
 from .template import ConvSchedule, default_schedule, validate_schedule
 from .workload import ConvWorkload, DenseWorkload
 
@@ -22,9 +22,6 @@ __all__ = [
     "ConvSchedule",
     "ConvWorkload",
     "DenseWorkload",
-    "Loop",
-    "LoopNest",
-    "build_conv_loopnest",
     "candidate_count",
     "candidate_ic_bn",
     "candidate_oc_bn",

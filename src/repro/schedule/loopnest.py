@@ -1,145 +1,26 @@
-"""Loop-nest model of the convolution template (Algorithm 1 of the paper).
+"""Parallel-chunk counts of the convolution template (Algorithm 1 of the paper).
 
-The analytical cost model needs to know, for a given (workload, schedule)
-pair, how many iterations each loop of the template executes, which loops are
-parallelized / unrolled / vectorized, and what the working set touched inside
-each loop level is.  Rather than hard-coding those formulas in the cost model
-we build an explicit loop-nest description — this doubles as executable
-documentation of Algorithm 1 and is handy for debugging schedules.
+The paper's template parallelizes over disjoint output chunks::
+
+    parallel for n, oc.outer, oh:             # disjoint output chunks
+      for ow.outer:
+        for ic.outer, kh, kw, ic.inner:
+          for ow.inner in 0..reg_n:           # unrolled
+            vfmadd over oc.inner (oc_bn lanes)
+
+The analytical cost model needs only how many such chunks a (workload,
+schedule) pair offers the threads; that count is defined here once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import List, Tuple
 
 from .template import ConvSchedule
 from .workload import ConvWorkload
 
 __all__ = [
-    "Loop",
-    "LoopNest",
-    "build_conv_loopnest",
     "conv_parallel_chunks",
     "conv_parallel_chunks_for_oc_bn",
 ]
-
-
-@dataclass(frozen=True)
-class Loop:
-    """One loop level of the nest.
-
-    Attributes:
-        name: loop variable name, matching Algorithm 1 where possible
-            (``oc.outer``, ``ow.outer``, ``ic.outer``, ``kh``, ``kw``,
-            ``ic.inner``, ``ow.inner``, ``oc.inner``).
-        extent: trip count.
-        kind: ``"serial"``, ``"parallel"``, ``"unrolled"`` or ``"vectorized"``.
-    """
-
-    name: str
-    extent: int
-    kind: str = "serial"
-
-    def __post_init__(self) -> None:
-        if self.extent < 1:
-            raise ValueError(f"loop {self.name!r} has non-positive extent {self.extent}")
-        if self.kind not in ("serial", "parallel", "unrolled", "vectorized"):
-            raise ValueError(f"unknown loop kind {self.kind!r}")
-
-
-@dataclass
-class LoopNest:
-    """An ordered list of loops, outermost first, plus body statistics."""
-
-    loops: List[Loop] = field(default_factory=list)
-    body_fma_ops: int = 1
-    body_loads: int = 1
-    body_stores: int = 0
-
-    @property
-    def total_iterations(self) -> int:
-        total = 1
-        for loop in self.loops:
-            total *= loop.extent
-        return total
-
-    @property
-    def innermost_vector_extent(self) -> int:
-        for loop in reversed(self.loops):
-            if loop.kind == "vectorized":
-                return loop.extent
-        return 1
-
-    @property
-    def parallel_extent(self) -> int:
-        """Iterations of the outermost parallel loop (work items for threads)."""
-        for loop in self.loops:
-            if loop.kind == "parallel":
-                return loop.extent
-        return 1
-
-    def loop(self, name: str) -> Loop:
-        for loop in self.loops:
-            if loop.name == name:
-                return loop
-        raise KeyError(f"no loop named {name!r} in nest {[l.name for l in self.loops]}")
-
-    def trip_counts(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple((loop.name, loop.extent) for loop in self.loops)
-
-    def describe(self) -> str:
-        """Human-readable nesting, one loop per line, for debugging/docs."""
-        lines = []
-        for depth, loop in enumerate(self.loops):
-            prefix = "  " * depth
-            lines.append(f"{prefix}for {loop.name} in 0..{loop.extent}  # {loop.kind}")
-        lines.append("  " * len(self.loops) + f"body: {self.body_fma_ops} FMA lanes")
-        return "\n".join(lines)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def build_conv_loopnest(workload: ConvWorkload, schedule: ConvSchedule) -> LoopNest:
-    """Construct the loop nest of Algorithm 1 for a (workload, schedule) pair.
-
-    The nest mirrors the paper's template::
-
-        parallel for n, oc.outer, oh:             # disjoint output chunks
-          for ow.outer:
-            init reg_n output vectors
-            for ic.outer:
-              for kh, kw:                         # optionally unrolled
-                for ic.inner:
-                  vload kernel vector (oc_bn lanes)
-                  for ow.inner in 0..reg_n:       # unrolled
-                    vfmadd
-            store reg_n output vectors
-
-    Output-width remainder tiles (``out_width % reg_n != 0``) are folded into
-    the ``ow.outer`` trip count via ceiling division.
-    """
-    in_channels = workload.in_channels // workload.groups
-    out_channels = workload.out_channels // workload.groups
-    kernel_kind = "unrolled" if schedule.unroll_ker else "serial"
-
-    loops = [
-        Loop("n", workload.batch, "parallel"),
-        Loop("g", workload.groups, "serial"),
-        Loop("oc.outer", out_channels // schedule.oc_bn, "parallel"),
-        Loop("oh", workload.out_height, "parallel"),
-        Loop("ow.outer", _ceil_div(workload.out_width, schedule.reg_n), "serial"),
-        Loop("ic.outer", in_channels // schedule.ic_bn, "serial"),
-        Loop("kh", workload.kernel_h, kernel_kind),
-        Loop("kw", workload.kernel_w, kernel_kind),
-        Loop("ic.inner", schedule.ic_bn, "serial"),
-        Loop("ow.inner", schedule.reg_n, "unrolled"),
-        Loop("oc.inner", schedule.oc_bn, "vectorized"),
-    ]
-    nest = LoopNest(loops=loops, body_fma_ops=1, body_loads=1, body_stores=0)
-    return nest
 
 
 def conv_parallel_chunks(workload: ConvWorkload, schedule: ConvSchedule) -> int:

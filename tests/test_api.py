@@ -14,6 +14,7 @@ from repro.api import (
     OptLevel,
     Optimizer,
     StaleArtifactError,
+    deployment,
 )
 from repro.core import CostModelMeasurer, LocalSearch, NumpyMeasurer, compile_graph
 from repro.graph import infer_shapes
@@ -143,18 +144,22 @@ class TestOptimizerSession:
     def test_fingerprint_sensitive_to_config_target_graph(self, skylake):
         graph = build_tiny_cnn()
         infer_shapes(graph)
-        optimizer = Optimizer(skylake)
-        base = optimizer.fingerprint(graph)
-        assert optimizer.fingerprint(graph) == base  # deterministic
-        other_config = optimizer.fingerprint(
-            graph, config=CompileConfig(opt_level=OptLevel.LAYOUT)
-        )
-        other_target = Optimizer("arm").fingerprint(graph)
-        other_graph = optimizer.fingerprint(build_tiny_cnn(with_branch=False))
+        config = CompileConfig()
+
+        def fingerprint(target=skylake, config=config, graph=graph, params=None):
+            return deployment.module_fingerprint(target, config, graph, params)
+
+        base = fingerprint()
+        assert fingerprint() == base  # deterministic
+        other_config = fingerprint(config=CompileConfig(opt_level=OptLevel.LAYOUT))
+        other_target = fingerprint(target=Optimizer("arm").cpu)
+        other_graph = fingerprint(graph=build_tiny_cnn(with_branch=False))
         params = {"conv1_weight": np.zeros((32, 3, 3, 3), np.float32)}
-        other_params = optimizer.fingerprint(graph, params=params)
+        other_params = fingerprint(params=params)
         fingerprints = {base, other_config, other_target, other_graph, other_params}
         assert len(fingerprints) == 5
+        # The fingerprint a compile records is this one.
+        assert Optimizer(skylake).compile(graph).fingerprint == base
 
 
 class TestArtifactCache:
@@ -187,8 +192,9 @@ class TestArtifactCache:
         module.save(path)
         manifest = read_manifest(path)
         assert manifest["model"] == "tinynet"
-        assert manifest["target"] == skylake.name
-        assert manifest["num_schedules"] == len(module.schedules)
+        (entry,) = manifest["targets"]
+        assert entry["target"] == skylake.name
+        assert entry["num_schedules"] == len(module.schedules)
 
     def test_stale_fingerprint_rejected(self, skylake, tmp_path):
         module = Optimizer(skylake).compile(build_tiny_cnn())
@@ -207,20 +213,10 @@ class TestArtifactCache:
         module = optimizer.compile(build_tiny_cnn())
         # Truncate the pickle payload, keeping magic + manifest intact (as a
         # killed process would): a fresh session must recompile, not crash.
-        (artifact,) = (tmp_path / Optimizer.MODULE_CACHE_DIRNAME).iterdir()
+        (artifact,) = (tmp_path / deployment.MODULE_CACHE_DIRNAME).iterdir()
         artifact.write_bytes(artifact.read_bytes()[:-200])
         recompiled = Optimizer(skylake, cache_dir=tmp_path).compile(build_tiny_cnn())
         assert recompiled.schedules == module.schedules
-
-    def test_in_place_compile_bypasses_artifact_cache(self, skylake, tmp_path):
-        optimizer = Optimizer(skylake, cache_dir=tmp_path)
-        optimizer.compile(build_tiny_cnn())  # warm the artifact cache
-        graph = build_tiny_cnn()
-        module = Optimizer(skylake, cache_dir=tmp_path).compile(graph, in_place=True)
-        # The promise of in_place is that *this* graph object was optimized —
-        # even when a matching artifact exists.
-        assert module.graph is graph
-        assert "batch_norm" not in graph.op_histogram()
 
     def test_artifact_corruption_matrix_load_never_mis_serves(
         self, skylake, tmp_path, corruption
@@ -244,15 +240,17 @@ class TestArtifactCache:
         module = optimizer.compile(build_tiny_cnn())
         expected = InferenceEngine(module, seed=7).run({"data": tiny_input})[0]
 
-        (artifact,) = (tmp_path / Optimizer.MODULE_CACHE_DIRNAME).iterdir()
+        (artifact,) = (tmp_path / deployment.MODULE_CACHE_DIRNAME).iterdir()
         corrupt(artifact)
         recompiled = Optimizer(skylake, cache_dir=tmp_path).compile(build_tiny_cnn())
         assert recompiled.schedules == module.schedules
         served = InferenceEngine(recompiled, seed=7).run({"data": tiny_input})[0]
         np.testing.assert_array_equal(served, expected)
-        # The recompile also healed the cache: the artifact loads again.
-        (healed,) = (tmp_path / Optimizer.MODULE_CACHE_DIRNAME).iterdir()
-        assert CompiledModule.load(healed).schedules == module.schedules
+        # The recompile also healed the cache: the artifact loads again,
+        # under the fingerprint it was compiled for.
+        (healed,) = (tmp_path / deployment.MODULE_CACHE_DIRNAME).iterdir()
+        healed_module = CompiledModule.load(healed, expected_fingerprint=module.fingerprint)
+        assert healed_module.schedules == module.schedules
 
     def test_tampered_fingerprint_is_stale_not_served(self, skylake, tmp_path):
         """Fingerprint tampering specifically raises StaleArtifactError."""
@@ -362,7 +360,7 @@ class TestWarmCaches:
     ):
         first = Optimizer(skylake, cache_dir=tmp_path)
         module = first.compile(build_tiny_cnn())
-        assert (tmp_path / Optimizer.TUNING_DB_FILENAME).exists()
+        assert (tmp_path / deployment.TUNING_DB_FILENAME).exists()
 
         calls = []
         monkeypatch.setattr(
@@ -392,7 +390,7 @@ class TestWarmCaches:
 
         # Remove module artifacts, keep the tuning DB: a new session compiling
         # a *different* graph with the same workloads must do zero measuring.
-        for artifact in (tmp_path / Optimizer.MODULE_CACHE_DIRNAME).iterdir():
+        for artifact in (tmp_path / deployment.MODULE_CACHE_DIRNAME).iterdir():
             artifact.unlink()
 
         def boom(*args, **kwargs):
@@ -579,7 +577,14 @@ class TestRepositoryGCConcurrency:
                 while not stop.is_set():
                     # Keep re-creating evictable artifacts (warm tuning DB:
                     # no search) so the GC threads always have work.
-                    optimizer.compile(build_tiny_cnn("m1"), force=True)
+                    build(
+                        build_tiny_cnn("m1"),
+                        ["skylake"],
+                        cache_dir=tmp_path,
+                        database=optimizer.database,
+                        jobs=1,
+                        force=True,
+                    )
             except Exception as error:  # pragma: no cover - failure capture
                 errors.append(error)
 
@@ -609,5 +614,5 @@ class TestRepositoryGCConcurrency:
         # payloads (write-then-rename plus whole-file unlink guarantee it).
         for path in repository.artifact_paths():
             manifest = read_manifest(path)
-            assert manifest["artifact_version"] in (1, 2)
+            assert manifest["artifact_version"] == 2
         assert repository.verify_all(deep=True) == {}

@@ -4,14 +4,12 @@ Covers the whole deployment story end to end: host identity and
 compatibility scoring (`repro.hardware`), one-build-many-hosts bundles
 (`repro.api.build`), host-matched engine loading with its three resolution
 tiers (fingerprint match, compatibility score, transparent recompile — never
-mis-serving), the v1 single-target compatibility path, the model repository
-with LRU size-budgeted GC and engine pinning, and the `repro.cli`
+mis-serving), the Optimizer's artifact cache as a one-target build, the model
+repository with LRU size-budgeted GC and engine pinning, and the `repro.cli`
 subcommands over all of it.
 """
 
-import io
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -39,7 +37,7 @@ from repro.hardware import (
     host_fingerprint,
     rank_targets,
 )
-from repro.runtime import load_member, load_module, manifest_targets, read_manifest
+from repro.runtime import load_member, manifest_targets, read_manifest
 
 from tests.conftest import build_tiny_cnn
 
@@ -49,35 +47,6 @@ TARGETS = ["skylake", "epyc", "arm"]
 def tiny_request(seed=0):
     rng = np.random.default_rng(seed)
     return {"data": rng.standard_normal((1, 3, 16, 16)).astype(np.float32)}
-
-
-def write_v1_artifact(module, path, fingerprint="v1-fingerprint"):
-    """Write an artifact in the historical version-1 layout (single unframed
-    pickle after the manifest, no checksums, no targets list)."""
-    manifest = {
-        "artifact_version": 1,
-        "repro_version": "0.0-test",
-        "model": module.graph.name,
-        "target": module.cpu.name,
-        "search_method": module.search_method,
-        "num_schedules": len(module.schedules),
-        "fingerprint": fingerprint,
-    }
-    payload = {
-        "graph": module.graph,
-        "cpu": module.cpu,
-        "config": module.config,
-        "schedules": module.schedules,
-        "search_method": module.search_method,
-        "pass_report": module.pass_report,
-    }
-    buffer = io.BytesIO()
-    buffer.write(b"NEOCPU-ARTIFACT\n")
-    buffer.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-    buffer.write(b"\n")
-    pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    path.write_bytes(buffer.getvalue())
-    return path
 
 
 @pytest.fixture
@@ -250,6 +219,47 @@ class TestBundleBuild:
         bundle = build(build_tiny_cnn(), ["skylake"], output=out, jobs=1)
         assert bundle.path == out and out.exists()
 
+    def test_warm_rebuild_heals_a_flipped_payload_byte(self, tmp_path):
+        """An intact manifest over a corrupt payload is not a warm hit: the
+        rebuild replaces it, so what build returns verifies and loads."""
+        first = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path, jobs=1)
+        data = bytearray(first.path.read_bytes())
+        body = data.index(b"\n", len(b"NEOCPU-ARTIFACT\n")) + 1
+        data[body] ^= 0xFF  # the first byte after the manifest line
+        first.path.write_bytes(bytes(data))
+        assert first.verify()
+
+        second = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path, jobs=1)
+        assert second.path == first.path
+        assert second.verify() == []
+        for target in second.targets:
+            assert second.load_module(target).schedules
+
+
+class TestOptimizerCacheIsABuild:
+    """A cached ``Optimizer.compile`` writes and reads the same one-target
+    bundle ``build`` does: one file, one key, one format."""
+
+    def test_compile_then_build_is_one_warm_file(self, tmp_path, request):
+        graph = build_tiny_cnn()
+        module = Optimizer("skylake", cache_dir=tmp_path).compile(graph)
+        request.getfixturevalue("no_search")
+        bundle = build(graph, ["skylake"], cache_dir=tmp_path, jobs=1)
+        assert list((tmp_path / "modules").iterdir()) == [bundle.path]
+        assert bundle.load_module().schedules == module.schedules
+
+    def test_cached_module_recompiles_for_another_host(self, tmp_path):
+        Optimizer("skylake", cache_dir=tmp_path).compile(build_tiny_cnn())
+        (path,) = ModelRepository(tmp_path).artifact_paths()
+        request = tiny_request()
+        reference = Optimizer("arm").compile(build_tiny_cnn())
+        with load_engine(path, host="arm", seed=7) as engine, \
+                InferenceEngine(reference, seed=7) as expected:
+            assert engine.host_match == "recompiled"
+            np.testing.assert_array_equal(
+                engine.run(request)[0], expected.run(request)[0]
+            )
+
 
 # --------------------------------------------------------------------------- #
 # host-matched engine loading
@@ -327,26 +337,6 @@ class TestLoadEngine:
         database = ModelRepository(tmp_path).tuning_database()
         assert get_target("arm").name in database.cpu_names()
 
-    def test_v1_artifact_still_loads_on_its_own_target(self, tmp_path):
-        module = Optimizer("skylake").compile(build_tiny_cnn())
-        path = write_v1_artifact(module, tmp_path / "legacy.neocpu")
-        assert load_module(path).schedules == module.schedules
-        request = tiny_request()
-        with load_engine(path, host="skylake", seed=7) as engine, \
-                InferenceEngine(module, seed=7) as expected:
-            # v1 recorded no host fingerprint: matched by compatibility.
-            assert engine.host_match.startswith("compatible:")
-            np.testing.assert_array_equal(
-                engine.run(request)[0], expected.run(request)[0]
-            )
-
-    def test_v1_artifact_never_mis_serves_an_incompatible_host(self, tmp_path):
-        module = Optimizer("skylake").compile(build_tiny_cnn())
-        path = write_v1_artifact(module, tmp_path / "legacy.neocpu")
-        # A v1 file has no source payload to recompile from: refuse loudly.
-        with pytest.raises(ArtifactError, match="no payload compatible"):
-            load_engine(path, host="arm")
-
     def test_lying_manifest_is_not_served(self, tmp_path):
         """A manifest claiming an ARM payload that actually unpickles to an
         AVX-512 module must recompile (or refuse), never serve the payload."""
@@ -378,7 +368,7 @@ class TestLoadEngine:
     def test_multi_target_file_requires_target_or_host_matching(self, tmp_path):
         bundle = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path, jobs=1)
         with pytest.raises(ArtifactError, match="multi-target"):
-            load_module(bundle.path)
+            load_member(bundle.path)
 
 
 # --------------------------------------------------------------------------- #

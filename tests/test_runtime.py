@@ -12,10 +12,8 @@ from repro.costmodel import OPENMP, THREAD_POOL
 from repro.runtime import (
     BufferPool,
     GraphExecutor,
-    Timer,
     format_report,
     initialize_parameters,
-    time_callable,
     top_costs,
 )
 
@@ -212,14 +210,6 @@ class TestBufferPool:
 
 
 class TestProfilerAndModule:
-    def test_timer_returns_mean_and_stderr(self):
-        mean, stderr = Timer(repeats=3, warmup=0).time(lambda: time.sleep(0.001))
-        assert mean >= 0.001
-        assert stderr >= 0.0
-
-    def test_time_callable(self):
-        assert time_callable(lambda: None, repeats=2, warmup=0) >= 0.0
-
     def test_module_profile_and_report(self, skylake):
         module = compile_graph(build_tiny_cnn(), skylake, CompileConfig())
         report = module.profile(num_threads=4)

@@ -1,4 +1,4 @@
-"""Tests for workloads, the schedule template, candidates and the loop nest."""
+"""Tests for workloads, the schedule template, candidates and parallel chunks."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,6 @@ from repro.schedule import (
     ConvSchedule,
     ConvWorkload,
     DenseWorkload,
-    build_conv_loopnest,
     candidate_count,
     candidate_ic_bn,
     candidate_oc_bn,
@@ -149,44 +148,10 @@ class TestCandidates:
 
 
 class TestLoopNest:
-    def test_structure_matches_algorithm1(self):
-        workload = make_workload()
-        schedule = ConvSchedule(16, 16, 8, True)
-        nest = build_conv_loopnest(workload, schedule)
-        names = [loop.name for loop in nest.loops]
-        assert names == [
-            "n", "g", "oc.outer", "oh", "ow.outer", "ic.outer",
-            "kh", "kw", "ic.inner", "ow.inner", "oc.inner",
-        ]
-        assert nest.loop("oc.inner").kind == "vectorized"
-        assert nest.loop("ow.inner").kind == "unrolled"
-        assert nest.loop("kh").kind == "unrolled"
-
-    def test_no_unroll_when_disabled(self):
-        nest = build_conv_loopnest(make_workload(), ConvSchedule(16, 16, 8, False))
-        assert nest.loop("kh").kind == "serial"
-
-    def test_total_iterations_covers_all_macs(self):
-        workload = make_workload()
-        schedule = ConvSchedule(16, 16, 8, True)
-        nest = build_conv_loopnest(workload, schedule)
-        # reg_n divides out_width here, so iterations == MACs exactly.
-        assert nest.total_iterations == workload.flops // 2
-
-    def test_remainder_tile_rounds_up(self):
-        workload = make_workload(in_width=30, padding=(1, 1))  # out_width 30
-        nest = build_conv_loopnest(workload, ConvSchedule(16, 16, 8, True))
-        assert nest.loop("ow.outer").extent == 4  # ceil(30 / 8)
-
     def test_parallel_chunks(self):
         workload = make_workload()
         chunks = conv_parallel_chunks(workload, ConvSchedule(16, 16, 8))
         assert chunks == 1 * (64 // 16) * 56
-
-    def test_describe_contains_every_loop(self):
-        nest = build_conv_loopnest(make_workload(), ConvSchedule(16, 16, 8))
-        text = nest.describe()
-        assert "oc.outer" in text and "vectorized" in text
 
 
 @settings(deadline=None, max_examples=40)
