@@ -128,8 +128,8 @@ def test_resnet50_stream_multiprocess_serving(
         bundle.path, num_workers=NUM_WORKERS, engine_kwargs=ENGINE_KWARGS
     ) as dispatcher:
         # Warm every worker with one whole stream (least-outstanding routing
-        # spreads it over the fleet): a worker's first stacked pass allocates
-        # its BufferPool buffers and read 270-470 ms against 200 ms steady.
+        # spreads it over the fleet): a worker's first stacked passes read
+        # 270-470 ms against 200 ms steady.
         _drain(dispatcher, requests)
 
         def serve():

@@ -1,13 +1,14 @@
 """REP011: unbounded-blocking analysis for the serving stack.
 
-Scoped to the serving modules (the dispatch-path set plus the daemon), every
+Scoped to the serving modules (the dispatch path, the daemon, the wire), every
 blocking call — socket ``recv``/``accept``/``connect``, pipe ``recv``, queue
 ``get``/``put``, ``join``/``wait``/``result`` — must carry a finite timeout
 or deadline, or a justified suppression.  An unbounded wait in a reader
 thread or the accept loop is a hang at 1M users: nothing inside the process
 can observe shutdown, backpressure, or a dead peer.  Blessed forms: a finite
 ``timeout=``/positional deadline (any non-``None`` expression gets the
-benefit of the doubt), a finite ``settimeout`` on the same receiver anywhere
+benefit of the doubt; a receive's arguments are sizes, so they never count),
+a finite ``settimeout`` on the same receiver anywhere
 in the owning class, a ``poll(deadline)`` on the same receiver in the same
 function, or an enclosing handler that catches the timeout and loops (the
 deadline-aware retry idiom in ``_recv_exact``).
@@ -35,11 +36,11 @@ __all__ = ["UnboundedBlockingRule"]
 # REP011 — unbounded blocking in the serving stack
 # --------------------------------------------------------------------------- #
 
-#: filename fragments that scope the rule: the dispatch/worker-path modules
-#: plus the daemon front-end.
+#: filename fragments that scope the rule: the dispatch/worker-path modules,
+#: the daemon front-end and the wire both hops speak.
 _SERVING_MODULES = (
     "scheduler",
-    "threadpool",
+    "wire",
     "engine",
     "executor",
     "worker",
@@ -187,7 +188,6 @@ class UnboundedBlockingRule(Rule):
                     receiver in blessed_receivers
                     or receiver in polled
                     or in_timeout_guard(node.lineno)
-                    or _finite_arg(node)
                 ):
                     continue
                 yield self.finding(

@@ -11,10 +11,10 @@ What counts as an acquisition
 -----------------------------
 
 ``socket.socket()``/``create_connection()``/``create_server()``, a bare
-``open()``, ``ctx.Pipe()`` (both ends), ``listener.accept()`` (the new
-connection), ``Process(...)`` handles, and ``tempfile.*`` factories — each
-bound to a local name by assignment.  ``with`` acquisition is the blessed
-idiom and is never flagged.
+``open()``, ``ctx.Pipe()`` and ``socket.socketpair()`` (both ends),
+``listener.accept()`` (the new connection), ``Process(...)`` handles, and
+``tempfile.*`` factories — each bound to a local name by assignment.
+``with`` acquisition is the blessed idiom and is never flagged.
 
 What counts as a safe lifetime
 ------------------------------
@@ -119,7 +119,7 @@ def _acquisition_kind(call: ast.Call) -> Optional[str]:
         return "socket"
     if tail == "socket" and dotted.startswith("socket."):
         return "socket"
-    if tail == "Pipe":
+    if tail in {"Pipe", "socketpair"}:
         return "pipe"
     if tail == "accept":
         return "socket"

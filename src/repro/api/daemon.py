@@ -5,101 +5,29 @@
 the multi-process dispatcher (see :mod:`repro.api.dispatch`) and stream
 replies back as workers finish them.  :class:`DaemonClient` is the matching
 client — ``submit``/``run`` with the same priority classes the in-process
-scheduler takes, and byte-identical outputs.
-
-Wire protocol
--------------
-
-Length-prefixed pickle frames: 8 bytes big-endian payload length, then the
-pickled message.  Requests are ``{"id", "inputs", "priority", "timeout_ms"}``
-dicts; replies are ``{"id", "outputs"}`` or ``{"id", "error"}`` (the error
-is the worker's exception instance, re-raised client-side).  Replies are
-out of order — priority scheduling reorders requests by design — so the id
-is the correlation key.  Pickle over a socket means the daemon trusts its
-clients; it binds loopback by default and is a serving tier, not an
-authentication tier.
+scheduler takes, and byte-identical outputs.  Both sides speak the frames
+of :mod:`repro.api.wire` (see its "Wire protocol" section), the same ones
+the dispatcher speaks to its workers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import pickle
-import select
 import socket
-import struct
 import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .dispatch import DispatchError, EngineDispatcher
 from .scheduler import LatencyReservoir
+from .wire import _POLL_INTERVAL_S, Caller, serve
 
 __all__ = ["ServingDaemon", "DaemonClient"]
-
-_LENGTH = struct.Struct(">Q")
-
-#: Refuse frames above this size instead of allocating attacker-controlled
-#: amounts of memory on a garbage length prefix.
-MAX_FRAME_BYTES = 1 << 31
-
-#: How often a parked receive loop wakes to re-check its abort signal.
-#: Data sockets stay *blocking for sends* — a ``settimeout`` would also bound
-#: ``sendall``, and a timeout mid-send tears the length-prefixed framing
-#: irrecoverably — so bounded receives poll readability with ``select``
-#: instead of a socket-level timeout.
-_POLL_INTERVAL_S = 1.0
-
-
-def _send_frame(sock: socket.socket, message: object) -> None:
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(blob)) + blob)
-
-
-def _recv_exact(
-    sock: socket.socket,
-    count: int,
-    should_abort: Optional[Callable[[], bool]] = None,
-) -> Optional[bytes]:
-    chunks = []
-    while count:
-        if should_abort is not None:
-            try:
-                ready, _, _ = select.select([sock], [], [], _POLL_INTERVAL_S)
-            except (ValueError, OSError):
-                return None  # socket closed under us: treat as EOF
-            if not ready:
-                if should_abort():
-                    return None
-                continue
-        try:
-            chunk = sock.recv(min(count, 1 << 20))
-        except socket.timeout:
-            continue  # deadline tick: keep accumulated chunks, retry
-        if not chunk:
-            return None  # orderly EOF
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(
-    sock: socket.socket,
-    should_abort: Optional[Callable[[], bool]] = None,
-) -> Optional[object]:
-    header = _recv_exact(sock, _LENGTH.size, should_abort)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    blob = _recv_exact(sock, length, should_abort)
-    if blob is None:
-        return None
-    return pickle.loads(blob)
 
 
 class ServingDaemon:
@@ -111,14 +39,12 @@ class ServingDaemon:
         host: bind address; loopback by default (the protocol is pickle).
         port: bind port; 0 picks a free one (read :attr:`address`).
         engine_kwargs: forwarded to every worker's ``load_engine``.
-        trace_dir: when given, the whole fleet records into this trace
-            directory — the daemon its socket edge (``recv``/
-            ``reply_write``), the dispatcher its routing, every worker its
-            scheduler stream (see :mod:`repro.trace`).
-        stats_interval_s: when given, a background thread logs a one-line
-            serving summary (req/s, outstanding, latency percentiles) every
-            interval via ``stats_line()`` — a daemon is observable without
-            attaching a client.
+        trace_dir: when given, the whole fleet records into this directory:
+            the daemon its socket edge (``recv``/``reply_write``), the
+            dispatcher its routing, every worker its scheduler stream.
+        stats_interval_s: when given, a background thread logs
+            :meth:`stats_line` (req/s, outstanding, latency percentiles)
+            every interval.
     """
 
     def __init__(
@@ -131,64 +57,44 @@ class ServingDaemon:
         trace_dir: Optional[str] = None,
         stats_interval_s: Optional[float] = None,
     ) -> None:
+        self._lock = threading.Lock()
+        self._closed = False
+        self._conns: List[socket.socket] = []
+        self._accept_thread: Optional[threading.Thread] = None
+        self._conn_ids = itertools.count()
+        # Worker scheduler counters live in other processes, so the daemon
+        # counts what it sees: served/errored, submit-to-reply latency.
+        self.stats_interval_s = stats_interval_s
+        self._stats_lock = threading.Lock()
+        self._served = 0
+        self._errored = 0
+        self._latency_reservoir = LatencyReservoir()
+        self._stop = threading.Event()  # set by close()
+        self._stats_thread: Optional[threading.Thread] = None
+        self._recorder = None
         self.dispatcher = EngineDispatcher(
-            artifact_path,
-            num_workers=num_workers,
-            engine_kwargs=engine_kwargs,
+            artifact_path, num_workers=num_workers, engine_kwargs=engine_kwargs,
             trace_dir=trace_dir,
         )
-        self._recorder = None
-        if trace_dir is not None:
-            from ..trace.recorder import TraceRecorder  # deferred: no cycle
+        try:
+            if trace_dir is not None:
+                from ..trace.recorder import TraceRecorder  # deferred: no cycle
 
-            self._recorder = TraceRecorder(
-                trace_dir, role="daemon", meta={"num_workers": int(num_workers)}
-            )
-        try:
+                self._recorder = TraceRecorder(
+                    trace_dir, role="daemon", meta={"num_workers": int(num_workers)}
+                )
             self._sock = socket.create_server((host, port))
-        except BaseException:
-            self.dispatcher.close()
-            self._close_recorder()
-            raise
-        try:
-            # The listener never sends, so a socket-level timeout is safe
-            # here: it turns accept() into a periodic shutdown check.
-            self._sock.settimeout(_POLL_INTERVAL_S)
-            self.address: Tuple[str, int] = self._sock.getsockname()[:2]
-        except BaseException:
-            self._sock.close()
-            self.dispatcher.close()
-            self._close_recorder()
-            raise
-        try:
-            self._lock = threading.Lock()
-            self._closed = False
-            self._conns: List[socket.socket] = []
-            self._threads: List[threading.Thread] = []
-            self._accept_thread: Optional[threading.Thread] = None
-            self._conn_ids = itertools.count()
-            # Parent-side serving stats: worker scheduler counters live in
-            # other processes, so the daemon tracks what it can observe end
-            # to end — dispatch-submit to reply-callback latency,
-            # served/error counts.
-            self.stats_interval_s = stats_interval_s
-            self._stats_lock = threading.Lock()
-            self._served = 0
-            self._errored = 0
-            self._latency_reservoir = LatencyReservoir()
-            self._stats_stop = threading.Event()
-            self._stats_thread: Optional[threading.Thread] = None
         except BaseException:
             # The caller never receives the object, so close() is
             # unreachable: release everything acquired so far.
-            self._sock.close()
             self.dispatcher.close()
-            self._close_recorder()
+            if self._recorder is not None:
+                self._recorder.close()
             raise
-
-    def _close_recorder(self) -> None:
-        if self._recorder is not None:
-            self._recorder.close()
+        # The listener never sends, so a socket-level timeout is safe here:
+        # it turns accept() into a periodic shutdown check.
+        self._sock.settimeout(_POLL_INTERVAL_S)
+        self.address: Tuple[str, int] = self._sock.getsockname()[:2]
 
     # -- lifecycle --------------------------------------------------------- #
     def start(self) -> "ServingDaemon":
@@ -218,16 +124,13 @@ class ServingDaemon:
             except socket.timeout:
                 # Periodic wake-up: the only way a parked accept loop can
                 # observe close() without an inbound connection.
-                with self._lock:
-                    if self._closed:
-                        return
+                if self._stop.is_set():
+                    return
                 continue
             except OSError:
                 return  # listener closed: shutdown
             thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                daemon=True,
+                target=self._serve_connection, args=(conn,), daemon=True,
                 name="repro-serve-conn",
             )
             with self._lock:
@@ -238,24 +141,15 @@ class ServingDaemon:
             try:
                 thread.start()
             except RuntimeError:
-                # Thread limit: shed this connection, keep serving the rest.
-                with self._lock:
-                    if conn in self._conns:
-                        self._conns.remove(conn)
-                conn.close()
-                continue
-            with self._lock:
-                self._threads.append(thread)
+                conn.close()  # thread limit: shed this connection, serve the rest
 
     # -- observability ------------------------------------------------------ #
     def _start_stats_thread(self) -> None:
         if self.stats_interval_s is None or self.stats_interval_s <= 0:
             return
         thread = threading.Thread(
-            target=self._stats_loop,
-            args=(float(self.stats_interval_s),),
-            daemon=True,
-            name="repro-serve-stats",
+            target=self._stats_loop, args=(float(self.stats_interval_s),),
+            daemon=True, name="repro-serve-stats",
         )
         with self._lock:
             if self._stats_thread is not None or self._closed:
@@ -266,8 +160,7 @@ class ServingDaemon:
     def stats_line(self) -> str:
         """A one-line serving summary (totals, outstanding, percentiles)."""
         with self._stats_lock:
-            served = self._served
-            errored = self._errored
+            served, errored = self._served, self._errored
             percentiles = self._latency_reservoir.percentiles_ms()
         outstanding = self.dispatcher.outstanding()
         return (
@@ -279,7 +172,7 @@ class ServingDaemon:
     def _stats_loop(self, interval_s: float) -> None:
         """Log :meth:`stats_line` every ``interval_s`` until close()."""
         last_served = 0
-        while not self._stats_stop.wait(interval_s):
+        while not self._stop.wait(interval_s):
             with self._stats_lock:
                 served = self._served
             rate = (served - last_served) / interval_s
@@ -287,70 +180,41 @@ class ServingDaemon:
             print(f"[serve] {rate:.1f} req/s | {self.stats_line()}", flush=True)
 
     # -- per-connection service -------------------------------------------- #
-    def _should_abort(self) -> bool:
-        with self._lock:
-            return self._closed
-
     def _serve_connection(self, conn: socket.socket) -> None:
-        send_lock = threading.Lock()
         conn_id = next(self._conn_ids)
-
-        def _reply(request_id: int, submitted_at: float, future: "Future") -> None:
-            error = future.exception()
-            if error is not None:
-                message = {"id": request_id, "error": error}
-            else:
-                message = {"id": request_id, "outputs": future.result()}  # repro: noqa[REP011] -- done-callback: the future is already resolved here
-            with self._stats_lock:
-                if error is None:
-                    self._served += 1
-                    self._latency_reservoir.observe(
-                        max(0.0, time.monotonic() - submitted_at)
-                    )
-                else:
-                    self._errored += 1
-            with send_lock:
-                try:
-                    _send_frame(conn, message)
-                except (OSError, ValueError, pickle.PicklingError):
-                    conn.close()  # client gone mid-reply: drop the stream
-                    return
-            if self._recorder is not None:
-                self._recorder.record(
-                    "reply_write", conn=conn_id, req=request_id, ok=error is None
-                )
-
         try:
-            while True:
-                try:
-                    request = _recv_frame(conn, should_abort=self._should_abort)
-                except (OSError, ValueError, pickle.UnpicklingError, EOFError):
-                    return  # torn frame or reset: drop the connection
-                if request is None:
-                    return  # client closed its end
-                request_id = request.get("id")
-                if self._recorder is not None:
-                    self._recorder.record("recv", conn=conn_id, req=request_id)
-                submitted_at = time.monotonic()
-                try:
-                    future = self.dispatcher.submit(
-                        request["inputs"],
-                        timeout_ms=request.get("timeout_ms"),
-                        priority=request.get("priority"),
-                    )
-                except BaseException as exc:  # reported to the client, not dropped
-                    with self._stats_lock:
-                        self._errored += 1
-                    with send_lock:
-                        _send_frame(conn, {"id": request_id, "error": exc})
-                    continue
-                future.add_done_callback(
-                    lambda f, request_id=request_id, submitted_at=submitted_at: _reply(
-                        request_id, submitted_at, f
-                    )
-                )
+            serve(conn, functools.partial(self._submit, conn_id), self._stop.is_set)
         finally:
             conn.close()
+
+    def _submit(self, conn_id: int, request_id: int, inputs, priority, timeout_ms):
+        """The serve loop's submit: dispatch, plus the daemon's stats and
+        ``recv``/``reply_write`` events."""
+        if self._recorder is not None:
+            self._recorder.record("recv", conn=conn_id, req=request_id)
+        submitted_at = time.monotonic()
+        try:
+            future = self.dispatcher.submit(inputs, timeout_ms, priority)
+        except Exception:
+            with self._stats_lock:
+                self._errored += 1
+            raise  # the serve loop replies it to the client
+        future.add_done_callback(
+            functools.partial(self._finished, conn_id, request_id, submitted_at)
+        )
+        return future
+
+    def _finished(self, conn_id, request_id, submitted_at, future: "Future") -> None:
+        # Runs before the serve loop's reply callback, which writes the reply.
+        ok = future.exception() is None
+        with self._stats_lock:
+            if ok:
+                self._served += 1
+                self._latency_reservoir.observe(max(0.0, time.monotonic() - submitted_at))
+            else:
+                self._errored += 1
+        if self._recorder is not None:
+            self._recorder.record("reply_write", conn=conn_id, req=request_id, ok=ok)
 
     # -- teardown ---------------------------------------------------------- #
     def close(self) -> None:
@@ -362,17 +226,17 @@ class ServingDaemon:
             conns = list(self._conns)
             accept_thread = self._accept_thread
             stats_thread = self._stats_thread
-        self._stats_stop.set()
+        self._stop.set()
         self._sock.close()
         for conn in conns:
             conn.close()
-        if accept_thread is not None:
-            accept_thread.join(5.0)
-        if stats_thread is not None:
-            stats_thread.join(5.0)
+        for thread in (accept_thread, stats_thread):
+            if thread is not None:
+                thread.join(5.0)
         self.dispatcher.close()
-        # After the dispatcher drained: every reply_write has fired.
-        self._close_recorder()
+        if self._recorder is not None:
+            # After the dispatcher drained: every reply_write has fired.
+            self._recorder.close()
 
     def __enter__(self) -> "ServingDaemon":
         return self
@@ -384,98 +248,40 @@ class ServingDaemon:
 class DaemonClient:
     """Client for :class:`ServingDaemon`: async ``submit``, sync ``run``.
 
-    A background reader thread matches out-of-order replies to their
-    futures by request id, so many requests can be in flight on one
-    connection — that is how mixed-priority streams are meant to be pushed.
+    Many requests can be in flight on one connection — that is how
+    mixed-priority streams are meant to be pushed.
     """
 
     def __init__(self, host: str, port: int, connect_timeout_s: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=connect_timeout_s)
         try:
-            # Back to blocking: sends must never time out mid-sendall (that
-            # would tear the framing); receives are bounded by the reader
-            # loop's select-based polling instead.
+            # Back to blocking: a send must never time out mid-frame; the
+            # reader's receives are bounded by select-based polling instead.
             self._sock.settimeout(None)
-            self._lock = threading.Lock()
-            self._inflight: Dict[int, "Future"] = {}
-            self._next_id = 0
-            self._closed = False
-            self._reader = threading.Thread(
-                target=self._reader_loop, daemon=True, name="repro-client-reader"
-            )
-            self._reader.start()
+            self._caller = Caller(
+                self._sock, lambda: DispatchError("connection to serving daemon lost"),
+                name="repro-client-reader",
+            ).start()
         except BaseException:
             # The caller never receives the object, so close() is
             # unreachable: release the socket here or it leaks.
             self._sock.close()
             raise
 
-    def _should_abort(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def _reader_loop(self) -> None:
-        while True:
-            try:
-                message = _recv_frame(self._sock, should_abort=self._should_abort)
-            except (OSError, ValueError, pickle.UnpicklingError, EOFError):
-                message = None
-            if message is None:
-                break
-            with self._lock:
-                future = self._inflight.pop(message["id"], None)
-            if future is None:
-                continue  # reply for a request we gave up on
-            error = message.get("error")
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(message["outputs"])
-        with self._lock:
-            orphans = list(self._inflight.values())
-            self._inflight.clear()
-            closed = self._closed
-        if not closed:
-            for future in orphans:
-                future.set_exception(
-                    DispatchError("connection to serving daemon lost")
-                )
-
     def submit(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        timeout_ms: Optional[float] = None,
+        self, inputs: Mapping[str, np.ndarray], timeout_ms: Optional[float] = None,
         priority: Optional[str] = None,
     ) -> "Future[List[np.ndarray]]":
         """Send one request; the future resolves when its reply arrives."""
-        future: "Future[List[np.ndarray]]" = Future()
-        with self._lock:
-            if self._closed:
-                raise DispatchError("client is closed")
-            request_id = self._next_id
-            self._next_id += 1
-            self._inflight[request_id] = future
-        message = {
-            "id": request_id,
-            "inputs": dict(inputs),
-            "priority": priority,
-            "timeout_ms": timeout_ms,
-        }
         try:
-            with self._lock:
-                _send_frame(self._sock, message)
-        except (OSError, ValueError, pickle.PicklingError) as exc:
-            with self._lock:
-                self._inflight.pop(request_id, None)
+            _request_id, future = self._caller.submit(inputs, priority, timeout_ms)
+        except OSError as exc:
             raise DispatchError(f"send to serving daemon failed: {exc}") from exc
         return future
 
     def run(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        timeout_ms: Optional[float] = None,
-        priority: Optional[str] = None,
-        result_timeout_s: Optional[float] = 300.0,
+        self, inputs: Mapping[str, np.ndarray], timeout_ms: Optional[float] = None,
+        priority: Optional[str] = None, result_timeout_s: Optional[float] = 300.0,
     ) -> List[np.ndarray]:
         """Synchronous :meth:`submit`; re-raises worker-side errors here."""
         return self.submit(inputs, timeout_ms=timeout_ms, priority=priority).result(
@@ -483,12 +289,7 @@ class DaemonClient:
         )
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._sock.close()
-        self._reader.join(5.0)
+        self._caller.close()
 
     def __enter__(self) -> "DaemonClient":
         return self

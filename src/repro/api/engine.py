@@ -27,7 +27,6 @@ import numpy as np
 from ..costmodel.graph_cost import LatencyReport
 from ..graph.graph import Graph
 from ..runtime.module import CompiledModule
-from ..runtime.threadpool import BufferPool
 from ..tensor.tensor import Tensor
 from .scheduler import (
     DEFAULT_PRIORITY,
@@ -217,7 +216,6 @@ class InferenceEngine:
         self.default_priority = default_priority
         self.trace_dir = trace_dir
         self._recorder = None
-        self._buffers = BufferPool()
         self._scheduler: Optional[RequestScheduler] = None
         self._scheduler_lock = threading.Lock()
         #: Set by :func:`repro.api.load_engine`: the artifact file this
@@ -366,9 +364,9 @@ class InferenceEngine:
         """Runner for the scheduler: one executor pass per coalesced group.
 
         A single request goes straight to the executor.  A group is stacked
-        along the batch axis into reusable staging buffers, executed once,
-        and the outputs are split back per request — each request receives
-        an owned copy so no response aliases the shared batch output.
+        along the batch axis, executed once, and the outputs are split back
+        per request — each request receives an owned copy so no response
+        aliases the shared batch output.
         """
         if len(requests) == 1:
             return [self._executor.run(requests[0])]
@@ -379,38 +377,27 @@ class InferenceEngine:
             for request in requests
         ]
         total = sum(counts)
-        stacked: dict = {}
-        staged: List[np.ndarray] = []
-        try:
-            for name in self._input_specs:
-                arrays = [self._coerce(name, request[name]) for request in requests]
-                buffer = self._buffers.acquire(
-                    (total,) + tuple(arrays[0].shape[1:]), arrays[0].dtype
+        stacked = {
+            name: np.concatenate(
+                [self._coerce(name, request[name]) for request in requests], axis=0
+            )
+            for name in self._input_specs
+        }
+        outputs = self._executor.run(stacked)
+        for out in outputs:
+            if np.shape(out)[0] != total:
+                raise RuntimeError(
+                    f"batched output has leading extent {np.shape(out)[0]}, "
+                    f"expected {total}; graph is not batch-stackable"
                 )
-                staged.append(buffer)
-                np.concatenate(arrays, axis=0, out=buffer)
-                stacked[name] = buffer
-            outputs = self._executor.run(stacked)
-            for out in outputs:
-                if np.shape(out)[0] != total:
-                    raise RuntimeError(
-                        f"batched output has leading extent {np.shape(out)[0]}, "
-                        f"expected {total}; graph is not batch-stackable"
-                    )
-            results: List[List[np.ndarray]] = []
-            offset = 0
-            for count in counts:
-                # .copy(), not a view: responses must not alias each other or
-                # the staging buffers (released to the pool below), and one
-                # request's response must not pin the whole batch output.
-                results.append(
-                    [out[offset : offset + count].copy() for out in outputs]
-                )
-                offset += count
-            return results
-        finally:
-            for buffer in staged:
-                self._buffers.release(buffer)
+        results: List[List[np.ndarray]] = []
+        offset = 0
+        for count in counts:
+            # .copy(), not a view: responses must not alias each other, and
+            # one request's response must not pin the whole batch output.
+            results.append([out[offset : offset + count].copy() for out in outputs])
+            offset += count
+        return results
 
     # ------------------------------------------------------------------ #
     # serving

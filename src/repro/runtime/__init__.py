@@ -1,5 +1,5 @@
 """Runtime substrate: graph executor, compiled module + artifact format,
-staging-buffer pool, profiler."""
+profiler."""
 
 from .artifact import (
     ARTIFACT_VERSION,
@@ -18,12 +18,10 @@ from .artifact import (
 from .executor import GraphExecutor, initialize_parameters
 from .module import CompiledModule
 from .profiler import format_report, top_costs
-from .threadpool import BufferPool
 
 __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
-    "BufferPool",
     "CompiledModule",
     "GraphExecutor",
     "StaleArtifactError",

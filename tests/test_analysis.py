@@ -930,7 +930,7 @@ class TestConcurrencyRegressions:
     FIXED_FILES = (
         "api/scheduler.py",
         "api/engine.py",
-        "runtime/threadpool.py",
+        "api/wire.py",
         "core/tuning_db.py",
         "api/deployment.py",
     )
@@ -1090,6 +1090,43 @@ class TestREP009:
         assert {"'parent'", "'child'"} <= {
             word for f in report.findings for word in f.message.split()
         }
+
+    def test_socketpair_end_leak_fires(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            import socket
+
+            def spawn(start):
+                parent, child = socket.socketpair()
+                start(child)
+                return parent
+            """,
+            [ResourceLifetimeRule()],
+        )
+        assert [(f.line, "'parent'" in f.message) for f in report.findings] == [
+            (5, True)
+        ]
+
+    def test_socketpair_closed_on_failure_is_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            import socket
+
+            def spawn(start):
+                parent, child = socket.socketpair()
+                try:
+                    start(child)
+                except BaseException:
+                    parent.close()
+                    child.close()
+                    raise
+                return parent
+            """,
+            [ResourceLifetimeRule()],
+        )
+        assert report.findings == []
 
     def test_temp_write_window_fires(self, tmp_path):
         report = lint(
@@ -1343,7 +1380,7 @@ class TestREP011:
                 done_event.wait()
             """,
             [UnboundedBlockingRule()],
-            filename="threadpool.py",
+            filename="wire.py",
         )
         assert len(bad.findings) == 1
         assert bad.findings[0].line == 3
@@ -1354,7 +1391,7 @@ class TestREP011:
                 done_event.wait(remaining)
             """,
             [UnboundedBlockingRule()],
-            filename="threadpool.py",
+            filename="wire.py",
         )
         assert good.findings == []
 
@@ -1535,6 +1572,7 @@ class TestServingRegressions:
     FIXED_FILES = (
         "api/daemon.py",
         "api/dispatch.py",
+        "api/wire.py",
         "runtime/artifact.py",
     )
 
@@ -1598,21 +1636,19 @@ HISTORICAL_MUTANTS = [
     ),
     (
         ResourceLifetimeRule,
-        "api/daemon.py",
-        "        except BaseException:\n"
-        "            # The caller never receives the object, so close() is\n"
-        "            # unreachable: release the socket here or it leaks.\n"
-        "            self._sock.close()\n"
-        "            raise\n",
-        "        finally:\n            pass\n",
-        "self._sock = socket.create_connection(",
+        "api/dispatch.py",
+        "                    parent_sock.close()\n"
+        "                    child_sock.close()\n"
+        "                    raise\n",
+        "                    raise\n",
+        "parent_sock, child_sock = socket.socketpair()",
     ),
     (
         UnboundedBlockingRule,
-        "api/dispatch.py",
-        "if not handle.conn.poll(_POLL_INTERVAL_S):",
-        "if False:",
-        "handle.conn.recv()",
+        "api/wire.py",
+        "        except socket.timeout:\n",
+        "        except InterruptedError:\n",
+        "sock.recv_into(",
     ),
 ]
 

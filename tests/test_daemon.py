@@ -8,7 +8,9 @@ dispatcher and the socket daemon are byte-identical to in-process
 ``InferenceEngine.run``.
 """
 
+import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    DispatchError,
     EngineDispatcher,
     ModelRepository,
     WorkerCrashed,
@@ -73,6 +76,14 @@ def repo(tmp_path_factory):
 
 
 ENGINE_KWARGS = {"host": "skylake", "seed": 7}
+
+
+class TwoArgError(Exception):
+    """Pickles as ``(cls, (message,))``, which its two-argument constructor
+    refuses on the way back in — a ``TypeError`` from ``pickle.loads``."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
 
 
 # --------------------------------------------------------------------------- #
@@ -364,6 +375,38 @@ class TestServingDaemon:
                 outputs = client.run({"data": repo["x"]})
                 np.testing.assert_array_equal(outputs[0], repo["expected"][0])
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the workers must inherit the patched engine",
+    )
+    def test_unpicklable_worker_error_crosses_both_hops(self, repo, monkeypatch):
+        """A worker-side exception that cannot be unpickled reaches the
+        dispatcher's and the client's futures as ``RuntimeError("<Type>:
+        <msg>")``, and the same worker and connection keep serving."""
+        from repro.api.engine import InferenceEngine
+
+        real_execute = InferenceEngine._execute_group
+
+        def poisoned(engine, requests):
+            if any(np.isnan(request["data"]).any() for request in requests):
+                raise TwoArgError(7, "poisoned input")
+            return real_execute(engine, requests)
+
+        monkeypatch.setattr(InferenceEngine, "_execute_group", poisoned)
+        poison = {"data": np.full_like(repo["x"], np.nan)}
+        with ServingDaemon(
+            repo["artifact"], num_workers=1, engine_kwargs=ENGINE_KWARGS
+        ) as daemon:
+            daemon.start()
+            with DaemonClient(*daemon.address) as client:
+                for run in (daemon.dispatcher.run, client.run):
+                    with pytest.raises(RuntimeError) as caught:
+                        run(poison, result_timeout_s=RESULT_TIMEOUT_S)
+                    assert type(caught.value) is RuntimeError
+                    assert str(caught.value) == "TwoArgError: 7: poisoned input"
+                    outputs = run({"data": repo["x"]}, result_timeout_s=RESULT_TIMEOUT_S)
+                    np.testing.assert_array_equal(outputs[0], repo["expected"][0])
+
     def test_daemon_close_releases_every_worker_pin(self, repo):
         artifact = repo["artifact"]
         daemon = ServingDaemon(
@@ -419,10 +462,9 @@ class TestServingErrorPaths:
     def test_dispatcher_startup_failure_closes_every_pipe_end(
         self, tmp_path, monkeypatch
     ):
-        """REP009: when worker N's spawn fails, every pipe end created so far
-        (including worker N's own pair) must be closed by the constructor."""
-        import multiprocessing as real_mp
-
+        """REP009: when worker N's spawn fails, every socket end created so
+        far (including worker N's own pair) must be closed by the
+        constructor."""
         import repro.api.dispatch as dispatch_mod
 
         class FakeProcess:
@@ -445,30 +487,32 @@ class TestServingErrorPaths:
 
         class FakeCtx:
             def __init__(self):
-                self.conns = []
                 self.spawned = 0
-
-            def Pipe(self):
-                a, b = real_mp.Pipe()
-                self.conns.extend([a, b])
-                return a, b
 
             def Process(self, **kwargs):
                 process = FakeProcess(self.spawned, **kwargs)
                 self.spawned += 1
                 return process
 
-        ctx = FakeCtx()
+        ends = []
+        real_socketpair = socket.socketpair
+
+        def recording_socketpair(*args, **kwargs):
+            pair = real_socketpair(*args, **kwargs)
+            ends.extend(pair)
+            return pair
+
+        monkeypatch.setattr(dispatch_mod.socket, "socketpair", recording_socketpair)
         monkeypatch.setattr(
-            dispatch_mod.mp, "get_context", lambda method=None: ctx
+            dispatch_mod.mp, "get_context", lambda method=None: FakeCtx()
         )
         artifact = tmp_path / "m.neocpu"
         artifact.write_bytes(b"payload")
         with pytest.raises(RuntimeError, match="spawn failed"):
             EngineDispatcher(artifact, num_workers=2)
-        assert len(ctx.conns) == 4
-        assert all(conn.closed for conn in ctx.conns), (
-            "dispatcher startup failure leaked pipe descriptors"
+        assert len(ends) == 4
+        assert all(end.fileno() == -1 for end in ends), (
+            "dispatcher startup failure leaked socket descriptors"
         )
 
     def test_accept_loop_sheds_connection_when_thread_start_fails(
@@ -508,14 +552,14 @@ class TestServingErrorPaths:
         """REP011 fix contract: a receive loop with a socket-level timeout
         keeps its accumulated chunks across timeout ticks — framing survives
         a slow sender."""
-        from repro.api.daemon import _recv_frame, _send_frame
+        from repro.api.wire import _recv_frame
 
         left, right = socket.socketpair()
         try:
             right.settimeout(0.05)
             import pickle
 
-            blob = pickle.dumps({"id": 7, "outputs": list(range(100))})
+            blob = pickle.dumps((7, list(range(100)), None))
             frame = len(blob).to_bytes(8, "big") + blob
 
             def trickle():
@@ -528,19 +572,66 @@ class TestServingErrorPaths:
             sender.start()
             message = _recv_frame(right)
             sender.join(30)
-            assert message == {"id": 7, "outputs": list(range(100))}
+            assert message == (7, list(range(100)), None)
         finally:
             left.close()
             right.close()
 
     def test_recv_exact_abort_hook_unparks_an_idle_receiver(self):
-        from repro.api.daemon import _recv_exact
+        from repro.api.wire import _recv_exact
 
         left, right = socket.socketpair()
         try:
             started = time.monotonic()
             assert _recv_exact(right, 8, should_abort=lambda: True) is None
             assert time.monotonic() - started < 30, "abort hook never polled"
+        finally:
+            left.close()
+            right.close()
+
+    def test_undecodable_reply_fails_in_flight_requests_at_once(self):
+        """A reply whose unpickling raises TypeError ends the client's stream
+        and fails its in-flight request with DispatchError — the reader
+        thread must not die and leave the future to its timeout."""
+        from repro.api.wire import _recv_frame, _send_frame
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30)
+
+        def fake_daemon():
+            conn, _ = listener.accept()
+            with conn:
+                request_id = _recv_frame(conn)[0]
+                _send_frame(conn, (request_id, None, TwoArgError(1, "x")))
+                conn.settimeout(30)
+                conn.recv(1)  # hold the connection until the client closes
+
+        server = threading.Thread(target=fake_daemon, daemon=True)
+        server.start()
+        try:
+            with DaemonClient(*listener.getsockname()[:2]) as client:
+                started = time.monotonic()
+                with pytest.raises(DispatchError):
+                    client.run({"data": np.zeros(4, np.float32)}, result_timeout_s=10)
+                assert time.monotonic() - started < 10
+            server.join(30)
+        finally:
+            listener.close()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [pickle.dumps((1, 2, 3)), pickle.dumps(TwoArgError(1, "x")), b"\x80\x05junk"],
+        ids=["three-tuple", "constructor-refuses", "garbage"],
+    )
+    def test_serve_loop_drops_a_frame_that_does_not_decode(self, payload):
+        from repro.api.wire import serve
+
+        left, right = socket.socketpair()
+        submitted = []
+        try:
+            left.sendall(len(payload).to_bytes(8, "big") + payload)
+            serve(right, lambda *request: submitted.append(request))  # returns
+            assert submitted == []
         finally:
             left.close()
             right.close()

@@ -1,4 +1,4 @@
-"""Tests for the runtime: executor, buffer pool, profiler, compiled module."""
+"""Tests for the runtime: executor, profiler, compiled module."""
 
 import threading
 import time
@@ -10,7 +10,6 @@ from repro.api.scheduler import BatchingPolicy, DeadlineExceeded, RequestSchedul
 from repro.core import CompileConfig, OptLevel, compile_graph
 from repro.costmodel import OPENMP, THREAD_POOL
 from repro.runtime import (
-    BufferPool,
     GraphExecutor,
     format_report,
     initialize_parameters,
@@ -183,32 +182,6 @@ class TestCompileTimeFold:
         assert theirs is not mine and np.array_equal(theirs, mine)
 
 
-class TestBufferPool:
-    def test_buffers_are_reused_after_release(self):
-        pool = BufferPool()
-        first = pool.acquire((4, 3), "float32")
-        assert first.shape == (4, 3) and str(first.dtype) == "float32"
-        pool.release(first)
-        again = pool.acquire((4, 3), "float32")
-        assert again is first
-
-    def test_concurrent_checkouts_get_distinct_buffers(self):
-        pool = BufferPool()
-        a = pool.acquire((2, 2), "float32")
-        b = pool.acquire((2, 2), "float32")
-        assert a is not b
-        pool.release(a)
-        pool.release(b)
-
-    def test_free_list_is_bounded(self):
-        pool = BufferPool(max_free=1)
-        a = pool.acquire((2,), "float32")
-        b = pool.acquire((2,), "float32")
-        pool.release(a)
-        pool.release(b)  # beyond max_free: dropped, not hoarded
-        assert len(pool._free[((2,), "float32")]) == 1
-
-
 class TestProfilerAndModule:
     def test_module_profile_and_report(self, skylake):
         module = compile_graph(build_tiny_cnn(), skylake, CompileConfig())
@@ -240,47 +213,8 @@ class TestProfilerAndModule:
 
 
 # --------------------------------------------------------------------------- #
-# regressions: buffer budget, weighted-fair queueing
+# regressions: weighted-fair queueing
 # --------------------------------------------------------------------------- #
-class TestBufferPoolBudget:
-    def test_release_beyond_budget_evicts_least_recently_used_key(self):
-        pool = BufferPool(max_free=4, max_bytes=4 * 1024)
-        old = pool.acquire((256,), "float32")  # 1 KiB
-        new = pool.acquire((512,), "float32")  # 2 KiB
-        pool.release(old)
-        pool.release(new)
-        assert pool.free_bytes == 3 * 1024
-        third = pool.acquire((256,), "float64")  # 2 KiB: over budget by 1 KiB
-        pool.release(third)
-        # The float32 (256,) key was released first => least recently used.
-        assert pool.free_bytes == 4 * 1024
-        assert pool.acquire((256,), "float32") is not old, "LRU key evicted"
-        probe = pool.acquire((512,), "float32")
-        assert probe is new, "recently-released key must survive eviction"
-
-    def test_buffer_larger_than_budget_is_not_retained(self):
-        pool = BufferPool(max_free=4, max_bytes=1024)
-        big = pool.acquire((1024,), "float64")  # 8 KiB > budget
-        pool.release(big)
-        assert pool.free_bytes == 0
-        assert pool.acquire((1024,), "float64") is not big
-
-    def test_budget_spans_keys_not_just_per_key_count(self):
-        """Regression: max_free alone lets every (shape, dtype) ever seen
-        retain buffers forever; the byte budget must cap the union."""
-        pool = BufferPool(max_free=4, max_bytes=8 * 1024)
-        for extent in range(1, 64):  # 63 distinct keys, 4 bytes each * extent
-            buffer = pool.acquire((extent * 16,), "float32")
-            pool.release(buffer)
-        assert pool.free_bytes <= 8 * 1024
-
-    def test_zero_budget_retains_nothing(self):
-        pool = BufferPool(max_free=4, max_bytes=0)
-        buffer = pool.acquire((8,), "float32")
-        pool.release(buffer)
-        assert pool.free_bytes == 0
-
-
 class TestWeightedFairQueue:
     """The weighted-fair queue rules, on the object that now owns them.
 
