@@ -26,6 +26,7 @@ import numpy as np
 
 from ..costmodel.graph_cost import LatencyReport
 from ..graph.graph import Graph
+from ..runtime.executor import request_array
 from ..runtime.module import CompiledModule
 from ..tensor.tensor import Tensor
 from .scheduler import (
@@ -351,12 +352,9 @@ class InferenceEngine:
         return tuple(items)
 
     def _coerce(self, name: str, value) -> np.ndarray:
-        """A request input as the plain array the executor would see."""
-        if isinstance(value, Tensor):
-            return value.data
-        spec = self._input_specs.get(name)
-        dtype = spec.dtype.name if spec is not None else None
-        return np.asarray(value, dtype=dtype)
+        """A request input as the array the executor reads: the executor's
+        own boundary rule (declared layout and dtype)."""
+        return request_array(self._input_specs[name], value)
 
     def _execute_group(
         self, requests: List[Mapping[str, np.ndarray]]
@@ -371,16 +369,15 @@ class InferenceEngine:
         if len(requests) == 1:
             return [self._executor.run(requests[0])]
 
-        anchor = next(iter(self._input_specs))
-        counts = [
-            int(np.shape(self._coerce(anchor, request[anchor]))[0])
+        coerced = [
+            {name: self._coerce(name, request[name]) for name in self._input_specs}
             for request in requests
         ]
+        anchor = next(iter(self._input_specs))
+        counts = [int(arrays[anchor].shape[0]) for arrays in coerced]
         total = sum(counts)
         stacked = {
-            name: np.concatenate(
-                [self._coerce(name, request[name]) for request in requests], axis=0
-            )
+            name: np.concatenate([arrays[name] for arrays in coerced], axis=0)
             for name in self._input_specs
         }
         outputs = self._executor.run(stacked)

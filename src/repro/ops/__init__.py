@@ -23,7 +23,7 @@ from .conv2d import (
     workload_from_shapes,
 )
 from .dense import concat, concat_channels_nchw, dense, flatten_nchw, reshape
-from .elementwise import add, bias_add_nchw, bias_add_nchwc, multiply, scale_shift_nchw
+from .elementwise import add, bias_add_nchw, bias_add_nchwc, multiply
 from .pooling import (
     avg_pool2d_nchw,
     avg_pool2d_nchwc,
@@ -76,7 +76,6 @@ __all__ = [
     "registry",
     "relu",
     "reshape",
-    "scale_shift_nchw",
     "sigmoid",
     "softmax",
     "workload_from_shapes",

@@ -8,14 +8,16 @@ candidates — the fusion pass attaches them to the producing convolution.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = ["relu", "leaky_relu", "sigmoid", "softmax", "clip", "dropout_inference"]
 
 
-def relu(data: np.ndarray) -> np.ndarray:
-    """Element-wise rectified linear unit."""
-    return np.maximum(data, 0)
+def relu(data: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Element-wise rectified linear unit (into ``out`` when given)."""
+    return np.maximum(data, 0, out=out)
 
 
 def leaky_relu(data: np.ndarray, alpha: float = 0.01) -> np.ndarray:

@@ -21,13 +21,25 @@ here and priced by the cost model, but they no longer change how numpy
 executes the convolution: register blocking along the output width and kernel
 loop unrolling happen inside BLAS.
 
+The kernel is prepare plus call.  :func:`prepare_conv2d_nchwc` does once what
+depends only on the workload, the schedule and the weights: it validates the
+schedule, fixes the padding/stride/dilation geometry and the output-row tiles,
+and takes the panel view of the packed weights.  The callable it returns does
+the per-request work only: zero-fill the padded input (``np.zeros`` plus a
+slice assignment, the same bits as ``np.pad``), take the strided window, make
+the im2col copy and run the stacked ``np.matmul``.  The batch is read from
+the data array, never from the workload, so one prepared kernel serves any
+coalesced batch.  :func:`conv2d_nchwc` is prepare then call; the graph
+executor prepares each convolution once, and the empirical measurer times the
+prepared call.
+
 Numerical results agree with the NCHW reference up to fp round-off, which the
 test suite asserts for a range of workloads and schedules.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -35,12 +47,13 @@ from numpy.lib.stride_tricks import as_strided
 from ..schedule.template import ConvSchedule, validate_schedule
 from ..schedule.workload import ConvWorkload
 from ..tensor.transform import pack_conv_weights, to_blocked_nchwc, from_blocked_nchwc
-from .conv2d import conv_output_size, workload_from_shapes
+from .conv2d import workload_from_shapes
 
 __all__ = [
     "conv2d_nchwc",
     "conv2d_nchwc_from_nchw",
     "prepack_weights",
+    "prepare_conv2d_nchwc",
 ]
 
 #: Upper bound on one sample's im2col scratch.  Large feature maps are cut
@@ -59,17 +72,93 @@ def prepack_weights(weight_oihw: np.ndarray, schedule: ConvSchedule) -> np.ndarr
     return pack_conv_weights(weight_oihw, schedule.ic_bn, schedule.oc_bn)
 
 
-def _pad_blocked(data: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
-    """Zero-pad the spatial dims of an NCHW[x]c tensor (N, C//x, H, W, x)."""
-    pad_h, pad_w = padding
-    if pad_h == 0 and pad_w == 0:
-        return data
-    return np.pad(
-        data,
-        ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w), (0, 0)),
-        mode="constant",
-        constant_values=0,
-    )
+def prepare_conv2d_nchwc(
+    workload: ConvWorkload,
+    schedule: ConvSchedule,
+    weight_packed: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolve one blocked convolution into a callable on its input.
+
+    Args:
+        workload: shape signature; its batch is not used (the callable reads
+            the batch from its argument).
+        schedule: the template configuration (ic_bn/oc_bn/reg_n/unroll_ker).
+        weight_packed: pre-packed kernel, shape
+            ``(K/oc_bn, C/ic_bn, R, S, ic_bn, oc_bn)``.
+        bias: optional per-output-channel bias of shape (K,).
+
+    Returns:
+        ``conv(data_blocked)``, mapping an input feature map of shape
+        ``(N, C/ic_bn, H, W, ic_bn)`` to a new float32 output of shape
+        ``(N, K/oc_bn, OH, OW, oc_bn)``.
+    """
+    if workload.groups != 1:
+        raise NotImplementedError(
+            "blocked convolution template supports groups=1; grouped/depthwise "
+            "convolutions fall back to the NCHW reference kernel"
+        )
+    validate_schedule(schedule, workload)
+    ic_bn, oc_bn = schedule.ic_bn, schedule.oc_bn
+    ic_outer = workload.in_channels // ic_bn
+    oc_outer = workload.out_channels // oc_bn
+    k_h, k_w = workload.kernel_h, workload.kernel_w
+    s_h, s_w = workload.stride
+    d_h, d_w = workload.dilation
+    pad_h, pad_w = workload.padding
+    in_h, in_w = workload.in_height, workload.in_width
+    out_h, out_w = workload.out_height, workload.out_width
+
+    expected_weight = (oc_outer, ic_outer, k_h, k_w, ic_bn, oc_bn)
+    if tuple(weight_packed.shape) != expected_weight:
+        raise ValueError(
+            f"packed weight shape {weight_packed.shape} != expected {expected_weight}"
+        )
+    sample = (ic_outer, in_h, in_w, ic_bn)
+    padded_sample = (ic_outer, in_h + 2 * pad_h, in_w + 2 * pad_w, ic_bn)
+    depth = ic_outer * k_h * k_w * ic_bn
+    panels = weight_packed.reshape(oc_outer, depth, oc_bn)
+    bias_panels = None if bias is None else bias.reshape(oc_outer, 1, 1, oc_bn)
+    # Output rows per GEMM depend on per-sample extents only and the batch is
+    # only ever a matmul stack dimension: each sample gets the identical
+    # sequence of GEMMs whatever it is coalesced with, so batched serving is
+    # byte-identical to sequential serving by construction.  Tiles are sized
+    # for float32 feature maps.
+    rows = max(1, IM2COL_TILE_BYTES // (out_w * depth * np.dtype(np.float32).itemsize))
+    tiles = [(top, min(top + rows, out_h)) for top in range(0, out_h, rows)]
+
+    def conv(data_blocked: np.ndarray) -> np.ndarray:
+        if data_blocked.shape[1:] != sample:
+            raise ValueError(
+                f"blocked data shape {data_blocked.shape} != expected (N, *{sample})"
+            )
+        batch = data_blocked.shape[0]
+        padded = data_blocked
+        if pad_h or pad_w:
+            padded = np.zeros((batch,) + padded_sample, dtype=data_blocked.dtype)
+            padded[:, :, pad_h : pad_h + in_h, pad_w : pad_w + in_w] = data_blocked
+        s_n, s_c, s_y, s_x, s_i = padded.strides
+        # Every output pixel's receptive field, without copying anything yet.
+        windows = as_strided(
+            padded,
+            shape=(batch, out_h, out_w, ic_outer, k_h, k_w, ic_bn),
+            strides=(s_n, s_y * s_h, s_x * s_w, s_c, s_y * d_h, s_x * d_w, s_i),
+            writeable=False,
+        )
+        out = np.empty((batch, oc_outer, out_h, out_w, oc_bn), dtype=np.float32)
+        for top, bottom in tiles:
+            pixels = (bottom - top) * out_w
+            cols = windows[:, top:bottom].reshape(batch, 1, pixels, depth)  # the im2col copy
+            np.matmul(
+                cols,
+                panels,
+                out=out[:, :, top:bottom].reshape(batch, oc_outer, pixels, oc_bn),
+            )
+        if bias_panels is not None:
+            out += bias_panels
+        return out
+
+    return conv
 
 
 def conv2d_nchwc(
@@ -79,7 +168,7 @@ def conv2d_nchwc(
     schedule: ConvSchedule,
     bias: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Convolution on blocked data as one stacked GEMM per output-row tile.
+    """Convolution on blocked data: :func:`prepare_conv2d_nchwc`, then call.
 
     Args:
         data_blocked: input feature map, shape
@@ -93,61 +182,7 @@ def conv2d_nchwc(
     Returns:
         Output feature map of shape ``(N, K/oc_bn, OH, OW, oc_bn)``.
     """
-    if workload.groups != 1:
-        raise NotImplementedError(
-            "blocked convolution template supports groups=1; grouped/depthwise "
-            "convolutions fall back to the NCHW reference kernel"
-        )
-    validate_schedule(schedule, workload)
-    ic_bn, oc_bn = schedule.ic_bn, schedule.oc_bn
-    batch = workload.batch
-    ic_outer = workload.in_channels // ic_bn
-    oc_outer = workload.out_channels // oc_bn
-    k_h, k_w = workload.kernel_h, workload.kernel_w
-    s_h, s_w = workload.stride
-    d_h, d_w = workload.dilation
-    out_h, out_w = workload.out_height, workload.out_width
-
-    expected_data = (batch, ic_outer, workload.in_height, workload.in_width, ic_bn)
-    if tuple(data_blocked.shape) != expected_data:
-        raise ValueError(
-            f"blocked data shape {data_blocked.shape} != expected {expected_data}"
-        )
-    expected_weight = (oc_outer, ic_outer, k_h, k_w, ic_bn, oc_bn)
-    if tuple(weight_packed.shape) != expected_weight:
-        raise ValueError(
-            f"packed weight shape {weight_packed.shape} != expected {expected_weight}"
-        )
-
-    padded = _pad_blocked(data_blocked, workload.padding)
-    s_n, s_c, s_y, s_x, s_i = padded.strides
-    # Every output pixel's receptive field, without copying anything yet.
-    windows = as_strided(
-        padded,
-        shape=(batch, out_h, out_w, ic_outer, k_h, k_w, ic_bn),
-        strides=(s_n, s_y * s_h, s_x * s_w, s_c, s_y * d_h, s_x * d_w, s_i),
-        writeable=False,
-    )
-    depth = ic_outer * k_h * k_w * ic_bn
-    panels = weight_packed.reshape(oc_outer, depth, oc_bn)
-    out = np.empty((batch, oc_outer, out_h, out_w, oc_bn), dtype=np.float32)
-    # Output rows per GEMM depend on per-sample extents only and the batch is
-    # only ever a matmul stack dimension: each sample gets the identical
-    # sequence of GEMMs whatever it is coalesced with, so batched serving is
-    # byte-identical to sequential serving by construction.
-    rows = max(1, IM2COL_TILE_BYTES // (out_w * depth * padded.itemsize))
-    for top in range(0, out_h, rows):
-        tile = windows[:, top : top + rows]
-        pixels = tile.shape[1] * out_w
-        cols = tile.reshape(batch, 1, pixels, depth)  # the im2col copy
-        np.matmul(
-            cols,
-            panels,
-            out=out[:, :, top : top + rows].reshape(batch, oc_outer, pixels, oc_bn),
-        )
-    if bias is not None:
-        out += bias.reshape(oc_outer, 1, 1, oc_bn)
-    return out
+    return prepare_conv2d_nchwc(workload, schedule, weight_packed, bias)(data_blocked)
 
 
 def conv2d_nchwc_from_nchw(

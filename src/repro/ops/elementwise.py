@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["add", "multiply", "bias_add_nchw", "bias_add_nchwc", "scale_shift_nchw"]
+__all__ = ["add", "multiply", "bias_add_nchw", "bias_add_nchwc"]
 
 
 def add(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -42,8 +42,3 @@ def bias_add_nchwc(data: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Add a per-channel bias to an ``NCHW[x]c`` tensor without un-blocking."""
     _, c_outer, _, _, c_inner = data.shape
     return data + bias.reshape(c_outer, c_inner).reshape(1, c_outer, 1, 1, c_inner)
-
-
-def scale_shift_nchw(data: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-channel affine transform on NCHW data (folded batch norm)."""
-    return data * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)

@@ -2,20 +2,23 @@
 
 Each operator gets a shape-inference function and a layout-aware compute
 function, and is classified into one of the three layout categories of
-section 3.2.  Importing this module (done by ``repro.ops``) populates the
-global registry.
+section 3.2.  The operators every request runs many times — conv2d,
+scale_shift, relu, sigmoid, elemwise_add — are defined by a ``prepare``
+function instead (see :mod:`repro.ops.registry`), and their compute is
+prepare then call.  Importing this module (done by ``repro.ops``) populates
+the global registry.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..schedule.template import ConvSchedule
 from ..tensor.layout import Layout
 from ..tensor.tensor import BatchDim, Tensor, TensorSpec
-from ..tensor.transform import transform_tensor
+from ..tensor.transform import layout_transform, transform_tensor
 from . import activation, batch_norm, blocked_conv, conv2d, dense, elementwise, pooling
 from .conv2d import conv_output_size
 from .registry import LayoutCategory, register_op
@@ -53,8 +56,12 @@ def _nchw_extents(spec: TensorSpec) -> Tuple[int, int, int, int]:
     )
 
 
-def _is_blocked_feature_map(tensor: Tensor) -> bool:
-    return tensor.layout.is_blocked and tensor.layout.has_axis("c")
+def _is_blocked_feature_map(value: "Tensor | TensorSpec") -> bool:
+    return value.layout.is_blocked and value.layout.has_axis("c")
+
+
+_NCHW = Layout("NCHW")
+_OIHW = Layout("OIHW")
 
 
 # --------------------------------------------------------------------------- #
@@ -83,50 +90,58 @@ def _conv2d_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec(logical, out_layout, data_spec.dtype)
 
 
-def _conv2d_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    data, weight = inputs[0], inputs[1]
-    bias = inputs[2].data if len(inputs) > 2 else None
+def _conv2d_prepare(
+    attrs: dict,
+    in_specs: Sequence[TensorSpec],
+    invariants: Sequence[Optional[np.ndarray]],
+):
+    """The blocked template on ``NCHW[x]c`` data with pre-packed weights
+    (bound here when they are request-independent), else the NCHW reference
+    kernel."""
+    data_spec, weight_spec = in_specs[0], in_specs[1]
     stride = _pair(attrs.get("stride", 1))
     padding = _pair(attrs.get("padding", 0))
     dilation = _pair(attrs.get("dilation", 1))
     groups = int(attrs.get("groups", 1))
 
-    if _is_blocked_feature_map(data):
-        # Blocked template path: weights must already be pre-packed.
+    if _is_blocked_feature_map(data_spec):
         schedule = conv_schedule_from_attrs(attrs)
-        if not weight.layout.has_axis("i") or not weight.layout.has_axis("o"):
+        if not weight_spec.layout.has_axis("i") or not weight_spec.layout.has_axis("o"):
             raise ValueError(
                 "blocked conv2d requires pre-packed weights "
-                f"(got layout {weight.layout})"
+                f"(got layout {weight_spec.layout})"
             )
-        n, c, h, w = _nchw_extents(data.spec)
-        out_channels = weight.spec.axis_extent("O")
+        n, c, h, w = _nchw_extents(data_spec)
         workload = conv2d.workload_from_shapes(
             (n, c, h, w),
-            (out_channels, c // groups, weight.spec.axis_extent("H"),
-             weight.spec.axis_extent("W")),
+            (weight_spec.axis_extent("O"), c // groups, weight_spec.axis_extent("H"),
+             weight_spec.axis_extent("W")),
             stride,
             padding,
             dilation,
             groups,
         )
-        out_blocked = blocked_conv.conv2d_nchwc(
-            data.data, weight.data, workload, schedule, bias
-        )
-        out_layout = f"NCHW{schedule.oc_bn}c"
-        return Tensor(out_blocked, out_layout, workload.output_shape)
 
-    # Default NCHW reference path.
-    data_nchw = data
-    if data.layout != Layout("NCHW"):
-        data_nchw = transform_tensor(data, "NCHW")
-    weight_oihw = weight
-    if weight.layout != Layout("OIHW"):
-        weight_oihw = transform_tensor(weight, "OIHW")
-    out = conv2d.conv2d_nchw(
-        data_nchw.data, weight_oihw.data, stride, padding, dilation, groups, bias
-    )
-    return Tensor(out, "NCHW")
+        def bind(weight: np.ndarray, bias: Optional[np.ndarray] = None):
+            return blocked_conv.prepare_conv2d_nchwc(workload, schedule, weight, bias)
+
+        params = invariants[1:]
+        if all(param is not None for param in params):
+            conv = bind(*params)
+            return lambda data, *_: conv(data)
+        return lambda data, *params: bind(*params)(data)
+
+    data_layout, weight_layout = data_spec.layout, weight_spec.layout
+    data_to_nchw, weight_to_oihw = data_layout != _NCHW, weight_layout != _OIHW
+
+    def reference(data, weight, bias=None):
+        if data_to_nchw:
+            data = layout_transform(data, data_layout, _NCHW)
+        if weight_to_oihw:
+            weight = layout_transform(weight, weight_layout, _OIHW)
+        return conv2d.conv2d_nchw(data, weight, stride, padding, dilation, groups, bias)
+
+    return reference
 
 
 # --------------------------------------------------------------------------- #
@@ -206,11 +221,9 @@ def _concat_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
     for tensor in inputs[1:]:
         if tensor.layout != layout:
             raise ValueError("concat requires identical layouts")
+    # Along the *outer* axis of a blocked layout: every input's extent is a
+    # multiple of the block (guaranteed after the alter-layout pass).
     axis_index = layout.axis_index(axis_name)
-    if layout.is_blocked and layout.block_factor(axis_name):
-        # Concatenate along the *outer* axis; every input's channel count must
-        # be divisible by the block (guaranteed after the alter-layout pass).
-        pass
     out = np.concatenate([t.data for t in inputs], axis=axis_index)
     total = sum(t.spec.axis_extent(axis_name) for t in inputs)
     extents = dict(zip(layout.primal_axes, inputs[0].logical_shape))
@@ -341,29 +354,51 @@ def _bias_add_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
     return Tensor(out, data.layout, data.logical_shape)
 
 
-def _scale_shift_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
+def _scale_shift_prepare(
+    attrs: dict,
+    in_specs: Sequence[TensorSpec],
+    invariants: Sequence[Optional[np.ndarray]],
+    into: Optional[int] = None,
+):
+    """Per-channel ``data * scale + shift`` (folded batch norm) on blocked or
+    NCHW data; with ``into=0`` the result is written into the data buffer."""
     del attrs
-    data, scale, shift = inputs[0], inputs[1], inputs[2]
-    if _is_blocked_feature_map(data):
-        _, c_outer, _, _, c_inner = data.data.shape
-        scale_b = scale.data.reshape(1, c_outer, 1, 1, c_inner)
-        shift_b = shift.data.reshape(1, c_outer, 1, 1, c_inner)
-        out = data.data * scale_b + shift_b
+    data_spec = in_specs[0]
+    if _is_blocked_feature_map(data_spec):
+        _, c_outer, _, _, c_inner = data_spec.concrete_shape
+        shape = (1, c_outer, 1, 1, c_inner)
     else:
-        out = elementwise.scale_shift_nchw(data.data, scale.data, shift.data)
-    return Tensor(out, data.layout, data.logical_shape)
+        shape = (1, -1, 1, 1)
+
+    def bind(scale: np.ndarray, shift: np.ndarray):
+        scale, shift = scale.reshape(shape), shift.reshape(shape)
+        dtype = scale.dtype if scale.dtype == shift.dtype else None
+
+        def kernel(data, *_):
+            if data.dtype != dtype:  # mixed dtypes: numpy's own promotion
+                return data * scale + shift
+            out = np.multiply(data, scale, out=data if into == 0 else None)
+            return np.add(out, shift, out=out)
+
+        return kernel
+
+    if invariants[1] is not None and invariants[2] is not None:
+        return bind(invariants[1], invariants[2])
+    return lambda data, scale, shift: bind(scale, shift)(data)
 
 
 # --------------------------------------------------------------------------- #
 # activations / element-wise
 # --------------------------------------------------------------------------- #
-def _unary_compute(func):
-    def compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-        del attrs
-        data = inputs[0]
-        return Tensor(func(data.data), data.layout, data.logical_shape)
+def _numpy_prepare(func, in_place=None):
+    """``prepare`` of an operator that is one numpy function of its one input;
+    ``in_place(data)`` is the same function writing into ``data``."""
 
-    return compute
+    def prepare(attrs, in_specs, invariants, into=None):
+        del attrs, in_specs, invariants
+        return func if into is None else in_place
+
+    return prepare
 
 
 def _softmax_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
@@ -372,15 +407,33 @@ def _softmax_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
     return Tensor(activation.softmax(data.data, axis), data.layout, data.logical_shape)
 
 
-def _elemwise_add_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    lhs, rhs = inputs[0], inputs[1]
+def _elemwise_add_prepare(
+    attrs: dict,
+    in_specs: Sequence[TensorSpec],
+    invariants: Sequence[Optional[np.ndarray]],
+    into: Optional[int] = None,
+):
+    """``lhs + rhs`` in one layout; with ``into`` the result is written into
+    that operand's buffer."""
+    del attrs, invariants
+    lhs, rhs = in_specs[0], in_specs[1]
     if lhs.layout != rhs.layout:
         raise ValueError(
             f"elemwise_add requires both operands in the same layout, got "
             f"{lhs.layout} vs {rhs.layout}"
         )
-    return Tensor(elementwise.add(lhs.data, rhs.data), lhs.layout, lhs.logical_shape)
+    if lhs.logical_shape != rhs.logical_shape:
+        raise ValueError(
+            f"elemwise_add shape mismatch: {lhs.logical_shape} vs {rhs.logical_shape}"
+        )
+    if into is None:
+        return np.add
+
+    def add_into(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        target = rhs if into else lhs
+        return np.add(lhs, rhs, out=target if lhs.dtype == rhs.dtype else None)
+
+    return add_into
 
 
 def _elemwise_add_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
@@ -499,7 +552,7 @@ register_op(
     "conv2d",
     LayoutCategory.TOLERANT,
     _conv2d_infer,
-    _conv2d_compute,
+    prepare=_conv2d_prepare,
     compute_intensive=True,
 )
 register_op(
@@ -531,21 +584,23 @@ register_op(
     "scale_shift",
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
-    _scale_shift_compute,
+    prepare=_scale_shift_prepare,
     fusible=True,
+    in_place=True,
 )
 register_op(
     "relu",
     LayoutCategory.OBLIVIOUS,
     _same_as_input_infer,
-    _unary_compute(activation.relu),
+    prepare=_numpy_prepare(activation.relu, lambda data: activation.relu(data, out=data)),
     fusible=True,
+    in_place=True,
 )
 register_op(
     "sigmoid",
     LayoutCategory.OBLIVIOUS,
     _same_as_input_infer,
-    _unary_compute(activation.sigmoid),
+    prepare=_numpy_prepare(activation.sigmoid),
     fusible=True,
 )
 register_op("softmax", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _softmax_compute)
@@ -553,9 +608,10 @@ register_op(
     "elemwise_add",
     LayoutCategory.OBLIVIOUS,
     _elemwise_add_infer,
-    _elemwise_add_compute,
+    prepare=_elemwise_add_prepare,
     fusible=True,
     num_inputs=2,
+    in_place=True,
 )
 register_op(
     "max_pool2d",

@@ -10,6 +10,12 @@ Every operator known to the graph IR is described by an :class:`OpDef`:
   node attributes) to the output spec;
 * a **compute function** executing the operator on concrete, layout-annotated
   :class:`Tensor`\\ s;
+* optionally a **prepare function**, which resolves the operator's kernel once
+  from the node attributes, the inputs' static specs and whichever input
+  arrays are request-independent.  The kernel is a plain callable on ndarrays;
+  the graph executor's plan calls nothing else per request.  An operator with
+  a prepare function has one implementation: its compute is derived as
+  "prepare, then call";
 * whether the operator is **compute-intensive** (a tuning target for the local
   search) and whether it can be **fused** into a preceding compute-intensive op.
 
@@ -19,15 +25,28 @@ The standard operator set is registered by :mod:`repro.ops.op_library`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..tensor.tensor import Tensor, TensorSpec
 
-__all__ = ["LayoutCategory", "OpDef", "OpRegistry", "registry", "register_op", "get_op"]
+__all__ = [
+    "Kernel",
+    "LayoutCategory",
+    "OpDef",
+    "OpRegistry",
+    "registry",
+    "register_op",
+    "get_op",
+]
 
 InferFunc = Callable[[dict, Sequence[TensorSpec]], TensorSpec]
 ComputeFunc = Callable[[dict, Sequence[Tensor]], Tensor]
+#: A prepared operator: every input's array in, in order; the output array out.
+Kernel = Callable[..., np.ndarray]
+PrepareFunc = Callable[..., Kernel]
 
 
 class LayoutCategory(enum.Enum):
@@ -55,6 +74,15 @@ class OpDef:
         fusible: True when the operator can be fused into a preceding
             compute-intensive operator (element-wise ops, BN, ReLU, bias add).
         num_inputs: expected input arity; ``None`` means variadic.
+        prepare: optional kernel factory ``prepare(attrs, in_specs,
+            invariants)``.  ``in_specs`` are the inputs' specs as shape
+            inference gave them; ``invariants[i]`` is input ``i``'s array when
+            it is the same on every call (a weight), else ``None``.  The
+            returned kernel takes every input's array, reads the batch from
+            them, and returns a new array.
+        in_place: the operator's ``prepare`` also accepts ``into=i``, asking
+            for a kernel that writes its result into input ``i``'s buffer and
+            returns it.
     """
 
     name: str
@@ -64,6 +92,8 @@ class OpDef:
     compute_intensive: bool = False
     fusible: bool = False
     num_inputs: Optional[int] = None
+    prepare: Optional[PrepareFunc] = None
+    in_place: bool = False
 
 
 class OpRegistry:
@@ -100,17 +130,40 @@ class OpRegistry:
 registry = OpRegistry()
 
 
+def _compute_from_prepare(prepare: PrepareFunc, infer_shape: InferFunc) -> ComputeFunc:
+    """The Tensor-level ``compute`` of an operator defined by ``prepare``."""
+
+    def compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
+        specs = [tensor.spec for tensor in inputs]
+        arrays = [tensor.data for tensor in inputs]
+        out = prepare(attrs, specs, arrays)(*arrays)
+        spec = infer_shape(attrs, specs)
+        return Tensor(out, spec.layout, spec.logical_shape)
+
+    return compute
+
+
 def register_op(
     name: str,
     category: LayoutCategory,
     infer_shape: InferFunc,
-    compute: ComputeFunc,
+    compute: Optional[ComputeFunc] = None,
     compute_intensive: bool = False,
     fusible: bool = False,
     num_inputs: Optional[int] = None,
     override: bool = False,
+    prepare: Optional[PrepareFunc] = None,
+    in_place: bool = False,
 ) -> OpDef:
-    """Register an operator in the global registry (convenience wrapper)."""
+    """Register an operator in the global registry (convenience wrapper).
+
+    Give ``compute`` or ``prepare``; an operator given only ``prepare``
+    computes by preparing, then calling.
+    """
+    if compute is None:
+        if prepare is None:
+            raise ValueError(f"operator {name!r} needs a compute or a prepare function")
+        compute = _compute_from_prepare(prepare, infer_shape)
     op_def = OpDef(
         name=name,
         category=category,
@@ -119,6 +172,8 @@ def register_op(
         compute_intensive=compute_intensive,
         fusible=fusible,
         num_inputs=num_inputs,
+        prepare=prepare,
+        in_place=in_place,
     )
     return registry.register(op_def, override=override)
 

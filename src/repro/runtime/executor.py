@@ -7,32 +7,66 @@ validate the correctness", section 4) becomes, here, the assertion that the
 optimized graph produces the same numbers as the unoptimized one.
 
 Requests are served through this executor, so its per-request cost is the
-daemon's latency floor: everything that does not depend on the request — the
-constant tensors and every ``compile_time`` node fed only by them, which is
-the ``OIHW -> OIHW[x]i[y]o`` weight pre-packing of section 3.2 — is evaluated
-once per executor and only the remaining nodes run per request.  Numpy timings
-still say nothing about AVX-512 register blocking; predicting the latency of
-a schedule on the target CPU is the job of the analytical cost model in
-:mod:`repro.costmodel`.
+daemon's latency floor, and a request pays for as little as possible besides
+arithmetic:
+
+* **The fold.**  Everything that does not depend on the request — the
+  constant tensors and every ``compile_time`` node fed only by them, which is
+  the ``OIHW -> OIHW[x]i[y]o`` weight pre-packing of section 3.2 — is
+  evaluated once per executor.
+* **The plan.**  The remaining nodes are resolved once into a flat list of
+  steps ``(kernel, input slots, output slot)``.  An operator with a
+  ``prepare`` function (conv2d, scale_shift, relu, sigmoid, elemwise_add)
+  builds its own kernel from the node attributes, its inputs' static specs
+  and the folded arrays, so schedule validation, convolution geometry, weight
+  panel views and broadcast shapes are settled here; any other operator gets
+  a kernel that wraps its arrays in the layouts shape inference gave them and
+  calls its ``compute``.  :meth:`GraphExecutor.run` fills the request slots
+  and calls kernels on raw ndarrays.
+* **In place.**  An operator marked ``in_place`` (scale_shift, relu,
+  elemwise_add) writes its result into an input buffer only when that buffer
+  was allocated by an earlier step of the same run (a prepared kernel's
+  output — never a request array, a folded array or a view a ``compute``
+  returned), has exactly one consumer, and is not a graph output.  The rule
+  is off under ``return_all=True``, which returns every intermediate.  The
+  bits are the same either way: numpy computes the same ufuncs.
+* **Re-entrancy.**  The plan is read-only once built: a run's state is its
+  own slot list and the arrays its kernels allocate, so concurrent runs on
+  one executor (the serving engine runs two worker threads) share nothing
+  they write.  Kernels read the batch from their arrays, so one plan serves
+  every coalesced batch.  When a constant's bound value is replaced, the
+  fold recomputes what depends on it and the plan is rebuilt.
+
+Numpy timings still say nothing about AVX-512 register blocking; predicting
+the latency of a schedule on the target CPU is the job of the analytical cost
+model in :mod:`repro.costmodel`.
 """
 
 from __future__ import annotations
 
 import zlib
-from operator import is_
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from collections import Counter
+from operator import attrgetter, is_
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.node import Node
 from ..graph.passes.simplify_inference import resolve_derived_constant
-from ..ops.registry import registry
-from ..tensor.tensor import Tensor
+from ..ops.registry import Kernel, registry
+from ..tensor.tensor import Tensor, TensorSpec
+from ..tensor.transform import transform_tensor
 
-__all__ = ["GraphExecutor", "initialize_parameters"]
+__all__ = ["GraphExecutor", "initialize_parameters", "request_array"]
 
 ArrayLike = Union[np.ndarray, Tensor]
+
+#: One plan step: call the kernel on the arrays in the input slots and store
+#: its result in the output slot.
+Step = Tuple[Kernel, Tuple[int, ...], int]
+
+_bound_value = attrgetter("value")
 
 
 def _default_initializer(node: Node, rng: np.random.Generator) -> np.ndarray:
@@ -123,8 +157,97 @@ def initialize_parameters(
     return bound
 
 
+def request_array(spec: TensorSpec, value: ArrayLike) -> np.ndarray:
+    """A request value as a plain array in ``spec``'s layout and dtype.
+
+    The one input-coercion rule, shared by :meth:`GraphExecutor.run` and the
+    serving engine's batch stacking: a :class:`Tensor` in another layout is
+    converted to the declared one, and every value is cast to the declared
+    dtype.
+    """
+    if isinstance(value, Tensor):
+        if value.layout != spec.layout:
+            value = transform_tensor(value, spec.layout)
+        value = value.data
+    return np.asarray(value, dtype=spec.dtype.name)
+
+
+def _bind_input(
+    name: str, spec: TensorSpec, shape: Tuple[int, ...], value: ArrayLike
+) -> np.ndarray:
+    """One request input, checked against its declared concrete ``shape``."""
+    data = request_array(spec, value)
+    if data.shape == shape:
+        return data
+    # The symbolic batch dim is the single source of truth: an input declared
+    # with a free leading extent accepts any batch whose per-sample shape
+    # matches — this is what lets the request scheduler stack coalesced
+    # requests along the batch dim; one built with polymorphic_batch=False (or
+    # loaded from a pre-convention artifact) is validated exactly.
+    if spec.batch_polymorphic:
+        if data.shape[1:] == shape[1:]:
+            return data
+        raise ValueError(
+            f"input {name!r} has shape {data.shape}; the graph declares a free "
+            f"leading batch extent over per-sample shape {shape[1:]}"
+        )
+    raise ValueError(f"input {name!r} has shape {data.shape}; the graph declares {shape}")
+
+
+def _step_kernel(
+    node: Node, invariants: Sequence[Optional[np.ndarray]], into: Optional[int] = None
+) -> Kernel:
+    """The kernel a step runs for ``node``, called with every input's array.
+
+    ``invariants[i]`` is input ``i``'s array when it is request-independent.
+    An operator with ``prepare`` resolves its own kernel (``into`` names the
+    input buffer an ``in_place`` operator may write into).  Any other operator
+    gets a kernel that wraps its arrays in the layouts shape inference gave
+    its inputs — request-independent ones once, here — and calls ``compute``.
+    """
+    op_def = registry.get(node.op)
+    specs = [producer.spec for producer in node.inputs]
+    if op_def.prepare is not None:
+        if into is None:
+            return op_def.prepare(node.attrs, specs, invariants)
+        return op_def.prepare(node.attrs, specs, invariants, into=into)
+    compute, attrs = op_def.compute, node.attrs
+    layouts = [spec.layout for spec in specs]
+    bound = [
+        None if value is None else Tensor(value, layout)
+        for value, layout in zip(invariants, layouts)
+    ]
+
+    def kernel(*arrays: np.ndarray) -> np.ndarray:
+        tensors = [
+            Tensor(array, layout) if tensor is None else tensor
+            for array, layout, tensor in zip(arrays, layouts, bound)
+        ]
+        return compute(attrs, tensors).data
+
+    return kernel
+
+
+class _Plan(NamedTuple):
+    """What :meth:`GraphExecutor.run` needs, resolved once per set of bound
+    constants."""
+
+    #: The constants' bound values the plan was built from.
+    sources: Tuple[np.ndarray, ...]
+    #: The slot list a run starts from: folded arrays, ``None`` elsewhere.
+    slots: Tuple[Optional[np.ndarray], ...]
+    #: ``(slot, name, spec, declared shape)`` per graph input.
+    inputs: Tuple[Tuple[int, str, TensorSpec, Tuple[int, ...]], ...]
+    #: The steps with the in-place rule applied ...
+    steps: Tuple[Step, ...]
+    #: ... and without it, for ``return_all=True``.
+    steps_keeping_all: Tuple[Step, ...]
+    #: Slot of each graph output.
+    outputs: Tuple[int, ...]
+
+
 class GraphExecutor:
-    """Execute a graph node by node on numpy data."""
+    """Execute a graph on numpy data through a plan of prepared kernels."""
 
     def __init__(
         self,
@@ -150,33 +273,86 @@ class GraphExecutor:
                 self._invariant.append(node)
             else:
                 self._per_request.append(node)
-        #: node id -> (what the tensor was built from, the tensor).  A constant
-        #: is wrapped once and a compile-time node computed once, then reused
-        #: across runs; an entry is rebuilt when its source is no longer the
-        #: same object (a bound value was replaced, or an upstream entry was).
-        self._invariant_cache: Dict[int, Tuple[tuple, Tensor]] = {}
-        self._invariant_values()
+        self._constants = [node for node in self._invariant if node.is_constant]
+        #: node id -> (the arrays a folded node was computed from, its value).
+        #: An entry is recomputed only when a source is no longer the same
+        #: object (a bound value was replaced, or an upstream entry was).
+        self._invariant_cache: Dict[int, Tuple[tuple, np.ndarray]] = {}
+        self._plan = self._build_plan()
 
-    def _invariant_values(self) -> Dict[int, Tensor]:
-        """The request-independent tensors, by node id."""
-        values: Dict[int, Tensor] = {}
+    def _fold(self) -> Dict[int, np.ndarray]:
+        """The request-independent arrays, by node id."""
+        values: Dict[int, np.ndarray] = {}
         for node in self._invariant:
             if node.is_constant:
                 if node.value is None:
                     raise RuntimeError(f"constant {node.name!r} has no bound value")
-                sources: tuple = (node.value,)
-            else:
-                sources = tuple(values[id(producer)] for producer in node.inputs)
+                values[id(node)] = node.value
+                continue
+            sources = tuple(values[id(producer)] for producer in node.inputs)
             cached = self._invariant_cache.get(id(node))
             if cached is None or not all(map(is_, cached[0], sources)):
-                if node.is_constant:
-                    tensor = Tensor(node.value, node.spec.layout, node.spec.logical_shape)
-                else:
-                    tensor = registry.get(node.op).compute(node.attrs, list(sources))
-                cached = (sources, tensor)
+                cached = (sources, _step_kernel(node, sources)(*sources))
                 self._invariant_cache[id(node)] = cached
             values[id(node)] = cached[1]
         return values
+
+    def _build_plan(self) -> _Plan:
+        """Fold the invariant nodes, then resolve each per-request node into
+        a step — twice where the in-place rule applies."""
+        sources = tuple(map(_bound_value, self._constants))
+        values = self._fold()
+        slot = {id(node): index for index, node in enumerate(self._order)}
+        uses = Counter(
+            id(producer) for node in self._per_request for producer in node.inputs
+        )
+        outputs = {id(node) for node in self.graph.outputs}
+        owned = set()  # nodes whose buffer an earlier step of the run allocated
+        inputs, steps, steps_keeping_all = [], [], []
+        for node in self._per_request:
+            if node.is_input:
+                spec = node.spec
+                inputs.append((slot[id(node)], node.name, spec, spec.concrete_shape))
+                continue
+            op_def = registry.get(node.op)
+            invariants = [values.get(id(producer)) for producer in node.inputs]
+            step = (
+                _step_kernel(node, invariants),
+                tuple(slot[id(producer)] for producer in node.inputs),
+                slot[id(node)],
+            )
+            steps_keeping_all.append(step)
+            if op_def.in_place:
+                into = next(
+                    (
+                        index
+                        for index, producer in enumerate(node.inputs)
+                        if id(producer) in owned
+                        and uses[id(producer)] == 1
+                        and id(producer) not in outputs
+                    ),
+                    None,
+                )
+                if into is not None:
+                    step = (_step_kernel(node, invariants, into),) + step[1:]
+            steps.append(step)
+            if op_def.prepare is not None:
+                owned.add(id(node))
+        return _Plan(
+            sources=sources,
+            slots=tuple(values.get(id(node)) for node in self._order),
+            inputs=tuple(inputs),
+            steps=tuple(steps),
+            steps_keeping_all=tuple(steps_keeping_all),
+            outputs=tuple(slot[id(node)] for node in self.graph.outputs),
+        )
+
+    def _current_plan(self) -> _Plan:
+        """The plan, rebuilt first if a constant's bound value was replaced."""
+        plan = self._plan
+        if not all(map(is_, plan.sources, map(_bound_value, self._constants))):
+            plan = self._plan = self._build_plan()
+        return plan
 
     # ------------------------------------------------------------------ #
     # execution
@@ -190,7 +366,8 @@ class GraphExecutor:
 
         Args:
             inputs: mapping from input-node name to value (numpy array in the
-                node's declared layout, or a :class:`Tensor`).
+                node's declared layout, or a :class:`Tensor` in any layout
+                convertible to it).
             return_all: when True, return the outputs of every node (useful
                 for debugging pass correctness), keyed by node name.
 
@@ -198,47 +375,17 @@ class GraphExecutor:
             The outputs of the graph's output nodes, as numpy arrays in the
             nodes' output layouts (list), or all intermediate values (dict).
         """
-        values = self._invariant_values()
-        for node in self._per_request:
-            if node.is_input:
-                if node.name not in inputs:
-                    raise KeyError(f"missing value for input {node.name!r}")
-                provided = inputs[node.name]
-                if isinstance(provided, Tensor):
-                    tensor = provided
-                else:
-                    data = np.asarray(provided, dtype=node.spec.dtype.name)
-                    spec = node.spec
-                    # The symbolic batch dim is the single source of truth: an
-                    # input declared with a free leading extent accepts any
-                    # batch; one built with polymorphic_batch=False (or loaded
-                    # from a pre-convention artifact) is validated exactly.
-                    polymorphic = spec.batch_polymorphic
-                    if data.shape == spec.concrete_shape:
-                        tensor = Tensor(data, spec.layout, spec.logical_shape)
-                    elif polymorphic and data.shape[1:] == spec.concrete_shape[1:]:
-                        # Free batch axis: any leading extent is valid as long
-                        # as the per-sample shape matches the declared spec —
-                        # this is what lets the request scheduler stack
-                        # coalesced requests along the batch dim.
-                        tensor = Tensor(data, spec.layout)
-                    elif polymorphic:
-                        raise ValueError(
-                            f"input {node.name!r} has shape {data.shape}; the "
-                            f"graph declares a free leading batch extent over "
-                            f"per-sample shape {spec.concrete_shape[1:]}"
-                        )
-                    else:
-                        tensor = Tensor(data, spec.layout, spec.logical_shape)
-                values[id(node)] = tensor
-            else:
-                op_def = registry.get(node.op)
-                in_tensors = [values[id(producer)] for producer in node.inputs]
-                values[id(node)] = op_def.compute(node.attrs, in_tensors)
-
+        plan = self._current_plan()
+        slots = list(plan.slots)
+        for index, name, spec, shape in plan.inputs:
+            if name not in inputs:
+                raise KeyError(f"missing value for input {name!r}")
+            slots[index] = _bind_input(name, spec, shape, inputs[name])
+        for kernel, ins, out in plan.steps_keeping_all if return_all else plan.steps:
+            slots[out] = kernel(*[slots[index] for index in ins])
         if return_all:
-            return {node.name: values[id(node)].data for node in self._order}
-        return [values[id(output)].data for output in self.graph.outputs]
+            return {node.name: slots[index] for index, node in enumerate(self._order)}
+        return [slots[index] for index in plan.outputs]
 
     def run_single(self, **inputs: ArrayLike) -> np.ndarray:
         """Convenience wrapper returning the first output only."""

@@ -1,20 +1,30 @@
 """Tests for the runtime: executor, profiler, compiled module."""
 
+import hashlib
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import Optimizer
 from repro.api.scheduler import BatchingPolicy, DeadlineExceeded, RequestScheduler
 from repro.core import CompileConfig, OptLevel, compile_graph
 from repro.costmodel import OPENMP, THREAD_POOL
+from repro.graph import GraphBuilder, infer_shapes
+from repro.models.resnet import resnet18, resnet50
+from repro.models.ssd import ssd_resnet50
+from repro.models.vgg import vgg11
+from repro.ops.registry import registry
 from repro.runtime import (
     GraphExecutor,
     format_report,
     initialize_parameters,
     top_costs,
 )
+from repro.runtime import executor as executor_module
+from repro.tensor import Tensor
 
 from tests.conftest import build_tiny_cnn, drain_policy, run_policy_script
 
@@ -105,18 +115,23 @@ class TestCompileTimeFold:
 
     @pytest.fixture
     def transform_calls(self, monkeypatch):
-        """Calls of the ``layout_transform`` compute, counted per node attrs."""
-        from repro.ops.registry import registry
-
-        op_def = registry.get("layout_transform")
-        original = op_def.compute
+        """Calls of each ``layout_transform`` node's step kernel, by node name
+        — the fold's one call and every run's call go through it alike."""
+        make = executor_module._step_kernel
         calls = {}
 
-        def counting(attrs, inputs):
-            calls[id(attrs)] = calls.get(id(attrs), 0) + 1
-            return original(attrs, inputs)
+        def counting(node, invariants, into=None):
+            kernel = make(node, invariants, into)
+            if node.op != "layout_transform":
+                return kernel
 
-        monkeypatch.setattr(op_def, "compute", counting)
+            def counted(*arrays):
+                calls[node.name] = calls.get(node.name, 0) + 1
+                return kernel(*arrays)
+
+            return counted
+
+        monkeypatch.setattr(executor_module, "_step_kernel", counting)
         return calls
 
     @staticmethod
@@ -133,8 +148,8 @@ class TestCompileTimeFold:
         weight, data = self._transforms(module.graph)
         executor = module.create_executor(seed=0)
         outputs = [executor.run({"data": tiny_input})[0] for _ in range(3)]
-        assert [transform_calls[id(n.attrs)] for n in weight] == [1] * len(weight)
-        assert [transform_calls[id(n.attrs)] for n in data] == [3] * len(data)
+        assert [transform_calls[n.name] for n in weight] == [1] * len(weight)
+        assert [transform_calls[n.name] for n in data] == [3] * len(data)
         assert np.array_equal(outputs[0], outputs[2])
 
     def test_rebinding_a_source_constant_refolds(self, module, tiny_input):
@@ -165,7 +180,7 @@ class TestCompileTimeFold:
         executor = module.create_executor(seed=0)
         first = executor.run({"data": tiny_input})[0]
         second = executor.run({"data": tiny_input * 2.0})[0]
-        assert transform_calls[id(data[0].attrs)] == 2
+        assert transform_calls[data[0].name] == 2
         assert not np.array_equal(first, second)
 
     def test_executors_over_one_module_share_no_fold_state(
@@ -174,12 +189,171 @@ class TestCompileTimeFold:
         weight, _ = self._transforms(module.graph)
         one = module.create_executor(seed=0)
         two = module.create_executor(seed=0)
-        assert [transform_calls[id(n.attrs)] for n in weight] == [2] * len(weight)
+        assert [transform_calls[n.name] for n in weight] == [2] * len(weight)
         name = weight[0].name
         mine = one.run({"data": tiny_input}, return_all=True)[name]
         assert one.run({"data": tiny_input}, return_all=True)[name] is mine
         theirs = two.run({"data": tiny_input}, return_all=True)[name]
         assert theirs is not mine and np.array_equal(theirs, mine)
+
+
+def build_fanout_net():
+    """A conv output read first by an in-place op and then by an add: the
+    in-place rule must leave a buffer with two consumers alone."""
+    builder = GraphBuilder("fanout")
+    data = builder.input("data", (1, 8, 8, 8))
+    x = builder.conv2d(data, 8, 3, padding=1, name="conv")
+    graph = builder.build(builder.elemwise_add(builder.relu(x), x, name="add"))
+    infer_shapes(graph)
+    return graph
+
+
+#: The models the plan is held to: every op kind the zoo serves (blocked
+#: convs, in-place chains, residual adds, pools, dense, the SSD detection
+#: head) at a size that runs in milliseconds.
+PLAN_MODELS = {
+    "fan-out": build_fanout_net,
+    "tiny-cnn": build_tiny_cnn,
+    "resnet-18": lambda: resnet18(image_size=32),
+    "resnet-50": lambda: resnet50(image_size=32),
+    "ssd-resnet-50": lambda: ssd_resnet50(image_size=32),
+    "vgg-11": lambda: vgg11(image_size=32),
+}
+
+
+def compute_walk(graph, request):
+    """Every node through its registered ``compute`` on layout-annotated
+    tensors, in topological order: the executor's semantics without a plan."""
+    values = {}
+    order = graph.topological_order()
+    for node in order:
+        if node.is_constant:
+            value = Tensor(node.value, node.spec.layout, node.spec.logical_shape)
+        elif node.is_input:
+            value = Tensor(request[node.name], node.spec.layout)
+        else:
+            inputs = [values[id(producer)] for producer in node.inputs]
+            value = registry.get(node.op).compute(node.attrs, inputs)
+        values[id(node)] = value
+    return {node.name: values[id(node)].data for node in order}
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.fixture(scope="module", params=sorted(PLAN_MODELS))
+def planned(request):
+    """(compiled graph, one executor over it, three distinct batch-1 requests)."""
+    graph = PLAN_MODELS[request.param]()
+    infer_shapes(graph)
+    module = Optimizer("skylake").compile(graph)
+    executor = module.create_executor(seed=0)
+    rng = np.random.default_rng(31)
+    requests = [
+        {
+            node.name: rng.standard_normal(node.spec.concrete_shape).astype(np.float32)
+            for node in module.graph.input_nodes()
+        }
+        for _ in range(3)
+    ]
+    return module.graph, executor, requests
+
+
+def invariant_arrays(graph, executor, request):
+    """The executor's request-independent arrays: bound constants and folded
+    ``compile_time`` nodes."""
+    values = executor.run(request, return_all=True)
+    return [
+        values[node.name]
+        for node in graph.topological_order()
+        if node.is_constant or node.attrs.get("compile_time")
+    ]
+
+
+class TestExecutionPlan:
+    """The plan of prepared kernels computes exactly what the per-node
+    ``compute`` walk computes, at any batch, and never writes into a buffer
+    it did not allocate in the same run."""
+
+    def test_return_all_equals_the_compute_walk(self, planned):
+        graph, executor, requests = planned
+        walk = compute_walk(graph, requests[0])
+        values = executor.run(requests[0], return_all=True)
+        assert values.keys() == walk.keys()
+        for name, want in walk.items():
+            assert same_bytes(values[name], want), name
+        # The in-place plan, too.
+        for node, got in zip(graph.outputs, executor.run(requests[0])):
+            assert same_bytes(got, walk[node.name]), node.name
+
+    def test_stacked_batch_equals_three_batch_one_runs(self, planned):
+        _, executor, requests = planned
+        stacked = {
+            name: np.concatenate([request[name] for request in requests])
+            for name in requests[0]
+        }
+        batched = executor.run(stacked)
+        for index, request in enumerate(requests):
+            for got, want in zip(batched, executor.run(request)):
+                assert same_bytes(got[index : index + 1], want)
+
+    def test_request_arrays_are_not_written(self, planned):
+        _, executor, requests = planned
+        copies = [{name: array.copy() for name, array in r.items()} for r in requests]
+        for request in requests:
+            executor.run(request)
+            executor.run(request, return_all=True)
+        for request, copy in zip(requests, copies):
+            for name in request:
+                assert same_bytes(request[name], copy[name])
+
+    def test_outputs_share_no_memory(self, planned):
+        graph, executor, requests = planned
+        invariant = invariant_arrays(graph, executor, requests[0])
+        first = executor.run(requests[0])
+        second = executor.run(requests[0])
+        for out in first:
+            assert not any(np.may_share_memory(out, x) for x in requests[0].values())
+            assert not any(np.may_share_memory(out, array) for array in invariant)
+            assert not any(np.may_share_memory(out, other) for other in second)
+
+    def test_invariant_arrays_unchanged_after_three_runs(self, planned):
+        graph, executor, requests = planned
+        invariant = invariant_arrays(graph, executor, requests[0])
+        before = [hashlib.sha256(array.tobytes()).hexdigest() for array in invariant]
+        for request in requests:
+            executor.run(request)
+        after = [hashlib.sha256(array.tobytes()).hexdigest() for array in invariant]
+        assert after == before
+
+    def test_two_threads_on_one_executor_equal_a_serial_run(self, planned):
+        _, executor, requests = planned
+        expected = [executor.run(request) for request in requests[:2]]
+        results = [[], []]
+
+        def worker(index):
+            for _ in range(20):
+                results[index].append(executor.run(requests[index]))
+
+        threads = [threading.Thread(target=worker, args=(index,)) for index in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two runs' Python steps finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index in (0, 1):
+            assert len(results[index]) == 20
+            for outputs in results[index]:
+                for got, want in zip(outputs, expected[index]):
+                    assert same_bytes(got, want)
 
 
 class TestProfilerAndModule:

@@ -40,6 +40,7 @@ from repro.graph import GraphBuilder, infer_shapes
 from repro.models.ssd import ssd_resnet50
 from repro.ops.ssd_ops import multibox_prior
 from repro.runtime import GraphExecutor
+from repro.tensor import Tensor
 from repro.trace import measured_metrics, read_trace, replay
 
 from tests.conftest import build_tiny_cnn, run_policy_script, traced_scheduler
@@ -251,6 +252,45 @@ class TestEngineStress:
             results = engine.serve_concurrent(requests)
         for want, got in zip(expected, results):
             np.testing.assert_array_equal(got[0], want[0])
+
+    def test_tensor_requests_in_another_layout_run_as_one_batch(
+        self, tiny_module, monkeypatch
+    ):
+        """A Tensor request is read by one rule on both paths: converted to
+        the declared layout, so NHWC tensors stack into one executor pass
+        (no failed batch re-run serially) with the NCHW request's outputs."""
+        rng = np.random.default_rng(7)
+        nchw = [rng.standard_normal((1, 3, 16, 16)).astype(np.float32) for _ in range(3)]
+        nhwc = [
+            {"data": Tensor(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), "NHWC")}
+            for x in nchw
+        ]
+        reference = GraphExecutor(tiny_module.graph, seed=0)
+        expected = [reference.run({"data": x}) for x in nchw]
+        with InferenceEngine(
+            tiny_module, seed=0, max_batch_size=3, batch_timeout_ms=50.0, num_workers=1
+        ) as engine:
+            # Hold the only worker on a first request so the three queue up
+            # and leave as one batch when it frees.
+            entered, release = threading.Event(), threading.Event()
+            run = engine._executor.run
+
+            def gated(inputs, *args, **kwargs):
+                entered.set()
+                assert release.wait(RESULT_TIMEOUT_S)
+                return run(inputs, *args, **kwargs)
+
+            monkeypatch.setattr(engine._executor, "run", gated)
+            first = engine.submit({"data": nchw[0]})
+            assert entered.wait(RESULT_TIMEOUT_S)
+            futures = [engine.submit(request) for request in nhwc]
+            release.set()
+            first.result(timeout=RESULT_TIMEOUT_S)
+            results = [future.result(timeout=RESULT_TIMEOUT_S) for future in futures]
+            stats = engine.stats()
+        assert (stats.batches, stats.executed) == (2, 4)
+        for want, got in zip(expected, results):
+            assert np.array_equal(got[0], want[0])
 
     def test_failing_request_index_rest_complete(self, tiny_module):
         requests = tiny_requests(16)
