@@ -8,12 +8,7 @@ registry that classifies them by layout behaviour for the graph-level passes.
 
 from . import op_library  # noqa: F401  (registers the standard operator set)
 from .activation import clip, dropout_inference, leaky_relu, relu, sigmoid, softmax
-from .batch_norm import (
-    batch_norm_inference_nchw,
-    batch_norm_inference_nchwc,
-    batch_norm_to_scale_shift,
-    fold_batch_norm_into_conv,
-)
+from .batch_norm import batch_norm_inference, batch_norm_to_scale_shift, fold_batch_norm_into_conv
 from .blocked_conv import conv2d_nchwc, conv2d_nchwc_from_nchw, prepack_weights
 from .conv2d import (
     conv2d_nchw,
@@ -23,15 +18,8 @@ from .conv2d import (
     workload_from_shapes,
 )
 from .dense import concat, concat_channels_nchw, dense, flatten_nchw, reshape
-from .elementwise import add, bias_add_nchw, bias_add_nchwc, multiply
-from .pooling import (
-    avg_pool2d_nchw,
-    avg_pool2d_nchwc,
-    global_avg_pool2d_nchw,
-    global_avg_pool2d_nchwc,
-    max_pool2d_nchw,
-    max_pool2d_nchwc,
-)
+from .elementwise import bias_add
+from .pooling import global_avg_pool2d, prepare_pool2d
 from .registry import LayoutCategory, OpDef, OpRegistry, get_op, register_op, registry
 from .ssd_ops import decode_boxes, multibox_detection, multibox_prior, non_max_suppression
 
@@ -39,14 +27,9 @@ __all__ = [
     "LayoutCategory",
     "OpDef",
     "OpRegistry",
-    "add",
-    "avg_pool2d_nchw",
-    "avg_pool2d_nchwc",
-    "batch_norm_inference_nchw",
-    "batch_norm_inference_nchwc",
+    "batch_norm_inference",
     "batch_norm_to_scale_shift",
-    "bias_add_nchw",
-    "bias_add_nchwc",
+    "bias_add",
     "clip",
     "concat",
     "concat_channels_nchw",
@@ -61,16 +44,13 @@ __all__ = [
     "flatten_nchw",
     "fold_batch_norm_into_conv",
     "get_op",
-    "global_avg_pool2d_nchw",
-    "global_avg_pool2d_nchwc",
+    "global_avg_pool2d",
     "leaky_relu",
-    "max_pool2d_nchw",
-    "max_pool2d_nchwc",
     "multibox_detection",
     "multibox_prior",
-    "multiply",
     "non_max_suppression",
     "pad_nchw",
+    "prepare_pool2d",
     "prepack_weights",
     "register_op",
     "registry",

@@ -14,8 +14,7 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "batch_norm_inference_nchw",
-    "batch_norm_inference_nchwc",
+    "batch_norm_inference",
     "batch_norm_to_scale_shift",
     "fold_batch_norm_into_conv",
 ]
@@ -39,38 +38,24 @@ def batch_norm_to_scale_shift(
     return scale.astype(np.float32), shift.astype(np.float32)
 
 
-def batch_norm_inference_nchw(
+def batch_norm_inference(
     data: np.ndarray,
     gamma: np.ndarray,
     beta: np.ndarray,
     mean: np.ndarray,
     variance: np.ndarray,
+    channel_shape: Tuple[int, ...],
     epsilon: float = 1e-5,
 ) -> np.ndarray:
-    """Inference-mode batch norm on an NCHW tensor."""
-    scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, variance, epsilon)
-    return data * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+    """Inference-mode batch norm.
 
-
-def batch_norm_inference_nchwc(
-    data: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    variance: np.ndarray,
-    epsilon: float = 1e-5,
-) -> np.ndarray:
-    """Inference-mode batch norm on an ``NCHW[x]c`` tensor.
-
-    The per-channel parameters are reshaped to the (C_outer, 1, 1, c_inner)
-    blocking of the data, so no layout transform is required — this is what
-    makes BN layout-tolerant.
+    The per-channel parameters are reshaped to ``channel_shape``, their
+    broadcast shape against ``data``: ``(1, C_o, 1, 1, c)`` matches the
+    blocking of ``NCHW[x]c`` data, so no layout transform is required — this
+    is what makes BN layout-tolerant.
     """
     scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, variance, epsilon)
-    _, c_outer, _, _, c_inner = data.shape
-    scale_b = scale.reshape(c_outer, c_inner).reshape(1, c_outer, 1, 1, c_inner)
-    shift_b = shift.reshape(c_outer, c_inner).reshape(1, c_outer, 1, 1, c_inner)
-    return data * scale_b + shift_b
+    return data * scale.reshape(channel_shape) + shift.reshape(channel_shape)
 
 
 def fold_batch_norm_into_conv(

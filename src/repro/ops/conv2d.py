@@ -167,7 +167,7 @@ def conv2d_nchw(
         cols = _im2col(group_data, (k_h, k_w), stride, dilation, (out_h, out_w))
         w_mat = group_weight.reshape(out_c_per_group, -1)
         # (N, K_g, OH*OW) = (K_g, C*KH*KW) @ (N, C*KH*KW, OH*OW)
-        out = np.einsum("kc,ncp->nkp", w_mat, cols)
+        out = np.matmul(w_mat, cols)
         outputs[:, g * out_c_per_group : (g + 1) * out_c_per_group] = out.reshape(
             batch, out_c_per_group, out_h, out_w
         )

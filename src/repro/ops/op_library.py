@@ -3,9 +3,9 @@
 Each operator gets a shape-inference function and a layout-aware compute
 function, and is classified into one of the three layout categories of
 section 3.2.  The operators every request runs many times — conv2d,
-scale_shift, relu, sigmoid, elemwise_add — are defined by a ``prepare``
-function instead (see :mod:`repro.ops.registry`), and their compute is
-prepare then call.  Importing this module (done by ``repro.ops``) populates
+scale_shift, the pools, relu, sigmoid, elemwise_add — are defined by a
+``prepare`` function instead (see :mod:`repro.ops.registry`), and their
+compute is prepare then call.  Importing this module (done by ``repro.ops``) populates
 the global registry.
 """
 
@@ -58,6 +58,16 @@ def _nchw_extents(spec: TensorSpec) -> Tuple[int, int, int, int]:
 
 def _is_blocked_feature_map(value: "Tensor | TensorSpec") -> bool:
     return value.layout.is_blocked and value.layout.has_axis("c")
+
+
+def _channel_shape(spec: TensorSpec) -> Tuple[int, ...]:
+    """Broadcast shape of a per-channel vector against data of ``spec``:
+    ``(1, C_o, 1, 1, c)`` on ``NCHW[x]c``, else ``(1, C)`` padded with 1s to
+    the data's rank."""
+    if _is_blocked_feature_map(spec):
+        _, c_outer, _, _, c_inner = spec.concrete_shape
+        return (1, c_outer, 1, 1, c_inner)
+    return (1, -1) + (1,) * (len(spec.concrete_shape) - 2)
 
 
 _NCHW = Layout("NCHW")
@@ -330,27 +340,22 @@ def _same_as_input_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorS
 
 def _batch_norm_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
     data, gamma, beta, mean, var = inputs[:5]
-    epsilon = float(attrs.get("epsilon", 1e-5))
-    if _is_blocked_feature_map(data):
-        out = batch_norm.batch_norm_inference_nchwc(
-            data.data, gamma.data, beta.data, mean.data, var.data, epsilon
-        )
-    else:
-        out = batch_norm.batch_norm_inference_nchw(
-            data.data, gamma.data, beta.data, mean.data, var.data, epsilon
-        )
+    out = batch_norm.batch_norm_inference(
+        data.data,
+        gamma.data,
+        beta.data,
+        mean.data,
+        var.data,
+        _channel_shape(data.spec),
+        float(attrs.get("epsilon", 1e-5)),
+    )
     return Tensor(out, data.layout, data.logical_shape)
 
 
 def _bias_add_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
     del attrs
     data, bias = inputs[0], inputs[1]
-    if _is_blocked_feature_map(data):
-        out = elementwise.bias_add_nchwc(data.data, bias.data)
-    elif data.data.ndim == 2:
-        out = data.data + bias.data.reshape(1, -1)
-    else:
-        out = elementwise.bias_add_nchw(data.data, bias.data)
+    out = elementwise.bias_add(data.data, bias.data, _channel_shape(data.spec))
     return Tensor(out, data.layout, data.logical_shape)
 
 
@@ -363,12 +368,7 @@ def _scale_shift_prepare(
     """Per-channel ``data * scale + shift`` (folded batch norm) on blocked or
     NCHW data; with ``into=0`` the result is written into the data buffer."""
     del attrs
-    data_spec = in_specs[0]
-    if _is_blocked_feature_map(data_spec):
-        _, c_outer, _, _, c_inner = data_spec.concrete_shape
-        shape = (1, c_outer, 1, 1, c_inner)
-    else:
-        shape = (1, -1, 1, 1)
+    shape = _channel_shape(in_specs[0])
 
     def bind(scale: np.ndarray, shift: np.ndarray):
         scale, shift = scale.reshape(shape), shift.reshape(shape)
@@ -467,20 +467,26 @@ def _pool_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec(logical, spec.layout, spec.dtype)
 
 
-def _make_pool_compute(nchw_func, nchwc_func):
-    def compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-        data = inputs[0]
-        kernel = _pair(attrs["kernel"])
-        stride = _pair(attrs.get("stride", kernel))
-        padding = _pair(attrs.get("padding", 0))
-        if _is_blocked_feature_map(data):
-            out = nchwc_func(data.data, kernel, stride, padding)
-        else:
-            out = nchw_func(data.data, kernel, stride, padding)
-        spec = _pool_infer(attrs, [data.spec])
-        return Tensor(out, data.layout, spec.logical_shape)
+def _pool_prepare(reducer: str):
+    """``prepare`` of ``max_pool2d`` / ``avg_pool2d``: one kernel for NCHW and
+    ``NCHW[x]c`` data alike (see :mod:`repro.ops.pooling`)."""
 
-    return compute
+    def prepare(attrs, in_specs, invariants):
+        del invariants
+        spec = in_specs[0]
+        if spec.layout.axis_index("H") != 2 or spec.layout.axis_index("W") != 3:
+            raise ValueError(f"pooling needs spatial axes 2 and 3, got layout {spec.layout}")
+        kernel = _pair(attrs["kernel"])
+        return pooling.prepare_pool2d(
+            reducer,
+            spec.concrete_shape,
+            kernel,
+            _pair(attrs.get("stride", kernel)),
+            _pair(attrs.get("padding", 0)),
+            spec.dtype.numpy_dtype,
+        )
+
+    return prepare
 
 
 def _global_pool_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
@@ -490,19 +496,6 @@ def _global_pool_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpe
     extents = {"N": n, "C": c, "H": 1, "W": 1}
     logical = tuple(extents[a] for a in spec.layout.primal_axes)
     return TensorSpec(logical, spec.layout, spec.dtype)
-
-
-def _global_pool_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    data = inputs[0]
-    if _is_blocked_feature_map(data):
-        out = pooling.global_avg_pool2d_nchwc(data.data)
-    else:
-        out = pooling.global_avg_pool2d_nchw(data.data)
-    n, c, _, _ = _nchw_extents(data.spec)
-    extents = {"N": n, "C": c, "H": 1, "W": 1}
-    logical = tuple(extents[a] for a in data.layout.primal_axes)
-    return Tensor(out, data.layout, logical)
 
 
 # --------------------------------------------------------------------------- #
@@ -614,22 +607,16 @@ register_op(
     in_place=True,
 )
 register_op(
-    "max_pool2d",
-    LayoutCategory.TOLERANT,
-    _pool_infer,
-    _make_pool_compute(pooling.max_pool2d_nchw, pooling.max_pool2d_nchwc),
+    "max_pool2d", LayoutCategory.TOLERANT, _pool_infer, prepare=_pool_prepare("max")
 )
 register_op(
-    "avg_pool2d",
-    LayoutCategory.TOLERANT,
-    _pool_infer,
-    _make_pool_compute(pooling.avg_pool2d_nchw, pooling.avg_pool2d_nchwc),
+    "avg_pool2d", LayoutCategory.TOLERANT, _pool_infer, prepare=_pool_prepare("avg")
 )
 register_op(
     "global_avg_pool2d",
     LayoutCategory.TOLERANT,
     _global_pool_infer,
-    _global_pool_compute,
+    prepare=_numpy_prepare(pooling.global_avg_pool2d),
 )
 register_op(
     "layout_transform",

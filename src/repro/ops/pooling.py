@@ -1,148 +1,88 @@
 """Pooling operators (layout-tolerant, section 3.2 category 2).
 
-Max and average pooling are implemented for both the default ``NCHW`` layout
-and the blocked ``NCHW[x]c`` layout.  Because pooling reduces only over the
-spatial window, it can consume whatever channel blocking the upstream
-convolution produced — this is what lets NeoCPU keep the blocked layout
-flowing through the graph without inserting transforms around pooling nodes.
+Pooling reduces only over the spatial window, so it can consume whatever
+channel blocking the upstream convolution produced — this is what lets
+NeoCPU keep the blocked layout flowing through the graph without inserting
+transforms around pooling nodes.
+
+The spatial axes are 2 and 3 in both ``NCHW`` and ``NCHW[x]c`` (a blocked
+array only carries one more channel axis, last), so one kernel serves both
+layouts with no layout branch: a padded copy of the input filled with
+``-inf`` (max) or ``0`` (average), then ``k_h * k_w`` strided slices of it
+reduced by ``np.maximum`` / ``np.add`` into one output array.  Average
+pooling counts only the window taps inside the image; those divisors depend
+on the static spatial extents alone, so they are computed once, when the
+kernel is prepared.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .conv2d import conv_output_size
 
-__all__ = [
-    "max_pool2d_nchw",
-    "avg_pool2d_nchw",
-    "max_pool2d_nchwc",
-    "avg_pool2d_nchwc",
-    "global_avg_pool2d_nchw",
-    "global_avg_pool2d_nchwc",
-]
-
-PairLike = Union[int, Tuple[int, int]]
+__all__ = ["global_avg_pool2d", "prepare_pool2d"]
 
 
-def _pair(value: PairLike) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
+def _taps_inside(out_size: int, kernel: int, stride: int, padding: int, size: int):
+    """Per output position, how many of its window's taps fall inside the image."""
+    start = np.arange(out_size) * stride - padding
+    return np.minimum(start + kernel, size) - np.maximum(start, 0)
 
 
-def _pool_nchw(
-    data: np.ndarray,
-    kernel: PairLike,
-    stride: PairLike,
-    padding: PairLike,
+def prepare_pool2d(
     reducer: str,
-    count_include_pad: bool,
-) -> np.ndarray:
-    k_h, k_w = _pair(kernel)
-    s_h, s_w = _pair(stride)
-    p_h, p_w = _pair(padding)
-    batch, channels, in_h, in_w = data.shape
+    in_shape: Tuple[int, ...],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    dtype: np.dtype,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``"max"`` or ``"avg"`` pooling kernel for arrays of ``dtype`` shaped
+    like ``in_shape`` (spatial axes 2 and 3; any batch).
+
+    The kernel always returns a new array, never a view of its input: a
+    prepared step's output may be written in place downstream.
+    """
+    (k_h, k_w), (s_h, s_w), (p_h, p_w) = kernel, stride, padding
+    in_h, in_w = in_shape[2:4]
     out_h = conv_output_size(in_h, k_h, s_h, p_h)
     out_w = conv_output_size(in_w, k_w, s_w, p_w)
-
-    if p_h or p_w:
-        fill = -np.inf if reducer == "max" else 0.0
-        padded = np.full(
-            (batch, channels, in_h + 2 * p_h, in_w + 2 * p_w), fill, dtype=data.dtype
+    taps = [
+        (slice(r, r + s_h * (out_h - 1) + 1, s_h), slice(s, s + s_w * (out_w - 1) + 1, s_w))
+        for r in range(k_h)
+        for s in range(k_w)
+    ]
+    is_max = reducer == "max"
+    reduce, fill = (np.maximum, -np.inf) if is_max else (np.add, 0)
+    if not is_max:
+        counts = np.outer(
+            _taps_inside(out_h, k_h, s_h, p_h, in_h), _taps_inside(out_w, k_w, s_w, p_w, in_w)
         )
-        padded[:, :, p_h : p_h + in_h, p_w : p_w + in_w] = data
-    else:
+        divisor = np.maximum(counts, 1).astype(dtype).reshape(
+            (out_h, out_w) + (1,) * (len(in_shape) - 4)
+        )
+
+    def pool(data: np.ndarray) -> np.ndarray:
         padded = data
+        if p_h or p_w:
+            shape = data.shape[:2] + (in_h + 2 * p_h, in_w + 2 * p_w) + data.shape[4:]
+            padded = np.full(shape, fill, dtype=data.dtype)
+            padded[:, :, p_h : p_h + in_h, p_w : p_w + in_w] = data
+        out = None
+        for rows, cols in taps:
+            window = padded[:, :, rows, cols]
+            out = window.copy() if out is None else reduce(out, window, out=out)
+        if not is_max:
+            np.divide(out, divisor, out=out)
+        return out
 
-    out = np.empty((batch, channels, out_h, out_w), dtype=data.dtype)
-    for oh in range(out_h):
-        for ow in range(out_w):
-            window = padded[
-                :, :, oh * s_h : oh * s_h + k_h, ow * s_w : ow * s_w + k_w
-            ]
-            if reducer == "max":
-                out[:, :, oh, ow] = window.max(axis=(2, 3))
-            else:
-                if count_include_pad:
-                    out[:, :, oh, ow] = window.mean(axis=(2, 3))
-                else:
-                    # Count only positions that fall inside the original image.
-                    h0, w0 = oh * s_h, ow * s_w
-                    valid_h = min(h0 + k_h, p_h + in_h) - max(h0, p_h)
-                    valid_w = min(w0 + k_w, p_w + in_w) - max(w0, p_w)
-                    denom = max(1, valid_h * valid_w)
-                    out[:, :, oh, ow] = window.sum(axis=(2, 3)) / denom
-    return out
+    return pool
 
 
-def max_pool2d_nchw(
-    data: np.ndarray, kernel: PairLike, stride: PairLike = 1, padding: PairLike = 0
-) -> np.ndarray:
-    """Max pooling on an NCHW tensor."""
-    return _pool_nchw(data, kernel, stride, padding, "max", count_include_pad=True)
-
-
-def avg_pool2d_nchw(
-    data: np.ndarray,
-    kernel: PairLike,
-    stride: PairLike = 1,
-    padding: PairLike = 0,
-    count_include_pad: bool = False,
-) -> np.ndarray:
-    """Average pooling on an NCHW tensor."""
-    return _pool_nchw(data, kernel, stride, padding, "avg", count_include_pad)
-
-
-def _blocked_to_pseudo_nchw(data: np.ndarray) -> Tuple[np.ndarray, int]:
-    """View (N, C_outer, H, W, c) as (N*C_outer*c-merged) NCHW-like tensor.
-
-    Pooling treats each blocked channel lane independently, so we can fold the
-    inner channel axis into the outer channel axis, run the NCHW kernel, and
-    unfold again.  Returns the folded tensor and the block size.
-    """
-    n, c_outer, h, w, c_inner = data.shape
-    folded = np.ascontiguousarray(np.moveaxis(data, 4, 2)).reshape(
-        n, c_outer * c_inner, h, w
-    )
-    return folded, c_inner
-
-
-def _pseudo_nchw_to_blocked(data: np.ndarray, block: int) -> np.ndarray:
-    n, c_total, h, w = data.shape
-    unfolded = data.reshape(n, c_total // block, block, h, w)
-    return np.ascontiguousarray(np.moveaxis(unfolded, 2, 4))
-
-
-def max_pool2d_nchwc(
-    data: np.ndarray, kernel: PairLike, stride: PairLike = 1, padding: PairLike = 0
-) -> np.ndarray:
-    """Max pooling on an ``NCHW[x]c`` tensor, preserving the blocked layout."""
-    folded, block = _blocked_to_pseudo_nchw(data)
-    pooled = max_pool2d_nchw(folded, kernel, stride, padding)
-    return _pseudo_nchw_to_blocked(pooled, block)
-
-
-def avg_pool2d_nchwc(
-    data: np.ndarray,
-    kernel: PairLike,
-    stride: PairLike = 1,
-    padding: PairLike = 0,
-    count_include_pad: bool = False,
-) -> np.ndarray:
-    """Average pooling on an ``NCHW[x]c`` tensor, preserving the blocked layout."""
-    folded, block = _blocked_to_pseudo_nchw(data)
-    pooled = avg_pool2d_nchw(folded, kernel, stride, padding, count_include_pad)
-    return _pseudo_nchw_to_blocked(pooled, block)
-
-
-def global_avg_pool2d_nchw(data: np.ndarray) -> np.ndarray:
-    """Global average pooling: (N, C, H, W) -> (N, C, 1, 1)."""
-    return data.mean(axis=(2, 3), keepdims=True)
-
-
-def global_avg_pool2d_nchwc(data: np.ndarray) -> np.ndarray:
-    """Global average pooling on blocked data: (N, Co, H, W, c) -> (N, Co, 1, 1, c)."""
+def global_avg_pool2d(data: np.ndarray) -> np.ndarray:
+    """Global average pooling over axes 2 and 3: (N, C, H, W) -> (N, C, 1, 1),
+    and (N, C_o, H, W, c) -> (N, C_o, 1, 1, c) on blocked data."""
     return data.mean(axis=(2, 3), keepdims=True)

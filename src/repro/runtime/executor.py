@@ -16,8 +16,8 @@ arithmetic:
   evaluated once per executor.
 * **The plan.**  The remaining nodes are resolved once into a flat list of
   steps ``(kernel, input slots, output slot)``.  An operator with a
-  ``prepare`` function (conv2d, scale_shift, relu, sigmoid, elemwise_add)
-  builds its own kernel from the node attributes, its inputs' static specs
+  ``prepare`` function (conv2d, scale_shift, the pools, relu, sigmoid,
+  elemwise_add) builds its own kernel from the node attributes, its inputs' static specs
   and the folded arrays, so schedule validation, convolution geometry, weight
   panel views and broadcast shapes are settled here; any other operator gets
   a kernel that wraps its arrays in the layouts shape inference gave them and

@@ -2,28 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.ops import (
-    add,
-    avg_pool2d_nchw,
-    avg_pool2d_nchwc,
-    batch_norm_inference_nchw,
-    batch_norm_inference_nchwc,
+    batch_norm_inference,
     batch_norm_to_scale_shift,
-    bias_add_nchw,
-    bias_add_nchwc,
+    bias_add,
     concat_channels_nchw,
     decode_boxes,
     dense,
     flatten_nchw,
     fold_batch_norm_into_conv,
     conv2d_nchw,
-    global_avg_pool2d_nchw,
-    global_avg_pool2d_nchwc,
+    get_op,
     leaky_relu,
-    max_pool2d_nchw,
-    max_pool2d_nchwc,
     multibox_detection,
     multibox_prior,
     non_max_suppression,
@@ -32,61 +24,113 @@ from repro.ops import (
     sigmoid,
     softmax,
 )
-from repro.tensor import to_blocked_nchwc, from_blocked_nchwc
+from repro.tensor import Tensor, TensorSpec, from_blocked_nchwc, to_blocked_nchwc
+
+
+#: Broadcast shape of a per-channel vector against NCHW data.
+NCHW = (1, -1, 1, 1)
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
+def run_op(name, data, layout="NCHW", params=(), **attrs):
+    """The registered operator ``name`` on an array in ``layout`` and its
+    per-channel ``params``."""
+    inputs = [Tensor(data, layout)] + [Tensor(param, "C") for param in params]
+    return get_op(name).compute(attrs, inputs).data
+
+
+def pool_per_pixel(data, reducer, kernel, stride=1, padding=0):
+    """Reference NCHW pooling with a ``(k_h, k_w)`` window: one window per
+    output pixel, padding excluded (it never wins a max and is not counted by
+    an average)."""
+    (k_h, k_w), (batch, channels, height, width) = kernel, data.shape
+    out_h = (height + 2 * padding - k_h) // stride + 1
+    out_w = (width + 2 * padding - k_w) // stride + 1
+    out = np.empty((batch, channels, out_h, out_w), dtype=data.dtype)
+    for oh in range(out_h):
+        for ow in range(out_w):
+            h0, w0 = oh * stride - padding, ow * stride - padding
+            window = data[:, :, max(h0, 0) : h0 + k_h, max(w0, 0) : w0 + k_w]
+            reduce = window.max if reducer == "max" else window.mean
+            out[:, :, oh, ow] = reduce(axis=(2, 3))
+    return out
+
+
 class TestPooling:
     def test_max_pool_simple(self):
         data = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = max_pool2d_nchw(data, 2, 2)
+        out = run_op("max_pool2d", data, kernel=2, stride=2)
         np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
     def test_avg_pool_simple(self):
         data = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = avg_pool2d_nchw(data, 2, 2)
+        out = run_op("avg_pool2d", data, kernel=2, stride=2)
         np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_max_pool_with_padding_ignores_pad_values(self):
         data = -np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = max_pool2d_nchw(data, 3, 1, 1)
+        out = run_op("max_pool2d", data, kernel=3, stride=1, padding=1)
         assert out.max() == -1  # padding (-inf) never wins
 
     def test_avg_pool_excludes_padding_by_default(self):
         data = np.ones((1, 1, 2, 2), dtype=np.float32)
-        out = avg_pool2d_nchw(data, 3, 1, 1)
+        out = run_op("avg_pool2d", data, kernel=3, stride=1, padding=1)
         np.testing.assert_allclose(out, np.ones_like(out))
-
-    def test_blocked_pooling_matches_nchw(self):
-        data = rand((1, 32, 8, 8), 1)
-        blocked = to_blocked_nchwc(data, 16)
-        out_blocked = max_pool2d_nchwc(blocked, 2, 2)
-        expected = max_pool2d_nchw(data, 2, 2)
-        np.testing.assert_allclose(from_blocked_nchwc(out_blocked, 16), expected)
-
-    def test_blocked_avg_pooling_matches_nchw(self):
-        data = rand((1, 16, 6, 6), 2)
-        blocked = to_blocked_nchwc(data, 8)
-        out = avg_pool2d_nchwc(blocked, 3, 1, 1)
-        expected = avg_pool2d_nchw(data, 3, 1, 1)
-        np.testing.assert_allclose(from_blocked_nchwc(out, 8), expected, atol=1e-5)
 
     def test_global_pool(self):
         data = rand((2, 8, 5, 5), 3)
-        out = global_avg_pool2d_nchw(data)
+        out = run_op("global_avg_pool2d", data)
         assert out.shape == (2, 8, 1, 1)
         np.testing.assert_allclose(out[..., 0, 0], data.mean(axis=(2, 3)), atol=1e-5)
 
-    def test_global_pool_blocked(self):
-        data = rand((1, 16, 4, 4), 4)
-        blocked = to_blocked_nchwc(data, 8)
-        out = global_avg_pool2d_nchwc(blocked)
-        np.testing.assert_allclose(
-            from_blocked_nchwc(out, 8), global_avg_pool2d_nchw(data), atol=1e-5
+    def test_non_spatial_axes_2_and_3_rejected(self):
+        spec = TensorSpec((1, 4, 4, 8), "NHWC")
+        with pytest.raises(ValueError, match="spatial axes 2 and 3"):
+            get_op("max_pool2d").prepare({"kernel": 2}, [spec], [None])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        batch=st.sampled_from([1, 3]),
+        channels=st.sampled_from([16, 32]),
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        kernel=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        block=st.sampled_from([None, 4, 8, 16]),
+        draw=st.data(),
+    )
+    def test_registered_pools_match_a_per_pixel_loop(
+        self, batch, channels, height, width, kernel, stride, block, draw
+    ):
+        padding = draw.draw(st.integers(0, kernel // 2), label="padding")
+        assume(min(height, width) + 2 * padding >= kernel)
+        data = rand((batch, channels, height, width), height * 13 + width)
+        layout = "NCHW" if block is None else f"NCHW{block}c"
+        array = data if block is None else to_blocked_nchwc(data, block)
+        window = {"kernel": kernel, "stride": stride, "padding": padding}
+        cases = (
+            ("max_pool2d", window, pool_per_pixel(data, "max", (kernel, kernel), stride, padding)),
+            ("avg_pool2d", window, pool_per_pixel(data, "avg", (kernel, kernel), stride, padding)),
+            ("global_avg_pool2d", {}, pool_per_pixel(data, "avg", (height, width))),
         )
+        for op, attrs, want in cases:
+            nchw = run_op(op, data, **attrs)
+            if op == "max_pool2d":
+                np.testing.assert_array_equal(nchw, want)
+            else:
+                np.testing.assert_allclose(nchw, want, rtol=1e-5, atol=1e-6)
+            got = run_op(op, array, layout, **attrs)
+            assert not np.shares_memory(got, array)  # a new array, even at 1x1/s1
+            expected = nchw if block is None else to_blocked_nchwc(nchw, block)
+            if op == "global_avg_pool2d":
+                # One numpy mean in both layouts, so the sums run in a
+                # layout-dependent order.
+                np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-6)
+            else:
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestBatchNorm:
@@ -102,22 +146,24 @@ class TestBatchNorm:
         gamma, beta, mean, var = self._params(8)
         scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, var)
         x = rand((1, 8, 4, 4), 1)
-        direct = batch_norm_inference_nchw(x, gamma, beta, mean, var)
+        direct = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
         via_affine = x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
         np.testing.assert_allclose(direct, via_affine, atol=1e-5)
 
     def test_normalizes_to_gamma_beta(self):
         gamma, beta, mean, var = self._params(4)
         x = np.broadcast_to(mean.reshape(1, 4, 1, 1), (1, 4, 3, 3)).astype(np.float32)
-        out = batch_norm_inference_nchw(x, gamma, beta, mean, var)
+        out = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
         np.testing.assert_allclose(out[0, :, 0, 0], beta, atol=1e-4)
 
     def test_blocked_matches_nchw(self):
         gamma, beta, mean, var = self._params(32)
         x = rand((1, 32, 4, 4), 2)
         blocked = to_blocked_nchwc(x, 16)
-        out_blocked = batch_norm_inference_nchwc(blocked, gamma, beta, mean, var)
-        expected = batch_norm_inference_nchw(x, gamma, beta, mean, var)
+        out_blocked = run_op(
+            "batch_norm", blocked, "NCHW16c", epsilon=1e-5, params=(gamma, beta, mean, var)
+        )
+        expected = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
         np.testing.assert_allclose(from_blocked_nchwc(out_blocked, 16), expected, atol=1e-5)
 
     def test_fold_into_conv(self):
@@ -127,8 +173,8 @@ class TestBatchNorm:
         bias = rand((16,), 5)
         folded_w, folded_b = fold_batch_norm_into_conv(weight, bias, gamma, beta, mean, var)
         fused = conv2d_nchw(data, folded_w, padding=1, bias=folded_b)
-        unfused = batch_norm_inference_nchw(
-            conv2d_nchw(data, weight, padding=1, bias=bias), gamma, beta, mean, var
+        unfused = batch_norm_inference(
+            conv2d_nchw(data, weight, padding=1, bias=bias), gamma, beta, mean, var, NCHW
         )
         np.testing.assert_allclose(fused, unfused, atol=1e-3)
 
@@ -155,17 +201,17 @@ class TestActivationsElementwise:
         np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-6)
 
     def test_add_requires_same_shape(self):
-        with pytest.raises(ValueError):
-            add(np.zeros((1, 2)), np.zeros((2, 1)))
+        specs = [TensorSpec((1, 2), "NC"), TensorSpec((2, 1), "NC")]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            get_op("elemwise_add").infer_shape({}, specs)
 
     def test_bias_add_blocked_matches_nchw(self):
         x = rand((1, 16, 3, 3), 6)
         bias = rand((16,), 7)
         blocked = to_blocked_nchwc(x, 8)
-        out = bias_add_nchwc(blocked, bias)
-        np.testing.assert_allclose(
-            from_blocked_nchwc(out, 8), bias_add_nchw(x, bias), atol=1e-6
-        )
+        out = run_op("bias_add", blocked, "NCHW8c", params=(bias,))
+        expected = bias_add(x, bias, NCHW)
+        np.testing.assert_allclose(from_blocked_nchwc(out, 8), expected, atol=1e-6)
 
 
 class TestDenseAndShapes:

@@ -13,6 +13,7 @@ from repro.api.scheduler import BatchingPolicy, DeadlineExceeded, RequestSchedul
 from repro.core import CompileConfig, OptLevel, compile_graph
 from repro.costmodel import OPENMP, THREAD_POOL
 from repro.graph import GraphBuilder, infer_shapes
+from repro.models.densenet import densenet121
 from repro.models.resnet import resnet18, resnet50
 from repro.models.ssd import ssd_resnet50
 from repro.models.vgg import vgg11
@@ -196,6 +197,20 @@ class TestCompileTimeFold:
         theirs = two.run({"data": tiny_input}, return_all=True)[name]
         assert theirs is not mine and np.array_equal(theirs, mine)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_second_executor_serves_its_own_seed(self):
+        """Executors over one module with different seeds serve different
+        weights: today the second one reuses the values the first bound onto
+        the shared graph."""
+        rng = np.random.default_rng(4)
+        request = {"data": rng.standard_normal((1, 3, 32, 32)).astype(np.float32)}
+        module = Optimizer("skylake").compile(resnet18(image_size=32))
+        first = module.create_executor(seed=0).run(request)[0]
+        second = module.create_executor(seed=1).run(request)[0]
+        fresh = Optimizer("skylake").compile(resnet18(image_size=32))
+        assert same_bytes(second, fresh.create_executor(seed=1).run(request)[0])
+        assert not same_bytes(second, first)
+
 
 def build_fanout_net():
     """A conv output read first by an in-place op and then by an add: the
@@ -209,9 +224,10 @@ def build_fanout_net():
 
 
 #: The models the plan is held to: every op kind the zoo serves (blocked
-#: convs, in-place chains, residual adds, pools, dense, the SSD detection
-#: head) at a size that runs in milliseconds.
+#: convs, in-place chains, residual adds, max/avg/global pools, dense, the
+#: SSD detection head) at a size that runs in milliseconds.
 PLAN_MODELS = {
+    "densenet-121": lambda: densenet121(image_size=32),
     "fan-out": build_fanout_net,
     "tiny-cnn": build_tiny_cnn,
     "resnet-18": lambda: resnet18(image_size=32),
