@@ -13,7 +13,7 @@ modelled here: batch cost, core contention, the multi-process dispatcher's
 least-outstanding routing, and one collector wake-up latency.
 
 Execution cost comes from the trace itself: every recorded runner dispatch
-contributes one ``(batch size, duration)`` sample, and
+contributes one ``(batch size, slot-holding duration)`` sample, and
 :class:`CalibratedCostModel` fits ``duration = base + per_sample * n`` over
 them.  Replaying a trace under the knobs it was recorded with therefore
 predicts the measured throughput to within the fidelity gate — and replaying
@@ -120,7 +120,7 @@ def extract_requests(trace: Trace) -> List[RecordedRequest]:
 class CalibratedCostModel:
     """Runner-dispatch duration as a function of batch size, fit from a trace.
 
-    Samples are the trace's own ``exec_start``/``exec_end`` pairs.  The model
+    Samples are the trace's own dispatches (see :func:`calibrate`).  The model
     is affine — ``duration(n) = base + per_sample * n`` — which matches the
     batch-vectorized kernels (one pass over the stacked batch amortizes a
     fixed per-dispatch overhead).  With only one distinct batch size in the
@@ -174,22 +174,38 @@ class CalibratedCostModel:
 
 
 def calibrate(trace: Trace) -> CalibratedCostModel:
-    """Fit the executor cost model from a trace's recorded dispatches."""
-    starts: Dict[Tuple[int, int], Tuple[float, int]] = {}
+    """Fit the executor cost model from a trace's recorded dispatches.
+
+    A sample spans ``exec_start`` to the last member's ``done``: a real
+    dispatch holds its executor slot until every member is resolved (in a
+    daemon worker, resolving a request writes its reply), and the simulated
+    ``exec_end`` both resolves the members and frees the slot.  Timing only
+    the runner call would price a fast model's dispatches as if their
+    replies were free.
+    """
+    resolved: Dict[Tuple[int, int], float] = {}
+    for event in trace.events:
+        if event.role == "scheduler" and event.kind == "done":
+            resolved.setdefault((event.pid, int(event.field("req", 0))), event.t)
+    starts: Dict[Tuple[int, int], Tuple[float, List[int]]] = {}
     samples: List[Tuple[int, float]] = []
     for event in trace.events:
         if event.role != "scheduler":
             continue
         if event.kind == "exec_start":
             key = (event.pid, int(event.field("batch", 0)))
-            starts[key] = (event.t, len(event.field("reqs", []) or []))
+            starts[key] = (event.t, [int(r) for r in event.field("reqs", []) or []])
         elif event.kind == "exec_end":
             key = (event.pid, int(event.field("batch", 0)))
             started = starts.pop(key, None)
             if started is not None and event.field("ok", True):
-                t_start, size = started
-                if size > 0:
-                    samples.append((size, max(0.0, event.t - t_start)))
+                t_start, members = started
+                if members:
+                    t_end = max(
+                        [event.t]
+                        + [resolved.get((event.pid, r), event.t) for r in members]
+                    )
+                    samples.append((len(members), max(0.0, t_end - t_start)))
     return CalibratedCostModel(samples)
 
 

@@ -80,11 +80,33 @@ class TestPooling:
         out = run_op("avg_pool2d", data, kernel=3, stride=1, padding=1)
         np.testing.assert_allclose(out, np.ones_like(out))
 
+    def test_blocked_pooling_matches_nchw(self):
+        data = rand((1, 32, 8, 8), 1)
+        blocked = to_blocked_nchwc(data, 16)
+        out_blocked = run_op("max_pool2d", blocked, "NCHW16c", kernel=2, stride=2)
+        expected = run_op("max_pool2d", data, kernel=2, stride=2)
+        np.testing.assert_allclose(from_blocked_nchwc(out_blocked, 16), expected)
+
+    def test_blocked_avg_pooling_matches_nchw(self):
+        data = rand((1, 16, 6, 6), 2)
+        blocked = to_blocked_nchwc(data, 8)
+        out = run_op("avg_pool2d", blocked, "NCHW8c", kernel=3, stride=1, padding=1)
+        expected = run_op("avg_pool2d", data, kernel=3, stride=1, padding=1)
+        np.testing.assert_allclose(from_blocked_nchwc(out, 8), expected, atol=1e-5)
+
     def test_global_pool(self):
         data = rand((2, 8, 5, 5), 3)
         out = run_op("global_avg_pool2d", data)
         assert out.shape == (2, 8, 1, 1)
         np.testing.assert_allclose(out[..., 0, 0], data.mean(axis=(2, 3)), atol=1e-5)
+
+    def test_global_pool_blocked(self):
+        data = rand((1, 16, 4, 4), 4)
+        blocked = to_blocked_nchwc(data, 8)
+        out = run_op("global_avg_pool2d", blocked, "NCHW8c")
+        np.testing.assert_allclose(
+            from_blocked_nchwc(out, 8), run_op("global_avg_pool2d", data), atol=1e-5
+        )
 
     def test_non_spatial_axes_2_and_3_rejected(self):
         spec = TensorSpec((1, 4, 4, 8), "NHWC")

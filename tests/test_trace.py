@@ -50,6 +50,7 @@ from repro.trace import (
     TraceFormatError,
     TraceRecorder,
     TraceWriter,
+    calibrate,
     extract_requests,
     knobs_from_trace,
     measured_metrics,
@@ -328,6 +329,14 @@ class TestCalibratedCostModel:
     def test_empty_trace_cannot_calibrate(self):
         with pytest.raises(TraceFormatError, match="cannot calibrate"):
             CalibratedCostModel([])
+
+    def test_a_dispatch_holds_its_slot_until_its_last_member_resolves(self, tmp_path):
+        with TraceWriter(tmp_path, "scheduler") as writer:
+            writer.append("exec_start", 0.0, {"batch": 0, "reqs": [0, 1]})
+            writer.append("exec_end", 4e-3, {"batch": 0, "ok": True})
+            writer.append("done", 5e-3, {"req": 0, "status": "ok"})
+            writer.append("done", 6e-3, {"req": 1, "status": "ok"})
+        assert calibrate(read_trace(tmp_path)).samples == [(2, pytest.approx(6e-3))]
 
 
 # --------------------------------------------------------------------------- #
