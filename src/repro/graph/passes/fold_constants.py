@@ -29,17 +29,11 @@ class FoldConstants(GraphPass):
 
     name = "fold_constants"
 
-    def __init__(self, fold_compute_intensive: bool = True) -> None:
-        #: Folding a conv over constant data is legal but can be slow at
-        #: compile time; allow opting out.
-        self.fold_compute_intensive = fold_compute_intensive
+    def __init__(self) -> None:
         self.num_folded = 0
 
     def _foldable(self, node: Node) -> bool:
         if not node.is_op:
-            return False
-        op_def = registry.get(node.op)
-        if op_def.compute_intensive and not self.fold_compute_intensive:
             return False
         for producer in node.inputs:
             if not producer.is_constant:

@@ -7,7 +7,7 @@ registry that classifies them by layout behaviour for the graph-level passes.
 """
 
 from . import op_library  # noqa: F401  (registers the standard operator set)
-from .activation import clip, dropout_inference, leaky_relu, relu, sigmoid, softmax
+from .activation import relu, sigmoid, softmax
 from .batch_norm import batch_norm_inference, batch_norm_to_scale_shift, fold_batch_norm_into_conv
 from .blocked_conv import conv2d_nchwc, conv2d_nchwc_from_nchw, prepack_weights
 from .conv2d import (
@@ -17,7 +17,7 @@ from .conv2d import (
     pad_nchw,
     workload_from_shapes,
 )
-from .dense import concat, concat_channels_nchw, dense, flatten_nchw, reshape
+from .dense import dense, flatten_nchw
 from .elementwise import bias_add
 from .pooling import global_avg_pool2d, prepare_pool2d
 from .registry import LayoutCategory, OpDef, OpRegistry, get_op, register_op, registry
@@ -30,9 +30,6 @@ __all__ = [
     "batch_norm_inference",
     "batch_norm_to_scale_shift",
     "bias_add",
-    "clip",
-    "concat",
-    "concat_channels_nchw",
     "conv2d_nchw",
     "conv2d_nchw_naive",
     "conv2d_nchwc",
@@ -40,12 +37,10 @@ __all__ = [
     "conv_output_size",
     "decode_boxes",
     "dense",
-    "dropout_inference",
     "flatten_nchw",
     "fold_batch_norm_into_conv",
     "get_op",
     "global_avg_pool2d",
-    "leaky_relu",
     "multibox_detection",
     "multibox_prior",
     "non_max_suppression",
@@ -55,7 +50,6 @@ __all__ = [
     "register_op",
     "registry",
     "relu",
-    "reshape",
     "sigmoid",
     "softmax",
     "workload_from_shapes",

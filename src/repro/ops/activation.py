@@ -12,17 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["relu", "leaky_relu", "sigmoid", "softmax", "clip", "dropout_inference"]
+__all__ = ["relu", "sigmoid", "softmax"]
 
 
 def relu(data: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Element-wise rectified linear unit (into ``out`` when given)."""
     return np.maximum(data, 0, out=out)
-
-
-def leaky_relu(data: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    """Element-wise leaky ReLU."""
-    return np.where(data >= 0, data, alpha * data)
 
 
 def sigmoid(data: np.ndarray) -> np.ndarray:
@@ -41,17 +36,3 @@ def softmax(data: np.ndarray, axis: int = -1) -> np.ndarray:
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
 
-
-def clip(data: np.ndarray, a_min: float, a_max: float) -> np.ndarray:
-    """Element-wise clip (used e.g. for ReLU6-style activations)."""
-    return np.clip(data, a_min, a_max)
-
-
-def dropout_inference(data: np.ndarray, rate: float = 0.5) -> np.ndarray:
-    """Dropout at inference time is the identity (the simplify pass removes it).
-
-    The ``rate`` argument is accepted for signature compatibility with the
-    graph builder and ignored, matching framework inference semantics.
-    """
-    del rate
-    return data

@@ -1,19 +1,17 @@
-"""Dense (fully-connected) layer and flatten/reshape/concat operators.
+"""Dense (fully-connected) layer and flatten.
 
 ``Flatten`` is the canonical layout-dependent operation of section 3.2: it
 interprets the memory order of its input, so the blocked ``NCHW[x]c`` layout
-must be transformed back to ``NCHW`` before it.  ``Concat`` is layout-
-oblivious provided all inputs share one layout and the concatenation axis is
-the (outer) channel axis.
+must be transformed back to ``NCHW`` before it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["dense", "flatten_nchw", "reshape", "concat_channels_nchw", "concat"]
+__all__ = ["dense", "flatten_nchw"]
 
 
 def dense(
@@ -47,26 +45,12 @@ def dense(
 
 
 def flatten_nchw(data: np.ndarray) -> np.ndarray:
-    """Flatten an NCHW tensor to (N, C*H*W).
+    """Flatten an NCHW tensor to a new (N, C*H*W) array.
 
     This operator is layout-dependent: callers must supply data in the default
     NCHW layout (the alter-layout pass inserts the required LayoutTransform).
     """
     if data.ndim < 2:
         raise ValueError(f"flatten expects at least 2-D input, got {data.shape}")
-    return np.ascontiguousarray(data).reshape(data.shape[0], -1)
+    return data.reshape(data.shape[0], -1).copy()
 
-
-def reshape(data: np.ndarray, new_shape: Sequence[int]) -> np.ndarray:
-    """Reshape, with a single -1 wildcard supported."""
-    return np.ascontiguousarray(data).reshape(tuple(int(d) for d in new_shape))
-
-
-def concat_channels_nchw(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate NCHW tensors along the channel axis (DenseNet blocks)."""
-    return np.concatenate(list(tensors), axis=1)
-
-
-def concat(tensors: Sequence[np.ndarray], axis: int = 1) -> np.ndarray:
-    """General concatenation along ``axis``."""
-    return np.concatenate(list(tensors), axis=axis)

@@ -1,24 +1,25 @@
 """Registration of the standard operator set.
 
-Each operator gets a shape-inference function and a layout-aware compute
-function, and is classified into one of the three layout categories of
-section 3.2.  The operators every request runs many times — conv2d,
-scale_shift, the pools, relu, sigmoid, elemwise_add — are defined by a
-``prepare`` function instead (see :mod:`repro.ops.registry`), and their
-compute is prepare then call.  Importing this module (done by ``repro.ops``) populates
-the global registry.
+Each operator gets a shape-inference function and a ``prepare`` function
+(see :mod:`repro.ops.registry`), and is classified into one of the three
+layout categories of section 3.2.  ``prepare`` settles once what the static
+specs and attributes decide — layouts, axes, broadcast shapes, convolution
+geometry — and returns a kernel that only does the request's arithmetic and
+always returns a new array.  Importing this module (done by ``repro.ops``)
+populates the global registry.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..schedule.template import ConvSchedule
 from ..tensor.layout import Layout
-from ..tensor.tensor import BatchDim, Tensor, TensorSpec
-from ..tensor.transform import layout_transform, transform_tensor
+from ..tensor.tensor import BatchDim, TensorSpec
+from ..tensor.transform import layout_transform
 from . import activation, batch_norm, blocked_conv, conv2d, dense, elementwise, pooling
 from .conv2d import conv_output_size
 from .registry import LayoutCategory, register_op
@@ -56,8 +57,8 @@ def _nchw_extents(spec: TensorSpec) -> Tuple[int, int, int, int]:
     )
 
 
-def _is_blocked_feature_map(value: "Tensor | TensorSpec") -> bool:
-    return value.layout.is_blocked and value.layout.has_axis("c")
+def _is_blocked_feature_map(spec: TensorSpec) -> bool:
+    return spec.layout.is_blocked and spec.layout.has_axis("c")
 
 
 def _channel_shape(spec: TensorSpec) -> Tuple[int, ...]:
@@ -165,14 +166,6 @@ def _dense_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec((batch, out_features), "NC", data_spec.dtype)
 
 
-def _dense_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    data, weight = inputs[0], inputs[1]
-    bias = inputs[2].data if len(inputs) > 2 else None
-    out = dense.dense(data.data, weight.data, bias)
-    return Tensor(out, "NC")
-
-
 def _flatten_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     del attrs
     spec = in_specs[0]
@@ -186,17 +179,6 @@ def _flatten_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     for dim in spec.logical_shape[1:]:
         rest *= dim
     return TensorSpec((batch, rest), "NC", spec.dtype)
-
-
-def _flatten_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    data = inputs[0]
-    if data.layout.is_blocked:
-        raise ValueError(
-            "flatten received blocked data; the alter-layout pass should have "
-            "inserted a LayoutTransform before this node"
-        )
-    return Tensor(dense.flatten_nchw(data.data), "NC")
 
 
 def _concat_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
@@ -225,21 +207,15 @@ def _concat_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec(logical, layout, base.dtype)
 
 
-def _concat_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    axis_name = str(attrs.get("axis", "C")).upper()
-    layout = inputs[0].layout
-    for tensor in inputs[1:]:
-        if tensor.layout != layout:
-            raise ValueError("concat requires identical layouts")
-    # Along the *outer* axis of a blocked layout: every input's extent is a
-    # multiple of the block (guaranteed after the alter-layout pass).
-    axis_index = layout.axis_index(axis_name)
-    out = np.concatenate([t.data for t in inputs], axis=axis_index)
-    total = sum(t.spec.axis_extent(axis_name) for t in inputs)
-    extents = dict(zip(layout.primal_axes, inputs[0].logical_shape))
-    extents[axis_name] = total
-    logical = tuple(extents[a] for a in layout.primal_axes)
-    return Tensor(out, layout, logical)
+def _concat_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    """Along the *outer* axis of a blocked layout: every input's extent is a
+    multiple of the block (guaranteed after the alter-layout pass)."""
+    del invariants
+    layout = in_specs[0].layout
+    if any(spec.layout != layout for spec in in_specs[1:]):
+        raise ValueError("concat requires identical layouts")
+    axis = layout.axis_index(str(attrs.get("axis", "C")).upper())
+    return lambda *arrays: np.concatenate(arrays, axis=axis)
 
 
 def _transpose_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
@@ -258,11 +234,10 @@ def _transpose_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec(new_shape, new_layout, spec.dtype)
 
 
-def _transpose_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    spec = _transpose_infer(attrs, [inputs[0].spec])
+def _transpose_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    del in_specs, invariants
     axes = tuple(int(a) for a in attrs["axes"])
-    data = np.ascontiguousarray(np.transpose(inputs[0].data, axes))
-    return Tensor(data, spec.layout, spec.logical_shape)
+    return lambda data: np.transpose(data, axes).copy()
 
 
 def _reshape_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
@@ -324,10 +299,13 @@ def _reshape_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec(tuple(new_shape), layout, spec.dtype)
 
 
-def _reshape_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    spec = _reshape_infer(attrs, [inputs[0].spec])
-    data = dense.reshape(inputs[0].data, spec.logical_shape)
-    return Tensor(data, spec.layout, spec.logical_shape)
+def _reshape_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    """numpy resolves the ``-1`` extent per request exactly as
+    :func:`_reshape_infer` did at graph-build time, so the kernel follows the
+    batch it is given."""
+    del in_specs, invariants
+    new_shape = tuple(int(dim) for dim in attrs["new_shape"])
+    return lambda data: data.reshape(new_shape).copy()
 
 
 # --------------------------------------------------------------------------- #
@@ -338,25 +316,18 @@ def _same_as_input_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorS
     return in_specs[0]
 
 
-def _batch_norm_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    data, gamma, beta, mean, var = inputs[:5]
-    out = batch_norm.batch_norm_inference(
-        data.data,
-        gamma.data,
-        beta.data,
-        mean.data,
-        var.data,
-        _channel_shape(data.spec),
-        float(attrs.get("epsilon", 1e-5)),
+def _batch_norm_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    del invariants
+    shape, epsilon = _channel_shape(in_specs[0]), float(attrs.get("epsilon", 1e-5))
+    return lambda data, gamma, beta, mean, var: batch_norm.batch_norm_inference(
+        data, gamma, beta, mean, var, shape, epsilon
     )
-    return Tensor(out, data.layout, data.logical_shape)
 
 
-def _bias_add_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    data, bias = inputs[0], inputs[1]
-    out = elementwise.bias_add(data.data, bias.data, _channel_shape(data.spec))
-    return Tensor(out, data.layout, data.logical_shape)
+def _bias_add_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    del attrs, invariants
+    shape = _channel_shape(in_specs[0])
+    return lambda data, bias: elementwise.bias_add(data, bias, shape)
 
 
 def _scale_shift_prepare(
@@ -391,7 +362,7 @@ def _scale_shift_prepare(
 # activations / element-wise
 # --------------------------------------------------------------------------- #
 def _numpy_prepare(func, in_place=None):
-    """``prepare`` of an operator that is one numpy function of its one input;
+    """``prepare`` of an operator that is one function of its input arrays;
     ``in_place(data)`` is the same function writing into ``data``."""
 
     def prepare(attrs, in_specs, invariants, into=None):
@@ -401,10 +372,9 @@ def _numpy_prepare(func, in_place=None):
     return prepare
 
 
-def _softmax_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    axis = int(attrs.get("axis", -1))
-    data = inputs[0]
-    return Tensor(activation.softmax(data.data, axis), data.layout, data.logical_shape)
+def _softmax_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    del in_specs, invariants
+    return partial(activation.softmax, axis=int(attrs.get("axis", -1)))
 
 
 def _elemwise_add_prepare(
@@ -505,15 +475,20 @@ def _layout_transform_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> Tens
     return in_specs[0].with_layout(Layout(str(attrs["dst_layout"])))
 
 
-def _layout_transform_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    dst = Layout(str(attrs["dst_layout"]))
-    return transform_tensor(inputs[0], dst)
+def _layout_transform_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    """The transform between the two layouts, resolved once.  A transform
+    that moves nothing (equal layouts, or only extent-1 axes) would return its
+    input or a view of it, so the kernel copies then."""
+    del invariants
+    src, dst = in_specs[0].layout, Layout(str(attrs["dst_layout"]))
+    if src == dst:
+        return np.copy
 
+    def kernel(data: np.ndarray) -> np.ndarray:
+        out = layout_transform(data, src, dst)
+        return out.copy() if np.may_share_memory(out, data) else out
 
-def _dropout_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    del attrs
-    data = inputs[0]
-    return Tensor(activation.dropout_inference(data.data), data.layout, data.logical_shape)
+    return kernel
 
 
 # --------------------------------------------------------------------------- #
@@ -525,17 +500,14 @@ def _multibox_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     return TensorSpec((batch, max_det, 6), "NAB", in_specs[0].dtype)
 
 
-def _multibox_compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-    cls_probs, loc_preds, anchors = inputs[0], inputs[1], inputs[2]
-    out = multibox_detection(
-        cls_probs.data,
-        loc_preds.data,
-        anchors.data,
+def _multibox_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
+    del in_specs, invariants
+    return partial(
+        multibox_detection,
         score_threshold=float(attrs.get("score_threshold", 0.01)),
         iou_threshold=float(attrs.get("iou_threshold", 0.45)),
         max_detections=int(attrs.get("max_detections", 100)),
     )
-    return Tensor(out, "NAB")
 
 
 # --------------------------------------------------------------------------- #
@@ -545,39 +517,41 @@ register_op(
     "conv2d",
     LayoutCategory.TOLERANT,
     _conv2d_infer,
-    prepare=_conv2d_prepare,
+    _conv2d_prepare,
     compute_intensive=True,
 )
 register_op(
     "dense",
     LayoutCategory.DEPENDENT,
     _dense_infer,
-    _dense_compute,
+    _numpy_prepare(dense.dense),
     compute_intensive=True,
 )
-register_op("flatten", LayoutCategory.DEPENDENT, _flatten_infer, _flatten_compute)
-register_op("reshape", LayoutCategory.DEPENDENT, _reshape_infer, _reshape_compute)
-register_op("transpose", LayoutCategory.DEPENDENT, _transpose_infer, _transpose_compute)
-register_op("concat", LayoutCategory.OBLIVIOUS, _concat_infer, _concat_compute)
+register_op(
+    "flatten", LayoutCategory.DEPENDENT, _flatten_infer, _numpy_prepare(dense.flatten_nchw)
+)
+register_op("reshape", LayoutCategory.DEPENDENT, _reshape_infer, _reshape_prepare)
+register_op("transpose", LayoutCategory.DEPENDENT, _transpose_infer, _transpose_prepare)
+register_op("concat", LayoutCategory.OBLIVIOUS, _concat_infer, _concat_prepare)
 register_op(
     "batch_norm",
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
-    _batch_norm_compute,
+    _batch_norm_prepare,
     fusible=True,
 )
 register_op(
     "bias_add",
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
-    _bias_add_compute,
+    _bias_add_prepare,
     fusible=True,
 )
 register_op(
     "scale_shift",
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
-    prepare=_scale_shift_prepare,
+    _scale_shift_prepare,
     fusible=True,
     in_place=True,
 )
@@ -585,7 +559,7 @@ register_op(
     "relu",
     LayoutCategory.OBLIVIOUS,
     _same_as_input_infer,
-    prepare=_numpy_prepare(activation.relu, lambda data: activation.relu(data, out=data)),
+    _numpy_prepare(activation.relu, lambda data: activation.relu(data, out=data)),
     fusible=True,
     in_place=True,
 )
@@ -593,41 +567,40 @@ register_op(
     "sigmoid",
     LayoutCategory.OBLIVIOUS,
     _same_as_input_infer,
-    prepare=_numpy_prepare(activation.sigmoid),
+    _numpy_prepare(activation.sigmoid),
     fusible=True,
 )
-register_op("softmax", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _softmax_compute)
+register_op("softmax", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _softmax_prepare)
 register_op(
     "elemwise_add",
     LayoutCategory.OBLIVIOUS,
     _elemwise_add_infer,
-    prepare=_elemwise_add_prepare,
+    _elemwise_add_prepare,
     fusible=True,
     num_inputs=2,
     in_place=True,
 )
 register_op(
-    "max_pool2d", LayoutCategory.TOLERANT, _pool_infer, prepare=_pool_prepare("max")
+    "max_pool2d", LayoutCategory.TOLERANT, _pool_infer, _pool_prepare("max")
 )
 register_op(
-    "avg_pool2d", LayoutCategory.TOLERANT, _pool_infer, prepare=_pool_prepare("avg")
+    "avg_pool2d", LayoutCategory.TOLERANT, _pool_infer, _pool_prepare("avg")
 )
 register_op(
     "global_avg_pool2d",
     LayoutCategory.TOLERANT,
     _global_pool_infer,
-    prepare=_numpy_prepare(pooling.global_avg_pool2d),
+    _numpy_prepare(pooling.global_avg_pool2d),
 )
 register_op(
     "layout_transform",
     LayoutCategory.DEPENDENT,
     _layout_transform_infer,
-    _layout_transform_compute,
+    _layout_transform_prepare,
 )
-register_op("dropout", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _dropout_compute)
 register_op(
-    "multibox_detection",
-    LayoutCategory.DEPENDENT,
-    _multibox_infer,
-    _multibox_compute,
+    "dropout", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _numpy_prepare(np.copy)
+)
+register_op(
+    "multibox_detection", LayoutCategory.DEPENDENT, _multibox_infer, _multibox_prepare
 )

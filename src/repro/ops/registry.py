@@ -8,14 +8,13 @@ Every operator known to the graph IR is described by an :class:`OpDef`:
   required;
 * a **shape-inference function** mapping input :class:`TensorSpec`\\ s (plus
   node attributes) to the output spec;
-* a **compute function** executing the operator on concrete, layout-annotated
-  :class:`Tensor`\\ s;
-* optionally a **prepare function**, which resolves the operator's kernel once
-  from the node attributes, the inputs' static specs and whichever input
-  arrays are request-independent.  The kernel is a plain callable on ndarrays;
-  the graph executor's plan calls nothing else per request.  An operator with
-  a prepare function has one implementation: its compute is derived as
-  "prepare, then call";
+* a **prepare function**, which resolves the operator's kernel once from the
+  node attributes, the inputs' static specs and whichever input arrays are
+  request-independent.  The kernel is a plain callable on ndarrays that
+  returns a new array; the graph executor's plan calls nothing else per
+  request.  This is the operator's one implementation: running it once on
+  layout-annotated :class:`Tensor`\\ s (:meth:`OpDef.compute`) is "prepare,
+  then call";
 * whether the operator is **compute-intensive** (a tuning target for the local
   search) and whether it can be **fused** into a preceding compute-intensive op.
 
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 InferFunc = Callable[[dict, Sequence[TensorSpec]], TensorSpec]
-ComputeFunc = Callable[[dict, Sequence[Tensor]], Tensor]
 #: A prepared operator: every input's array in, in order; the output array out.
 Kernel = Callable[..., np.ndarray]
 PrepareFunc = Callable[..., Kernel]
@@ -68,18 +66,17 @@ class OpDef:
         name: unique operator name used by graph nodes.
         category: layout interaction class.
         infer_shape: shape/layout inference callable.
-        compute: concrete execution callable.
+        prepare: kernel factory ``prepare(attrs, in_specs, invariants)``.
+            ``in_specs`` are the inputs' specs as shape inference gave them;
+            ``invariants[i]`` is input ``i``'s array when it is the same on
+            every call (a weight), else ``None``.  The returned kernel takes
+            every input's array, reads the batch from them, and returns a new
+            array — never an input or a view of one.
         compute_intensive: True for operators the local search tunes (conv2d,
             dense).  These anchor fusion groups.
         fusible: True when the operator can be fused into a preceding
             compute-intensive operator (element-wise ops, BN, ReLU, bias add).
         num_inputs: expected input arity; ``None`` means variadic.
-        prepare: optional kernel factory ``prepare(attrs, in_specs,
-            invariants)``.  ``in_specs`` are the inputs' specs as shape
-            inference gave them; ``invariants[i]`` is input ``i``'s array when
-            it is the same on every call (a weight), else ``None``.  The
-            returned kernel takes every input's array, reads the batch from
-            them, and returns a new array.
         in_place: the operator's ``prepare`` also accepts ``into=i``, asking
             for a kernel that writes its result into input ``i``'s buffer and
             returns it.
@@ -88,12 +85,20 @@ class OpDef:
     name: str
     category: LayoutCategory
     infer_shape: InferFunc
-    compute: ComputeFunc
+    prepare: PrepareFunc
     compute_intensive: bool = False
     fusible: bool = False
     num_inputs: Optional[int] = None
-    prepare: Optional[PrepareFunc] = None
     in_place: bool = False
+
+    def compute(self, attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
+        """Run the operator once on layout-annotated tensors: prepare, then
+        call."""
+        specs = [tensor.spec for tensor in inputs]
+        arrays = [tensor.data for tensor in inputs]
+        out = self.prepare(attrs, specs, arrays)(*arrays)
+        spec = self.infer_shape(attrs, specs)
+        return Tensor(out, spec.layout, spec.logical_shape)
 
 
 class OpRegistry:
@@ -102,8 +107,8 @@ class OpRegistry:
     def __init__(self) -> None:
         self._ops: Dict[str, OpDef] = {}
 
-    def register(self, op_def: OpDef, override: bool = False) -> OpDef:
-        if op_def.name in self._ops and not override:
+    def register(self, op_def: OpDef) -> OpDef:
+        if op_def.name in self._ops:
             raise ValueError(f"operator {op_def.name!r} is already registered")
         self._ops[op_def.name] = op_def
         return op_def
@@ -130,52 +135,29 @@ class OpRegistry:
 registry = OpRegistry()
 
 
-def _compute_from_prepare(prepare: PrepareFunc, infer_shape: InferFunc) -> ComputeFunc:
-    """The Tensor-level ``compute`` of an operator defined by ``prepare``."""
-
-    def compute(attrs: dict, inputs: Sequence[Tensor]) -> Tensor:
-        specs = [tensor.spec for tensor in inputs]
-        arrays = [tensor.data for tensor in inputs]
-        out = prepare(attrs, specs, arrays)(*arrays)
-        spec = infer_shape(attrs, specs)
-        return Tensor(out, spec.layout, spec.logical_shape)
-
-    return compute
-
-
 def register_op(
     name: str,
     category: LayoutCategory,
     infer_shape: InferFunc,
-    compute: Optional[ComputeFunc] = None,
+    prepare: PrepareFunc,
     compute_intensive: bool = False,
     fusible: bool = False,
     num_inputs: Optional[int] = None,
-    override: bool = False,
-    prepare: Optional[PrepareFunc] = None,
     in_place: bool = False,
 ) -> OpDef:
-    """Register an operator in the global registry (convenience wrapper).
-
-    Give ``compute`` or ``prepare``; an operator given only ``prepare``
-    computes by preparing, then calling.
-    """
-    if compute is None:
-        if prepare is None:
-            raise ValueError(f"operator {name!r} needs a compute or a prepare function")
-        compute = _compute_from_prepare(prepare, infer_shape)
-    op_def = OpDef(
-        name=name,
-        category=category,
-        infer_shape=infer_shape,
-        compute=compute,
-        compute_intensive=compute_intensive,
-        fusible=fusible,
-        num_inputs=num_inputs,
-        prepare=prepare,
-        in_place=in_place,
+    """Register an operator in the global registry (convenience wrapper)."""
+    return registry.register(
+        OpDef(
+            name=name,
+            category=category,
+            infer_shape=infer_shape,
+            prepare=prepare,
+            compute_intensive=compute_intensive,
+            fusible=fusible,
+            num_inputs=num_inputs,
+            in_place=in_place,
+        )
     )
-    return registry.register(op_def, override=override)
 
 
 def get_op(name: str) -> OpDef:

@@ -109,7 +109,7 @@ def _iou(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     area_a = (box[2] - box[0]) * (box[3] - box[1])
     area_b = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     union = area_a + area_b - inter
-    return np.where(union > 0, inter / union, 0.0)
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
 
 
 def non_max_suppression(

@@ -15,21 +15,19 @@ arithmetic:
   the ``OIHW -> OIHW[x]i[y]o`` weight pre-packing of section 3.2 — is
   evaluated once per executor.
 * **The plan.**  The remaining nodes are resolved once into a flat list of
-  steps ``(kernel, input slots, output slot)``.  An operator with a
-  ``prepare`` function (conv2d, scale_shift, the pools, relu, sigmoid,
-  elemwise_add) builds its own kernel from the node attributes, its inputs' static specs
-  and the folded arrays, so schedule validation, convolution geometry, weight
-  panel views and broadcast shapes are settled here; any other operator gets
-  a kernel that wraps its arrays in the layouts shape inference gave them and
-  calls its ``compute``.  :meth:`GraphExecutor.run` fills the request slots
-  and calls kernels on raw ndarrays.
+  steps ``(kernel, input slots, output slot)``.  Every operator's ``prepare``
+  function builds its kernel from the node attributes, its inputs' static
+  specs and the folded arrays, so schedule validation, convolution geometry,
+  weight panel views, layouts, axes and broadcast shapes are settled here.
+  :meth:`GraphExecutor.run` fills the request slots and calls kernels on raw
+  ndarrays.
 * **In place.**  An operator marked ``in_place`` (scale_shift, relu,
   elemwise_add) writes its result into an input buffer only when that buffer
-  was allocated by an earlier step of the same run (a prepared kernel's
-  output — never a request array, a folded array or a view a ``compute``
-  returned), has exactly one consumer, and is not a graph output.  The rule
-  is off under ``return_all=True``, which returns every intermediate.  The
-  bits are the same either way: numpy computes the same ufuncs.
+  is any step's output (every kernel returns a new array, so it was allocated
+  by the same run — never a request array or a folded one), has exactly one
+  consumer, and is not a graph output.  The rule is off under
+  ``return_all=True``, which returns every intermediate.  The bits are the
+  same either way: numpy computes the same ufuncs.
 * **Re-entrancy.**  The plan is read-only once built: a run's state is its
   own slot list and the arrays its kernels allocate, so concurrent runs on
   one executor (the serving engine runs two worker threads) share nothing
@@ -199,33 +197,14 @@ def _step_kernel(
 ) -> Kernel:
     """The kernel a step runs for ``node``, called with every input's array.
 
-    ``invariants[i]`` is input ``i``'s array when it is request-independent.
-    An operator with ``prepare`` resolves its own kernel (``into`` names the
-    input buffer an ``in_place`` operator may write into).  Any other operator
-    gets a kernel that wraps its arrays in the layouts shape inference gave
-    its inputs — request-independent ones once, here — and calls ``compute``.
+    ``invariants[i]`` is input ``i``'s array when it is request-independent;
+    ``into`` names the input buffer an ``in_place`` operator may write into.
     """
-    op_def = registry.get(node.op)
+    prepare = registry.get(node.op).prepare
     specs = [producer.spec for producer in node.inputs]
-    if op_def.prepare is not None:
-        if into is None:
-            return op_def.prepare(node.attrs, specs, invariants)
-        return op_def.prepare(node.attrs, specs, invariants, into=into)
-    compute, attrs = op_def.compute, node.attrs
-    layouts = [spec.layout for spec in specs]
-    bound = [
-        None if value is None else Tensor(value, layout)
-        for value, layout in zip(invariants, layouts)
-    ]
-
-    def kernel(*arrays: np.ndarray) -> np.ndarray:
-        tensors = [
-            Tensor(array, layout) if tensor is None else tensor
-            for array, layout, tensor in zip(arrays, layouts, bound)
-        ]
-        return compute(attrs, tensors).data
-
-    return kernel
+    if into is None:
+        return prepare(node.attrs, specs, invariants)
+    return prepare(node.attrs, specs, invariants, into=into)
 
 
 class _Plan(NamedTuple):
@@ -307,7 +286,7 @@ class GraphExecutor:
             id(producer) for node in self._per_request for producer in node.inputs
         )
         outputs = {id(node) for node in self.graph.outputs}
-        owned = set()  # nodes whose buffer an earlier step of the run allocated
+        owned = set()  # nodes an earlier step computes: their buffer is the run's
         inputs, steps, steps_keeping_all = [], [], []
         for node in self._per_request:
             if node.is_input:
@@ -336,8 +315,7 @@ class GraphExecutor:
                 if into is not None:
                     step = (_step_kernel(node, invariants, into),) + step[1:]
             steps.append(step)
-            if op_def.prepare is not None:
-                owned.add(id(node))
+            owned.add(id(node))
         return _Plan(
             sources=sources,
             slots=tuple(values.get(id(node)) for node in self._order),

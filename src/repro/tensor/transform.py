@@ -20,7 +20,7 @@ test and property-check.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -183,14 +183,3 @@ def unpack_conv_weights(packed: np.ndarray) -> np.ndarray:
         weights.reshape(oc_outer * oc_bn, ic_outer * ic_bn, k_h, k_w)
     )
 
-
-def transform_cost_bytes(shape: Sequence[int], dtype_bytes: int = 4) -> int:
-    """Bytes moved by one layout transform of a tensor with ``shape``.
-
-    A layout transform reads and writes every element once; the cost model
-    charges ``2 * nbytes`` of memory traffic for it.
-    """
-    size = 1
-    for dim in shape:
-        size *= int(dim)
-    return 2 * size * dtype_bytes

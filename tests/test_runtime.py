@@ -223,6 +223,19 @@ def build_fanout_net():
     return graph
 
 
+def build_view_fanout_net():
+    """A dense output read by an in-place relu through a reshape and again by
+    an add: the reshape must hand the relu a new buffer, not a view of the
+    dense output, or the relu overwrites what the add reads."""
+    builder = GraphBuilder("view_fanout")
+    data = builder.input("data", (1, 32), layout="NC")
+    x = builder.dense(data, 64, name="dense")
+    y = builder.relu(builder.reshape(x, (-1, 64), name="reshape"), name="relu")
+    graph = builder.build(builder.elemwise_add(y, x, name="add"))
+    infer_shapes(graph)
+    return graph
+
+
 #: The models the plan is held to: every op kind the zoo serves (blocked
 #: convs, in-place chains, residual adds, max/avg/global pools, dense, the
 #: SSD detection head) at a size that runs in milliseconds.
@@ -234,6 +247,7 @@ PLAN_MODELS = {
     "resnet-50": lambda: resnet50(image_size=32),
     "ssd-resnet-50": lambda: ssd_resnet50(image_size=32),
     "vgg-11": lambda: vgg11(image_size=32),
+    "view-fanout": build_view_fanout_net,
 }
 
 
