@@ -24,10 +24,17 @@ loop unrolling happen inside BLAS.
 The kernel is prepare plus call.  :func:`prepare_conv2d_nchwc` does once what
 depends only on the workload, the schedule and the weights: it validates the
 schedule, fixes the padding/stride/dilation geometry and the output-row tiles,
-and takes the panel view of the packed weights.  The callable it returns does
-the per-request work only: zero-fill the padded input (``np.zeros`` plus a
-slice assignment, the same bits as ``np.pad``), take the strided window, make
-the im2col copy and run the stacked ``np.matmul``.  The batch is read from
+and trims the kernel to the taps that can reach a real input pixel.  A tap
+``(r, s)`` that reads only padding for every output pixel multiplies zeros,
+so the panels are the bounding box of the live taps — a view of the packed
+weights when that box is the whole kernel, else one contiguous copy of
+``weight_packed[:, :, r0:r1, c0:c1]`` — and the window, the im2col depth and
+the zero padding shrink with it.  On small feature maps this skips most of
+the weight stream (a 3x3, pad-1 conv on a 1x1 map reads 1 of its 9 taps).
+The callable it returns does the per-request work only: zero-fill a padded
+input if some kept tap reads padding (``np.zeros`` plus a slice assignment,
+the same bits as ``np.pad``), take the strided window, make the im2col copy
+and run the stacked ``np.matmul``.  The batch is read from
 the data array, never from the workload, so one prepared kernel serves any
 coalesced batch.  :func:`conv2d_nchwc` is prepare then call; the graph
 executor prepares each convolution once, and the empirical measurer times the
@@ -72,6 +79,29 @@ def prepack_weights(weight_oihw: np.ndarray, schedule: ConvSchedule) -> np.ndarr
     return pack_conv_weights(weight_oihw, schedule.ic_bn, schedule.oc_bn)
 
 
+def _live_taps(
+    size: int, out: int, stride: int, pad: int, dilation: int, kernel: int
+) -> "tuple[int, int, int, int, int]":
+    """The kernel taps along one axis that can read a real input pixel.
+
+    Tap ``r`` reads input index ``y*stride - pad + r*dilation`` for output
+    position ``y``; it is live if that index falls inside ``[0, size)`` for
+    some ``y < out``.  Returns ``(first, stop, start, before, after)``: the
+    taps ``[first, stop)`` bound every live tap, ``start`` is the input index
+    tap ``first`` reads at output 0, and ``before``/``after`` count the zero
+    pixels those taps read outside the map at either end.  With no live tap
+    the span is empty and the output is the bias alone.
+    """
+    reads = np.arange(out)[:, None] * stride + np.arange(kernel) * dilation - pad
+    live = np.flatnonzero(((reads >= 0) & (reads < size)).any(axis=0))
+    if live.size == 0:
+        return 0, 0, 0, 0, 0
+    first, stop = int(live[0]), int(live[-1]) + 1
+    reads = reads[:, first:stop]
+    start, last = int(reads[0, 0]), int(reads[-1, -1])
+    return first, stop, start, max(0, -start), max(0, last + 1 - size)
+
+
 def prepare_conv2d_nchwc(
     workload: ConvWorkload,
     schedule: ConvSchedule,
@@ -114,17 +144,31 @@ def prepare_conv2d_nchwc(
         raise ValueError(
             f"packed weight shape {weight_packed.shape} != expected {expected_weight}"
         )
+    # Only the taps in the box [r0, r1) x [c0, c1) can read a real pixel; the
+    # rest multiply padding zeros for every output pixel and are never read.
+    r0, r1, start_y, pad_top, pad_bottom = _live_taps(in_h, out_h, s_h, pad_h, d_h, k_h)
+    c0, c1, start_x, pad_left, pad_right = _live_taps(in_w, out_w, s_w, pad_w, d_w, k_w)
+    box_h, box_w = r1 - r0, c1 - c0
     sample = (ic_outer, in_h, in_w, ic_bn)
-    padded_sample = (ic_outer, in_h + 2 * pad_h, in_w + 2 * pad_w, ic_bn)
-    depth = ic_outer * k_h * k_w * ic_bn
-    panels = weight_packed.reshape(oc_outer, depth, oc_bn)
+    needs_padding = pad_top or pad_bottom or pad_left or pad_right
+    padded_sample = (
+        ic_outer, pad_top + in_h + pad_bottom, pad_left + in_w + pad_right, ic_bn,
+    )
+    # Where tap (r0, c0) of output pixel (0, 0) reads, in the padded map.
+    origin_y, origin_x = pad_top + start_y, pad_left + start_x
+    depth = ic_outer * box_h * box_w * ic_bn
+    # A view of the packed weights when the box is the whole kernel.
+    panels = np.ascontiguousarray(weight_packed[:, :, r0:r1, c0:c1]).reshape(
+        oc_outer, depth, oc_bn
+    )
     bias_panels = None if bias is None else bias.reshape(oc_outer, 1, 1, oc_bn)
     # Output rows per GEMM depend on per-sample extents only and the batch is
     # only ever a matmul stack dimension: each sample gets the identical
     # sequence of GEMMs whatever it is coalesced with, so batched serving is
     # byte-identical to sequential serving by construction.  Tiles are sized
     # for float32 feature maps.
-    rows = max(1, IM2COL_TILE_BYTES // (out_w * depth * np.dtype(np.float32).itemsize))
+    row_bytes = out_w * max(depth, 1) * np.dtype(np.float32).itemsize  # depth 0: no live tap
+    rows = max(1, IM2COL_TILE_BYTES // row_bytes)
     tiles = [(top, min(top + rows, out_h)) for top in range(0, out_h, rows)]
 
     def conv(data_blocked: np.ndarray) -> np.ndarray:
@@ -134,14 +178,15 @@ def prepare_conv2d_nchwc(
             )
         batch = data_blocked.shape[0]
         padded = data_blocked
-        if pad_h or pad_w:
+        if needs_padding:
             padded = np.zeros((batch,) + padded_sample, dtype=data_blocked.dtype)
-            padded[:, :, pad_h : pad_h + in_h, pad_w : pad_w + in_w] = data_blocked
+            padded[:, :, pad_top : pad_top + in_h, pad_left : pad_left + in_w] = data_blocked
         s_n, s_c, s_y, s_x, s_i = padded.strides
-        # Every output pixel's receptive field, without copying anything yet.
+        # Every output pixel's receptive field over the live box, without
+        # copying anything yet.
         windows = as_strided(
-            padded,
-            shape=(batch, out_h, out_w, ic_outer, k_h, k_w, ic_bn),
+            padded[:, :, origin_y:, origin_x:],
+            shape=(batch, out_h, out_w, ic_outer, box_h, box_w, ic_bn),
             strides=(s_n, s_y * s_h, s_x * s_w, s_c, s_y * d_h, s_x * d_w, s_i),
             writeable=False,
         )

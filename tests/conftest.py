@@ -5,8 +5,13 @@
 import repro  # noqa: F401
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import GraphBuilder, infer_shapes
+
+#: ``--hypothesis-profile=deep``: the CI step that searches the conv geometry
+#: properties harder than tier-1's default example count.
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 def build_tiny_cnn(name: str = "tinynet", image: int = 16, with_branch: bool = True):

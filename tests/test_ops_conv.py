@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import repro.ops.blocked_conv as blocked_conv
 from repro.ops import (
@@ -276,4 +276,73 @@ def test_blocked_conv_equals_reference_property(c, k, ic_bn, oc_bn, reg_n, strid
     schedule = ConvSchedule(min(ic_bn, c), min(oc_bn, k), min(reg_n, out_width), False)
     out = conv2d_nchwc_from_nchw(data, weight, schedule, stride=stride, padding=1)
     ref = conv2d_nchw(data, weight, stride=stride, padding=1)
+    np.testing.assert_allclose(out, ref, atol=1e-3)
+
+
+@st.composite
+def conv_geometries(draw):
+    """Small maps under every stride/padding/dilation mix, where many kernel
+    taps read only padding and the prepared kernel trims them."""
+    kernel = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    return dict(
+        size=(draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+        kernel=kernel,
+        stride=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        padding=tuple(draw(st.integers(0, extent)) for extent in kernel),
+        dilation=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+    )
+
+
+@settings(deadline=None)
+@given(geometry=conv_geometries())
+# Only the middle tap is live, and it starts r0*d = 2 rows in, past pad = 1.
+@example(
+    geometry=dict(size=(3, 3), kernel=(3, 3), stride=(3, 3), padding=(1, 1), dilation=(2, 2))
+)
+def test_trimmed_geometry_equals_reference_property(geometry):
+    """Trimming the dead taps computes the reference function on every
+    geometry, and a coalesced batch still gets the bytes of batch-1 calls."""
+    (h, w), (r, s) = geometry["size"], geometry["kernel"]
+    conv = {key: geometry[key] for key in ("stride", "padding", "dilation")}
+    effective = [(k - 1) * d + 1 for k, d in zip((r, s), conv["dilation"])]
+    assume(all(
+        size + 2 * pad >= extent
+        for size, pad, extent in zip((h, w), conv["padding"], effective)
+    ))
+    data, weight = random_case(24, n=3, c=4, h=h, w=w, k=8, r=r, s=s)
+    bias = np.linspace(-1, 1, 8).astype(np.float32)
+    schedule = ConvSchedule(2, 4, 1, False)
+    out = conv2d_nchwc_from_nchw(data, weight, schedule, bias=bias, **conv)
+    ref = conv2d_nchw(data, weight, bias=bias, **conv)
+    np.testing.assert_allclose(out, ref, atol=1e-3)
+
+    workload = workload_from_shapes(data.shape, weight.shape, **conv)
+    blocked = to_blocked_nchwc(data, schedule.ic_bn)
+    packed = prepack_weights(weight, schedule)
+    stacked = conv2d_nchwc(blocked, packed, workload, schedule, bias)
+    for i in range(3):
+        alone = conv2d_nchwc(blocked[i : i + 1], packed, workload, schedule, bias)
+        assert np.array_equal(stacked[i : i + 1], alone)
+
+
+@pytest.mark.parametrize(
+    "size,stride,live",
+    [
+        (1, 1, slice(1, 2)),  # 3x3 pad 1 on a 1x1 map: the centre tap alone
+        (2, 2, slice(1, 3)),  # 3x3 stride 2 pad 1 on a 2x2 map: 4 of 9 taps
+    ],
+)
+def test_trimmed_dead_taps_are_never_read(size, stride, live):
+    """NaN in a tap that only ever meets padding would poison the output if
+    the kernel multiplied it by those zeros."""
+    data, weight = random_case(25, c=8, h=size, w=size, k=8)
+    dead = np.ones((3, 3), dtype=bool)
+    dead[live, live] = False
+    poisoned, zeroed = weight.copy(), weight.copy()
+    poisoned[:, :, dead] = np.nan
+    zeroed[:, :, dead] = 0.0
+    schedule = ConvSchedule(4, 4, 1, False)
+    out = conv2d_nchwc_from_nchw(data, poisoned, schedule, stride=stride, padding=1)
+    assert np.isfinite(out).all()
+    ref = conv2d_nchw(data, zeroed, stride=stride, padding=1)
     np.testing.assert_allclose(out, ref, atol=1e-3)

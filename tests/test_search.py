@@ -214,6 +214,21 @@ class TestLocalSearch:
         cost = measurer.measure(workload, ConvSchedule(8, 8, 4, True))
         assert cost > 0
 
+    def test_numpy_measurer_does_not_reuse_full_tap_timings(self):
+        """Timings recorded under the measurer's old fingerprint (a kernel
+        that ran every tap) are a miss, so a small map whose dead taps are
+        now trimmed is timed again."""
+        workload = ConvWorkload(1, 8, 1, 1, 8, 3, 3, (1, 1), (1, 1))
+        measurer = NumpyMeasurer(repeats=1)
+        db = TuningDatabase()
+        search = LocalSearch(measurer, "testcpu", database=db, top_k=2, max_block=8)
+        stale_key = search.params_fingerprint.replace("-np2-r1-s0", "-np-r1-s0")
+        assert stale_key != search.params_fingerprint
+        db.put(workload, "testcpu", [TuningRecord(ConvSchedule(8, 8, 1), 1e9)], stale_key)
+        records = search.tune(workload)
+        assert len(records) == 2 and all(record.cost_s < 1e9 for record in records)
+        assert db.get(workload, "testcpu", search.params_fingerprint) == records
+
     def test_best_differs_across_architectures(self):
         skylake = get_target("skylake")
         arm = get_target("arm")
