@@ -86,11 +86,12 @@ def _live_taps(
 
     Tap ``r`` reads input index ``y*stride - pad + r*dilation`` for output
     position ``y``; it is live if that index falls inside ``[0, size)`` for
-    some ``y < out``.  Returns ``(first, stop, start, before, after)``: the
-    taps ``[first, stop)`` bound every live tap, ``start`` is the input index
-    tap ``first`` reads at output 0, and ``before``/``after`` count the zero
-    pixels those taps read outside the map at either end.  With no live tap
-    the span is empty and the output is the bias alone.
+    some ``y < out``.  Returns ``(first, stop, origin, before, after)``: the
+    taps ``[first, stop)`` bound every live tap, ``before``/``after`` count
+    the zero pixels those taps read outside the map at either end, and
+    ``origin`` is the index tap ``first`` reads at output 0 in the map padded
+    by them.  With no live tap the span is empty and the output is the bias
+    alone.
     """
     reads = np.arange(out)[:, None] * stride + np.arange(kernel) * dilation - pad
     live = np.flatnonzero(((reads >= 0) & (reads < size)).any(axis=0))
@@ -99,7 +100,7 @@ def _live_taps(
     first, stop = int(live[0]), int(live[-1]) + 1
     reads = reads[:, first:stop]
     start, last = int(reads[0, 0]), int(reads[-1, -1])
-    return first, stop, start, max(0, -start), max(0, last + 1 - size)
+    return first, stop, max(0, start), max(0, -start), max(0, last + 1 - size)
 
 
 def prepare_conv2d_nchwc(
@@ -146,16 +147,14 @@ def prepare_conv2d_nchwc(
         )
     # Only the taps in the box [r0, r1) x [c0, c1) can read a real pixel; the
     # rest multiply padding zeros for every output pixel and are never read.
-    r0, r1, start_y, pad_top, pad_bottom = _live_taps(in_h, out_h, s_h, pad_h, d_h, k_h)
-    c0, c1, start_x, pad_left, pad_right = _live_taps(in_w, out_w, s_w, pad_w, d_w, k_w)
+    r0, r1, origin_y, pad_top, pad_bottom = _live_taps(in_h, out_h, s_h, pad_h, d_h, k_h)
+    c0, c1, origin_x, pad_left, pad_right = _live_taps(in_w, out_w, s_w, pad_w, d_w, k_w)
     box_h, box_w = r1 - r0, c1 - c0
     sample = (ic_outer, in_h, in_w, ic_bn)
     needs_padding = pad_top or pad_bottom or pad_left or pad_right
     padded_sample = (
         ic_outer, pad_top + in_h + pad_bottom, pad_left + in_w + pad_right, ic_bn,
     )
-    # Where tap (r0, c0) of output pixel (0, 0) reads, in the padded map.
-    origin_y, origin_x = pad_top + start_y, pad_left + start_x
     depth = ic_outer * box_h * box_w * ic_bn
     # A view of the packed weights when the box is the whole kernel.
     panels = np.ascontiguousarray(weight_packed[:, :, r0:r1, c0:c1]).reshape(
