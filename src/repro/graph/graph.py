@@ -34,25 +34,25 @@ class Graph:
     # ------------------------------------------------------------------ #
     def topological_order(self) -> List[Node]:
         """All reachable nodes in topological (producers-first) order."""
-        visited: Dict[int, bool] = {}
+        seen = set()
         order: List[Node] = []
-        # Iterative post-order DFS to survive very deep graphs (ResNet-152,
-        # DenseNet-201) without hitting the recursion limit.
+        # Post-order DFS on a stack of input iterators: the recursion's order,
+        # without its depth limit on ResNet-152 or DenseNet-201.
         for output in self.outputs:
-            stack: List[tuple] = [(output, False)]
+            if id(output) in seen:
+                continue
+            seen.add(id(output))
+            stack = [(output, iter(output.inputs))]
             while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    if not visited.get(id(node), False):
-                        visited[id(node)] = True
-                        order.append(node)
-                    continue
-                if visited.get(id(node), False):
-                    continue
-                stack.append((node, True))
-                for producer in reversed(node.inputs):
-                    if not visited.get(id(producer), False):
-                        stack.append((producer, False))
+                node, producers = stack[-1]
+                for producer in producers:
+                    if id(producer) not in seen:
+                        seen.add(id(producer))
+                        stack.append((producer, iter(producer.inputs)))
+                        break
+                else:
+                    stack.pop()
+                    order.append(node)
         return order
 
     def __iter__(self) -> Iterator[Node]:
@@ -168,18 +168,35 @@ class Graph:
     # surgery
     # ------------------------------------------------------------------ #
     def replace_node(self, old: Node, new: Node) -> int:
-        """Rewire every use of ``old`` (including outputs) to ``new``.
+        """Rewire every use of ``old`` (including outputs) to ``new``."""
+        return self.replace_nodes({old: new})
 
-        Returns the number of rewired references.
+    def replace_nodes(self, table: Dict[Node, Node]) -> int:
+        """Rewire every use of each ``table`` key to its value, in one walk.
+
+        A pass collects its replacements and calls this once: one walk per
+        pass, however many nodes it replaces.  A chain (``a -> b``, ``b ->
+        c``) resolves to its last node.  The walk covers the graph as it was
+        before the call, so a new replacement's inputs must already be final;
+        a replacement is never rewired through its own entry (no self-loop).
+
+        Returns the number of rewired references (inputs and outputs).
         """
+        def resolve(node: Node, consumer: Optional[Node]) -> Node:
+            while node in table and table[node] is not consumer:
+                node = table[node]
+            return node
+
         count = 0
         for node in self.topological_order():
-            if node is new:
-                continue
-            count += node.replace_input(old, new)
+            for producer in node.inputs:
+                target = resolve(producer, node)
+                if target is not producer:
+                    count += node.replace_input(producer, target)
         for i, output in enumerate(self.outputs):
-            if output is old:
-                self.outputs[i] = new
+            target = resolve(output, None)
+            if target is not output:
+                self.outputs[i] = target
                 count += 1
         return count
 

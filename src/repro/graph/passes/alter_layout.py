@@ -184,12 +184,11 @@ class AlterOpLayout(GraphPass):
         if not self.hoist_transforms:
             # Un-hoisted mode ("Layout Opt." ablation): immediately convert
             # the output back to the default layout so downstream operators
-            # never see blocked data.  Consumers are rewired right away; the
-            # traversal operates on a snapshot so the new node is not
-            # revisited.
+            # never see blocked data.  Consumers are rewired right away (never
+            # ``back`` itself, which consumes ``node``); the traversal
+            # operates on a snapshot so the new node is not revisited.
             back = _insert_transform(node, schedule.output_layout, "NCHW")
             graph.replace_node(node, back)
-            back.inputs = [node]  # replace_node rewired it; restore
             layouts[id(back)] = "NCHW"
             self.num_transforms_inserted += 1
 

@@ -12,7 +12,7 @@ entirely.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from ...ops.registry import registry
 from ...tensor.tensor import Tensor
@@ -32,10 +32,10 @@ class FoldConstants(GraphPass):
     def __init__(self) -> None:
         self.num_folded = 0
 
-    def _foldable(self, node: Node) -> bool:
+    def _foldable(self, node: Node, producers: List[Node]) -> bool:
         if not node.is_op:
             return False
-        for producer in node.inputs:
+        for producer in producers:
             if not producer.is_constant:
                 return False
             if producer.value is None and resolve_derived_constant(producer) is None:
@@ -44,25 +44,25 @@ class FoldConstants(GraphPass):
 
     def run(self, graph: Graph) -> Graph:
         self.num_folded = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.topological_order():
-                if not self._foldable(node):
-                    continue
-                inputs: List[Tensor] = []
-                for producer in node.inputs:
-                    spec = producer.spec
-                    inputs.append(Tensor(producer.value, spec.layout, spec.logical_shape))
-                op_def = registry.get(node.op)
-                result = op_def.compute(node.attrs, inputs)
-                folded = Node(
-                    NodeKind.CONSTANT,
-                    name=f"{node.name}_folded",
-                    spec=result.spec,
-                    value=result.data,
-                )
-                graph.replace_node(node, folded)
-                self.num_folded += 1
-                changed = True
+        # One sweep, producers first: an op whose inputs were folded earlier
+        # in the sweep sees the folded constants through the table.
+        table: Dict[Node, Node] = {}
+        for node in graph.topological_order():
+            producers = [table.get(producer, producer) for producer in node.inputs]
+            if not self._foldable(node, producers):
+                continue
+            inputs: List[Tensor] = []
+            for producer in producers:
+                spec = producer.spec
+                inputs.append(Tensor(producer.value, spec.layout, spec.logical_shape))
+            op_def = registry.get(node.op)
+            result = op_def.compute(node.attrs, inputs)
+            table[node] = Node(
+                NodeKind.CONSTANT,
+                name=f"{node.name}_folded",
+                spec=result.spec,
+                value=result.data,
+            )
+            self.num_folded += 1
+        graph.replace_nodes(table)
         return graph

@@ -16,7 +16,7 @@ on the input data.  Concretely this pass
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -81,13 +81,19 @@ class SimplifyInference(GraphPass):
     name = "simplify_inference"
 
     def run(self, graph: Graph) -> Graph:
-        # Drop dropout nodes by splicing them out of the graph.
-        for node in graph.op_nodes("dropout"):
-            graph.replace_node(node, node.inputs[0])
-
-        # Lower batch_norm -> scale_shift.
-        for node in graph.op_nodes("batch_norm"):
+        # Collect every replacement in one walk (producers first, so a
+        # replaced input is already in the table), then rewire once.
+        table: Dict[Node, Node] = {}
+        for node in graph.topological_order():
+            # Splice dropout out: identity at inference time.
+            if node.op == "dropout":
+                table[node] = table.get(node.inputs[0], node.inputs[0])
+                continue
+            if node.op != "batch_norm":
+                continue
+            # Lower batch_norm -> scale_shift.
             data, gamma, beta, mean, var = node.inputs[:5]
+            data = table.get(data, data)
             epsilon = float(node.attrs.get("epsilon", 1e-5))
             channels = data.spec.axis_extent("C") if data.spec else gamma.spec.size
             scale = _make_derived_constant(
@@ -108,5 +114,6 @@ class SimplifyInference(GraphPass):
                 inputs=[data, scale, shift],
             )
             replacement.spec = node.spec
-            graph.replace_node(node, replacement)
+            table[node] = replacement
+        graph.replace_nodes(table)
         return graph

@@ -17,6 +17,8 @@ can assert on it.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ..graph import Graph
 from ..node import Node
 from ..shape_infer import infer_shapes
@@ -39,39 +41,37 @@ class EliminateLayoutTransforms(GraphPass):
 
     def run(self, graph: Graph) -> Graph:
         self.num_eliminated = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.topological_order():
-                if not self._is_transform(node):
-                    continue
-                src = str(node.attrs["src_layout"])
-                dst = str(node.attrs["dst_layout"])
+        # One sweep, producers first: a transform's producer is final when
+        # the transform is reached, so no case can re-fire on a later visit.
+        table: Dict[Node, Node] = {}
+        for node in graph.topological_order():
+            if not self._is_transform(node):
+                continue
+            src = str(node.attrs["src_layout"])
+            dst = str(node.attrs["dst_layout"])
+            producer = table.get(node.inputs[0], node.inputs[0])
 
-                # Case 1: no-op transform.
-                if src == dst:
-                    graph.replace_node(node, node.inputs[0])
+            # Case 1: no-op transform.
+            if src == dst:
+                table[node] = producer
+                self.num_eliminated += 1
+
+            # Case 2: transform-of-transform.
+            elif self._is_transform(producer):
+                inner_src = str(producer.attrs["src_layout"])
+                source = table.get(producer.inputs[0], producer.inputs[0])
+                if inner_src == dst:
+                    # Round trip: A -> B -> A collapses to the original.
+                    table[node] = source
+                    self.num_eliminated += 2
+                else:
+                    # Collapse the chain into a single A -> C transform.
+                    node.inputs[0] = source
+                    node.attrs["src_layout"] = inner_src
+                    node.attrs["compile_time"] = bool(
+                        node.attrs.get("compile_time")
+                    ) and bool(producer.attrs.get("compile_time"))
                     self.num_eliminated += 1
-                    changed = True
-                    break
-
-                # Case 2: transform-of-transform.
-                producer = node.inputs[0]
-                if self._is_transform(producer):
-                    inner_src = str(producer.attrs["src_layout"])
-                    if inner_src == dst:
-                        # Round trip: A -> B -> A collapses to the original.
-                        graph.replace_node(node, producer.inputs[0])
-                        self.num_eliminated += 2
-                    else:
-                        # Collapse the chain into a single A -> C transform.
-                        node.inputs[0] = producer.inputs[0]
-                        node.attrs["src_layout"] = inner_src
-                        node.attrs["compile_time"] = bool(
-                            node.attrs.get("compile_time")
-                        ) and bool(producer.attrs.get("compile_time"))
-                        self.num_eliminated += 1
-                    changed = True
-                    break
+        graph.replace_nodes(table)
         infer_shapes(graph)
         return graph

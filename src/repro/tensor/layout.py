@@ -42,6 +42,10 @@ class LayoutError(ValueError):
 
 _TOKEN_RE = re.compile(r"(\d*)([A-Za-z])")
 
+#: Layout string -> its tokens and derived facts (``Layout._facts``), so each
+#: distinct string is parsed, validated and derived once per process.
+_PARSED: Dict[str, tuple] = {}
+
 
 @dataclass(frozen=True)
 class AxisToken:
@@ -79,31 +83,41 @@ class Layout:
     """
 
     def __init__(self, layout_str: str) -> None:
-        if not layout_str:
-            raise LayoutError("layout string must be non-empty")
         self._raw = layout_str
-        self._tokens = self._parse(layout_str)
-        self._validate()
-        self._derive()
+        facts = _PARSED.get(layout_str)
+        if facts is None:
+            if not layout_str:
+                raise LayoutError("layout string must be non-empty")
+            self._tokens = self._parse(layout_str)
+            self._validate()
+            # Only a string that parsed and validated is remembered.
+            facts = _PARSED[layout_str] = self._facts(self._tokens)
+        self._derive(facts)
 
-    def _derive(self) -> None:
-        """Compute every derived fact once (the object is immutable): the
-        executor builds a Tensor per node per request through these accessors.
-        """
-        self._primal_axes = tuple(t.name for t in self._tokens if t.is_primal)
-        self._factors = {
-            t.primal_name: t.factor for t in reversed(self._tokens) if not t.is_primal
-        }
-        self._str = "".join(str(t) for t in self._tokens)
+    @staticmethod
+    def _facts(tokens: Tuple[AxisToken, ...]) -> tuple:
+        """The facts the accessors read, derived from a parse once per string."""
+        primal_axes = tuple(t.name for t in tokens if t.is_primal)
+        factors = {t.primal_name: t.factor for t in reversed(tokens) if not t.is_primal}
+        return tokens, primal_axes, factors, tuple(str(t) for t in tokens)
+
+    def _derive(self, facts: tuple) -> None:
+        self._tokens, self._primal_axes, self._factors, pieces = facts
+        # A string of its own per layout, as if each parsed itself: it flows
+        # into node attrs, and a pickle (an artifact's bytes) sees sharing.
+        self._str = "".join(pieces)
 
     def __getstate__(self) -> dict:
         # Only the parse is pickled, so artifact bytes do not depend on which
-        # facts are precomputed and older artifacts keep loading.
-        return {"_raw": self._raw, "_tokens": self._tokens}
+        # facts are precomputed and older artifacts keep loading.  Layouts of
+        # one string share their tokens; each pickles a copy, for the same
+        # reason as ``_str``.
+        tokens = tuple(AxisToken(t.name, t.factor) for t in self._tokens)
+        return {"_raw": self._raw, "_tokens": tokens}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._derive()
+        self._derive(self._facts(self._tokens))
 
     # ------------------------------------------------------------------ #
     # parsing / validation

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, GraphBuilder, InferenceError, Node, NodeKind, edge_layouts, infer_shapes
+from repro.models.zoo import get_model
 from repro.ops import LayoutCategory, get_op, registry
 from repro.tensor import TensorSpec
 
@@ -81,6 +82,86 @@ class TestGraph:
         count = tiny_cnn.replace_node(relu_after, replacement)
         assert count >= 1
         assert "swap" in [n.name for n in tiny_cnn.op_nodes("sigmoid")]
+
+    def test_topological_order_is_the_recursive_post_order(self):
+        def recursive(graph):
+            seen, order = set(), []
+
+            def visit(node):
+                if id(node) in seen:
+                    return
+                seen.add(id(node))
+                for producer in node.inputs:
+                    visit(producer)
+                order.append(node)
+
+            for output in graph.outputs:
+                visit(output)
+            return order
+
+        for name in ("resnet-18", "inception-v3", "ssd-resnet-50"):
+            graph = get_model(name)
+            assert graph.topological_order() == recursive(graph), name
+
+    @staticmethod
+    def _dropout_chain():
+        """data -> d1 -> d2 -> bn -> relu, with d2 also a graph output."""
+        builder = GraphBuilder("chain")
+        data = builder.input("data", (1, 4, 3, 3))
+        d1 = builder.dropout(data, name="d1")
+        d2 = builder.dropout(d1, name="d2")
+        bn = builder.batch_norm(d2, name="bn")
+        relu = builder.relu(bn, name="relu")
+        return builder.build([relu, d2])
+
+    def test_replace_nodes_resolves_a_dropout_chain(self):
+        graph = self._dropout_chain()
+        data, d1, d2, bn = (graph.find(n) for n in ("data", "d1", "d2", "bn"))
+        lowered = Node(NodeKind.OP, op="sigmoid", inputs=[data], name="lowered")
+        graph.replace_nodes({d1: data, d2: d1, bn: lowered})
+        assert graph.find("relu").inputs == [lowered]
+        assert graph.outputs[1] is data
+        assert sorted(graph.op_histogram()) == ["relu", "sigmoid"]
+
+    def test_replace_nodes_rewires_a_graph_output(self):
+        graph = self._dropout_chain()
+        relu = graph.find("relu")
+        swap = Node(NodeKind.OP, op="sigmoid", inputs=[graph.find("bn")], name="swap")
+        assert graph.replace_nodes({relu: swap}) == 1
+        assert graph.outputs[0] is swap
+
+    def test_replacement_consuming_its_node_makes_no_self_loop(self):
+        # ``wrap`` is a new node; ``inner`` already consumes ``data`` in the
+        # graph, so the walk reaches it and must leave its input alone.
+        graph = self._dropout_chain()
+        bn, relu = graph.find("bn"), graph.find("relu")
+        wrap = Node(NodeKind.OP, op="sigmoid", inputs=[bn], name="wrap")
+        assert graph.replace_nodes({bn: wrap}) == 1
+        assert relu.inputs == [wrap] and wrap.inputs == [bn]
+
+        data = graph.find("data")
+        inner = Node(NodeKind.OP, op="relu", inputs=[data], name="inner")
+        user = Node(NodeKind.OP, op="elemwise_add", inputs=[data, inner], name="user")
+        graph = Graph([user], name="g")
+        assert graph.replace_nodes({data: inner}) == 1
+        assert user.inputs == [inner, inner] and inner.inputs == [data]
+        assert graph.topological_order() == [data, inner, user]
+
+    def test_replace_nodes_counts_what_one_at_a_time_calls_count(self):
+        graph = self._dropout_chain()
+        one_at_a_time = 0
+        for name in ("d1", "d2", "bn"):
+            node = graph.find(name)
+            new = node.inputs[0] if node.op == "dropout" else Node(
+                NodeKind.OP, op="sigmoid", inputs=[node.inputs[0]], name="lowered")
+            one_at_a_time += graph.replace_node(node, new)
+        chain = self._dropout_chain()
+        data, d1, d2, bn = (chain.find(n) for n in ("data", "d1", "d2", "bn"))
+        lowered = Node(NodeKind.OP, op="sigmoid", inputs=[data], name="lowered")
+        assert chain.replace_nodes({d1: data, d2: d1, bn: lowered}) == one_at_a_time == 4
+        assert [n.name for n in chain.topological_order()] == [
+            n.name for n in graph.topological_order()
+        ]
 
     def test_validate_rejects_unknown_op(self):
         data = Node(NodeKind.INPUT, spec=TensorSpec((1, 3, 4, 4)))

@@ -1,5 +1,8 @@
 """Tests for the layout algebra (repro.tensor.layout)."""
 
+import hashlib
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,3 +131,46 @@ def test_blocked_logical_round_trip(channels, block, height):
     layout = Layout(f"NCHW{block}c")
     logical = (1, channels, height, height)
     assert layout.logical_shape(layout.blocked_shape(logical)) == logical
+
+
+class TestLayoutMemo:
+    """Each distinct string is parsed once; what a Layout is stays the same."""
+
+    #: ``pickle.dumps(Layout("NCHW16c"), protocol=4)`` before layouts were
+    #: memoized: artifacts pickle layouts, so these bytes must not move.
+    NCHW16C_PICKLE = (
+        b"\x80\x04\x95\xc6\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.tensor.layout"
+        b"\x94\x8c\x06Layout\x94\x93\x94)\x81\x94}\x94(\x8c\x04_raw\x94\x8c\x07"
+        b"NCHW16c\x94\x8c\x07_tokens\x94(h\x00\x8c\tAxisToken\x94\x93\x94)\x81\x94}"
+        b"\x94(\x8c\x04name\x94\x8c\x01N\x94\x8c\x06factor\x94K\x00ubh\t)\x81\x94}"
+        b"\x94(h\x0c\x8c\x01C\x94h\x0eK\x00ubh\t)\x81\x94}\x94(h\x0c\x8c\x01H\x94h"
+        b"\x0eK\x00ubh\t)\x81\x94}\x94(h\x0c\x8c\x01W\x94h\x0eK\x00ubh\t)\x81\x94}"
+        b"\x94(h\x0c\x8c\x01c\x94h\x0eK\x10ubt\x94ub."
+    )
+    #: SHA-256 of the same pickle of three layouts, two of one string.
+    TRIPLE_SHA256 = "6c0b5f795bc7af317637825c9e792d10716c47465bb6806cdfa5a271bd2c3bbe"
+
+    @pytest.mark.parametrize(
+        "text", ["", "NCHW16", "N4CHW", "NCHW0c", "NNCHW", "NCHW8x", "NC-HW"]
+    )
+    def test_malformed_string_raises_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(LayoutError):
+                Layout(text)
+
+    def test_pickle_bytes_are_unchanged(self):
+        Layout("NCHW16c")
+        assert pickle.dumps(Layout("NCHW16c"), protocol=4) == self.NCHW16C_PICKLE
+        layouts = [Layout("OIHW16i8o"), Layout("OIHW16i8o"), Layout("NCHW")]
+        digest = hashlib.sha256(pickle.dumps(layouts, protocol=4)).hexdigest()
+        assert digest == self.TRIPLE_SHA256
+        restored = pickle.loads(pickle.dumps(layouts[0]))
+        assert restored == layouts[0] and restored.block_factor("O") == 8
+
+    def test_equal_strings_give_equal_layouts(self):
+        text = "".join(["NCHW", "16c"])  # a different str object each call
+        first, second = Layout(text), Layout("".join(["NCHW", "16c"]))
+        assert first == second and hash(first) == hash(second)
+        assert first.primal_axes == second.primal_axes
+        assert str(first) == str(second) == "NCHW16c"
+        assert first == "NCHW16c" and first != Layout("NCHW8c")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import infer_shapes
+from repro.graph import Graph, GraphBuilder, Node, NodeKind, infer_shapes
 from repro.graph.passes import (
     AlterOpLayout,
     EliminateLayoutTransforms,
@@ -14,6 +14,7 @@ from repro.graph.passes import (
 )
 from repro.runtime import GraphExecutor
 from repro.schedule import ConvSchedule
+from repro.tensor import TensorSpec
 
 from tests.conftest import build_tiny_cnn
 
@@ -263,3 +264,68 @@ class TestPassManager:
         pm.add(custom)
         pm.run(tiny_cnn)
         assert calls == [tiny_cnn.name]
+
+
+class TestPassScaling:
+    """A pass walks the graph a fixed number of times, whatever its size.
+
+    Counted, not timed: each call of ``Graph.topological_order`` is one walk.
+    """
+
+    @staticmethod
+    def _walks(monkeypatch, graph_pass, graph):
+        calls = []
+        order = Graph.topological_order
+
+        def counted(self):
+            calls.append(1)
+            return order(self)
+
+        monkeypatch.setattr(Graph, "topological_order", counted)
+        graph_pass.run(graph)
+        monkeypatch.setattr(Graph, "topological_order", order)
+        return len(calls)
+
+    @staticmethod
+    def _bn_chain(blocks):
+        builder = GraphBuilder("bn_chain")
+        x = builder.input("data", (1, 8, 6, 6))
+        for i in range(blocks):
+            x = builder.conv2d(x, out_channels=8, kernel=3, padding=1, name=f"conv{i}")
+            x = builder.batch_norm(x, name=f"bn{i}")
+            if i % 2:
+                x = builder.dropout(x, name=f"drop{i}")
+            x = builder.relu(x, name=f"relu{i}")
+        return builder.build(x)
+
+    @staticmethod
+    def _transform_stack(blocks):
+        """Per block: a chain to collapse, a round trip and a no-op (4 eliminated)."""
+        x = Node(NodeKind.INPUT, name="data", spec=TensorSpec((1, 8, 4, 4)))
+        for i in range(blocks):
+            for j, (src, dst) in enumerate(
+                [("NCHW", "NCHW4c"), ("NCHW4c", "NCHW2c"), ("NCHW2c", "NCHW"), ("NCHW", "NCHW")]
+            ):
+                x = Node(NodeKind.OP, op="layout_transform", inputs=[x], name=f"t{i}_{j}",
+                         attrs={"src_layout": src, "dst_layout": dst})
+            x = Node(NodeKind.OP, op="relu", inputs=[x], name=f"relu{i}")
+        return Graph([x], name="transform_stack")
+
+    def test_simplify_inference_walks_do_not_grow(self, monkeypatch):
+        small, large = self._bn_chain(8), self._bn_chain(64)
+        assert self._walks(monkeypatch, SimplifyInference(), small) == self._walks(
+            monkeypatch, SimplifyInference(), large
+        )
+        histogram = large.op_histogram()
+        assert histogram["scale_shift"] == 64
+        assert "batch_norm" not in histogram and "dropout" not in histogram
+
+    def test_transform_elimination_walks_do_not_grow(self, monkeypatch):
+        walks = []
+        for blocks in (8, 64):
+            graph = self._transform_stack(blocks)
+            eliminator = EliminateLayoutTransforms()
+            walks.append(self._walks(monkeypatch, eliminator, graph))
+            assert eliminator.num_eliminated == 4 * blocks
+            assert not graph.op_nodes("layout_transform")
+        assert walks[0] == walks[1]
