@@ -19,7 +19,7 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class ServingDaemon:
     ) -> None:
         self._lock = threading.Lock()
         self._closed = False
-        self._conns: List[socket.socket] = []
+        self._conns: Set[socket.socket] = set()
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_ids = itertools.count()
         # Worker scheduler counters live in other processes, so the daemon
@@ -137,11 +137,14 @@ class ServingDaemon:
                 if self._closed:
                     conn.close()
                     return
-                self._conns.append(conn)
+                self._conns.add(conn)
             try:
                 thread.start()
             except RuntimeError:
-                conn.close()  # thread limit: shed this connection, serve the rest
+                # Thread limit: shed this connection, serve the rest.
+                with self._lock:
+                    self._conns.discard(conn)
+                conn.close()
 
     # -- observability ------------------------------------------------------ #
     def _start_stats_thread(self) -> None:
@@ -185,6 +188,8 @@ class ServingDaemon:
         try:
             serve(conn, functools.partial(self._submit, conn_id), self._stop.is_set)
         finally:
+            with self._lock:
+                self._conns.discard(conn)
             conn.close()
 
     def _submit(self, conn_id: int, request_id: int, inputs, priority, timeout_ms):

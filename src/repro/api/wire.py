@@ -36,17 +36,23 @@ import socket
 import struct
 import threading
 from concurrent.futures import Future
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["Caller", "serve", "MAX_FRAME_BYTES"]
 
-_LENGTH = struct.Struct(">Q")
+_WORD = struct.Struct(">Q")
 
 #: Refuse frames above this size instead of allocating attacker-controlled
 #: amounts of memory on a garbage length prefix.
 MAX_FRAME_BYTES = 1 << 31
+
+#: Out-of-band buffers per frame; a message's further arrays go in-band.
+#: With the word, the size table and the envelope a frame is at most
+#: ``_MAX_BUFFERS + 3`` parts, under Linux's IOV_MAX of 1024, so one
+#: ``sendmsg`` can gather all of it.
+_MAX_BUFFERS = 1000
 
 #: How often a parked receive wakes to re-check its abort signal.  Data
 #: sockets stay *blocking for sends* — a ``settimeout`` would also bound
@@ -55,60 +61,110 @@ MAX_FRAME_BYTES = 1 << 31
 _POLL_INTERVAL_S = 1.0
 
 
-def _pack(message: object) -> Tuple[bytes, bytes]:
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _LENGTH.pack(len(blob)), blob
+def _pack(message: object) -> List[memoryview]:
+    """``message`` as the parts of one frame, each array's bytes read in
+    place from its own memory."""
+    buffers: List[memoryview] = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        if len(buffers) == _MAX_BUFFERS:
+            return True  # in-band: the frame has all the parts it may gather
+        buffers.append(buffer.raw())
+        return False
+
+    envelope = pickle.dumps(message, protocol=5, buffer_callback=out_of_band)
+    sizes = [buffer.nbytes for buffer in buffers]
+    # The peer refuses it anyway, and the word's 32-bit length must not wrap.
+    if len(envelope) + sum(sizes) > MAX_FRAME_BYTES:
+        raise ValueError(f"message exceeds the {MAX_FRAME_BYTES}-byte frame limit")
+    word = _WORD.pack(len(buffers) << 32 | len(envelope))
+    if not buffers:
+        return [memoryview(word), memoryview(envelope)]
+    table = struct.pack(f">{len(sizes)}Q", *sizes)
+    return [memoryview(word), memoryview(table), memoryview(envelope), *buffers]
 
 
-def _write(sock: socket.socket, header: bytes, blob: bytes) -> None:
-    # One gathered write: no header+payload copy, and no lone header
-    # segment for Nagle to hold back on TCP.
-    sent = sock.sendmsg([header, blob])
-    if sent < len(header) + len(blob):  # interrupted mid-write: rare path
-        sock.sendall((header + blob)[sent:])
+def _write(sock: socket.socket, parts: List[memoryview]) -> None:
+    # One gathered write: no copy of any part, and no lone header segment
+    # for Nagle to hold back on TCP.  A short write resumes at the exact
+    # byte it stopped at.
+    while parts:
+        sent = sock.sendmsg(parts)
+        done = 0
+        while done < len(parts) and sent >= parts[done].nbytes:
+            sent -= parts[done].nbytes
+            done += 1
+        parts = parts[done:]
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
 def _send_frame(sock: socket.socket, message: object) -> None:
-    _write(sock, *_pack(message))
+    _write(sock, _pack(message))
 
 
-def _recv_exact(
-    sock: socket.socket, count: int, should_abort: Optional[Callable[[], bool]] = None
-) -> Optional[bytearray]:
-    buffer = bytearray(count)
-    view = memoryview(buffer)
-    got = 0
+def _recv_into(
+    sock: socket.socket, view: memoryview,
+    should_abort: Optional[Callable[[], bool]] = None,
+) -> bool:
+    """Fill ``view`` from ``sock``; False on EOF, a closed socket or abort."""
+    got, count = 0, view.nbytes
     while got < count:
         if should_abort is not None:
             try:
                 ready, _, _ = select.select([sock], [], [], _POLL_INTERVAL_S)
             except (ValueError, OSError):
-                return None  # socket closed under us: treat as EOF
+                return False  # socket closed under us: treat as EOF
             if not ready:
                 if should_abort():
-                    return None
+                    return False
                 continue
         try:
             received = sock.recv_into(view[got:], min(count - got, 1 << 20))
         except socket.timeout:
             continue  # deadline tick: keep what arrived, retry
         if not received:
-            return None  # orderly EOF
+            return False  # orderly EOF
         got += received
-    return buffer
+    return True
+
+
+def _recv_exact(
+    sock: socket.socket, count: int, should_abort: Optional[Callable[[], bool]] = None
+) -> Optional[bytearray]:
+    buffer = bytearray(count)
+    return buffer if _recv_into(sock, memoryview(buffer), should_abort) else None
 
 
 def _recv_frame(
     sock: socket.socket, should_abort: Optional[Callable[[], bool]] = None
 ) -> Optional[object]:
-    header = _recv_exact(sock, _LENGTH.size, should_abort)
-    if header is None:
+    word = _recv_exact(sock, _WORD.size, should_abort)
+    if word is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    blob = _recv_exact(sock, length, should_abort)
-    return None if blob is None else pickle.loads(blob)
+    (word,) = _WORD.unpack(word)
+    count, length = word >> 32, word & 0xFFFFFFFF
+    if count > _MAX_BUFFERS:
+        raise ValueError(f"frame of {count} buffers exceeds {_MAX_BUFFERS}")
+    sizes: Tuple[int, ...] = ()
+    if count:
+        table = _recv_exact(sock, 8 * count, should_abort)
+        if table is None:
+            return None
+        sizes = struct.unpack(f">{count}Q", table)
+    total = length + sum(sizes)
+    if total > MAX_FRAME_BYTES:
+        raise ValueError(f"frame of {total} bytes exceeds {MAX_FRAME_BYTES}")
+    envelope = _recv_exact(sock, length, should_abort)
+    if envelope is None:
+        return None
+    buffers = []
+    for size in sizes:
+        buffer = np.empty(size, np.uint8)  # uninitialised: every byte is received
+        if not _recv_into(sock, memoryview(buffer), should_abort):
+            return None
+        buffers.append(buffer)
+    return pickle.loads(envelope, buffers=buffers)
 
 
 def _picklable_error(exc: BaseException) -> BaseException:
@@ -171,7 +227,7 @@ class Caller:
         when the stream is closed or the send fails (which ends it)."""
         request_id = next(self._ids)
         # Encode before registering: an unencodable request leaves no trace.
-        header, blob = _pack((request_id, dict(inputs), priority, timeout_ms))
+        parts = _pack((request_id, dict(inputs), priority, timeout_ms))
         future: "Future" = Future()
         with self._lock:
             if self._closed:
@@ -179,7 +235,7 @@ class Caller:
             self._inflight[request_id] = future
         try:
             with self._send_lock:
-                _write(self._sock, header, blob)
+                _write(self._sock, parts)
         except OSError:
             with self._lock:
                 self._inflight.pop(request_id, None)

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,67 @@ class TwoArgError(Exception):
 
     def __init__(self, code, detail):
         super().__init__(f"{code}: {detail}")
+
+
+# --------------------------------------------------------------------------- #
+# hand-built frames: the wire format, spelled out byte by byte
+# --------------------------------------------------------------------------- #
+def _word(count, length):
+    """A frame's first 8 bytes: buffer count over envelope length."""
+    return (count << 32 | length).to_bytes(8, "big")
+
+
+def _frame(envelope, *buffers):
+    sizes = b"".join(len(buffer).to_bytes(8, "big") for buffer in buffers)
+    return _word(len(buffers), len(envelope)) + sizes + envelope + b"".join(buffers)
+
+
+def _out_of_band_envelope(count):
+    """An envelope whose arrays reference ``count`` out-of-band buffers."""
+    arrays = [np.arange(4, dtype=np.uint8) for _ in range(count)]
+    return pickle.dumps(arrays, protocol=5, buffer_callback=lambda buffer: False)
+
+
+def _refuse_large_allocations(monkeypatch, limit=1 << 20):
+    """Make the wire's receive buffers refuse (and record) any size above
+    ``limit``, so a test can show a hostile size is never allocated."""
+    import repro.api.wire as wire
+
+    refused = []
+
+    def guarded(allocate):
+        def allocation(size, *args, **kwargs):
+            if size > limit:
+                refused.append(size)
+                raise MemoryError(f"refused a {size}-byte receive buffer")
+            return allocate(size, *args, **kwargs)
+
+        return allocation
+
+    monkeypatch.setattr(wire.np, "empty", guarded(np.empty))
+    monkeypatch.setattr(wire, "bytearray", guarded(bytearray), raising=False)
+    return refused
+
+
+def _hostile_frames():
+    from repro.api.wire import _MAX_BUFFERS, MAX_FRAME_BYTES
+
+    one = _out_of_band_envelope(1)
+    two = _out_of_band_envelope(2)
+    return [
+        # No size table follows: the count alone must be refused.
+        pytest.param(_word(_MAX_BUFFERS + 1, 0), False, id="count-over-cap"),
+        pytest.param(
+            _word(2, len(one)) + MAX_FRAME_BYTES.to_bytes(8, "big")
+            + (1).to_bytes(8, "big") + one,
+            False, id="sizes-past-max-frame-bytes",
+        ),
+        pytest.param(_frame(one, bytes(4))[:-2], True, id="eof-mid-buffer"),
+        pytest.param(_frame(two, bytes(4)), False, id="envelope-wants-more-buffers"),
+    ]
+
+
+HOSTILE_FRAMES = _hostile_frames()
 
 
 # --------------------------------------------------------------------------- #
@@ -419,6 +481,196 @@ class TestServingDaemon:
         daemon.close()
         assert pin_file_owners(artifact) == []
 
+    def test_closed_connections_leave_the_daemon(self, repo):
+        """A daemon with client churn keeps no socket of a closed
+        connection, and still serves the same bytes."""
+        with ServingDaemon(
+            repo["artifact"], num_workers=1, engine_kwargs=ENGINE_KWARGS
+        ) as daemon:
+            daemon.start()
+            for _ in range(20):
+                with DaemonClient(*daemon.address) as client:
+                    outputs = client.run(
+                        {"data": repo["x"]}, result_timeout_s=RESULT_TIMEOUT_S
+                    )
+                    assert outputs[0].tobytes() == repo["expected"][0].tobytes()
+            deadline = time.monotonic() + 30
+            while len(daemon._conns) > 0:
+                assert time.monotonic() < deadline, (
+                    f"{len(daemon._conns)} closed connections still held"
+                )
+                time.sleep(0.02)
+            with DaemonClient(*daemon.address) as client:
+                outputs = client.run({"data": repo["x"]}, result_timeout_s=RESULT_TIMEOUT_S)
+                assert outputs[0].tobytes() == repo["expected"][0].tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# the wire codec: arrays travel out of band, the envelope stays pickle
+# --------------------------------------------------------------------------- #
+def _send_and_receive(message):
+    """``message`` through ``_send_frame`` and ``_recv_frame`` over a
+    socketpair, the send on its own thread so a large frame cannot fill
+    the pair's buffer and stall."""
+    from repro.api.wire import _recv_frame, _send_frame
+
+    left, right = socket.socketpair()
+    try:
+        sender = threading.Thread(target=_send_frame, args=(left, message), daemon=True)
+        sender.start()
+        received = _recv_frame(right)
+        sender.join(30)
+        return received
+    finally:
+        left.close()
+        right.close()
+
+
+def _assert_same_arrays(got, want):
+    """Equal bytes, dtype, shape, memory order and ``writeable`` flag."""
+    assert type(got) is np.ndarray and type(want) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+    for flag in ("C_CONTIGUOUS", "F_CONTIGUOUS", "WRITEABLE"):
+        assert got.flags[flag] == want.flags[flag], flag
+
+
+def _wire_arrays():
+    rng = np.random.default_rng(3)
+    read_only = rng.standard_normal((2, 3)).astype(np.float32)
+    read_only.flags.writeable = False
+    return {
+        "c-order": rng.standard_normal((1, 3, 8, 8)).astype(np.float32),
+        "fortran": np.asfortranarray(rng.standard_normal((5, 7))),
+        "strided-view": np.arange(40, dtype=np.int64).reshape(8, 5)[::2, 1:4],
+        "zero-d": np.array(2.5, dtype=np.float64),
+        "empty": np.zeros((0, 4), dtype=np.float32),
+        "big-endian": np.arange(6, dtype=">f4").reshape(2, 3),
+        "bool": rng.standard_normal(9) > 0,
+        "read-only": read_only,
+        "object": np.array([1, "two", None], dtype=object),
+    }
+
+
+class TestWireFrames:
+    """``repro.api.wire``'s codec against the in-band pickle it replaced."""
+
+    @pytest.mark.parametrize("name", list(_wire_arrays()))
+    def test_array_round_trip_matches_in_band_pickle(self, name):
+        array = _wire_arrays()[name]
+        message = (5, {"data": array}, "bulk", None)
+        oracle = pickle.loads(pickle.dumps(message, protocol=5))
+        received = _send_and_receive(message)
+        assert received[0::2] == oracle[0::2]
+        if array.dtype == object:
+            assert list(received[1]["data"]) == list(oracle[1]["data"])
+        else:
+            _assert_same_arrays(received[1]["data"], oracle[1]["data"])
+
+    def test_mixed_inputs_dict_round_trips(self):
+        arrays = _wire_arrays()
+        message = (9, arrays, None, 250.0)
+        oracle = pickle.loads(pickle.dumps(message, protocol=5))
+        received = _send_and_receive(message)
+        assert list(received[1]) == list(arrays)
+        for name, array in received[1].items():
+            if array.dtype != object:
+                _assert_same_arrays(array, oracle[1][name])
+        assert received[3] == 250.0
+
+    def test_contiguous_arrays_leave_the_envelope(self):
+        from repro.api.wire import _pack
+
+        image = np.zeros((1, 3, 224, 224), np.float32)
+        strided = np.zeros((8, 8), np.float32)[::2]
+        parts = _pack((0, {"image": image, "strided": strided}, None, None))
+        word = int.from_bytes(parts[0], "big")
+        count, length = word >> 32, word & 0xFFFFFFFF
+        assert count == 1 and parts[1].nbytes == 8
+        assert length == parts[2].nbytes < 1024
+        # The buffer is the array's own memory, not a copy.
+        assert np.shares_memory(np.frombuffer(parts[3], np.float32), image)
+
+    @pytest.mark.parametrize(
+        "message",
+        [(3, None, None), (1, {}, "interactive", 5.0), (2, None, TwoArgError(1, "x"))],
+        ids=["reply", "empty-request", "error"],
+    )
+    def test_tensor_free_message_is_length_plus_pickle(self, message):
+        from repro.api.wire import _pack
+
+        blob = pickle.dumps(message, protocol=5)
+        frame = b"".join(_pack(message))
+        assert frame == len(blob).to_bytes(8, "big") + blob
+
+    def test_short_writes_resume_at_the_exact_byte(self):
+        """A socket that takes at most 7 bytes per ``sendmsg`` still gets
+        the whole frame, in order, never more parts than one frame has."""
+        from repro.api.wire import _MAX_BUFFERS, _pack, _recv_frame, _write
+
+        class Trickle:
+            def __init__(self):
+                self.sent = bytearray()
+                self.widest = 0
+
+            def sendmsg(self, parts):
+                self.widest = max(self.widest, len(parts))
+                chunk = b"".join(bytes(part) for part in parts)[:7]
+                self.sent += chunk
+                return len(chunk)
+
+        arrays = _wire_arrays()
+        message = (4, arrays, None, None)
+        stub = Trickle()
+        _write(stub, _pack(message))
+        assert bytes(stub.sent) == b"".join(_pack(message))
+        assert stub.widest <= _MAX_BUFFERS + 3
+        left, right = socket.socketpair()
+        try:
+            threading.Thread(
+                target=left.sendall, args=(bytes(stub.sent),), daemon=True
+            ).start()
+            received = _recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+        oracle = pickle.loads(pickle.dumps(message, protocol=5))
+        for name, array in received[1].items():
+            if array.dtype != object:
+                _assert_same_arrays(array, oracle[1][name])
+
+    def test_arrays_past_the_cap_go_in_band(self):
+        """A request with ``_MAX_BUFFERS + 10`` arrays crosses a Caller and
+        a serve loop byte-identically; the last ten ride in the envelope."""
+        from repro.api.wire import _MAX_BUFFERS, Caller, _pack, serve
+
+        inputs = {
+            f"x{i}": np.full(3, i, dtype=np.int32) for i in range(_MAX_BUFFERS + 10)
+        }
+        word = int.from_bytes(_pack((0, inputs, None, None))[0], "big")
+        assert word >> 32 == _MAX_BUFFERS
+
+        def echo(request_id, request_inputs, priority, timeout_ms):
+            future = Future()
+            future.set_result(list(request_inputs.values()))
+            return future
+
+        left, right = socket.socketpair()
+        server = threading.Thread(target=serve, args=(right, echo), daemon=True)
+        server.start()
+        caller = Caller(left, lambda: ConnectionError("lost"), name="cap-reader").start()
+        try:
+            _request_id, future = caller.submit(inputs)
+            outputs = future.result(timeout=RESULT_TIMEOUT_S)
+            assert len(outputs) == len(inputs)
+            for got, want in zip(outputs, inputs.values()):
+                _assert_same_arrays(got, want)
+        finally:
+            caller.half_close()
+            server.join(30)
+            caller.close()
+            right.close()
+
 
 # --------------------------------------------------------------------------- #
 # error paths the REP009/REP011 audit surfaced (ISSUE 9)
@@ -619,21 +871,69 @@ class TestServingErrorPaths:
             listener.close()
 
     @pytest.mark.parametrize(
-        "payload",
-        [pickle.dumps((1, 2, 3)), pickle.dumps(TwoArgError(1, "x")), b"\x80\x05junk"],
-        ids=["three-tuple", "constructor-refuses", "garbage"],
+        "frame, eof",
+        [
+            (_frame(pickle.dumps((1, 2, 3))), False),
+            (_frame(pickle.dumps(TwoArgError(1, "x"))), False),
+            (_frame(b"\x80\x05junk"), False),
+        ] + [case.values for case in HOSTILE_FRAMES],
+        ids=["three-tuple", "constructor-refuses", "garbage"]
+        + [case.id for case in HOSTILE_FRAMES],
     )
-    def test_serve_loop_drops_a_frame_that_does_not_decode(self, payload):
+    def test_serve_loop_drops_a_frame_that_does_not_decode(
+        self, frame, eof, monkeypatch
+    ):
+        """The serve loop returns on a frame it cannot decode — without
+        waiting for more bytes, and without allocating what a hostile size
+        table claims."""
         from repro.api.wire import serve
 
+        oversized = _refuse_large_allocations(monkeypatch)
         left, right = socket.socketpair()
         submitted = []
         try:
-            left.sendall(len(payload).to_bytes(8, "big") + payload)
-            serve(right, lambda *request: submitted.append(request))  # returns
+            left.sendall(frame)
+            if eof:
+                left.shutdown(socket.SHUT_WR)
+            server = threading.Thread(
+                target=serve, args=(right, lambda *request: submitted.append(request)),
+                daemon=True,
+            )
+            server.start()
+            server.join(30)
+            assert not server.is_alive(), "serve loop kept reading a dead frame"
             assert submitted == []
+            assert oversized == [], "a hostile size table was allocated"
         finally:
+            right.shutdown(socket.SHUT_RDWR)
             left.close()
+            right.close()
+
+    @pytest.mark.parametrize("frame, eof", HOSTILE_FRAMES)
+    def test_hostile_reply_fails_in_flight_requests_at_once(
+        self, frame, eof, monkeypatch
+    ):
+        """On the asking side the same frames end the stream: the in-flight
+        future fails at once with the owner's ``on_lost`` error."""
+        from repro.api.wire import Caller, _recv_frame
+
+        oversized = _refuse_large_allocations(monkeypatch)
+        left, right = socket.socketpair()
+        lost = ConnectionError("stream lost")
+        caller = Caller(left, lambda: lost, name="hostile-reply-reader").start()
+        try:
+            _request_id, future = caller.submit({"data": np.zeros(4, np.float32)})
+            assert _recv_frame(right) is not None
+            started = time.monotonic()
+            right.sendall(frame)
+            if eof:
+                right.shutdown(socket.SHUT_WR)
+            assert future.exception(timeout=10) is lost
+            assert time.monotonic() - started < 10
+            assert caller.closed()
+            assert oversized == [], "a hostile size table was allocated"
+        finally:
+            caller.close()
             right.close()
 
     def test_write_pin_file_failure_leaves_no_tmp_litter(
