@@ -11,7 +11,7 @@ benefit of the doubt; a receive's arguments are sizes, so they never count),
 a finite ``settimeout`` on the same receiver anywhere
 in the owning class, a ``poll(deadline)`` on the same receiver in the same
 function, or an enclosing handler that catches the timeout and loops (the
-deadline-aware retry idiom in ``_recv_exact``).
+deadline-aware retry idiom in ``wire._recv_into``).
 """
 
 from __future__ import annotations

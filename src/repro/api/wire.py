@@ -10,20 +10,34 @@ daemon connection thread, and each worker process).
 Wire protocol
 -------------
 
-A frame is 8 bytes big-endian payload length, then the pickled message;
-a length above :data:`MAX_FRAME_BYTES` is refused before any allocation.
-A request is ``(id, inputs, priority, timeout_ms)``; a reply is ``(id,
-outputs, error)`` with one of ``outputs``/``error`` set, the error passed
-through :func:`_picklable_error`.  Replies come out of order (priority
-scheduling reorders by design), so the caller-allocated id is the
-correlation key.  A stream that cannot be read — torn, reset, a frame that
-does not decode or is not the right tuple — is over: the caller fails
-everything in flight at once, and the serve loop drops the connection.
-Orderly shutdown is a half-close: the caller shuts its write side, the
-serve loop reads EOF and returns, and its owner drains what it accepted —
-replies still flow on the open side — before closing.  Pickle means both
-ends trust each other: the daemon binds loopback by default and is a
-serving tier, not an authentication tier.
+A message is pickled with protocol 5, and every contiguous array's bytes
+leave the pickle as an out-of-band buffer (PEP 574): the sender gathers
+them straight from the arrays' memory into one ``sendmsg``, and the
+receiver ``recv_into``s each one into an uninitialised ``np.empty`` that
+the rebuilt array then owns.  A frame is:
+
+- one 8-byte big-endian word: the buffer count in its high 32 bits, the
+  envelope (the pickle) length in its low 32;
+- one 8-byte big-endian size per buffer;
+- the envelope, then the buffers, in order.
+
+A message with no out-of-band buffer is the plain length-prefixed pickle.
+Arrays pickle cannot send out of band (non-contiguous views, object dtype)
+stay in the envelope, as do those past :data:`_MAX_BUFFERS` per frame.
+A count above that cap is refused before the sizes are read, and a frame
+whose envelope plus buffers passes :data:`MAX_FRAME_BYTES` before anything
+is allocated.  A request is ``(id, inputs, priority, timeout_ms)``; a reply
+is ``(id, outputs, error)`` with one of ``outputs``/``error`` set, the
+error passed through :func:`_picklable_error`.  Replies come out of order
+(priority scheduling reorders by design), so the caller-allocated id is
+the correlation key.  A stream that cannot be read — torn, reset,
+truncated, a frame that does not decode or is not the right tuple — is
+over: the caller fails everything in flight at once, and the serve loop
+drops the connection.  Orderly shutdown is a half-close: the caller shuts
+its write side, the serve loop reads EOF and returns, and its owner drains
+what it accepted — replies still flow on the open side — before closing.
+Pickle means both ends trust each other: the daemon binds loopback by
+default and is a serving tier, not an authentication tier.
 """
 
 from __future__ import annotations
@@ -107,22 +121,27 @@ def _recv_into(
     sock: socket.socket, view: memoryview,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> bool:
-    """Fill ``view`` from ``sock``; False on EOF, a closed socket or abort."""
+    """Fill ``view`` from ``sock``; False on EOF, a closed socket or abort.
+
+    With ``should_abort``, a receive takes only what is already queued and
+    parks in ``select`` when nothing is, waking every ``_POLL_INTERVAL_S``
+    to re-check it: the parts of a frame that has arrived cost one call
+    each, and an idle receiver still sees its abort signal."""
     got, count = 0, view.nbytes
+    flags = 0 if should_abort is None else socket.MSG_DONTWAIT
     while got < count:
-        if should_abort is not None:
+        try:
+            received = sock.recv_into(view[got:], min(count - got, 1 << 20), flags)
+        except socket.timeout:
+            continue  # deadline tick: keep what arrived, retry
+        except BlockingIOError:  # nothing queued yet
             try:
                 ready, _, _ = select.select([sock], [], [], _POLL_INTERVAL_S)
             except (ValueError, OSError):
                 return False  # socket closed under us: treat as EOF
-            if not ready:
-                if should_abort():
-                    return False
-                continue
-        try:
-            received = sock.recv_into(view[got:], min(count - got, 1 << 20))
-        except socket.timeout:
-            continue  # deadline tick: keep what arrived, retry
+            if not ready and should_abort():
+                return False
+            continue
         if not received:
             return False  # orderly EOF
         got += received

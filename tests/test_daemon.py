@@ -520,6 +520,7 @@ def _send_and_receive(message):
         sender.start()
         received = _recv_frame(right)
         sender.join(30)
+        assert not sender.is_alive()
         return received
     finally:
         left.close()
@@ -665,9 +666,10 @@ class TestWireFrames:
             assert len(outputs) == len(inputs)
             for got, want in zip(outputs, inputs.values()):
                 _assert_same_arrays(got, want)
-        finally:
             caller.half_close()
             server.join(30)
+            assert not server.is_alive(), "serve loop missed the half-close"
+        finally:
             caller.close()
             right.close()
 
