@@ -92,9 +92,7 @@ def _pack(message: object) -> List[memoryview]:
     if len(envelope) + sum(sizes) > MAX_FRAME_BYTES:
         raise ValueError(f"message exceeds the {MAX_FRAME_BYTES}-byte frame limit")
     word = _WORD.pack(len(buffers) << 32 | len(envelope))
-    if not buffers:
-        return [memoryview(word), memoryview(envelope)]
-    table = struct.pack(f">{len(sizes)}Q", *sizes)
+    table = struct.pack(f">{len(sizes)}Q", *sizes)  # empty without buffers
     return [memoryview(word), memoryview(table), memoryview(envelope), *buffers]
 
 
@@ -158,19 +156,17 @@ def _recv_exact(
 def _recv_frame(
     sock: socket.socket, should_abort: Optional[Callable[[], bool]] = None
 ) -> Optional[object]:
-    word = _recv_exact(sock, _WORD.size, should_abort)
-    if word is None:
+    header = _recv_exact(sock, _WORD.size, should_abort)
+    if header is None:
         return None
-    (word,) = _WORD.unpack(word)
+    (word,) = _WORD.unpack(header)
     count, length = word >> 32, word & 0xFFFFFFFF
     if count > _MAX_BUFFERS:
         raise ValueError(f"frame of {count} buffers exceeds {_MAX_BUFFERS}")
-    sizes: Tuple[int, ...] = ()
-    if count:
-        table = _recv_exact(sock, 8 * count, should_abort)
-        if table is None:
-            return None
-        sizes = struct.unpack(f">{count}Q", table)
+    table = _recv_exact(sock, 8 * count, should_abort)
+    if table is None:
+        return None
+    sizes = struct.unpack(f">{count}Q", table)
     total = length + sum(sizes)
     if total > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {total} bytes exceeds {MAX_FRAME_BYTES}")
