@@ -9,7 +9,8 @@ compile flag).
 The verifier never calls :meth:`Graph.topological_order` or ``len(graph)``:
 both run an unguarded DFS that loops forever on a cyclic graph, and a cyclic
 graph is precisely one of the corruptions this module must detect.  All
-traversal here is a self-contained iterative color DFS.
+traversal here is a self-contained iterative color DFS.  The graph's cached
+order is read only through :meth:`Graph.cached_order`, which never walks.
 
 Checked invariants:
 
@@ -26,7 +27,10 @@ Checked invariants:
   ``BatchDim(1) == 1``, so plain spec equality cannot see a stripped marker;
 * **BatchDim conventions** — the marker appears only as the leading extent
   of an unblocked ``N`` axis, and never on a constant (weights are never
-  batch-polymorphic).
+  batch-polymorphic);
+* **order coherence** — a cached topological order that is still current
+  equals this module's own traversal; it differs only after an edge was
+  written into ``node.inputs`` directly, bypassing the rewiring API.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ _VALID_KINDS = (NodeKind.INPUT, NodeKind.CONSTANT, NodeKind.OP)
 class GraphProblem:
     """One verifier diagnostic."""
 
-    kind: str  # "structure" | "cycle" | "naming" | "shape" | "batch-dim"
+    kind: str  # "structure" | "cycle" | "naming" | "shape" | "batch-dim" | "stale-order"
     node: Optional[str]  # offending node name, when attributable
     message: str
 
@@ -350,6 +354,24 @@ def _check_batch_dims(nodes: List[Node]) -> List[GraphProblem]:
     return problems
 
 
+def _check_cached_order(graph: Graph, nodes: List[Node]) -> List[GraphProblem]:
+    cached = graph.cached_order()
+    if cached is None or cached == nodes:  # Node equality is identity
+        return []
+    return [
+        GraphProblem(
+            kind="stale-order",
+            node=None,
+            message=(
+                f"the graph's cached topological order ({len(cached)} nodes) "
+                f"differs from a fresh traversal ({len(nodes)} nodes): an "
+                "edge was written into node.inputs without Node.set_input, "
+                "Node.replace_input or Graph.replace_nodes"
+            ),
+        )
+    ]
+
+
 def verify_graph(graph: Graph, check_shapes: bool = True) -> List[GraphProblem]:
     """Verify a graph's structural and semantic invariants.
 
@@ -364,6 +386,7 @@ def verify_graph(graph: Graph, check_shapes: bool = True) -> List[GraphProblem]:
     if check_shapes and acyclic:
         problems.extend(_check_shapes(nodes))
     problems.extend(_check_batch_dims(nodes))
+    problems.extend(_check_cached_order(graph, nodes))
     return problems
 
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..core.compiler import compile_graph
 from ..core.config import CompileConfig
+from ..core.local_search import usable_cpu_count
 from ..core.tuning_db import TuningDatabase, TuningDatabaseMigrationError
 from ..graph.graph import Graph
 from ..hardware.cpu import CPUSpec
@@ -190,8 +191,18 @@ def module_fingerprint(
     the source graph and the digest of explicitly-bound parameters; any
     change to any of them invalidates cached artifacts.
     """
+    return _member_fingerprint(
+        cpu, config, graph_fingerprint(graph), params_fingerprint(params)
+    )
+
+
+def _member_fingerprint(
+    cpu: CPUSpec, config: CompileConfig, graph_digest: str, params_digest: str
+) -> str:
+    """:func:`module_fingerprint` from the source digests, which a
+    multi-target :func:`build` computes once for all of its targets."""
     base = compilation_fingerprint(cpu, config)
-    return f"{base[:32]}{graph_fingerprint(graph)[:16]}{params_fingerprint(params)[:16]}"
+    return f"{base[:32]}{graph_digest[:16]}{params_digest[:16]}"
 
 
 def load_tuning_database(cache_dir: "str | Path") -> TuningDatabase:
@@ -283,7 +294,7 @@ def _compile_targets(
     serial path — the build then merely takes longer.
     """
     if jobs is None:
-        jobs = min(len(cpus), os.cpu_count() or 1)
+        jobs = min(len(cpus), usable_cpu_count())
     if jobs > 1 and len(cpus) > 1:
         # Import failures (a platform without multiprocessing) and pool
         # failures share the same answer: fall back to the serial path.  The
@@ -412,8 +423,8 @@ def build(
         output: explicit bundle file path (overrides the repository layout).
         database: share an existing in-memory tuning database.
         jobs: tuning worker processes (default: one per target, capped at
-            the machine's core count; ``1`` forces the serial in-process
-            path).
+            the CPUs this process may run on; ``1`` forces the serial
+            in-process path).
         force: rebuild even when a fresh bundle exists.
 
     Returns:
@@ -430,7 +441,10 @@ def build(
             load_tuning_database(cache_dir) if cache_dir is not None else TuningDatabase()
         )
 
-    fingerprints = [module_fingerprint(cpu, cfg, graph, params) for cpu in cpus]
+    graph_digest, params_digest = graph_fingerprint(graph), params_fingerprint(params)
+    fingerprints = [
+        _member_fingerprint(cpu, cfg, graph_digest, params_digest) for cpu in cpus
+    ]
     if output is not None:
         path = Path(output).expanduser()
     else:

@@ -61,7 +61,16 @@ __all__ = [
     "CostModelMeasurer",
     "NumpyMeasurer",
     "LocalSearch",
+    "usable_cpu_count",
 ]
+
+
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset``, a cpuset), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Measurer(Protocol):
@@ -340,7 +349,7 @@ class LocalSearch:
 
         Args:
             workloads: workloads to tune (duplicates are searched once).
-            jobs: worker threads; defaults to ``min(#misses, cpu_count)`` for
+            jobs: worker threads; defaults to ``min(#misses, usable CPUs)`` for
                 measurers that declare ``parallel_safe`` (the analytical cost
                 model) and to 1 for wall-clock measurers like
                 :class:`NumpyMeasurer`, whose timings concurrency would skew.
@@ -360,7 +369,7 @@ class LocalSearch:
             return self.database
         if jobs is None:
             if getattr(self.measurer, "parallel_safe", False):
-                jobs = min(len(pending), os.cpu_count() or 1)
+                jobs = min(len(pending), usable_cpu_count())
             else:
                 jobs = 1
         if jobs <= 1 or len(pending) == 1:

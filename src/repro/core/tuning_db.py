@@ -266,11 +266,13 @@ class TuningDatabase:
         # file under the final name — a partial JSON would silently load as
         # an empty database and throw away every tuned record.  The temp
         # name includes the thread id: two threads sharing one session may
-        # save concurrently and must not tear each other's temp file.
+        # save concurrently and must not tear each other's temp file.  The
+        # JSON is compact on purpose: ``indent`` forces json's pure-Python
+        # encoder, several times slower on a zoo-sized database.
         temp = path.with_name(
             path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"
         )
-        temp.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        temp.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
         os.replace(temp, path)
 
     @classmethod

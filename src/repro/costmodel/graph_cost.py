@@ -14,7 +14,7 @@ given number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.graph import Graph
 from ..graph.node import Node
@@ -160,17 +160,33 @@ class GraphCostModel:
     # ------------------------------------------------------------------ #
     # per-node costs
     # ------------------------------------------------------------------ #
-    def _conv_cost(self, node: Node, num_threads: int) -> NodeCost:
+    def _conv_cost(
+        self, node: Node, num_threads: int, prices: Dict[tuple, Tuple[float, str]]
+    ) -> NodeCost:
+        """Price a conv node, looking its (workload, schedule, threads) up in
+        ``prices`` first: zoo models repeat conv shapes many times over."""
         workload = conv_workload_from_node(node)
         schedule = node.attrs.get("schedule")
+        if schedule is not None and not isinstance(schedule, ConvSchedule):
+            schedule = ConvSchedule.from_dict(schedule)
+        key = (workload, schedule, num_threads)
+        if key not in prices:
+            prices[key] = self._conv_price(workload, schedule, num_threads)
+        time_s, detail = prices[key]
+        return NodeCost(node.name, "conv2d", time_s, "conv", detail)
+
+    def _conv_price(
+        self,
+        workload: ConvWorkload,
+        schedule: Optional[ConvSchedule],
+        num_threads: int,
+    ) -> Tuple[float, str]:
         if self.conv_mode == "im2col":
             breakdown = self.conv_model.estimate_im2col_gemm(
                 workload, num_threads, self.gemm_efficiency
             )
             detail = "im2col+gemm"
         elif schedule is not None:
-            if not isinstance(schedule, ConvSchedule):
-                schedule = ConvSchedule.from_dict(schedule)
             breakdown = self.conv_model.estimate(workload, schedule, num_threads)
             detail = f"schedule={schedule.as_tuple()}"
         else:
@@ -178,7 +194,7 @@ class GraphCostModel:
                 workload, num_threads, self.default_layout_efficiency
             )
             detail = "default-layout"
-        return NodeCost(node.name, "conv2d", breakdown.total_time_s, "conv", detail)
+        return breakdown.total_time_s, detail
 
     def _dense_cost(self, node: Node, num_threads: int) -> NodeCost:
         data_spec = node.inputs[0].spec
@@ -246,11 +262,14 @@ class GraphCostModel:
         """Estimate end-to-end latency of ``graph`` with ``num_threads`` threads."""
         threads = num_threads if num_threads is not None else self.cpu.num_cores
         report = LatencyReport(graph.name, self.cpu.name, threads)
+        # Conv prices are shared within this one call only: nothing priced
+        # here outlives it.
+        conv_prices: Dict[tuple, Tuple[float, str]] = {}
         for node in graph.topological_order():
             if not node.is_op:
                 continue
             if node.op == "conv2d":
-                cost = self._conv_cost(node, threads)
+                cost = self._conv_cost(node, threads, conv_prices)
             elif node.op == "dense":
                 cost = self._dense_cost(node, threads)
             elif node.op == "layout_transform":

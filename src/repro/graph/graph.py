@@ -4,13 +4,25 @@ A :class:`Graph` is defined by its output nodes; every node reachable from an
 output (through the ``inputs`` edges) belongs to the graph.  Traversal is by
 post-order depth-first search, which yields a topological order of the DAG —
 the order the paper's global search (Algorithm 2) and the executor both use.
+
+The graph caches that order.  The cache is keyed by the process-wide rewire
+epoch (:func:`~repro.graph.node.rewire_epoch`) and by the identities of
+``outputs``, so it stays valid until an edge anywhere is rewired or an
+output is replaced.  The rewiring rule that keeps it coherent: change an
+existing node's inputs only through :meth:`Node.set_input`,
+:meth:`Node.replace_input` or :meth:`Graph.replace_nodes`, each of which
+advances the epoch.  Creating nodes needs nothing: a new node joins a graph
+only once one of those calls, or an output assignment, points at it.
+A write straight into ``node.inputs`` leaves the cache stale; under
+``verify_ir`` the verifier reports that as a ``stale-order`` problem.
+The cache is never pickled, so artifact bytes do not depend on it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .node import Node, NodeKind
+from .node import Node, NodeKind, rewire_epoch
 
 __all__ = ["Graph"]
 
@@ -23,17 +35,56 @@ class Graph:
         name: optional model name (e.g. ``"resnet50"``).
     """
 
+    #: ``(epoch, outputs, order)`` of the last walk; a class-level default so
+    #: a graph unpickled without it (it is never pickled) reads as uncached.
+    _order_cache: Optional[Tuple[int, Tuple[Node, ...], List[Node]]] = None
+
     def __init__(self, outputs: Sequence[Node], name: str = "graph") -> None:
         if not outputs:
             raise ValueError("a graph needs at least one output node")
         self.outputs: List[Node] = list(outputs)
         self.name = name
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_order_cache", None)
+        return state
+
     # ------------------------------------------------------------------ #
     # traversal
     # ------------------------------------------------------------------ #
     def topological_order(self) -> List[Node]:
-        """All reachable nodes in topological (producers-first) order."""
+        """All reachable nodes in topological (producers-first) order.
+
+        A fresh list each call, so the caller may mutate it; the walk behind
+        it is cached (see the module docstring).
+        """
+        return list(self._order())
+
+    def cached_order(self) -> Optional[List[Node]]:
+        """The cached order if it is still current, else ``None``; never walks."""
+        cache = self._order_cache
+        if (
+            cache is not None
+            and cache[0] == rewire_epoch()
+            and cache[1] == tuple(self.outputs)
+        ):
+            return cache[2]
+        return None
+
+    def _order(self) -> List[Node]:
+        """The shared cached order (callers must not mutate it)."""
+        order = self.cached_order()
+        if order is None:
+            # The key is read before the walk, so a rewire that lands during
+            # it can only make the stored order look stale, never current.
+            key = (rewire_epoch(), tuple(self.outputs))
+            order = self._walk()
+            self._order_cache = key + (order,)
+        return order
+
+    def _walk(self) -> List[Node]:
+        """One uncached post-order walk from the outputs."""
         seen = set()
         order: List[Node] = []
         # Post-order DFS on a stack of input iterators: the recursion's order,
@@ -56,10 +107,10 @@ class Graph:
         return order
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.topological_order())
+        return iter(self._order())
 
     def __len__(self) -> int:
-        return len(self.topological_order())
+        return len(self._order())
 
     # ------------------------------------------------------------------ #
     # queries
@@ -71,7 +122,7 @@ class Graph:
     def op_nodes(self, op_name: Optional[str] = None) -> List[Node]:
         """All op nodes, optionally filtered by operator name."""
         result = []
-        for node in self.topological_order():
+        for node in self._order():
             if not node.is_op:
                 continue
             if op_name is None or node.op == op_name:
@@ -79,13 +130,13 @@ class Graph:
         return result
 
     def input_nodes(self) -> List[Node]:
-        return [n for n in self.topological_order() if n.is_input]
+        return [n for n in self._order() if n.is_input]
 
     def constant_nodes(self) -> List[Node]:
-        return [n for n in self.topological_order() if n.is_constant]
+        return [n for n in self._order() if n.is_constant]
 
     def find(self, name: str) -> Node:
-        for node in self.topological_order():
+        for node in self._order():
             if node.name == name:
                 return node
         raise KeyError(f"no node named {name!r} in graph {self.name}")
@@ -93,7 +144,7 @@ class Graph:
     def consumers(self) -> Dict[int, List[Node]]:
         """Map from node id() to the list of nodes consuming its output."""
         table: Dict[int, List[Node]] = {}
-        for node in self.topological_order():
+        for node in self._order():
             for producer in node.inputs:
                 table.setdefault(id(producer), []).append(node)
         return table
@@ -160,7 +211,7 @@ class Graph:
         # Walk the (iterative) topological order first so that clone() only
         # ever recurses through the shallow attr-referenced constants, never
         # down a ResNet-152-deep input chain.
-        for node in self.topological_order():
+        for node in self._order():
             clone(node)
         return Graph([memo[id(output)] for output in self.outputs], name=self.name)
 
@@ -188,7 +239,9 @@ class Graph:
             return node
 
         count = 0
-        for node in self.topological_order():
+        # Rewiring goes through ``replace_input``, which advances the epoch;
+        # the cached list being iterated is never mutated.
+        for node in self._order():
             for producer in node.inputs:
                 target = resolve(producer, node)
                 if target is not producer:
@@ -204,7 +257,7 @@ class Graph:
         """Check structural invariants; raises ``ValueError`` on violation."""
         from ..ops.registry import registry
 
-        for node in self.topological_order():
+        for node in self._order():
             if node.is_op:
                 if node.op not in registry:
                     raise ValueError(f"node {node.name} uses unknown op {node.op!r}")

@@ -22,9 +22,25 @@ import numpy as np
 
 from ..tensor.tensor import TensorSpec
 
-__all__ = ["Node", "NodeKind"]
+__all__ = ["Node", "NodeKind", "rewire_epoch"]
 
 _COUNTER = itertools.count()
+
+#: Every rewiring of an input edge draws a fresh value from this counter; a
+#: graph's cached topological order is valid only while the epoch it was
+#: walked at is still current (see :mod:`repro.graph.graph`).
+_REWIRES = itertools.count(1)
+_epoch = 0
+
+
+def rewire_epoch() -> int:
+    """The process-wide rewire epoch: changes whenever any edge is rewired."""
+    return _epoch
+
+
+def _rewired() -> None:
+    global _epoch
+    _epoch = next(_REWIRES)
 
 
 class NodeKind:
@@ -99,6 +115,9 @@ class Node:
     # ------------------------------------------------------------------ #
     # graph surgery helpers
     # ------------------------------------------------------------------ #
+    # Rewire an existing node only through these two methods (or
+    # ``Graph.replace_nodes``): they advance the rewire epoch, which is what
+    # invalidates every graph's cached topological order.
     def replace_input(self, old: "Node", new: "Node") -> int:
         """Replace every occurrence of ``old`` in the input list with ``new``.
 
@@ -109,7 +128,14 @@ class Node:
             if node is old:
                 self.inputs[i] = new
                 count += 1
+        if count:
+            _rewired()
         return count
+
+    def set_input(self, index: int, node: "Node") -> None:
+        """Make ``node`` this node's input ``index``."""
+        self.inputs[index] = node
+        _rewired()
 
     # ------------------------------------------------------------------ #
     # constant binding

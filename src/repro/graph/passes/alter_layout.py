@@ -84,7 +84,7 @@ class AlterOpLayout(GraphPass):
         if current == desired_layout:
             return
         transform = _insert_transform(producer, current, desired_layout)
-        node.inputs[index] = transform
+        node.set_input(index, transform)
         layouts[id(transform)] = desired_layout
         self.num_transforms_inserted += 1
 
@@ -177,7 +177,7 @@ class AlterOpLayout(GraphPass):
             transform = _insert_transform(
                 weight, weight_layout, schedule.weight_layout, compile_time=True
             )
-            node.inputs[1] = transform
+            node.set_input(1, transform)
             layouts[id(transform)] = schedule.weight_layout
 
         layouts[id(node)] = schedule.output_layout

@@ -66,7 +66,7 @@ class EliminateLayoutTransforms(GraphPass):
                     self.num_eliminated += 2
                 else:
                     # Collapse the chain into a single A -> C transform.
-                    node.inputs[0] = source
+                    node.set_input(0, source)
                     node.attrs["src_layout"] = inner_src
                     node.attrs["compile_time"] = bool(
                         node.attrs.get("compile_time")

@@ -1615,9 +1615,9 @@ HISTORICAL_MUTANTS = [
         "        temp = path.with_name(\n"
         '            path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"\n'
         "        )\n"
-        '        temp.write_text(json.dumps(payload, indent=2), encoding="utf-8")\n'
+        '        temp.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")\n'
         "        os.replace(temp, path)\n",
-        '        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")\n',
+        '        path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")\n',
         "path.write_text(",
     ),
     (

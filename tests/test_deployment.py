@@ -174,6 +174,20 @@ class TestBundleBuild:
         assert manual.path != full.path
         assert {e["search_method"] for e in manual.entries()} == {"manual"}
 
+    def test_default_jobs_follow_the_affinity_mask(self, tmp_path, monkeypatch):
+        """Confined to one CPU (taskset, a cpuset), ``jobs=None`` builds
+        serially: no worker process it could not run in parallel."""
+        import concurrent.futures
+        import os
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-CPU process must not start a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+        bundle = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path)
+        assert len(bundle.targets) == 2
+
     def test_process_parallel_build_matches_serial(self, tmp_path):
         """jobs=2 exercises the worker-process path (or its documented serial
         fallback); either way the bundle must equal a serial build."""

@@ -178,6 +178,120 @@ class TestGraph:
         assert "conv2d" in text and "dense" in text
 
 
+class TestOrderCache:
+    """The cached topological order always equals a fresh, uncached walk."""
+
+    @staticmethod
+    def _coherent(graph):
+        order = graph.topological_order()
+        assert order == graph._walk()
+        return order
+
+    @staticmethod
+    def _cached(graph):
+        graph.topological_order()
+        assert graph.cached_order() is not None
+        return graph
+
+    def test_replace_nodes(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        drop = graph.find("drop")
+        graph.replace_nodes({drop: drop.inputs[0]})
+        assert drop not in self._coherent(graph)
+
+    def test_replace_input(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        fc = graph.find("fc")
+        swap = Node(NodeKind.OP, op="relu", inputs=[fc.inputs[0]], name="swap")
+        assert fc.replace_input(fc.inputs[0], swap) == 1
+        assert swap in self._coherent(graph)
+
+    def test_set_input(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        conv3 = graph.find("conv3")
+        bypassed = conv3.inputs[0]
+        conv3.set_input(0, graph.find("pool1"))
+        assert bypassed not in self._coherent(graph)
+
+    def test_replaced_and_reassigned_outputs(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        fc = graph.find("fc")
+        graph.outputs[0] = fc
+        assert self._coherent(graph)[-1] is fc
+        pool = graph.find("pool1")
+        graph.outputs = [pool]
+        assert self._coherent(graph)[-1] is pool
+
+    def test_mutating_the_returned_list_leaves_the_cache_alone(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        order = graph.topological_order()
+        order.reverse()
+        order.pop()
+        assert graph.topological_order() == graph._walk()
+        assert len(graph) == len(graph._walk())
+
+    @pytest.mark.parametrize("protocol", [2, 4, 5])
+    def test_pickle_bytes_do_not_depend_on_the_cache(self, protocol):
+        import pickle
+
+        graph = get_model("resnet-18")
+        vars(graph).pop("_order_cache", None)  # as if never walked
+        cold = pickle.dumps(graph, protocol=protocol)
+        self._cached(graph)
+        assert pickle.dumps(graph, protocol=protocol) == cold
+        restored = pickle.loads(cold)
+        assert "_order_cache" not in vars(restored)
+        assert [n.name for n in restored.topological_order()] == [
+            n.name for n in graph.topological_order()
+        ]
+
+    def test_copy_has_its_own_cache(self, tiny_cnn):
+        graph = self._cached(tiny_cnn)
+        copy = graph.copy()
+        copied = self._coherent(copy)
+        assert not {id(n) for n in copied} & {id(n) for n in graph.topological_order()}
+        drop = copy.find("drop")
+        copy.replace_nodes({drop: drop.inputs[0]})
+        assert len(self._coherent(copy)) == len(self._coherent(graph)) - 1
+
+    def test_verifier_reports_a_bypassed_rewire_without_walking(self, monkeypatch, tiny_cnn):
+        from repro.analysis import verify_graph
+
+        graph = self._cached(tiny_cnn)
+        assert verify_graph(graph, check_shapes=False) == []
+        graph.find("conv3").set_input(0, graph.find("pool1"))
+        assert verify_graph(graph, check_shapes=False) == []  # the API keeps it coherent
+
+        self._cached(graph)
+        graph.find("fc").inputs[0] = graph.find("pool1")  # bypasses the API
+
+        def forbidden(self):
+            raise AssertionError("the verifier must not call topological_order")
+
+        monkeypatch.setattr(Graph, "topological_order", forbidden)
+        monkeypatch.setattr(Graph, "__len__", forbidden)
+        problems = verify_graph(graph, check_shapes=False)
+        assert [p.kind for p in problems] == ["stale-order"]
+
+    def test_verify_ir_names_the_pass_that_bypassed_the_api(self, tiny_cnn):
+        from repro.analysis import GraphVerificationError, assert_valid_graph
+        from repro.graph.passes import PassManager
+
+        def bypass(graph):
+            graph.find("fc").inputs[0] = graph.find("pool1")
+            return graph
+
+        manager = PassManager(
+            verifier=lambda g, name: assert_valid_graph(
+                g, context=f"after pass {name}", check_shapes=False
+            )
+        )
+        manager.add(bypass)
+        with pytest.raises(GraphVerificationError) as excinfo:
+            manager.run(tiny_cnn)
+        assert "stale-order" in str(excinfo.value) and "bypass" in str(excinfo.value)
+
+
 class TestBuilder:
     def test_conv_creates_weight_constant(self, tiny_cnn):
         conv = tiny_cnn.find("conv1")

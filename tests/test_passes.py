@@ -329,3 +329,37 @@ class TestPassScaling:
             assert eliminator.num_eliminated == 4 * blocks
             assert not graph.op_nodes("layout_transform")
         assert walks[0] == walks[1]
+
+
+class TestCompileWalks:
+    """A whole compile walks the graph a fixed number of times, whatever its depth.
+
+    Counted, not timed: each call of ``Graph._walk`` is one real walk, i.e. a
+    miss of the cached order.  Before the cache, ``topological_order`` walked
+    on every call, 33 times per compile of either model.
+    """
+
+    #: The copy's first ``infer_shapes``, then one walk after each pass that
+    #: rewires (SimplifyInference, AlterOpLayout); every other read is a hit.
+    WALKS = 3
+
+    def test_compile_walks_do_not_grow_with_depth(self, monkeypatch):
+        from repro.core.compiler import compile_graph
+        from repro.core.tuning_db import TuningDatabase
+        from repro.models.zoo import get_model
+
+        walk = Graph._walk
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return walk(self)
+
+        monkeypatch.setattr(Graph, "_walk", counted)
+        walks = []
+        for name in ("resnet-18", "resnet-50"):
+            graph = get_model(name)
+            calls.clear()
+            compile_graph(graph, "skylake", tuning_database=TuningDatabase())
+            walks.append(len(calls))
+        assert walks == [self.WALKS, self.WALKS]

@@ -52,6 +52,22 @@ class TestTuningDatabase:
         assert best.schedule == ConvSchedule(4, 8, 2, True)
         assert best.cost_s == pytest.approx(5e-4)
 
+    def test_indented_file_loads_the_same_records(self, tmp_path):
+        """Files written before the compact format (``indent=2``) still load."""
+        db = TuningDatabase()
+        db.put(WORKLOAD, "cpu-x", [TuningRecord(ConvSchedule(4, 8, 2, True), 5e-4)])
+        db.put(WORKLOAD, "cpu-y", [TuningRecord(ConvSchedule(8, 8, 4), 1e-3)], "p")
+        compact = tmp_path / "compact.json"
+        db.save(compact)
+        payload = json.loads(compact.read_text(encoding="utf-8"))
+        assert compact.read_text(encoding="utf-8") == json.dumps(
+            payload, separators=(",", ":")
+        )
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        assert TuningDatabase.load(indented).records == db.records
+        assert TuningDatabase.load(compact).records == db.records
+
     def test_merge(self):
         a, b = TuningDatabase(), TuningDatabase()
         a.put(WORKLOAD, "x", [TuningRecord(ConvSchedule(8, 8, 4), 1.0)])
@@ -303,6 +319,36 @@ class TestLocalSearch:
         serial.tune(WORKLOAD)
         threaded.tune(WORKLOAD)
         assert len(db) == 2  # no silent reuse of the 1-thread rankings
+
+    def test_tune_all_sizes_its_pool_from_the_affinity_mask(self, skylake, monkeypatch):
+        import os
+
+        from repro.core import local_search
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-CPU process must not start a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(local_search, "ThreadPoolExecutor", forbidden)
+        assert local_search.usable_cpu_count() == 1
+        workloads = [
+            ConvWorkload(1, 8 * (i + 1), 8, 8, 16, 3, 3, (1, 1), (1, 1))
+            for i in range(3)
+        ]
+        db = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune_all(workloads)
+        assert len(db) == 3
+
+    def test_usable_cpu_count_falls_back_to_cpu_count(self, monkeypatch):
+        import os
+
+        from repro.core.local_search import usable_cpu_count
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpu_count() == 1
 
     def test_tune_all_stays_serial_for_wallclock_measurers(self, skylake):
         """Measurers without parallel_safe must not be fanned out (their
