@@ -112,7 +112,6 @@ def test_resnet50_stream_multiprocess_serving(
         ["skylake"],
         cache_dir=tuning_cache_dir,
         database=tuning_db,
-        jobs=1,
     )
     requests = build_requests(NUM_REQUESTS)
 
@@ -200,7 +199,6 @@ def test_resnet50_replayed_p99_worker_curve(
         ["skylake"],
         cache_dir=tuning_cache_dir,
         database=tuning_db,
-        jobs=1,
     )
     requests = build_requests(NUM_REQUESTS)
 

@@ -1,11 +1,11 @@
-"""Search-pipeline throughput: batched/parallel tuning vs the seed loop.
+"""Search-pipeline throughput: batched tuning vs the seed loop.
 
 The seed implementation re-measured every candidate of every workload with a
 per-candidate Python call into the cost model.  The overhauled pipeline
-scores the whole candidate grid of a workload in one vectorized numpy pass,
-tunes distinct workloads on a thread pool, and reuses the versioned tuning
-database across models — which is what makes compiling the full model zoo
-across the three CPU presets practical in one run.
+scores the whole candidate grid of a workload in one vectorized numpy pass
+and reuses the versioned tuning database across models — which is what
+makes compiling the full model zoo across the three CPU presets practical
+in one run.
 
 Two claims are checked here:
 
@@ -69,12 +69,12 @@ def best_of(n, fn):
 
 
 def test_resnet50_tuning_throughput(benchmark, results_dir):
-    """Batched + parallel tuning beats the seed loop >= 5x, same records."""
+    """Batched tuning beats the seed loop >= 5x, same records."""
     cpu = get_target("skylake")
     workloads = unique_workloads("resnet-50")
 
     seed_s, seed_db = best_of(
-        3, lambda: LocalSearch(SeedLoopMeasurer(cpu), cpu.name).tune_all(workloads, jobs=1)
+        3, lambda: LocalSearch(SeedLoopMeasurer(cpu), cpu.name).tune_all(workloads)
     )
 
     def tune_fast():
@@ -88,7 +88,7 @@ def test_resnet50_tuning_throughput(benchmark, results_dir):
         f"ResNet-50 local-search throughput ({len(workloads)} unique workloads, "
         f"{cpu.name})",
         f"  seed per-candidate loop : {seed_s * 1e3:8.1f} ms",
-        f"  batched + parallel      : {fast_s * 1e3:8.1f} ms",
+        f"  batched                 : {fast_s * 1e3:8.1f} ms",
         f"  speedup                 : {speedup:8.1f}x",
     ]
     write_result(results_dir, "search_throughput_resnet50", "\n".join(lines))

@@ -5,8 +5,8 @@ EPYC (AVX2) and ARM Cortex-A72 (NEON) — and this example walks the
 deployment flow that serves all three from ONE build:
 
 1. ``build(model, targets=[...])`` tunes every preset in one session (they
-   share the tuning database; with several targets the per-target searches
-   run in parallel worker processes) and emits a single ``.neocpu`` bundle:
+   share the tuning database and are compiled one after another on the
+   calling thread) and emits a single ``.neocpu`` bundle:
    one manifest, one payload per target, plus the uncompiled source graph;
 2. ``load_engine(path, host=...)`` on each "machine" picks its payload by
    exact host fingerprint — and the outputs are byte-identical to what a

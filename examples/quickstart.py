@@ -128,11 +128,7 @@ def main():
     # on — see examples/multi_target_deployment.py and `python -m repro.cli`
     # for the full deployment story (repository, verify, gc).
     repo_dir = artifact.parent
-    # jobs=1: the serving engine above is still open, and forking tuning
-    # worker processes out of a process with live scheduler threads is a
-    # classic way to inherit a lock mid-flight.  (Real deployments build and
-    # serve in different processes; see examples/multi_target_deployment.py.)
-    bundle = build(build_cifar_cnn(), ["skylake", "arm"], cache_dir=repo_dir, jobs=1)
+    bundle = build(build_cifar_cnn(), ["skylake", "arm"], cache_dir=repo_dir)
     with load_engine(bundle.path, host="skylake", seed=42) as deployed:
         assert np.array_equal(deployed.run({"data": image})[0], optimized)
     print(f"multi-target bundle {bundle.path.name} serves "

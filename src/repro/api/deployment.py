@@ -6,11 +6,10 @@ of mixed hosts therefore should not mean one tuning session per host.  This
 module is the deployment surface that makes one build serve every host:
 
 * :func:`build` compiles a model for several CPU targets in one session —
-  the targets share one tuning database, and the per-target searches run in
-  parallel worker *processes* (each core-bound search gets its own
-  interpreter, so tuning three presets costs about one) — and emits a single
-  ``.neocpu`` bundle: one manifest, one payload per target, plus the
-  uncompiled source graph for hosts nothing was compiled for.
+  the targets share one tuning database and are compiled one after another
+  on the calling thread — and emits a single ``.neocpu`` bundle: one
+  manifest, one payload per target, plus the uncompiled source graph for
+  hosts nothing was compiled for.
 * :func:`load_engine` opens a bundle on the machine that will serve it and
   picks the right payload for the running host: exact host-fingerprint match
   first, then the best ISA/cache-compatibility score
@@ -40,7 +39,6 @@ import numpy as np
 
 from ..core.compiler import compile_graph
 from ..core.config import CompileConfig
-from ..core.local_search import usable_cpu_count
 from ..core.tuning_db import TuningDatabase, TuningDatabaseMigrationError
 from ..graph.graph import Graph
 from ..hardware.cpu import CPUSpec
@@ -66,6 +64,7 @@ from ..runtime.artifact import (
     read_manifest,
     remove_pin_file,
     save_bundle,
+    sweep_orphaned_writes,
     sweep_stale_pin_files,
     verify_artifact,
     write_pin_file,
@@ -242,131 +241,6 @@ def _touch(path: Path) -> None:
 # --------------------------------------------------------------------------- #
 # the multi-target build
 # --------------------------------------------------------------------------- #
-def _build_one_target(
-    graph: Graph,
-    cpu: CPUSpec,
-    config: CompileConfig,
-    params: Optional[Mapping[str, np.ndarray]],
-    database: TuningDatabase,
-) -> Tuple[CompiledModule, TuningDatabase]:
-    """Compile ``graph`` for one target (tuning-worker entry point).
-
-    Top-level (not nested) so a spawn-started worker process can import it;
-    returns the database so records tuned in a worker flow back to the
-    parent's shared database.
-    """
-    module = compile_graph(
-        graph, cpu, config=config, params=params, tuning_database=database
-    )
-    return module, database
-
-
-def _build_one_target_trapped(graph, cpu, config, params, database):
-    """Pool wrapper around :func:`_build_one_target` that *returns* compile
-    failures instead of raising them, so the parent can tell a genuine
-    compile error (re-raise it — a serial retry would fail identically)
-    apart from pool infrastructure trouble (fall back to the serial path)."""
-    try:
-        return ("ok", _build_one_target(graph, cpu, config, params, database))
-    except Exception as error:
-        return ("error", error)
-
-
-def _compile_targets(
-    graph: Graph,
-    cpus: Sequence[CPUSpec],
-    config: CompileConfig,
-    params: Optional[Mapping[str, np.ndarray]],
-    database: TuningDatabase,
-    jobs: Optional[int],
-) -> List[CompiledModule]:
-    """Compile ``graph`` for every target, sharing ``database``.
-
-    With more than one target and more than one job the per-target compiles
-    run in worker *processes* (the candidate scoring is numpy-bound but the
-    search bookkeeping is Python, so processes — unlike the thread-pool
-    ``tune_all`` inside one target — let several presets tune concurrently).
-    Each worker receives only its own target's slice of the tuning database
-    and returns its new records, which are merged back so the shared
-    database (and the persisted ``tuning_db.json``) ends up identical to a
-    serial build.  Any process-pool failure (no fork support, unpicklable
-    custom measurer state, a sandbox without semaphores) falls back to the
-    serial path — the build then merely takes longer.
-    """
-    if jobs is None:
-        jobs = min(len(cpus), usable_cpu_count())
-    if jobs > 1 and len(cpus) > 1:
-        # Import failures (a platform without multiprocessing) and pool
-        # failures share the same answer: fall back to the serial path.  The
-        # imports sit in their own try so every name in the pool-failure
-        # tuple below is guaranteed bound.
-        pool_errors: Optional[tuple] = None
-        try:
-            import multiprocessing
-            import pickle
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool_errors = (
-                OSError,
-                ValueError,
-                EOFError,
-                BrokenPipeError,
-                BrokenProcessPool,  # a worker died (OOM kill, hard crash)
-                pickle.PicklingError,  # unpicklable graph/config state
-            )
-        except ImportError:
-            pass
-        results = None
-        try:
-            if pool_errors is None:
-                raise OSError("multiprocessing unavailable on this platform")
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(cpus)), mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _build_one_target_trapped,
-                        graph,
-                        cpu,
-                        config,
-                        params,
-                        database.subset(cpu.name),
-                    )
-                    for cpu in cpus
-                ]
-                results = [future.result() for future in futures]
-        except pool_errors or (OSError,) as error:
-            import warnings
-
-            warnings.warn(
-                f"process-parallel bundle build unavailable ({error}); "
-                f"falling back to a serial build",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if results is not None:
-            # Outside the except scope on purpose: a worker's *compile*
-            # error (trapped and returned by _build_one_target_trapped) is
-            # re-raised as-is — a serial retry would fail identically, and
-            # it must not be misread as pool trouble.
-            for status, value in results:
-                if status == "error":
-                    raise value
-            modules = []
-            for _, (module, worker_database) in results:
-                database.merge(worker_database)
-                modules.append(module)
-            return modules
-    return [
-        _build_one_target(graph, cpu, config, params, database)[0] for cpu in cpus
-    ]
-
-
 def resolve_targets(targets: Sequence[TargetLike]) -> List[CPUSpec]:
     """Resolve target aliases/specs, deduplicating by canonical name."""
     if isinstance(targets, (str, CPUSpec)):
@@ -397,8 +271,8 @@ def build(
     """Compile ``model`` for several CPU targets into one deployable bundle.
 
     One tuning session covers every target: the targets share a tuning
-    database (persisted under ``cache_dir``), and with multiple targets the
-    per-target searches run in parallel worker processes.  The resulting
+    database (persisted under ``cache_dir``) and are compiled one after
+    another on the calling thread.  The resulting
     ``.neocpu`` file carries one payload per target plus the uncompiled
     source graph, so :func:`load_engine` can serve *any* host — matched,
     compatible, or recompiled.
@@ -422,9 +296,9 @@ def build(
             required.
         output: explicit bundle file path (overrides the repository layout).
         database: share an existing in-memory tuning database.
-        jobs: tuning worker processes (default: one per target, capped at
-            the CPUs this process may run on; ``1`` forces the serial
-            in-process path).
+        jobs: accepted only as ``None`` or ``1`` (any other value raises
+            :class:`ValueError`): the build is always serial.  The keyword
+            remains because existing callers pass ``jobs=1``.
         force: rebuild even when a fresh bundle exists.
 
     Returns:
@@ -432,6 +306,8 @@ def build(
     """
     if cache_dir is None and output is None:
         raise ValueError("build needs a cache_dir (repository) or an output path")
+    if jobs not in (None, 1):
+        raise ValueError(f"build is serial; jobs must be None or 1, got {jobs!r}")
     from_zoo = isinstance(model, str)
     graph = get_model(model) if from_zoo else model
     cpus = resolve_targets(targets)
@@ -465,7 +341,10 @@ def build(
         except ArtifactError:
             pass  # corrupt or foreign file under the bundle name: rebuild it
 
-    modules = _compile_targets(graph, cpus, cfg, params, database, jobs)
+    modules = [
+        compile_graph(graph, cpu, config=cfg, params=params, tuning_database=database)
+        for cpu in cpus
+    ]
     for module, fingerprint in zip(modules, fingerprints):
         module.fingerprint = fingerprint
     source = {
@@ -742,6 +621,7 @@ class GCReport:
     kept: List[Path] = field(default_factory=list)
     pinned: List[Path] = field(default_factory=list)
     stale_pins_removed: List[Path] = field(default_factory=list)
+    orphaned_writes_removed: List[Path] = field(default_factory=list)
     dry_run: bool = False
 
     @property
@@ -767,6 +647,8 @@ class GCReport:
             lines.append(f"  pinned (in use): {path.name}")
         for path in self.stale_pins_removed:
             lines.append(f"  stale pin swept (owner gone): {path.name}")
+        for path in self.orphaned_writes_removed:
+            lines.append(f"  orphaned write swept (writer gone): {path.name}")
         if self.over_budget:
             lines.append(
                 "  still over budget: every remaining artifact is pinned by a "
@@ -884,13 +766,14 @@ class ModelRepository:
         is simply skipped.  Pin files whose owning process has died are
         swept first — a crashed worker cannot exempt an artifact forever —
         while a live owner's pin file is never touched by anyone but that
-        owner.
+        owner.  Likewise the temp file of an artifact write whose writer
+        died mid-write is removed, and a live writer's is left alone.
 
         Args:
             max_bytes: byte budget for ``modules/``; must be >= 0.
             dry_run: report what would be evicted without deleting (stale
-                pin files are still swept — they are bookkeeping for dead
-                processes, not artifacts).
+                pin files and orphaned writes are still swept — they are
+                leftovers of dead processes, not artifacts).
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
@@ -908,6 +791,7 @@ class ModelRepository:
         report = GCReport(max_bytes=max_bytes, dry_run=dry_run)
         if self.modules_dir.is_dir():
             report.stale_pins_removed = sweep_stale_pin_files(self.modules_dir)
+            report.orphaned_writes_removed = sweep_orphaned_writes(self.modules_dir)
         total = sum(size for _, size, _ in entries)
         report.total_bytes_before = total
         for _, size, path in entries:

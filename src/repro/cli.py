@@ -94,7 +94,6 @@ def _cmd_build(args) -> int:
         config=config,
         cache_dir=_cache_dir(args),
         output=args.output,
-        jobs=args.jobs,
         force=args.force,
     )
     print(bundle.describe())
@@ -409,9 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build_cmd.add_argument(
         "--output", help="bundle file path (default: inside the repository)"
-    )
-    build_cmd.add_argument(
-        "--jobs", type=int, help="tuning worker processes (default: one per target)"
     )
     build_cmd.add_argument(
         "--force", action="store_true", help="rebuild even on a warm cache"

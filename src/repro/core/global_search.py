@@ -30,9 +30,9 @@ Pipeline performance
 --------------------
 
 Extraction first collects every CONV workload of the graph and warms the
-tuning database through :meth:`LocalSearch.tune_all` (deduplicated,
-thread-pool parallel, batch-scored by the vectorized cost model), so the
-per-node candidate lists afterwards are pure cache hits.
+tuning database through :meth:`LocalSearch.tune_all` (deduplicated, serial,
+batch-scored by the vectorized cost model), so the per-node candidate lists
+afterwards are pure cache hits.
 :class:`ConvDependencyGraph` exposes a dst-indexed predecessor map (built in
 one O(E) pass per solve), and the layout-transform time of an edge is a
 single constant (it depends only on the tensor size) multiplied into a numpy
@@ -264,15 +264,13 @@ def _upstream_convs(node: Node, visited: Optional[Set[int]] = None) -> List[Node
 
 
 def extract_dependency_graph(
-    graph: Graph,
-    local_search: LocalSearch,
-    jobs: Optional[int] = None,
+    graph: Graph, local_search: LocalSearch
 ) -> ConvDependencyGraph:
     """Build the CONV dependency graph of a model and tune every workload.
 
     All workloads are tuned up front through :meth:`LocalSearch.tune_all`
-    (deduplicated across nodes, parallel across workloads); the subsequent
-    per-node lookups hit the warmed tuning database.
+    (deduplicated across nodes); the subsequent per-node lookups hit the
+    warmed tuning database.
     """
     from ..costmodel.graph_cost import conv_workload_from_node
 
@@ -281,7 +279,7 @@ def extract_dependency_graph(
     workloads: Dict[str, ConvWorkload] = {
         node.name: conv_workload_from_node(node) for node in conv_nodes
     }
-    local_search.tune_all(list(workloads.values()), jobs=jobs)
+    local_search.tune_all(list(workloads.values()))
     for node in conv_nodes:
         records: Sequence[TuningRecord] = local_search.tune(workloads[node.name])
         dep.candidates[node.name] = [

@@ -28,15 +28,15 @@ stored in the :class:`TuningDatabase` under a key that includes the search's
 parameter fingerprint (``max_block`` / ``top_k`` / ``reg_n_candidates``), so
 results tuned under different search settings are never silently mixed.
 ``LocalSearch.tune_all`` deduplicates a multi-model workload list by workload
-key and tunes the cache misses on a thread pool — the entry point the global
-search uses to warm the database for a whole graph (or model zoo) at once.
+key and tunes the cache misses one after another on the calling thread — the
+entry point the global search uses to warm the database for a whole graph (or
+model zoo) at once.  The compile is single-threaded by design: parallelism
+belongs to the serving tier, and a thread pool here only slowed compiles.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -61,16 +61,7 @@ __all__ = [
     "CostModelMeasurer",
     "NumpyMeasurer",
     "LocalSearch",
-    "usable_cpu_count",
 ]
-
-
-def usable_cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset``, a cpuset), else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class Measurer(Protocol):
@@ -88,9 +79,6 @@ class CostModelMeasurer:
     cpu: CPUSpec
     num_threads: Optional[int] = None
     threading: ThreadingModel = THREAD_POOL
-
-    #: Pure compute, no wall-clock timing: concurrent tuning cannot skew it.
-    parallel_safe = True
 
     def __post_init__(self) -> None:
         self._model = ConvCostModel(self.cpu, self.threading)
@@ -141,10 +129,6 @@ class NumpyMeasurer:
 
     repeats: int = 3
     seed: int = 0
-
-    #: Wall-clock timing: concurrent runs contend for cores and corrupt the
-    #: measurements, so the parallel tuner must not fan this measurer out.
-    parallel_safe = False
 
     def fingerprint(self) -> str:
         """Measurement context that changes candidate costs (and rankings).
@@ -337,46 +321,23 @@ class LocalSearch:
     def tune_all(
         self,
         workloads: Sequence[ConvWorkload],
-        jobs: Optional[int] = None,
         force: bool = False,
     ) -> TuningDatabase:
         """Tune a collection of workloads (deduplicated) and return the DB.
 
         The workload list of a whole model (or model zoo) is first
-        deduplicated by workload key, cache hits are skipped, and the
-        remaining searches run concurrently on a thread pool — the candidate
-        scoring is numpy-bound, so worker threads overlap well.
+        deduplicated by workload key; the searches then run in first-seen
+        order on the calling thread (cache hits return from :meth:`tune`
+        without measuring), so the database's entry order is the same on
+        every run.
 
         Args:
             workloads: workloads to tune (duplicates are searched once).
-            jobs: worker threads; defaults to ``min(#misses, usable CPUs)`` for
-                measurers that declare ``parallel_safe`` (the analytical cost
-                model) and to 1 for wall-clock measurers like
-                :class:`NumpyMeasurer`, whose timings concurrency would skew.
-                ``jobs=1`` forces the serial path.
             force: re-run searches even for cached workloads.
         """
         unique = {}
         for workload in workloads:
             unique.setdefault(workload.key(), workload)
-        pending = [
-            workload
-            for workload in unique.values()
-            if force
-            or not self.database.get(workload, self.cpu_name, self.params_fingerprint)
-        ]
-        if not pending:
-            return self.database
-        if jobs is None:
-            if getattr(self.measurer, "parallel_safe", False):
-                jobs = min(len(pending), usable_cpu_count())
-            else:
-                jobs = 1
-        if jobs <= 1 or len(pending) == 1:
-            for workload in pending:
-                self.tune(workload, force=force)
-            return self.database
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # list() propagates the first worker exception, like the serial path.
-            list(pool.map(lambda w: self.tune(w, force=force), pending))
+        for workload in unique.values():
+            self.tune(workload, force=force)
         return self.database

@@ -20,10 +20,9 @@ Persistence schema (version 3)
 
 The JSON file is an object ``{"schema_version": 3, "targets": {...}}`` where
 ``targets`` maps each CPU name to its list of entries ``{"workload": ...,
-"params": ..., "records": [...]}``.  Grouping records per target is what the
-multi-target bundle build consumes: handing one target's worth of records to
-a tuning worker process is a single dictionary lookup instead of a scan of
-every entry.  Keys are stored as separate JSON fields — never joined with a
+"params": ..., "records": [...]}``, in the order the entries were first
+tuned (the compile is serial, so a cold build writes the same bytes every
+run).  Keys are stored as separate JSON fields — never joined with a
 delimiter — so workload keys and CPU names may contain any character
 (including ``|``, which corrupted the legacy v1 format).
 
@@ -151,9 +150,10 @@ class TuningRecord:
 class TuningDatabase:
     """In-memory (optionally JSON-backed) store of local-search results.
 
-    Thread-safe for concurrent ``put``/``get`` from the parallel tuner:
-    every access — lookups included — takes the internal lock, so bulk
-    mutations such as ``merge`` can never interleave with a read mid-update.
+    Thread-safe for sessions that share one database across threads (the
+    search itself is serial): every access — lookups included — takes the
+    internal lock, so bulk mutations such as ``merge`` can never interleave
+    with a read mid-update.
     """
 
     records: Dict[Tuple[str, str, str], List[TuningRecord]] = field(default_factory=dict)
@@ -206,33 +206,13 @@ class TuningDatabase:
         with self._lock:
             return len(self.records)
 
-    # ------------------------------------------------------------------ #
-    # per-target views (what the multi-target bundle build consumes)
-    # ------------------------------------------------------------------ #
     def cpu_names(self) -> List[str]:
         """Names of every CPU target with at least one stored entry."""
         with self._lock:
             return sorted({cpu_name for (_, cpu_name, _) in self.records})
 
-    def subset(self, cpu_name: str) -> "TuningDatabase":
-        """A new database holding only ``cpu_name``'s entries.
-
-        This is what the bundle build ships to each per-target tuning worker
-        process: the worker only ever looks up its own target's keys, so
-        sending it the other targets' records would be pure pickling cost.
-        """
-        with self._lock:
-            records = {
-                key: list(value)
-                for key, value in self.records.items()
-                if key[1] == cpu_name
-            }
-        subset = TuningDatabase()
-        subset.records = records
-        return subset
-
     # ------------------------------------------------------------------ #
-    # pickling (process-level tuning workers receive/return databases)
+    # pickling (the lock itself cannot be pickled)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         with self._lock:
@@ -269,11 +249,21 @@ class TuningDatabase:
         # save concurrently and must not tear each other's temp file.  The
         # JSON is compact on purpose: ``indent`` forces json's pure-Python
         # encoder, several times slower on a zoo-sized database.
+        text = json.dumps(payload, separators=(",", ":"))
         temp = path.with_name(
             path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"
         )
-        temp.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
-        os.replace(temp, path)
+        try:
+            temp.write_text(text, encoding="utf-8")
+            os.replace(temp, path)
+        except BaseException:
+            # A failed write or rename (full disk, I/O error) must not
+            # orphan the temp file: nothing else would ever remove it.
+            try:
+                temp.unlink()
+            except OSError:
+                pass
+            raise
 
     @classmethod
     def load(cls, path: "str | Path") -> "TuningDatabase":

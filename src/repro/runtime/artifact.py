@@ -47,7 +47,7 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Mapping, Optional, TYPE_CHECKING
+from typing import Callable, Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -77,6 +77,7 @@ __all__ = [
     "pid_alive",
     "pin_file_owners",
     "live_pin_owners",
+    "sweep_orphaned_writes",
     "sweep_stale_pin_files",
 ]
 
@@ -299,8 +300,18 @@ def save_bundle(
     temp = path.with_name(
         path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"
     )
-    temp.write_bytes(buffer.getvalue())
-    os.replace(temp, path)
+    try:
+        temp.write_bytes(buffer.getvalue())
+        os.replace(temp, path)
+    except BaseException:
+        # A failed write or rename (full disk, I/O error) must not orphan
+        # the temp file: the repository GC frees it only once this process
+        # has exited.
+        try:
+            temp.unlink()
+        except OSError:
+            pass
+        raise
     return json.loads(manifest_line)
 
 
@@ -676,6 +687,58 @@ def live_pin_owners(artifact: "str | Path") -> "list[int]":
     return [pid for pid, _ in pin_file_owners(artifact) if pid_alive(pid)]
 
 
+def _temp_writer_pid(name: str) -> int:
+    """The writer pid in a ``<name>.tmp-<pid>[-<tid>]`` temp file name
+    (``-1``, which :func:`pid_alive` treats as dead, when it does not parse)."""
+    try:
+        return int(name.rsplit(".tmp-", 1)[1].split("-", 1)[0])
+    except ValueError:
+        return -1
+
+
+def _sweep_dead_owners(
+    directory: "str | Path", owner: "Callable[[str], Optional[int]]"
+) -> "list[Path]":
+    """Unlink every file in ``directory`` whose ``owner(name)`` pid is dead
+    (``owner`` returns ``None`` for names the sweep does not own)."""
+    directory = Path(directory)
+    removed = []
+    try:
+        snapshot = list(directory.iterdir())
+    except OSError:
+        return removed
+    for path in snapshot:
+        pid = owner(path.name)
+        if pid is None or pid_alive(pid):
+            continue
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            continue  # raced with a concurrent sweep
+        removed.append(path)
+    return removed
+
+
+def _pin_owner(name: str) -> Optional[int]:
+    if PIN_INFIX not in name:
+        return None
+    if ".tmp-" in name:
+        # A temp pin is owned by its *writer*: live writer means a rename
+        # is imminent (leave it alone); dead writer means the crash
+        # orphaned it and nobody else will ever reclaim it.
+        return _temp_writer_pid(name)
+    try:
+        return int(name.rsplit(PIN_INFIX, 1)[1])
+    except ValueError:
+        return -1
+
+
+def _write_owner(name: str) -> Optional[int]:
+    if PIN_INFIX in name or ".tmp-" not in name:
+        return None
+    return _temp_writer_pid(name)
+
+
 def sweep_stale_pin_files(directory: "str | Path") -> "list[Path]":
     """Remove pin files whose owning process is gone; returns what was removed.
 
@@ -685,34 +748,15 @@ def sweep_stale_pin_files(directory: "str | Path") -> "list[Path]":
     the sweep never sees a partial pin, and a pin appearing after the
     ``iterdir`` snapshot is simply not considered this sweep.
     """
-    directory = Path(directory)
-    removed = []
-    try:
-        snapshot = list(directory.iterdir())
-    except OSError:
-        return removed
-    for path in snapshot:
-        name = path.name
-        if PIN_INFIX not in name:
-            continue
-        if ".tmp-" in name:
-            # A temp pin is owned by its *writer*: live writer means a rename
-            # is imminent (leave it alone); dead writer means the crash
-            # orphaned it and nobody else will ever reclaim it.
-            try:
-                pid = int(name.rsplit(".tmp-", 1)[1])
-            except ValueError:
-                pid = -1
-        else:
-            try:
-                pid = int(name.rsplit(PIN_INFIX, 1)[1])
-            except ValueError:
-                pid = -1
-        if pid_alive(pid):
-            continue
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            continue  # raced with a concurrent sweep
-        removed.append(path)
-    return removed
+    return _sweep_dead_owners(directory, _pin_owner)
+
+
+def sweep_orphaned_writes(directory: "str | Path") -> "list[Path]":
+    """Remove temp files of artifact writes whose writer process is gone.
+
+    :func:`save_bundle` writes ``<artifact>.tmp-<pid>-<tid>`` and renames it
+    into place; a writer killed in between leaves the temp behind, and no
+    one else would ever remove it.  A live writer's temp is never touched:
+    its rename may still be coming.
+    """
+    return _sweep_dead_owners(directory, _write_owner)

@@ -1612,12 +1612,11 @@ HISTORICAL_MUTANTS = [
     (
         RawArtifactWriteRule,
         "core/tuning_db.py",
-        "        temp = path.with_name(\n"
-        '            path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"\n'
-        "        )\n"
-        '        temp.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")\n'
-        "        os.replace(temp, path)\n",
-        '        path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")\n',
+        "        try:\n"
+        '            temp.write_text(text, encoding="utf-8")\n'
+        "            os.replace(temp, path)\n",
+        "        try:\n"
+        '            path.write_text(text, encoding="utf-8")\n',
         "path.write_text(",
     ),
     (

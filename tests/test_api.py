@@ -550,9 +550,7 @@ class TestRepositoryGCConcurrency:
         optimizer = Optimizer(skylake, cache_dir=tmp_path)
         for name in ("m1", "m2", "m3"):
             optimizer.compile(build_tiny_cnn(name))
-        bundle = build(
-            build_tiny_cnn("served"), ["skylake"], cache_dir=tmp_path, jobs=1
-        )
+        bundle = build(build_tiny_cnn("served"), ["skylake"], cache_dir=tmp_path)
         repository = ModelRepository(tmp_path)
         budget = bundle.path.stat().st_size  # room for the pinned bundle only
 
@@ -582,7 +580,6 @@ class TestRepositoryGCConcurrency:
                         ["skylake"],
                         cache_dir=tmp_path,
                         database=optimizer.database,
-                        jobs=1,
                         force=True,
                     )
             except Exception as error:  # pragma: no cover - failure capture

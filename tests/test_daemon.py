@@ -63,7 +63,7 @@ def _certainly_dead_pid():
 def repo(tmp_path_factory):
     """A repository holding one tiny-cnn bundle plus the reference outputs."""
     cache_dir = tmp_path_factory.mktemp("daemon-repo")
-    bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=cache_dir, jobs=1)
+    bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=cache_dir)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     with load_engine(bundle.path, host="skylake", seed=7) as engine:

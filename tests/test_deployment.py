@@ -9,7 +9,12 @@ repository with LRU size-budgeted GC and engine pinning, and the `repro.cli`
 subcommands over all of it.
 """
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,7 +114,7 @@ class TestHostMatching:
 # --------------------------------------------------------------------------- #
 class TestBundleBuild:
     def test_one_build_emits_one_bundle_for_all_presets(self, tmp_path):
-        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
         assert bundle.path.exists()
         assert sorted(bundle.targets) == sorted(
             get_target(alias).name for alias in TARGETS
@@ -120,11 +125,14 @@ class TestBundleBuild:
             assert entry["payload_bytes"] > 0
             assert entry["payload_sha256"]
             assert entry["cpu"]["isa"]["vector_bits"] > 0
+        # Every target's records land in the one shared tuning database.
+        database = ModelRepository(tmp_path).tuning_database()
+        assert sorted(database.cpu_names()) == sorted(bundle.targets)
 
     def test_bundle_members_identical_to_per_target_compile(self, tmp_path):
         """Acceptance: each member serves byte-identical outputs to a
         dedicated per-target Optimizer.compile of the same model."""
-        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
         request = tiny_request()
         for alias in TARGETS:
             member = bundle.load_module(target=get_target(alias).name)
@@ -139,10 +147,10 @@ class TestBundleBuild:
 
     def test_warm_rebuild_is_a_pure_cache_hit(self, tmp_path, no_search):
         with pytest.raises(AssertionError, match="warm cache"):
-            build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+            build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
 
     def test_warm_rebuild_zero_measurer_calls(self, tmp_path):
-        first = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+        first = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
         mtime = first.path.stat().st_mtime
 
         def boom(*args, **kwargs):
@@ -155,7 +163,7 @@ class TestBundleBuild:
             originals[name] = getattr(local_search.CostModelMeasurer, name)
             setattr(local_search.CostModelMeasurer, name, boom)
         try:
-            second = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+            second = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
         finally:
             for name, original in originals.items():
                 setattr(local_search.CostModelMeasurer, name, original)
@@ -163,58 +171,19 @@ class TestBundleBuild:
         assert second.path.stat().st_mtime >= mtime  # LRU clock refreshed
 
     def test_changed_config_changes_the_bundle(self, tmp_path):
-        full = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path, jobs=1)
+        full = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path)
         manual = build(
             build_tiny_cnn(),
             ["skylake", "arm"],
             config=CompileConfig(opt_level=OptLevel.TRANSFORM_ELIM),
             cache_dir=tmp_path,
-            jobs=1,
         )
         assert manual.path != full.path
         assert {e["search_method"] for e in manual.entries()} == {"manual"}
 
-    def test_default_jobs_follow_the_affinity_mask(self, tmp_path, monkeypatch):
-        """Confined to one CPU (taskset, a cpuset), ``jobs=None`` builds
-        serially: no worker process it could not run in parallel."""
-        import concurrent.futures
-        import os
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a one-CPU process must not start a pool")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
-        bundle = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path)
-        assert len(bundle.targets) == 2
-
-    def test_process_parallel_build_matches_serial(self, tmp_path):
-        """jobs=2 exercises the worker-process path (or its documented serial
-        fallback); either way the bundle must equal a serial build."""
-        serial = build(
-            build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path / "serial", jobs=1
-        )
-        parallel = build(
-            build_tiny_cnn(),
-            ["skylake", "arm"],
-            cache_dir=tmp_path / "parallel",
-            jobs=2,
-        )
-        for alias in ("skylake", "arm"):
-            name = get_target(alias).name
-            assert (
-                parallel.load_module(target=name).schedules
-                == serial.load_module(target=name).schedules
-            )
-        # Worker-tuned records flowed back into the shared database.
-        database = ModelRepository(tmp_path / "parallel").tuning_database()
-        assert sorted(database.cpu_names()) == sorted(
-            get_target(a).name for a in ("skylake", "arm")
-        )
-
     def test_duplicate_aliases_collapse(self, tmp_path):
         bundle = build(
-            build_tiny_cnn(), ["skylake", "intel", "skylake"], cache_dir=tmp_path, jobs=1
+            build_tiny_cnn(), ["skylake", "intel", "skylake"], cache_dir=tmp_path
         )
         assert bundle.targets == [get_target("skylake").name]
 
@@ -222,32 +191,82 @@ class TestBundleBuild:
         with pytest.raises(ValueError, match="cache_dir"):
             build(build_tiny_cnn(), TARGETS)
 
+    def test_build_is_serial(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs"):
+            build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, jobs=2)
+
+    def test_cold_builds_write_identical_tuning_databases(self, tmp_path):
+        written = []
+        for run in ("first", "second"):
+            build("resnet-18", ["skylake", "epyc"], cache_dir=tmp_path / run)
+            written.append((tmp_path / run / "tuning_db.json").read_bytes())
+        assert written[0] == written[1]
+
     def test_build_does_not_mutate_caller_graph(self, tmp_path):
         graph = build_tiny_cnn()
         histogram = graph.op_histogram()
-        build(graph, ["skylake", "arm"], cache_dir=tmp_path, jobs=1)
+        build(graph, ["skylake", "arm"], cache_dir=tmp_path)
         assert graph.op_histogram() == histogram
 
     def test_explicit_output_path(self, tmp_path):
         out = tmp_path / "deploy" / "model.neocpu"
-        bundle = build(build_tiny_cnn(), ["skylake"], output=out, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake"], output=out)
         assert bundle.path == out and out.exists()
 
     def test_warm_rebuild_heals_a_flipped_payload_byte(self, tmp_path):
         """An intact manifest over a corrupt payload is not a warm hit: the
         rebuild replaces it, so what build returns verifies and loads."""
-        first = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path, jobs=1)
+        first = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path)
         data = bytearray(first.path.read_bytes())
         body = data.index(b"\n", len(b"NEOCPU-ARTIFACT\n")) + 1
         data[body] ^= 0xFF  # the first byte after the manifest line
         first.path.write_bytes(bytes(data))
         assert first.verify()
 
-        second = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path, jobs=1)
+        second = build(build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path)
         assert second.path == first.path
         assert second.verify() == []
         for target in second.targets:
             assert second.load_module(target).schedules
+
+
+class TestFailedWrites:
+    """A durable write that fails midway (a full disk) removes its temp file
+    and leaves the previous file under the final name as it was."""
+
+    @staticmethod
+    def _fail_midway(monkeypatch, method):
+        original = getattr(Path, method)
+
+        def torn(self, data, *args, **kwargs):
+            original(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, method, torn)
+
+    @staticmethod
+    def _temps(directory):
+        return [path for path in directory.rglob("*") if ".tmp-" in path.name]
+
+    def test_tuning_database_save(self, tmp_path, monkeypatch):
+        build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
+        path = tmp_path / "tuning_db.json"
+        previous = path.read_bytes()
+        database = ModelRepository(tmp_path).tuning_database()
+        self._fail_midway(monkeypatch, "write_text")
+        with pytest.raises(OSError, match="No space"):
+            database.save(path)
+        assert self._temps(tmp_path) == []
+        assert path.read_bytes() == previous
+
+    def test_bundle_save(self, tmp_path, monkeypatch):
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
+        previous = bundle.path.read_bytes()
+        self._fail_midway(monkeypatch, "write_bytes")
+        with pytest.raises(OSError, match="No space"):
+            build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, force=True)
+        assert self._temps(tmp_path) == []
+        assert bundle.path.read_bytes() == previous
 
 
 class TestOptimizerCacheIsABuild:
@@ -258,7 +277,7 @@ class TestOptimizerCacheIsABuild:
         graph = build_tiny_cnn()
         module = Optimizer("skylake", cache_dir=tmp_path).compile(graph)
         request.getfixturevalue("no_search")
-        bundle = build(graph, ["skylake"], cache_dir=tmp_path, jobs=1)
+        bundle = build(graph, ["skylake"], cache_dir=tmp_path)
         assert list((tmp_path / "modules").iterdir()) == [bundle.path]
         assert bundle.load_module().schedules == module.schedules
 
@@ -280,7 +299,7 @@ class TestOptimizerCacheIsABuild:
 # --------------------------------------------------------------------------- #
 class TestLoadEngine:
     def test_each_preset_gets_its_exact_payload(self, tmp_path):
-        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
         request = tiny_request()
         for alias in TARGETS:
             reference = Optimizer(alias).compile(build_tiny_cnn())
@@ -293,7 +312,7 @@ class TestLoadEngine:
                 )
 
     def test_warm_load_zero_measurer_calls(self, tmp_path):
-        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), TARGETS, cache_dir=tmp_path)
 
         def run_all(no_search_active):
             for alias in TARGETS:
@@ -319,7 +338,7 @@ class TestLoadEngine:
 
     def test_compatible_host_serves_narrower_payload(self, tmp_path):
         """An AVX2 payload is safe (if suboptimal) on an AVX-512 host."""
-        bundle = build(build_tiny_cnn(), ["epyc"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["epyc"], cache_dir=tmp_path)
         with load_engine(bundle.path, host="skylake", seed=7) as engine:
             assert engine.host_match.startswith("compatible:")
             assert engine.served_target == get_target("epyc").name
@@ -332,7 +351,7 @@ class TestLoadEngine:
         """No x86 payload may run on ARM: the bundle's source graph is
         recompiled for the host, and the outputs equal a native compile."""
         bundle = build(
-            build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path, jobs=1
+            build_tiny_cnn(), ["skylake", "epyc"], cache_dir=tmp_path
         )
         request = tiny_request()
         reference = Optimizer("arm").compile(build_tiny_cnn())
@@ -345,7 +364,7 @@ class TestLoadEngine:
             )
 
     def test_recompile_warms_the_repository_tuning_db(self, tmp_path):
-        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         with load_engine(bundle.path, host="arm", seed=7) as engine:
             assert engine.host_match == "recompiled"
         database = ModelRepository(tmp_path).tuning_database()
@@ -354,7 +373,7 @@ class TestLoadEngine:
     def test_lying_manifest_is_not_served(self, tmp_path):
         """A manifest claiming an ARM payload that actually unpickles to an
         AVX-512 module must recompile (or refuse), never serve the payload."""
-        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         data = bundle.path.read_bytes()
         magic = b"NEOCPU-ARTIFACT\n"
         rest = data[len(magic):]
@@ -375,12 +394,12 @@ class TestLoadEngine:
             assert engine.served_target == arm.name
 
     def test_load_member_unknown_target_raises(self, tmp_path):
-        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         with pytest.raises(ArtifactError, match="no payload for target"):
             load_member(bundle.path, target="power9")
 
     def test_multi_target_file_requires_target_or_host_matching(self, tmp_path):
-        bundle = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake", "arm"], cache_dir=tmp_path)
         with pytest.raises(ArtifactError, match="multi-target"):
             load_member(bundle.path)
 
@@ -449,7 +468,7 @@ class TestModelRepository:
         assert repository.artifact_paths() == []
 
     def test_gc_never_deletes_pinned_artifacts(self, tmp_path):
-        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path, jobs=1)
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         repository = ModelRepository(tmp_path)
         engine = load_engine(bundle.path, host="skylake")
         try:
@@ -507,11 +526,18 @@ class TestModelRepository:
         assert str(artifact.resolve()) not in pinned_artifacts()
 
     def test_gc_skips_in_progress_writes(self, tmp_path):
+        """A live writer's temp file is never GC'd; a dead writer's is swept."""
         repository = self._fill(tmp_path, names=("m1",))
-        partial = repository.modules_dir / "m1-partial.neocpu.tmp-999"
-        partial.write_bytes(b"half written")
+        partial = repository.modules_dir / f"m1-partial.neocpu.tmp-{os.getpid()}-1"
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        orphan = repository.modules_dir / f"m1-killed.neocpu.tmp-{child.pid}-1"
+        for temp in (partial, orphan):
+            temp.write_bytes(b"half written")
         report = repository.gc(0)
-        assert partial.exists()  # a writer's temp file is never GC'd
+        assert partial.exists()
+        assert report.orphaned_writes_removed == [orphan] and not orphan.exists()
+        assert f"orphaned write swept (writer gone): {orphan.name}" in report.describe()
         assert len(report.evicted) == 1
 
 
@@ -535,8 +561,6 @@ class TestCLI:
                 targets,
                 "--opt-level",
                 "layout",
-                "--jobs",
-                "1",
             ]
         )
         assert code == 0

@@ -147,18 +147,6 @@ class TestTuningDatabase:
         reloaded = TuningDatabase.load(path)
         assert reloaded.records == migrated.records
 
-    def test_subset_isolates_one_target(self):
-        db = TuningDatabase()
-        db.put(WORKLOAD, "cpu-x", [TuningRecord(ConvSchedule(8, 8, 4), 1.0)], "p")
-        db.put(WORKLOAD, "cpu-y", [TuningRecord(ConvSchedule(4, 4, 2), 2.0)], "p")
-        only_x = db.subset("cpu-x")
-        assert len(only_x) == 1
-        assert only_x.get(WORKLOAD, "cpu-x", "p") is not None
-        assert only_x.get(WORKLOAD, "cpu-y", "p") is None
-        # The subset is independent: mutating it never touches the parent.
-        only_x.put(WORKLOAD, "cpu-z", [TuningRecord(ConvSchedule(8, 8, 4), 3.0)], "p")
-        assert len(db) == 2
-
     def test_database_pickles_without_lock(self):
         import pickle
 
@@ -282,20 +270,6 @@ class TestLocalSearch:
         for cost, schedule in zip(batch, schedules):
             assert cost == measurer.measure(WORKLOAD, schedule)
 
-    def test_tune_all_parallel_matches_serial(self, skylake):
-        workloads = [
-            ConvWorkload(1, 16 * (i + 1), 14, 14, 32, 3, 3, (1, 1), (1, 1))
-            for i in range(4)
-        ]
-        serial_db = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune_all(
-            workloads, jobs=1
-        )
-        parallel_db = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune_all(
-            workloads, jobs=4
-        )
-        assert len(parallel_db) == len(serial_db) == 4
-        assert parallel_db.records == serial_db.records
-
     def test_differently_configured_searches_do_not_share_cache(self, skylake):
         """Same DB, different top_k: the second search must not reuse entries."""
         db = TuningDatabase()
@@ -320,44 +294,14 @@ class TestLocalSearch:
         threaded.tune(WORKLOAD)
         assert len(db) == 2  # no silent reuse of the 1-thread rankings
 
-    def test_tune_all_sizes_its_pool_from_the_affinity_mask(self, skylake, monkeypatch):
-        import os
-
-        from repro.core import local_search
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a one-CPU process must not start a pool")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(local_search, "ThreadPoolExecutor", forbidden)
-        assert local_search.usable_cpu_count() == 1
-        workloads = [
-            ConvWorkload(1, 8 * (i + 1), 8, 8, 16, 3, 3, (1, 1), (1, 1))
-            for i in range(3)
-        ]
-        db = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune_all(workloads)
-        assert len(db) == 3
-
-    def test_usable_cpu_count_falls_back_to_cpu_count(self, monkeypatch):
-        import os
-
-        from repro.core.local_search import usable_cpu_count
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert usable_cpu_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert usable_cpu_count() == 1
-
     def test_tune_all_stays_serial_for_wallclock_measurers(self, skylake):
-        """Measurers without parallel_safe must not be fanned out (their
-        wall-clock timings would be corrupted by contention)."""
+        """Every search runs on the calling thread (a wall-clock measurer's
+        timings would be corrupted by contention)."""
         import threading as _threading
 
         thread_ids = set()
 
-        class TimingMeasurer:  # no parallel_safe attribute, like NumpyMeasurer
+        class TimingMeasurer:
             def __init__(self, cpu):
                 self._inner = CostModelMeasurer(cpu)
 
@@ -369,10 +313,9 @@ class TestLocalSearch:
             ConvWorkload(1, 8 * (i + 1), 8, 8, 16, 3, 3, (1, 1), (1, 1))
             for i in range(3)
         ]
-        LocalSearch(TimingMeasurer(skylake), skylake.name).tune_all(workloads)
+        db = LocalSearch(TimingMeasurer(skylake), skylake.name).tune_all(workloads)
         assert thread_ids == {_threading.get_ident()}  # main thread only
-        assert NumpyMeasurer.parallel_safe is False
-        assert CostModelMeasurer.parallel_safe is True
+        assert len(db) == 3
 
 
 class TestPBQP:

@@ -598,7 +598,7 @@ class TestTraceCli:
 @pytest.fixture(scope="module")
 def repo(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("trace-repo")
-    bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=cache_dir, jobs=1)
+    bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=cache_dir)
     return {"cache_dir": cache_dir, "artifact": bundle.path}
 
 
