@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean, 1 unsuppressed findings (or verify problems, or — under
 ``--suppressions`` — a justification-free pragma), 2 usage or I/O errors.
-``repro.cli analyze`` delegates here so both entry points stay behaviourally
-identical.  ``--format sarif`` renders the same report as SARIF 2.1.0 for CI
+``repro.cli analyze`` is built from :func:`build_parser` and runs
+:func:`run`, so both entry points declare their flags once and behave
+identically.  ``--format sarif`` renders the same report as SARIF 2.1.0 for CI
 annotation; the JSON schema of ``--format json`` is unchanged.
 """
 
@@ -18,7 +19,7 @@ from typing import List, Optional, Sequence
 from .engine import LintEngine, LintReport, collect_files, default_rules
 from .findings import Suppression, iter_suppressions
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "run"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,9 +182,11 @@ def _verify_zoo() -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return run(build_parser().parse_args(argv))
 
+
+def run(args: argparse.Namespace) -> int:
+    """Lint with already-parsed :func:`build_parser` arguments."""
     if args.list_rules:
         print(_list_rules())
         return 0

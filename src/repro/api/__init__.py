@@ -65,6 +65,7 @@ from .scheduler import (
     AdaptiveTimeout,
     DeadlineExceeded,
     RequestScheduler,
+    SchedulerConfig,
     SchedulerStats,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "OptLevel",
     "Optimizer",
     "RequestScheduler",
+    "SchedulerConfig",
     "SchedulerStats",
     "ServingDaemon",
     "WorkerCrashed",

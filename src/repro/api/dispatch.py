@@ -30,7 +30,7 @@ from typing import List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .scheduler import DEFAULT_PRIORITY, DEFAULT_PRIORITY_WEIGHTS
+from .scheduler import SchedulerConfig
 from .wire import Caller, serve
 
 __all__ = ["DispatchError", "WorkerCrashed", "EngineDispatcher"]
@@ -121,10 +121,11 @@ class EngineDispatcher:
             self._engine_kwargs.setdefault("trace_dir", str(trace_dir))
             meta = {"artifact": str(self.artifact_path), "num_workers": self.num_workers}
             self._recorder = TraceRecorder(trace_dir, role="dispatch", meta=meta)
-        weights = self._engine_kwargs.get("priority_weights") or DEFAULT_PRIORITY_WEIGHTS
-        self._priority_classes = frozenset(weights)
-        self._default_priority = str(
-            self._engine_kwargs.get("default_priority") or DEFAULT_PRIORITY
+        # The workers' class set and default class, resolved here so an
+        # unknown priority fails before it is routed.
+        self._classes = SchedulerConfig(
+            priority_weights=self._engine_kwargs.get("priority_weights"),
+            default_priority=self._engine_kwargs.get("default_priority"),
         )
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -176,11 +177,11 @@ class EngineDispatcher:
     ) -> "Future[List[np.ndarray]]":
         """Route one request to the least-loaded live worker; returns its future."""
         if priority is None:
-            priority = self._default_priority
-        if priority not in self._priority_classes:
+            priority = self._classes.default_priority
+        if priority not in self._classes.priority_weights:
             raise ValueError(
                 f"unknown priority {priority!r}; expected one of "
-                f"{sorted(self._priority_classes)}"
+                f"{sorted(self._classes.priority_weights)}"
             )
         with self._lock:
             if self._closed:

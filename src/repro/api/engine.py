@@ -20,6 +20,7 @@ the stress suite in ``tests/test_scheduler.py`` asserts exactly that.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,10 +31,8 @@ from ..runtime.executor import request_array
 from ..runtime.module import CompiledModule
 from ..tensor.tensor import Tensor
 from .scheduler import (
-    DEFAULT_PRIORITY,
-    DEFAULT_PRIORITY_WEIGHTS,
-    AdaptiveTimeout,
     RequestScheduler,
+    SchedulerConfig,
     SchedulerStats,
     _attach_index,
 )
@@ -135,34 +134,23 @@ class InferenceEngine:
             initialized deterministically from ``seed`` (matching
             :class:`~repro.runtime.executor.GraphExecutor` semantics).
         seed: RNG seed for parameters without explicit values.
-        max_batch_size: largest number of concurrent requests coalesced into
-            one executor pass (ignored — forced to 1 — when the graph cannot
-            be batch-stacked).
-        batch_timeout_ms: how long the scheduler waits for additional
-            compatible requests before dispatching a partial batch; bounds
-            the latency cost of batching.  Pass ``"auto"`` to derive the
-            window from the observed inter-arrival rate
-            (:class:`~repro.api.AdaptiveTimeout`).
-        queue_depth: bound of the request queue; submission blocks (up to the
-            request deadline) while the queue is full.
         num_workers: scheduler worker threads executing dispatched batches.
-            Defaults to 2 for batchable graphs (coalescing, not thread
+            Defaults to the :class:`~repro.api.scheduler.SchedulerConfig`
+            default for batchable graphs (coalescing, not thread
             parallelism, is the throughput lever there) and to the target's
             core count (capped at 8) for non-batchable graphs, whose only
             overlap is concurrent executor passes.
-        priority_weights: request classes and their weighted-fair service
-            weights (default
-            :data:`~repro.api.scheduler.DEFAULT_PRIORITY_WEIGHTS`:
-            interactive 8, normal 4, bulk 1).  Every serving entry point
-            accepts ``priority=<class>``; classes are dispatched
-            weighted-fair and never share a batch.
-        default_priority: the class of requests submitted without an
-            explicit ``priority=``.
         trace_dir: when given, attach a :class:`repro.trace.TraceRecorder`
             and record the full per-request event stream (arrival, queue
             enter/exit, batch membership, executor start/end, resolution)
             into this directory for trace-driven replay.  None records
             nothing.
+        knobs: the other :class:`~repro.api.scheduler.SchedulerConfig`
+            fields (``max_batch_size``, ``batch_timeout_ms``,
+            ``queue_depth``, ``priority_weights``, ``default_priority``).
+            Every serving entry point accepts ``priority=<class>``.
+            ``max_batch_size`` is forced to 1 when the graph cannot be
+            batch-stacked.
     """
 
     def __init__(
@@ -171,13 +159,9 @@ class InferenceEngine:
         params: Optional[Mapping[str, np.ndarray]] = None,
         seed: int = 0,
         *,
-        max_batch_size: int = 8,
-        batch_timeout_ms: "float | str" = 2.0,
-        queue_depth: int = 256,
         num_workers: Optional[int] = None,
-        priority_weights: Optional[Mapping[str, float]] = None,
-        default_priority: Optional[str] = None,
         trace_dir: Optional[str] = None,
+        **knobs,
     ) -> None:
         self.module = module
         self._executor = module.create_executor(params, seed)
@@ -190,31 +174,16 @@ class InferenceEngine:
         #: through :meth:`describe` and :meth:`summary`.
         self.batchability_reason = batchability_report(module.graph)
         self.batchable = self.batchability_reason is None
-        self.max_batch_size = max_batch_size if self.batchable else 1
-        # Validate eagerly: the scheduler is created lazily on the first
-        # request, and a typo like "atuo" should fail here, not on a serving
-        # thread deep inside the first submit.
-        if isinstance(batch_timeout_ms, str):
-            if batch_timeout_ms != "auto":
-                raise ValueError(
-                    f"batch_timeout_ms must be a number, 'auto' or an "
-                    f"AdaptiveTimeout, got {batch_timeout_ms!r}"
-                )
-        elif isinstance(batch_timeout_ms, (int, float)):
-            if batch_timeout_ms < 0:
-                raise ValueError("batch_timeout_ms must be >= 0")
-        elif not isinstance(batch_timeout_ms, AdaptiveTimeout):
-            raise ValueError(
-                f"batch_timeout_ms must be a number, 'auto' or an "
-                f"AdaptiveTimeout, got {type(batch_timeout_ms).__name__}"
-            )
-        self.batch_timeout_ms = batch_timeout_ms
-        self.queue_depth = queue_depth
-        if num_workers is None:
-            num_workers = 2 if self.batchable else min(8, module.cpu.num_cores)
-        self.num_workers = num_workers
-        self.priority_weights = priority_weights
-        self.default_priority = default_priority
+        if not self.batchable:
+            knobs["max_batch_size"] = 1
+            if num_workers is None:
+                num_workers = min(8, module.cpu.num_cores)
+        if num_workers is not None:
+            knobs["num_workers"] = num_workers
+        #: The serving configuration, validated here: the scheduler starts
+        #: lazily, and a typo like "atuo" must fail now, not on a serving
+        #: thread inside the first submit.
+        self.config = SchedulerConfig(**knobs)
         self.trace_dir = trace_dir
         self._recorder = None
         self._scheduler: Optional[RequestScheduler] = None
@@ -236,70 +205,40 @@ class InferenceEngine:
     @property
     def scheduler(self) -> RequestScheduler:
         """The engine's request scheduler (created on first use)."""
+        return self._start_scheduler(self.config)
+
+    def _start_scheduler(self, config: SchedulerConfig) -> RequestScheduler:
+        """The scheduler, started in ``config`` unless it already runs."""
         if self._scheduler is None:
             with self._scheduler_lock:
                 if self._scheduler is None:
                     self._scheduler = RequestScheduler(
                         self._execute_group,
-                        max_batch_size=self.max_batch_size,
-                        batch_timeout_ms=self.batch_timeout_ms,
-                        queue_depth=self.queue_depth,
-                        num_workers=self.num_workers,
-                        priority_weights=self.priority_weights,
-                        default_priority=self.default_priority,
+                        config=config,
                         signature=self._request_signature,
                         name=f"neocpu-{self.module.graph.name}",
-                        recorder=self._make_recorder(),
+                        recorder=self._make_recorder(config),
                     )
         return self._scheduler
 
-    def _make_recorder(self):
-        """Open the scheduler's trace recorder (None when tracing is off).
+    def _make_recorder(self, config: SchedulerConfig):
+        """Open the trace recorder of a scheduler started in ``config``
+        (None when tracing is off).
 
-        The recorder's manifest carries everything the replayer needs to
-        rebuild this configuration: the resolved scheduler knobs, the model,
-        and (under adaptive batching) the AdaptiveTimeout parameters.
+        The manifest carries everything the replayer needs to rebuild the
+        configuration: the model and :meth:`SchedulerConfig.to_manifest`.
         """
         if self.trace_dir is None:
             return None
         from ..trace.recorder import TraceRecorder  # deferred: no import cycle
 
-        timeout = self.batch_timeout_ms
-        adaptive = None
-        if isinstance(timeout, AdaptiveTimeout):
-            adaptive = {
-                "alpha": timeout.alpha,
-                "multiplier": timeout.multiplier,
-                "min_ms": timeout.min_s * 1e3,
-                "max_ms": timeout.max_s * 1e3,
-                "initial_ms": timeout.initial_s * 1e3,
-            }
-            timeout = "auto"
-        elif timeout == "auto":
-            adaptive = {}  # AdaptiveTimeout defaults
-        weights = dict(
-            DEFAULT_PRIORITY_WEIGHTS
-            if self.priority_weights is None
-            else self.priority_weights
-        )
-        knobs = {
-            "max_batch_size": self.max_batch_size,
-            "batch_timeout_ms": timeout,
-            "queue_depth": self.queue_depth,
-            "num_workers": self.num_workers,
-            "priority_weights": weights,
-            "default_priority": self.default_priority
-            or (DEFAULT_PRIORITY if DEFAULT_PRIORITY in weights else next(iter(weights))),
-        }
-        if adaptive is not None:
-            knobs["adaptive"] = adaptive
         self._recorder = TraceRecorder(
             self.trace_dir,
             role="scheduler",
             meta={
                 "model": self.module.graph.name,
                 "target": self.module.cpu.name,
-                "knobs": knobs,
+                "knobs": config.to_manifest(),
             },
         )
         return self._recorder
@@ -479,12 +418,12 @@ class InferenceEngine:
             timeout_ms: optional per-request deadline.
             priority: request class shared by the whole stream.
         """
-        if max_workers is not None and self._scheduler is None:
-            with self._scheduler_lock:
-                if self._scheduler is None:
-                    self.num_workers = max(1, int(max_workers))
         if not requests:
             return []
+        if max_workers is not None:
+            self._start_scheduler(
+                replace(self.config, num_workers=max(1, int(max_workers)))
+            )
         return self.run_batch(requests, timeout_ms=timeout_ms, priority=priority)
 
     @staticmethod
@@ -568,7 +507,8 @@ class InferenceEngine:
             f"InferenceEngine({self.module.graph.name} on {self.module.cpu.name})",
             "  dynamic batching: "
             + (
-                f"on (free leading batch extent, max_batch_size={self.max_batch_size})"
+                "on (free leading batch extent, "
+                f"max_batch_size={self.config.max_batch_size})"
                 if self.batchable
                 else f"off — {self.batchability_reason}"
             ),
@@ -577,21 +517,19 @@ class InferenceEngine:
         for name, (shape, dtype) in sorted(self.input_signature.items()):
             rendered = ", ".join("N" if d is None else str(d) for d in shape)
             lines.append(f"    {name}: ({rendered}) {dtype}")
-        if isinstance(self.batch_timeout_ms, (int, float)):
-            timeout = f"{self.batch_timeout_ms:g}"
+        scheduler = self._scheduler
+        config = self.config if scheduler is None else scheduler.config
+        if isinstance(config.batch_timeout_ms, float):
+            timeout = f"{config.batch_timeout_ms:g}"
         else:  # "auto" or an AdaptiveTimeout instance
-            timeout = str(self.batch_timeout_ms)
-            if self._scheduler is not None and self._scheduler.adaptive_timeout:
+            timeout = str(config.batch_timeout_ms)
+            if scheduler is not None and scheduler.adaptive_timeout:
                 timeout += (
-                    f" (currently "
-                    f"{self._scheduler.adaptive_timeout.window_ms:.2f}ms)"
+                    f" (currently {scheduler.adaptive_timeout.window_ms:.2f}ms)"
                 )
-        with self._scheduler_lock:
-            num_workers = self.num_workers
-            queue_depth = self.queue_depth
         lines.append(
             f"  scheduler: batch_timeout_ms={timeout}, "
-            f"queue_depth={queue_depth}, num_workers={num_workers}"
+            f"queue_depth={config.queue_depth}, num_workers={config.num_workers}"
         )
         if self.trace_dir is not None:
             lines.append(f"  tracing: {self.trace_dir}")
@@ -613,7 +551,7 @@ class InferenceEngine:
             f"  requests served: {stats.completed}",
             f"  dynamic batching: "
             + (
-                f"on (max_batch_size={self.max_batch_size}, "
+                f"on (max_batch_size={self.config.max_batch_size}, "
                 f"mean batch {stats.mean_batch_size:.2f})"
                 if self.batchable
                 else f"off ({self.batchability_reason})"

@@ -25,13 +25,21 @@ owns every rule:
 * the **queue bound** (``queue_depth``) — the backpressure signal that keeps
   a burst from growing tail latency without bound.
 
-Two drivers feed it.  :class:`RequestScheduler` is the real-time one: one
-condition variable, submitters block for queue space and push, a collector
-thread polls the policy with ``time.monotonic()`` and sleeps until the wake
-time it returns, worker threads run the batches and report their slot free.
-:mod:`repro.trace.replayer` is the simulated-time one, polling the *same
-object* from a discrete-event heap — which is why a replay reproduces the
-recorded batch composition instead of approximating it.
+The *configuration* that builds the policy is written once too, in the
+frozen :class:`SchedulerConfig`: every knob's default, its validation, the
+default-class rule and the milliseconds-or-``"auto"`` window conversion
+live there, and nowhere else.  The engine and the scheduler build one from
+their keyword arguments, the trace recorder writes it
+(:meth:`SchedulerConfig.to_manifest`), and the replayer reads it back
+(:meth:`SchedulerConfig.from_manifest`) and builds its policies from it.
+
+Two drivers feed the policy.  :class:`RequestScheduler` is the real-time
+one: one condition variable, submitters block for queue space and push, a
+collector thread polls the policy with ``time.monotonic()`` and sleeps until
+the wake time it returns, worker threads run the batches and report their
+slot free.  :mod:`repro.trace.replayer` is the simulated-time one, polling
+the *same object* from a discrete-event heap — which is why a replay
+reproduces the recorded batch composition instead of approximating it.
 
 Per-request :class:`~concurrent.futures.Future` objects keep response order
 and error attribution exact: each caller observes only its own result or its
@@ -56,7 +64,7 @@ from concurrent.futures import (
     InvalidStateError,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +77,7 @@ __all__ = [
     "DeadlineExceeded",
     "LatencyReservoir",
     "RequestScheduler",
+    "SchedulerConfig",
     "SchedulerStats",
     "percentiles_ms",
     "request_signature",
@@ -164,6 +173,18 @@ class AdaptiveTimeout:
     @property
     def window_ms(self) -> float:
         return self.window_s * 1e3
+
+    @property
+    def params(self) -> Dict[str, float]:
+        """The constructor arguments: ``AdaptiveTimeout(**params)`` is a
+        fresh window with this one's policy and none of its observations."""
+        return {
+            "alpha": self.alpha,
+            "multiplier": self.multiplier,
+            "min_ms": self.min_s * 1e3,
+            "max_ms": self.max_s * 1e3,
+            "initial_ms": self.initial_s * 1e3,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         gap = self.interarrival_s
@@ -467,6 +488,121 @@ class BatchingPolicy:
                 batches.append(live)
 
 
+@dataclass(frozen=True)
+class SchedulerConfig:
+    """The serving configuration: every scheduler knob, validated and
+    resolved once, at construction.
+
+    Args:
+        max_batch_size: largest number of requests coalesced into one runner
+            call.  1 disables batching (requests still get queueing and
+            deadlines).
+        batch_timeout_ms: how long a forming batch waits for compatible
+            stragglers; bounds the latency cost of batching.  ``"auto"`` (or
+            an :class:`AdaptiveTimeout`, whose parameters are kept) derives
+            the window from the observed inter-arrival rate instead.
+        queue_depth: bound of the request queue; submitters block (up to
+            their deadline) while it is full.
+        num_workers: executor slots (scheduler worker threads).  Two by
+            default so a batch can execute while the next one gathers; a
+            batch is formed only when a slot is free.
+        priority_weights: request classes and their weighted-fair service
+            weights (:data:`DEFAULT_PRIORITY_WEIGHTS` when omitted).  The
+            class set is fixed; ``submit(priority=...)`` must name one.
+        default_priority: the class of requests submitted without
+            ``priority=``: when omitted, :data:`DEFAULT_PRIORITY` if that
+            class is declared, else the first declared class.
+    """
+
+    max_batch_size: int = 8
+    batch_timeout_ms: "float | str | AdaptiveTimeout" = 2.0
+    queue_depth: int = 256
+    num_workers: int = 2
+    priority_weights: Optional[Mapping[str, float]] = None
+    default_priority: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        timeout = self.batch_timeout_ms
+        if isinstance(timeout, (int, float)):
+            if timeout < 0:
+                raise ValueError("batch_timeout_ms must be >= 0")
+            object.__setattr__(self, "batch_timeout_ms", float(timeout))
+        elif timeout != "auto" and not isinstance(timeout, AdaptiveTimeout):
+            raise ValueError(
+                f"batch_timeout_ms must be a number, 'auto' or an "
+                f"AdaptiveTimeout, got {timeout!r}"
+            )
+        weights = {
+            str(key): float(weight)
+            for key, weight in (
+                DEFAULT_PRIORITY_WEIGHTS
+                if self.priority_weights is None
+                else self.priority_weights
+            ).items()
+        }
+        object.__setattr__(self, "priority_weights", weights)
+        self.policy()  # the policy checks its own bounds and weights
+        default = self.default_priority
+        if default is None:
+            default = (
+                DEFAULT_PRIORITY if DEFAULT_PRIORITY in weights else next(iter(weights))
+            )
+            object.__setattr__(self, "default_priority", default)
+        if default not in weights:
+            raise ValueError(
+                f"default_priority {default!r} is not a declared request "
+                f"class (declared: {sorted(weights)})"
+            )
+
+    @property
+    def adaptive(self) -> Dict[str, float]:
+        """The :class:`AdaptiveTimeout` parameters of an adaptive window
+        given as an instance (``{}``: the defaults, or a fixed window)."""
+        timeout = self.batch_timeout_ms
+        return timeout.params if isinstance(timeout, AdaptiveTimeout) else {}
+
+    def policy(self) -> BatchingPolicy:
+        """A fresh :class:`BatchingPolicy` in this configuration, with its
+        own adaptive-window state."""
+        if isinstance(self.batch_timeout_ms, float):
+            window = self.batch_timeout_ms / 1e3
+        else:  # "auto" or an AdaptiveTimeout
+            window = AdaptiveTimeout(**self.adaptive)
+        return BatchingPolicy(
+            self.max_batch_size,
+            window,
+            self.queue_depth,
+            self.num_workers,
+            self.priority_weights,
+        )
+
+    def to_manifest(self) -> Dict[str, object]:
+        """The ``knobs`` entry of a scheduler trace manifest."""
+        fixed = isinstance(self.batch_timeout_ms, float)
+        manifest: Dict[str, object] = {
+            "max_batch_size": self.max_batch_size,
+            "batch_timeout_ms": self.batch_timeout_ms if fixed else "auto",
+            "queue_depth": self.queue_depth,
+            "num_workers": self.num_workers,
+            "priority_weights": dict(self.priority_weights),
+            "default_priority": self.default_priority,
+        }
+        if not fixed:
+            manifest["adaptive"] = self.adaptive
+        return manifest
+
+    @classmethod
+    def from_manifest(cls, manifest: Mapping[str, object], **extra):
+        """Read a :meth:`to_manifest` dict back.  A key an older trace lacks
+        takes its default; ``extra`` fills a subclass's own fields."""
+        names = [knob.name for knob in fields(SchedulerConfig)]
+        knobs = {key: manifest[key] for key in names if key in manifest}
+        knobs["priority_weights"] = manifest.get("priority_weights") or None
+        if manifest.get("adaptive"):
+            knobs["batch_timeout_ms"] = AdaptiveTimeout(**manifest["adaptive"])
+        return cls(**knobs, **extra)
+
+
 class _Request:
     __slots__ = (
         "inputs",
@@ -507,26 +643,9 @@ class RequestScheduler:
             signature-compatible request input mappings, returns one output
             list per request, in order.  Called from scheduler worker
             threads; it must be thread-safe.
-        max_batch_size: largest number of requests coalesced into one runner
-            call.  1 disables batching (requests still get queueing and
-            deadlines).
-        batch_timeout_ms: how long the collector waits for additional
-            compatible requests before dispatching a partial batch.  The
-            latency cost of batching is bounded by this knob.  Pass
-            ``"auto"`` (or an :class:`AdaptiveTimeout`) to derive the window
-            from the observed inter-arrival rate instead of fixing it.
-        queue_depth: bound of the request queue; submitters block (up to
-            their deadline) while the queue is full.
-        num_workers: worker threads (executor slots) running dispatched
-            batches.  Two by default so a batch can execute while the
-            collector gathers the next one; a batch is formed only when one
-            of them is free.
-        priority_weights: request classes and their weighted-fair service
-            weights (:data:`DEFAULT_PRIORITY_WEIGHTS` when omitted).  The
-            class set is fixed at construction; ``submit(priority=...)``
-            must name one of them.
-        default_priority: the class of requests submitted without an
-            explicit ``priority=`` (must be a ``priority_weights`` key).
+        config: the serving configuration; ``knobs`` (the
+            :class:`SchedulerConfig` fields, by keyword) are applied on top.
+        signature: the batching compatibility key of a request's inputs.
         name: thread-name prefix, for debuggability of stress-test dumps.
         recorder: optional :class:`repro.trace.TraceRecorder` — when given,
             the scheduler records the full per-request event stream
@@ -541,59 +660,26 @@ class RequestScheduler:
         self,
         runner: Callable[[List[Mapping[str, np.ndarray]]], List[List[np.ndarray]]],
         *,
-        max_batch_size: int = 8,
-        batch_timeout_ms: "float | str | AdaptiveTimeout" = 2.0,
-        queue_depth: int = 256,
-        num_workers: int = 2,
-        priority_weights: Optional[Mapping[str, float]] = None,
-        default_priority: Optional[str] = None,
+        config: Optional[SchedulerConfig] = None,
         signature: Callable[[Mapping[str, object]], Tuple] = request_signature,
         name: str = "neocpu-scheduler",
         recorder: Optional["object"] = None,
         reservoir_size: int = 2048,
+        **knobs,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         self._runner = runner
-        self.max_batch_size = max_batch_size
-        weights = dict(
-            DEFAULT_PRIORITY_WEIGHTS if priority_weights is None else priority_weights
+        self.config = config = (
+            SchedulerConfig(**knobs) if config is None else replace(config, **knobs)
         )
-        if default_priority is None:
-            default_priority = (
-                DEFAULT_PRIORITY if DEFAULT_PRIORITY in weights else next(iter(weights))
-            )
-        if default_priority not in weights:
-            raise ValueError(
-                f"default_priority {default_priority!r} is not a declared "
-                f"request class (declared: {sorted(weights)})"
-            )
-        self.priority_weights = weights
-        self.default_priority = default_priority
-        self.adaptive_timeout: Optional[AdaptiveTimeout] = None
-        window: "float | AdaptiveTimeout"
-        if isinstance(batch_timeout_ms, AdaptiveTimeout):
-            window = self.adaptive_timeout = batch_timeout_ms
-        elif isinstance(batch_timeout_ms, str):
-            if batch_timeout_ms != "auto":
-                raise ValueError(
-                    f"batch_timeout_ms must be a number or 'auto', "
-                    f"got {batch_timeout_ms!r}"
-                )
-            window = self.adaptive_timeout = AdaptiveTimeout()
-        else:
-            if batch_timeout_ms < 0:
-                raise ValueError("batch_timeout_ms must be >= 0")
-            window = batch_timeout_ms / 1e3
-        self.queue_depth = queue_depth
         self._signature = signature
         # One condition guards the policy: submitters wait on it for queue
         # space, the collector for work, and both are woken by pushes, freed
         # slots and close().
         self._cond = threading.Condition()
-        self._policy = BatchingPolicy(
-            max_batch_size, window, queue_depth, num_workers, weights
-        )
+        self._policy = config.policy()
+        window = self._policy.window
+        #: The live adaptive window (None under a fixed one).
+        self.adaptive_timeout = window if isinstance(window, AdaptiveTimeout) else None
         self._stats = SchedulerStats()
         self._stats_lock = threading.Lock()
         self._counter = itertools.count()
@@ -607,7 +693,7 @@ class RequestScheduler:
             self._signature_hash = signature_hash
         self._closed = False
         self._workers = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix=f"{name}-worker"
+            max_workers=config.num_workers, thread_name_prefix=f"{name}-worker"
         )
         self._collector = threading.Thread(
             target=self._collect_loop, name=f"{name}-collector", daemon=True
@@ -657,11 +743,11 @@ class RequestScheduler:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
         if priority is None:
-            priority = self.default_priority
-        elif priority not in self.priority_weights:
+            priority = self.config.default_priority
+        elif priority not in self.config.priority_weights:
             raise ValueError(
                 f"unknown priority {priority!r} "
-                f"(declared: {sorted(self.priority_weights)})"
+                f"(declared: {sorted(self.config.priority_weights)})"
             )
         future: "Future[List[np.ndarray]]" = Future()
         now = time.monotonic()
@@ -930,8 +1016,8 @@ class RequestScheduler:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         stats = self.stats()
         return (
-            f"RequestScheduler(max_batch_size={self.max_batch_size}, "
+            f"RequestScheduler(max_batch_size={self.config.max_batch_size}, "
             f"batch_timeout_ms={self.batch_timeout_s * 1e3:g}, "
-            f"queue_depth={self.queue_depth}, queued={stats.queued}, "
+            f"queue_depth={self.config.queue_depth}, queued={stats.queued}, "
             f"mean_batch={stats.mean_batch_size:.2f})"
         )

@@ -357,24 +357,6 @@ def _cmd_trace_whatif(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    # Delegate to the python -m repro.analysis front end so both entry
-    # points accept the same flags and exit codes.
-    from .analysis.__main__ import main as analysis_main
-
-    argv: List[str] = ["--format", args.format]
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.verify_zoo:
-        argv.append("--verify-zoo")
-    if args.suppressions:
-        argv.append("--suppressions")
-    argv.extend(args.paths)
-    return analysis_main(argv)
-
-
 # --------------------------------------------------------------------------- #
 # argument parsing
 # --------------------------------------------------------------------------- #
@@ -619,38 +601,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     whatif_cmd.set_defaults(run=_cmd_trace_whatif)
 
+    # The flags and the run are python -m repro.analysis's own, so both entry
+    # points accept the same flags and exit codes.
+    from .analysis.__main__ import build_parser as analysis_parser, run as analyze
+
     analyze_cmd = commands.add_parser(
         "analyze",
+        parents=[analysis_parser()],
+        add_help=False,
         help="lint source against the stack's conventions (exit 1 on findings)",
     )
-    analyze_cmd.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed repro package)",
-    )
-    analyze_cmd.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text)",
-    )
-    analyze_cmd.add_argument(
-        "--rules", help="comma-separated rule ids to run (default: all)"
-    )
-    analyze_cmd.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    analyze_cmd.add_argument(
-        "--verify-zoo", action="store_true",
-        help="also run the graph verifier over every zoo model",
-    )
-    analyze_cmd.add_argument(
-        "--suppressions", action="store_true",
-        help=(
-            "audit every '# repro: noqa' pragma (rule list + justification); "
-            "exit 1 on justification-free suppressions"
-        ),
-    )
-    analyze_cmd.set_defaults(run=_cmd_analyze)
+    analyze_cmd.set_defaults(run=analyze)
 
     return parser
 

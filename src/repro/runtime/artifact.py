@@ -585,10 +585,12 @@ def pin_file_path(artifact: "str | Path", pid: Optional[int] = None) -> Path:
 
     Pin files are siblings of the artifact (same directory), so a repository
     sweep sees artifact and pins in one ``iterdir`` pass, and deleting the
-    repository deletes its pins with it.  ``pid`` defaults to the calling
+    repository deletes its pins with it.  The artifact path is resolved
+    first: a pin taken through a symlink lands beside the real file, where
+    the repository that owns it looks.  ``pid`` defaults to the calling
     process.
     """
-    artifact = Path(artifact)
+    artifact = Path(artifact).resolve()
     if pid is None:
         pid = os.getpid()
     return artifact.with_name(f"{artifact.name}{PIN_INFIX}{int(pid)}")
@@ -602,7 +604,6 @@ def write_pin_file(artifact: "str | Path", pid: Optional[int] = None) -> Path:
     complete one.  Re-pinning by the same pid is idempotent — the rename
     simply replaces the previous pin.
     """
-    artifact = Path(artifact)
     pin = pin_file_path(artifact, pid)
     # One writer per (artifact, pid) by construction, so a pid-suffixed tmp
     # name cannot collide with another writer's.
@@ -662,7 +663,7 @@ def pin_file_owners(artifact: "str | Path") -> "list[tuple[int, Path]]":
     protocol; it is reported as pid ``-1`` (which :func:`pid_alive` treats as
     dead, so sweeps reclaim it).
     """
-    artifact = Path(artifact)
+    artifact = Path(artifact).resolve()
     owners = []
     prefix = artifact.name + PIN_INFIX
     try:

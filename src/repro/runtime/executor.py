@@ -32,8 +32,9 @@ arithmetic:
   own slot list and the arrays its kernels allocate, so concurrent runs on
   one executor (the serving engine runs two worker threads) share nothing
   they write.  Kernels read the batch from their arrays, so one plan serves
-  every coalesced batch.  When a constant's bound value is replaced, the
-  fold recomputes what depends on it and the plan is rebuilt.
+  every coalesced batch.  The fold and the plan are built once, in the
+  constructor, from the values bound then; binding a constant afterwards
+  does not reach an existing executor.
 
 Numpy timings still say nothing about AVX-512 register blocking; predicting
 the latency of a schedule on the target CPU is the job of the analytical cost
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from operator import attrgetter, is_
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,8 +63,6 @@ ArrayLike = Union[np.ndarray, Tensor]
 #: One plan step: call the kernel on the arrays in the input slots and store
 #: its result in the output slot.
 Step = Tuple[Kernel, Tuple[int, ...], int]
-
-_bound_value = attrgetter("value")
 
 
 def _default_initializer(node: Node, rng: np.random.Generator) -> np.ndarray:
@@ -208,11 +206,8 @@ def _step_kernel(
 
 
 class _Plan(NamedTuple):
-    """What :meth:`GraphExecutor.run` needs, resolved once per set of bound
-    constants."""
+    """What :meth:`GraphExecutor.run` needs, resolved once per executor."""
 
-    #: The constants' bound values the plan was built from.
-    sources: Tuple[np.ndarray, ...]
     #: The slot list a run starts from: folded arrays, ``None`` elsewhere.
     slots: Tuple[Optional[np.ndarray], ...]
     #: ``(slot, name, spec, declared shape)`` per graph input.
@@ -252,11 +247,6 @@ class GraphExecutor:
                 self._invariant.append(node)
             else:
                 self._per_request.append(node)
-        self._constants = [node for node in self._invariant if node.is_constant]
-        #: node id -> (the arrays a folded node was computed from, its value).
-        #: An entry is recomputed only when a source is no longer the same
-        #: object (a bound value was replaced, or an upstream entry was).
-        self._invariant_cache: Dict[int, Tuple[tuple, np.ndarray]] = {}
         self._plan = self._build_plan()
 
     def _fold(self) -> Dict[int, np.ndarray]:
@@ -268,18 +258,13 @@ class GraphExecutor:
                     raise RuntimeError(f"constant {node.name!r} has no bound value")
                 values[id(node)] = node.value
                 continue
-            sources = tuple(values[id(producer)] for producer in node.inputs)
-            cached = self._invariant_cache.get(id(node))
-            if cached is None or not all(map(is_, cached[0], sources)):
-                cached = (sources, _step_kernel(node, sources)(*sources))
-                self._invariant_cache[id(node)] = cached
-            values[id(node)] = cached[1]
+            sources = [values[id(producer)] for producer in node.inputs]
+            values[id(node)] = _step_kernel(node, sources)(*sources)
         return values
 
     def _build_plan(self) -> _Plan:
         """Fold the invariant nodes, then resolve each per-request node into
         a step — twice where the in-place rule applies."""
-        sources = tuple(map(_bound_value, self._constants))
         values = self._fold()
         slot = {id(node): index for index, node in enumerate(self._order)}
         uses = Counter(
@@ -317,20 +302,12 @@ class GraphExecutor:
             steps.append(step)
             owned.add(id(node))
         return _Plan(
-            sources=sources,
             slots=tuple(values.get(id(node)) for node in self._order),
             inputs=tuple(inputs),
             steps=tuple(steps),
             steps_keeping_all=tuple(steps_keeping_all),
             outputs=tuple(slot[id(node)] for node in self.graph.outputs),
         )
-
-    def _current_plan(self) -> _Plan:
-        """The plan, rebuilt first if a constant's bound value was replaced."""
-        plan = self._plan
-        if not all(map(is_, plan.sources, map(_bound_value, self._constants))):
-            plan = self._plan = self._build_plan()
-        return plan
 
     # ------------------------------------------------------------------ #
     # execution
@@ -353,7 +330,7 @@ class GraphExecutor:
             The outputs of the graph's output nodes, as numpy arrays in the
             nodes' output layouts (list), or all intermediate values (dict).
         """
-        plan = self._current_plan()
+        plan = self._plan
         slots = list(plan.slots)
         for index, name, spec, shape in plan.inputs:
             if name not in inputs:

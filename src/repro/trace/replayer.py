@@ -12,6 +12,13 @@ free-slot rule are therefore the live ones by construction.  What *is*
 modelled here: batch cost, core contention, the multi-process dispatcher's
 least-outstanding routing, and one collector wake-up latency.
 
+The configuration a replay simulates is :class:`ReplayKnobs`: the recorded
+:class:`~repro.api.scheduler.SchedulerConfig` (read back from the trace
+manifest by :meth:`~repro.api.scheduler.SchedulerConfig.from_manifest`)
+plus the fleet it ran on, and every simulated process drives the policy
+that config builds — so no default or rule of the live scheduler is
+restated here.
+
 Execution cost comes from the trace itself: every recorded runner dispatch
 contributes one ``(batch size, slot-holding duration)`` sample, and
 :class:`CalibratedCostModel` fits ``duration = base + per_sample * n`` over
@@ -40,11 +47,16 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.scheduler import AdaptiveTimeout, BatchingPolicy, percentiles_ms
+from ..api.scheduler import (
+    DEFAULT_PRIORITY,
+    BatchingPolicy,
+    SchedulerConfig,
+    percentiles_ms,
+)
 from .format import Trace, TraceFormatError
 
 __all__ = [
@@ -103,7 +115,7 @@ def extract_requests(trace: Trace) -> List[RecordedRequest]:
         RecordedRequest(
             rid=(event.pid, int(event.field("req", 0))),
             arrival=event.t - t0,
-            priority=str(event.field("pri", "normal")),
+            priority=str(event.field("pri", DEFAULT_PRIORITY)),
             sig=str(event.field("sig", "")),
             deadline_ms=(
                 None
@@ -213,82 +225,60 @@ def calibrate(trace: Trace) -> CalibratedCostModel:
 # knobs
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ReplayKnobs:
-    """The serving configuration a replay simulates.
+class ReplayKnobs(SchedulerConfig):
+    """The serving configuration a replay simulates: a
+    :class:`~repro.api.scheduler.SchedulerConfig` plus the fleet it runs on.
 
-    ``knobs_from_trace`` reproduces the recorded configuration;
-    ``dataclasses.replace`` (or keyword overrides on
+    :func:`knobs_from_trace` reproduces the recorded configuration;
+    ``dataclasses.replace`` (or keyword overrides on :func:`replay` and
     :func:`~repro.trace.whatif.sweep`) derives what-if variants.
     """
 
-    max_batch_size: int = 8
-    batch_timeout_ms: "float | str" = 2.0  #: a number, or ``"auto"``
-    queue_depth: int = 256
-    scheduler_workers: int = 2  #: executor threads per worker process
     processes: int = 1  #: worker-process count
-    priority_weights: Tuple[Tuple[str, float], ...] = (
-        ("interactive", 8.0),
-        ("normal", 4.0),
-        ("bulk", 1.0),
-    )
     cores: int = 1  #: host cores, for the worker-count scaling model
-    #: AdaptiveTimeout constructor kwargs used when ``batch_timeout_ms`` is
-    #: ``"auto"`` (recorded by the scheduler's recorder).
-    adaptive: Tuple[Tuple[str, float], ...] = ()
+
+    @property
+    def scheduler_workers(self) -> int:
+        """Executor threads per worker process (``num_workers``)."""
+        return self.num_workers
 
     def weights(self) -> Dict[str, float]:
-        return {key: float(value) for key, value in self.priority_weights}
+        return dict(self.priority_weights)
 
     def describe(self) -> str:
-        timeout = (
-            self.batch_timeout_ms
-            if isinstance(self.batch_timeout_ms, str)
-            else f"{self.batch_timeout_ms:g}ms"
-        )
+        timeout = self.to_manifest()["batch_timeout_ms"]
+        if not isinstance(timeout, str):
+            timeout = f"{timeout:g}ms"
         return (
             f"workers={self.processes} max_batch={self.max_batch_size} "
             f"timeout={timeout} queue_depth={self.queue_depth}"
         )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "max_batch_size": self.max_batch_size,
-            "batch_timeout_ms": self.batch_timeout_ms,
-            "queue_depth": self.queue_depth,
-            "scheduler_workers": self.scheduler_workers,
-            "processes": self.processes,
-            "priority_weights": dict(self.priority_weights),
-            "cores": self.cores,
-            "adaptive": dict(self.adaptive),
-        }
-
-
-def _as_items(mapping: Optional[Mapping[str, float]]) -> Tuple[Tuple[str, float], ...]:
-    if not mapping:
-        return ()
-    return tuple(sorted((str(k), float(v)) for k, v in mapping.items()))
+        knobs = self.to_manifest()
+        knobs["scheduler_workers"] = knobs.pop("num_workers")
+        del knobs["default_priority"]
+        knobs.update(processes=self.processes, cores=self.cores, adaptive=self.adaptive)
+        return knobs
 
 
 def knobs_from_trace(trace: Trace) -> ReplayKnobs:
     """The configuration the trace was recorded under (the fidelity baseline)."""
     meta = trace.scheduler_meta()
-    knobs = meta.get("knobs") or {}
-    timeout = knobs.get("batch_timeout_ms", 2.0)
-    if not isinstance(timeout, str):
-        timeout = float(timeout)
-    weights = _as_items(knobs.get("priority_weights"))
-    if not weights:
-        weights = ReplayKnobs().priority_weights
-    return ReplayKnobs(
-        max_batch_size=int(knobs.get("max_batch_size", 8)),
-        batch_timeout_ms=timeout,
-        queue_depth=int(knobs.get("queue_depth", 256)),
-        scheduler_workers=int(knobs.get("num_workers", 2)),
+    return ReplayKnobs.from_manifest(
+        meta.get("knobs") or {},
         processes=max(1, len(trace.scheduler_pids())),
-        priority_weights=weights,
         cores=int(meta.get("cpu_count", 1) or 1),
-        adaptive=_as_items(knobs.get("adaptive")),
     )
+
+
+def vary(knobs: ReplayKnobs, **changes) -> ReplayKnobs:
+    """``knobs`` with ``changes`` applied.  A new class set that does not
+    declare the recorded default class resolves its own default."""
+    weights = changes.get("priority_weights")
+    if weights is not None and knobs.default_priority not in weights:
+        changes.setdefault("default_priority", None)
+    return replace(knobs, **changes)
 
 
 # --------------------------------------------------------------------------- #
@@ -395,7 +385,7 @@ def measured_metrics(trace: Trace) -> ReplayMetrics:
             continue
         rid = (event.pid, int(event.field("req", 0)))
         if event.kind == "arrival":
-            arrivals[rid] = (event.t, str(event.field("pri", "normal")))
+            arrivals[rid] = (event.t, str(event.field("pri", DEFAULT_PRIORITY)))
             metrics.requests += 1
         elif event.kind == "enqueue":
             depth += 1
@@ -464,8 +454,7 @@ class _Replayer:
     ) -> None:
         self.requests = requests
         self.cost = cost_model
-        weights = knobs.weights()
-        self.fallback_class = min(weights)
+        self.fallback_class = min(knobs.priority_weights)
         cores = max(1, knobs.cores)
         # Capacity scaling: executor dispatches dilate once processes
         # oversubscribe the cores, relative to the recorded configuration.
@@ -473,18 +462,7 @@ class _Replayer:
             1.0, max(1, recorded_processes) / cores
         )
         self.workers = [
-            _SimProcess(
-                index,
-                BatchingPolicy(
-                    knobs.max_batch_size,
-                    AdaptiveTimeout(**dict(knobs.adaptive))
-                    if knobs.batch_timeout_ms == "auto"
-                    else float(knobs.batch_timeout_ms) / 1e3,
-                    knobs.queue_depth,
-                    max(1, knobs.scheduler_workers),
-                    weights,
-                ),
-            )
+            _SimProcess(index, knobs.policy())
             for index in range(max(1, knobs.processes))
         ]
         self.metrics = ReplayMetrics(requests=len(requests))
@@ -614,7 +592,7 @@ def replay(
         cost_model: reuse a calibration across many replays of one trace
             (the what-if sweep does); calibrated from ``trace`` when omitted.
         overrides: field overrides applied on top of ``knobs`` via
-            ``dataclasses.replace`` — e.g. ``processes=4``,
+            :func:`vary` — e.g. ``processes=4``,
             ``batch_timeout_ms=0.5``.
 
     Returns:
@@ -624,9 +602,7 @@ def replay(
     base = knobs_from_trace(trace)
     resolved = knobs if knobs is not None else base
     if overrides:
-        if "priority_weights" in overrides:
-            overrides["priority_weights"] = _as_items(overrides["priority_weights"])
-        resolved = replace(resolved, **overrides)
+        resolved = vary(resolved, **overrides)
     model = cost_model if cost_model is not None else calibrate(trace)
     simulator = _Replayer(
         extract_requests(trace), model, resolved, recorded_processes=base.processes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .format import Trace
@@ -28,8 +28,8 @@ from .replayer import (
     calibrate,
     extract_requests,
     knobs_from_trace,
+    vary,
     _Replayer,
-    _as_items,
 )
 
 __all__ = ["WhatIfResult", "sweep", "worker_sweep"]
@@ -103,11 +103,7 @@ class WhatIfResult:
 
 
 def _replay_with(
-    trace: Trace,
-    knobs: ReplayKnobs,
-    model: CalibratedCostModel,
-    requests,
-    recorded_processes: int,
+    knobs: ReplayKnobs, model: CalibratedCostModel, requests, recorded_processes: int
 ) -> ReplayReport:
     simulator = _Replayer(requests, model, knobs, recorded_processes)
     return ReplayReport(source="replay", knobs=knobs, metrics=simulator.run())
@@ -131,31 +127,22 @@ def sweep(
     base = knobs_from_trace(trace)
     model = calibrate(trace)
     requests = extract_requests(trace)
-    axes = [
-        ("max_batch_size", [int(v) for v in max_batch_size] if max_batch_size else [base.max_batch_size]),
-        (
-            "batch_timeout_ms",
-            [v if isinstance(v, str) else float(v) for v in batch_timeout_ms]
-            if batch_timeout_ms
-            else [base.batch_timeout_ms],
-        ),
-        ("processes", [int(v) for v in processes] if processes else [base.processes]),
-        ("queue_depth", [int(v) for v in queue_depth] if queue_depth else [base.queue_depth]),
-        (
-            "priority_weights",
-            [_as_items(w) for w in priority_weights]
-            if priority_weights
-            else [base.priority_weights],
-        ),
-    ]
-    baseline = _replay_with(trace, base, model, requests, base.processes)
+    axes = {
+        "max_batch_size": max_batch_size,
+        "batch_timeout_ms": batch_timeout_ms,
+        "processes": processes,
+        "queue_depth": queue_depth,
+        "priority_weights": priority_weights,
+    }
+    baseline = _replay_with(base, model, requests, base.processes)
     points: List[ReplayReport] = []
-    names = [name for name, _ in axes]
-    for combo in itertools.product(*(values for _, values in axes)):
-        knobs = replace(base, **dict(zip(names, combo)))
+    for combo in itertools.product(
+        *(values or [getattr(base, name)] for name, values in axes.items())
+    ):
+        knobs = vary(base, **dict(zip(axes, combo)))
         if knobs == base:
             continue  # the baseline already covers the recorded point
-        points.append(_replay_with(trace, knobs, model, requests, base.processes))
+        points.append(_replay_with(knobs, model, requests, base.processes))
     return WhatIfResult(baseline=baseline, points=points)
 
 

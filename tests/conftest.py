@@ -87,32 +87,18 @@ def traced_scheduler(trace_dir, runner, **knobs):
     ``(scheduler, recorder)`` — close both, scheduler first.
 
     The unit-level recording path: same scheduler, same recorder, same knob
-    manifest the engine writes (so ``knobs_from_trace`` replays the recorded
-    configuration), without paying for a compiled artifact.
+    manifest the engine writes (``SchedulerConfig.to_manifest``, so
+    ``knobs_from_trace`` replays the recorded configuration), without paying
+    for a compiled artifact.
     """
-    from repro.api.scheduler import (
-        DEFAULT_PRIORITY,
-        DEFAULT_PRIORITY_WEIGHTS,
-        RequestScheduler,
-    )
+    from repro.api.scheduler import RequestScheduler, SchedulerConfig
     from repro.trace import TraceRecorder
 
-    knobs = {
-        "max_batch_size": 8,
-        "batch_timeout_ms": 5.0,
-        "queue_depth": 64,
-        "num_workers": 2,
-        **knobs,
-    }
-    manifest = {
-        **knobs,
-        "priority_weights": dict(DEFAULT_PRIORITY_WEIGHTS),
-        "default_priority": DEFAULT_PRIORITY,
-    }
-    if knobs["batch_timeout_ms"] == "auto":
-        manifest["adaptive"] = {}
-    recorder = TraceRecorder(trace_dir, role="scheduler", meta={"knobs": manifest})
-    return RequestScheduler(runner, recorder=recorder, **knobs), recorder
+    config = SchedulerConfig(**{"batch_timeout_ms": 5.0, "queue_depth": 64, **knobs})
+    recorder = TraceRecorder(
+        trace_dir, role="scheduler", meta={"knobs": config.to_manifest()}
+    )
+    return RequestScheduler(runner, config=config, recorder=recorder), recorder
 
 
 @pytest.fixture

@@ -248,6 +248,42 @@ class TestGCWithCrossProcessPins:
         assert stale in report.stale_pins_removed
         assert victim in report.evicted and not victim.exists()
 
+    def test_gc_keeps_an_artifact_another_process_pinned_through_a_symlink(
+        self, tmp_path
+    ):
+        """A server that pins ``srv/current.neocpu`` (a symlink into the
+        repository) protects the real file: the pin lands beside it."""
+        repository = ModelRepository(tmp_path / "repo")
+        repository.modules_dir.mkdir(parents=True)
+        real = repository.modules_dir / "m.neocpu"
+        real.write_bytes(b"x" * 128)
+        link = tmp_path / "srv" / "current.neocpu"
+        link.parent.mkdir()
+        link.symlink_to(real)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in (env.get("PYTHONPATH"),) if p]
+        )
+        script = (
+            "import sys; from repro.runtime.artifact import write_pin_file; "
+            "write_pin_file(sys.argv[1]); print('pinned', flush=True); "
+            "sys.stdin.readline()"
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script, str(link)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert owner.stdout.readline().strip() == "pinned"
+            report = repository.gc(max_bytes=0)
+            assert real.exists() and real in report.pinned
+            assert live_pin_owners(real) == [owner.pid]
+        finally:
+            owner.stdin.close()
+            owner.wait(timeout=60)
+            owner.stdout.close()
+
     def test_gc_dry_run_respects_foreign_pins(self, repo):
         artifact = repo["artifact"]
         write_pin_file(artifact)

@@ -20,6 +20,7 @@ pins down the contracts the engine relies on:
   the same recorded batch composition, exactly.
 """
 
+import json
 import threading
 import time
 
@@ -35,13 +36,13 @@ from repro.api import (
     batchability_report,
 )
 from repro.api.engine import _graph_is_batchable
-from repro.api.scheduler import BatchingPolicy
+from repro.api.scheduler import BatchingPolicy, SchedulerConfig
 from repro.graph import GraphBuilder, infer_shapes
 from repro.models.ssd import ssd_resnet50
 from repro.ops.ssd_ops import multibox_prior
 from repro.runtime import GraphExecutor
 from repro.tensor import Tensor
-from repro.trace import measured_metrics, read_trace, replay
+from repro.trace import knobs_from_trace, measured_metrics, read_trace, replay
 
 from tests.conftest import build_tiny_cnn, run_policy_script, traced_scheduler
 
@@ -647,6 +648,49 @@ class TestAdaptiveTimeout:
             fixed_outputs = fixed_engine.serve_concurrent(requests)
         for got, expected in zip(auto_outputs, fixed_outputs):
             np.testing.assert_array_equal(got[0], expected[0])
+
+
+class TestSchedulerConfig:
+    """The one serving-configuration record: what the recorder writes is
+    what the replayer reads back, and every policy it builds is fresh."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            {"batch_timeout_ms": 5, "max_batch_size": 2, "queue_depth": 16},
+            {"batch_timeout_ms": "auto", "default_priority": "bulk"},
+            {"batch_timeout_ms": AdaptiveTimeout(multiplier=2.0, min_ms=0.5)},
+            {"priority_weights": {"gold": 4, "steerage": 1}, "num_workers": 3},
+        ],
+        ids=["defaults", "fixed", "auto", "adaptive-instance", "custom-classes"],
+    )
+    def test_manifest_round_trip(self, knobs):
+        config = SchedulerConfig(**knobs)
+        manifest = json.loads(json.dumps(config.to_manifest()))
+        assert SchedulerConfig.from_manifest(manifest).to_manifest() == manifest
+        assert manifest["default_priority"] == knobs.get(
+            "default_priority", "gold" if "priority_weights" in knobs else "normal"
+        )
+
+    def test_each_policy_gets_its_own_adaptive_window(self):
+        config = SchedulerConfig(batch_timeout_ms=AdaptiveTimeout(min_ms=0.5))
+        first, second = config.policy(), config.policy()
+        first.push("r", "normal", None, None, 0.0)
+        first.push("s", "normal", None, None, 1e-3)
+        assert first.window.interarrival_s == pytest.approx(1e-3)
+        assert second.window.interarrival_s is None
+        assert second.window.params == config.batch_timeout_ms.params
+
+    def test_engine_records_the_config_its_scheduler_started_in(
+        self, skylake, tmp_path
+    ):
+        module = Optimizer(skylake).compile(build_tiny_cnn())
+        request = {"data": np.zeros((1, 3, 16, 16), dtype=np.float32)}
+        with InferenceEngine(module, trace_dir=str(tmp_path)) as engine:
+            engine.serve_concurrent([request, request], max_workers=3)
+            assert "num_workers=3" in engine.describe()
+        assert knobs_from_trace(read_trace(tmp_path)).num_workers == 3
 
 
 class TestConcurrencyFixes:

@@ -534,6 +534,62 @@ class TestWhatIfSweep:
 
 
 # --------------------------------------------------------------------------- #
+# the trace format, pinned by committed recordings
+# --------------------------------------------------------------------------- #
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: What each committed trace was recorded under (an ``InferenceEngine`` over
+#: the tiny CNN on skylake, 40 mixed-priority requests in five bursts).
+RECORDED_CONFIGS = {
+    "trace_fixed": dict(
+        max_batch_size=4, batch_timeout_ms=3.0, queue_depth=32, default_priority="bulk"
+    ),
+    "trace_auto": dict(
+        max_batch_size=8, batch_timeout_ms="auto", queue_depth=256,
+        default_priority="normal",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_CONFIGS))
+class TestRecordedTraces:
+    """Traces recorded by an earlier build replay to the exact reports that
+    build printed: the format, the manifest and the replayer are pinned by
+    data, not by a re-recording."""
+
+    def test_replay_reproduces_the_recorded_report(self, name):
+        expected = (DATA_DIR / f"{name}.replay.json").read_text()
+        assert replay(read_trace(DATA_DIR / name)).to_json() + "\n" == expected
+
+    def test_sweep_reproduces_the_recorded_frontier(self, name):
+        expected = (DATA_DIR / f"{name}.sweep.json").read_text()
+        result = sweep(read_trace(DATA_DIR / name), processes=[1, 2])
+        assert result.to_json() + "\n" == expected
+
+    def test_knobs_from_trace_returns_the_recorded_values(self, name):
+        trace = read_trace(DATA_DIR / name)
+        knobs = knobs_from_trace(trace)
+        for field, value in RECORDED_CONFIGS[name].items():
+            assert getattr(knobs, field) == value
+        assert knobs.scheduler_workers == 2
+        assert (knobs.processes, knobs.cores) == (1, 2)
+        assert knobs.weights() == DEFAULT_PRIORITY_WEIGHTS
+        assert knobs.adaptive == {}
+        assert knobs.to_manifest() == trace.scheduler_meta()["knobs"]
+
+
+def test_sweep_over_classes_without_the_recorded_default():
+    """A what-if class set need not declare the recorded default class
+    ("bulk" here): the variant resolves its own, by the scheduler's rule."""
+    trace = read_trace(DATA_DIR / "trace_fixed")
+    result = sweep(trace, priority_weights=[{"gold": 2.0, "steerage": 1.0}])
+    (point,) = result.points
+    assert point.knobs.default_priority == "gold"
+    assert point.metrics.completed == 40
+    assert replay(trace, priority_weights={"gold": 1.0}).metrics.completed == 40
+
+
+# --------------------------------------------------------------------------- #
 # CLI over synthetic traces (no compiled artifact needed)
 # --------------------------------------------------------------------------- #
 class TestTraceCli:
