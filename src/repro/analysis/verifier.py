@@ -406,8 +406,9 @@ class VerifyGraph(GraphPass):
     Registered with a :class:`~repro.graph.passes.pass_manager.PassManager`
     (or set as its ``verifier``) to catch the pass that corrupted a graph at
     the point of corruption instead of ten passes later.  Structure-only by
-    default: mid-pipeline specs are legitimately stale until the final
-    ``infer_shapes`` re-annotation.
+    default, for pipelines of passes that leave specs to a later
+    ``infer_shapes``; ``compile_graph``'s passes do not, and its ``verify_ir``
+    check includes shapes.
     """
 
     name = "VerifyGraph"

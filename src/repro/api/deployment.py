@@ -37,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.compiler import compile_graph
+from ..core.compiler import compile_graph, compile_prepared, prepare_graph
 from ..core.config import CompileConfig
 from ..core.tuning_db import TuningDatabase, TuningDatabaseMigrationError
 from ..graph.graph import Graph
@@ -272,7 +272,9 @@ def build(
 
     One tuning session covers every target: the targets share a tuning
     database (persisted under ``cache_dir``) and are compiled one after
-    another on the calling thread.  The resulting
+    another on the calling thread.  The target-independent stage 1
+    (:func:`~repro.core.compiler.prepare_graph`) runs once per build; each
+    target compiles a graph of its own from the result.  The resulting
     ``.neocpu`` file carries one payload per target plus the uncompiled
     source graph, so :func:`load_engine` can serve *any* host — matched,
     compatible, or recompiled.
@@ -341,9 +343,13 @@ def build(
         except ArtifactError:
             pass  # corrupt or foreign file under the bundle name: rebuild it
 
+    # Stage 1 depends on no target: run it once.  Each target compiles a
+    # graph of its own: a copy, except the last, which takes the original.
+    prepared, stage1_report = prepare_graph(graph, cfg, params)
+    graphs = [prepared.copy() for _ in cpus[1:]] + [prepared]
     modules = [
-        compile_graph(graph, cpu, config=cfg, params=params, tuning_database=database)
-        for cpu in cpus
+        compile_prepared(own, cpu, cfg, database, stage1_report)
+        for own, cpu in zip(graphs, cpus)
     ]
     for module, fingerprint in zip(modules, fingerprints):
         module.fingerprint = fingerprint

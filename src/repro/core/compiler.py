@@ -14,6 +14,16 @@ the paper describes:
 4. operation fusion and a final constant-folding sweep;
 5. packaging into a :class:`~repro.runtime.module.CompiledModule`.
 
+Stage 1 depends on no target: :func:`prepare_graph` runs it, and
+:func:`compile_prepared` runs the rest for one target.  ``compile_graph`` is
+the two in sequence; :func:`repro.api.build` runs stage 1 once per build and
+the rest once per target.  Specs are inferred where they can change and
+nowhere else: once on the input graph in stage 1, and once at the end of
+AlterOpLayout, the only pass whose rewrites change them.  Every other pass
+keeps the specs it finds correct (a replacement takes over the spec of the
+node it replaces; a folded constant carries its result's spec), which the
+``verify_ir`` check after each pass enforces.
+
 Most callers should go through the session API (:class:`repro.api.Optimizer`),
 which adds tuning-database persistence and an on-disk artifact cache on top of
 this pipeline.
@@ -21,7 +31,7 @@ this pipeline.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +56,7 @@ from .global_search import GlobalSearch
 from .local_search import CostModelMeasurer, LocalSearch
 from .tuning_db import TuningDatabase
 
-__all__ = ["compile_graph", "select_schedules"]
+__all__ = ["compile_graph", "compile_prepared", "prepare_graph", "select_schedules"]
 
 
 def _local_search(cpu: CPUSpec, config: CompileConfig,
@@ -113,6 +123,96 @@ def select_schedules(
     return result.schedules, result.method
 
 
+def _pass_verifier(config: CompileConfig) -> Optional[Callable[[Graph, str], None]]:
+    """The between-pass IR check under ``verify_ir``, else ``None``.
+
+    Every pass leaves correct specs behind (inference runs where a pass
+    changes them), so the check includes shapes and names the pass that
+    broke a spec.
+    """
+    # getattr: CompileConfig instances unpickled from pre-verify_ir artifacts
+    # lack the field.
+    if not getattr(config, "verify_ir", False):
+        return None
+    from ..analysis.verifier import assert_valid_graph
+
+    def verifier(graph: Graph, pass_name: str) -> None:
+        assert_valid_graph(graph, context=f"after pass {pass_name}")
+
+    return verifier
+
+
+def prepare_graph(
+    graph: Graph,
+    config: Optional[CompileConfig] = None,
+    params: Optional[Mapping[str, np.ndarray]] = None,
+    in_place: bool = False,
+) -> Tuple[Graph, str]:
+    """Stage 1 of :func:`compile_graph`, the part no target changes.
+
+    Copies ``graph`` (unless ``in_place``), infers its specs (the one
+    inference over the input graph), binds ``params`` and runs
+    ``SimplifyInference`` and ``FoldConstants``.  Returns the simplified
+    graph and the report of those passes.  :func:`repro.api.build` runs it
+    once per build and gives each target a graph of its own (a
+    :meth:`Graph.copy` of the result, the last target the result itself).
+    """
+    config = config if config is not None else CompileConfig()
+    if not in_place:
+        graph = graph.copy()
+    infer_shapes(graph)
+    if params:
+        initialize_parameters(graph, params)
+    pre = PassManager(verifier=_pass_verifier(config))
+    pre.add(SimplifyInference())
+    if config.fold_constants:
+        pre.add(FoldConstants())
+    graph = pre.run(graph)
+    return graph, pre.report()
+
+
+def compile_prepared(
+    graph: Graph,
+    target: "CPUSpec | str",
+    config: Optional[CompileConfig] = None,
+    tuning_database: Optional[TuningDatabase] = None,
+    stage1_report: str = "",
+) -> CompiledModule:
+    """Stages 2 and 3 of :func:`compile_graph` on a :func:`prepare_graph` result.
+
+    Selects the schedules for ``target``, then runs the layout passes,
+    fusion and the final fold on ``graph`` in place.  AlterOpLayout
+    re-infers the specs it changes; no other pass changes one.
+    """
+    cpu = target if isinstance(target, CPUSpec) else get_target(target)
+    config = config if config is not None else CompileConfig()
+
+    # Stage 2: operation-level schedule selection.
+    schedules, search_method = select_schedules(graph, cpu, config, tuning_database)
+
+    # Stage 3: graph-level layout management.
+    post = PassManager(verifier=_pass_verifier(config))
+    if schedules:
+        hoist = config.opt_level != OptLevel.LAYOUT
+        post.add(AlterOpLayout(schedules, hoist_transforms=hoist))
+        if hoist:
+            post.add(EliminateLayoutTransforms())
+    if config.fuse_ops:
+        post.add(FuseOps())
+    if config.fold_constants:
+        post.add(FoldConstants())
+    graph = post.run(graph)
+
+    return CompiledModule(
+        graph=graph,
+        cpu=cpu,
+        config=config,
+        schedules=schedules,
+        search_method=search_method,
+        pass_report="\n".join([stage1_report, post.report()]),
+    )
+
+
 def compile_graph(
     graph: Graph,
     target: "CPUSpec | str",
@@ -122,6 +222,10 @@ def compile_graph(
     in_place: bool = False,
 ) -> CompiledModule:
     """Optimize ``graph`` for ``target`` and return a compiled module.
+
+    :func:`prepare_graph` (stage 1) followed by :func:`compile_prepared`
+    (stages 2 and 3).  Specs are inferred twice: once on the input graph in
+    stage 1, and once by AlterOpLayout after it assigns layouts.
 
     Args:
         graph: the model graph.  Compiled from a structural copy by default,
@@ -141,63 +245,6 @@ def compile_graph(
     Returns:
         A :class:`CompiledModule` ready for execution and latency estimation.
     """
-    cpu = target if isinstance(target, CPUSpec) else get_target(target)
     config = config if config is not None else CompileConfig()
-
-    # getattr: CompileConfig instances unpickled from pre-verify_ir artifacts
-    # lack the field.
-    verifier = None
-    if getattr(config, "verify_ir", False):
-        from ..analysis.verifier import assert_valid_graph
-
-        # Structure-only between passes: specs are legitimately stale until
-        # the final infer_shapes re-annotation below.
-        def verifier(g: Graph, pass_name: str) -> None:
-            assert_valid_graph(g, context=f"after pass {pass_name}",
-                               check_shapes=False)
-
-    if not in_place:
-        graph = graph.copy()
-    infer_shapes(graph)
-    if params:
-        initialize_parameters(graph, params)
-
-    # Stage 1: generic simplifications inherited from the base stack.
-    pre = PassManager(verifier=verifier)
-    pre.add(SimplifyInference())
-    if config.fold_constants:
-        pre.add(FoldConstants())
-    graph = pre.run(graph)
-
-    # Stage 2: operation-level schedule selection.
-    schedules, search_method = select_schedules(graph, cpu, config, tuning_database)
-
-    # Stage 3: graph-level layout management.
-    post = PassManager(verifier=verifier)
-    if schedules:
-        hoist = config.opt_level != OptLevel.LAYOUT
-        post.add(AlterOpLayout(schedules, hoist_transforms=hoist))
-        if hoist:
-            post.add(EliminateLayoutTransforms())
-    if config.fuse_ops:
-        post.add(FuseOps())
-    if config.fold_constants:
-        post.add(FoldConstants())
-    graph = post.run(graph)
-    infer_shapes(graph)
-    if verifier is not None:
-        from ..analysis.verifier import assert_valid_graph
-
-        # Full semantic check (shapes, BatchDim conventions) now that every
-        # spec has been re-inferred.
-        assert_valid_graph(graph, context="final compiled graph",
-                           check_shapes=True)
-
-    return CompiledModule(
-        graph=graph,
-        cpu=cpu,
-        config=config,
-        schedules=schedules,
-        search_method=search_method,
-        pass_report="\n".join([pre.report(), post.report()]),
-    )
+    graph, report = prepare_graph(graph, config, params, in_place)
+    return compile_prepared(graph, target, config, tuning_database, report)

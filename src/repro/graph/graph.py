@@ -16,6 +16,10 @@ only once one of those calls, or an output assignment, points at it.
 A write straight into ``node.inputs`` leaves the cache stale; under
 ``verify_ir`` the verifier reports that as a ``stale-order`` problem.
 The cache is never pickled, so artifact bytes do not depend on it.
+
+A graph pickles its nodes in topological order ahead of its ``outputs``, so
+pickling never recurses down a chain of inputs and the deepest zoo models
+(ResNet-101, ResNet-152) save at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -46,9 +50,24 @@ class Graph:
         self.name = name
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
+        # Every node, producers first, ahead of ``outputs``: pickle then meets
+        # each node's inputs already memoized, so its recursion stays shallow
+        # however deep the graph (ResNet-152) instead of following the chain.
+        try:
+            nodes = self._order()
+        except AttributeError:
+            # A dangling input (not a Node) cannot be walked; the graph still
+            # pickles, so that ``verify --deep`` can report it from a bundle.
+            nodes = []
+        state = {"_nodes": nodes}
+        state.update(self.__dict__)
         state.pop("_order_cache", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # ``_nodes`` only orders the pickle; graphs pickled without it load too.
+        state.pop("_nodes", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # traversal

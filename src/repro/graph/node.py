@@ -83,16 +83,20 @@ class Node:
             raise ValueError(f"{kind} nodes must not carry an operator name")
         self.kind = kind
         self.op = op
-        self.uid = next(_COUNTER)
-        self.name = name or self._default_name()
+        # Every node draws a number, named or not, so default names do not
+        # depend on which nodes were named.  It is not kept on the node: a
+        # pickled graph (an artifact's bytes) carries names, never how many
+        # nodes the process has made.
+        number = next(_COUNTER)
+        self.name = name or self._default_name(number)
         self.inputs: List[Node] = list(inputs or [])
         self.attrs: Dict[str, Any] = dict(attrs or {})
         self.spec: Optional[TensorSpec] = spec
         self.value: Optional[np.ndarray] = value
 
-    def _default_name(self) -> str:
+    def _default_name(self, number: int) -> str:
         base = self.op if self.kind == NodeKind.OP else self.kind
-        return f"{base}_{self.uid}"
+        return f"{base}_{number}"
 
     # ------------------------------------------------------------------ #
     # predicates

@@ -14,6 +14,10 @@ This pass implements the core graph-level idea of section 3.2 (Figure 2):
 * layout-oblivious and layout-tolerant operators simply propagate whatever
   layout their producer emits.
 
+The pass reads the specs it is given (the graph must already be inferred,
+as stage 1 of the compiler leaves it) and re-infers the whole graph once at
+the end, since it changes the conv specs and adds transforms without any.
+
 With ``hoist_transforms=False`` the pass instead reproduces the *un-hoisted*
 behaviour that the paper's "Layout Opt." ablation row (Table 3) measures: each
 convolution individually transforms its input from the default layout and its
@@ -105,7 +109,6 @@ class AlterOpLayout(GraphPass):
     # main pass
     # ------------------------------------------------------------------ #
     def run(self, graph: Graph) -> Graph:
-        infer_shapes(graph)
         self.num_transforms_inserted = 0
         #: current output layout per node id, as a layout string
         layouts: Dict[int, str] = {}
@@ -155,6 +158,8 @@ class AlterOpLayout(GraphPass):
                 graph.outputs[index] = transform
                 self.num_transforms_inserted += 1
 
+        # The conv specs changed and the new transforms have none: the one
+        # inference of stage 3.
         infer_shapes(graph)
         return graph
 

@@ -83,7 +83,6 @@ class Layout:
     """
 
     def __init__(self, layout_str: str) -> None:
-        self._raw = layout_str
         facts = _PARSED.get(layout_str)
         if facts is None:
             if not layout_str:
@@ -107,17 +106,17 @@ class Layout:
         # into node attrs, and a pickle (an artifact's bytes) sees sharing.
         self._str = "".join(pieces)
 
-    def __getstate__(self) -> dict:
-        # Only the parse is pickled, so artifact bytes do not depend on which
-        # facts are precomputed and older artifacts keep loading.  Layouts of
-        # one string share their tokens; each pickles a copy, for the same
-        # reason as ``_str``.
-        tokens = tuple(AxisToken(t.name, t.factor) for t in self._tokens)
-        return {"_raw": self._raw, "_tokens": tokens}
+    def __reduce__(self) -> tuple:
+        # Pickled as ``Layout(<its string>)``: loading parses through the
+        # ``_PARSED`` cache like any other construction, and the bytes do not
+        # depend on which facts are derived.  ``_str`` is a string of the
+        # layout's own, so the bytes do not depend on what the cache shares.
+        return Layout, (self._str,)
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._derive(self._facts(self._tokens))
+        # Artifacts written before layouts pickled as strings carry the
+        # parse (``_raw`` and ``_tokens``) as state; rebuild from the string.
+        self.__init__(state["_raw"])
 
     # ------------------------------------------------------------------ #
     # parsing / validation

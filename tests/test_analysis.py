@@ -559,6 +559,30 @@ class TestVerifyIrWiring:
         )
         assert verify_graph(module.graph) == []
 
+    def test_compile_with_verify_ir_names_a_pass_that_leaves_a_stale_spec(
+        self, monkeypatch
+    ):
+        """No pass may leave a spec for a later inference to mend: the check
+        after each pass covers shapes, so the pass that broke one is named."""
+        from repro.core.compiler import compile_graph
+        from repro.core.config import CompileConfig
+        from repro.graph.passes import EliminateLayoutTransforms
+        from repro.tensor import TensorSpec
+
+        run = EliminateLayoutTransforms.run
+
+        def stale(self, graph):
+            graph = run(self, graph)
+            node = graph.op_nodes("relu")[0]
+            node.spec = TensorSpec((1, 1, 1, 1), "NCHW")
+            return graph
+
+        monkeypatch.setattr(EliminateLayoutTransforms, "run", stale)
+        with pytest.raises(GraphVerificationError) as excinfo:
+            compile_graph(build_tiny_cnn(), "skylake", CompileConfig(verify_ir=True))
+        assert "after pass eliminate_layout_transforms" in str(excinfo.value)
+        assert "re-inferred" in str(excinfo.value)
+
     def test_verify_ir_does_not_change_fingerprints(self):
         from repro.core.config import CompileConfig
         from repro.hardware.presets import get_target

