@@ -144,7 +144,7 @@ def _pass_verifier(config: CompileConfig) -> Optional[Callable[[Graph, str], Non
 
 def prepare_graph(
     graph: Graph,
-    config: Optional[CompileConfig] = None,
+    config: CompileConfig,
     params: Optional[Mapping[str, np.ndarray]] = None,
     in_place: bool = False,
 ) -> Tuple[Graph, str]:
@@ -157,7 +157,6 @@ def prepare_graph(
     once per build and gives each target a graph of its own (a
     :meth:`Graph.copy` of the result, the last target the result itself).
     """
-    config = config if config is not None else CompileConfig()
     if not in_place:
         graph = graph.copy()
     infer_shapes(graph)
@@ -174,9 +173,9 @@ def prepare_graph(
 def compile_prepared(
     graph: Graph,
     target: "CPUSpec | str",
-    config: Optional[CompileConfig] = None,
-    tuning_database: Optional[TuningDatabase] = None,
-    stage1_report: str = "",
+    config: CompileConfig,
+    tuning_database: Optional[TuningDatabase],
+    stage1_report: str,
 ) -> CompiledModule:
     """Stages 2 and 3 of :func:`compile_graph` on a :func:`prepare_graph` result.
 
@@ -185,7 +184,6 @@ def compile_prepared(
     re-infers the specs it changes; no other pass changes one.
     """
     cpu = target if isinstance(target, CPUSpec) else get_target(target)
-    config = config if config is not None else CompileConfig()
 
     # Stage 2: operation-level schedule selection.
     schedules, search_method = select_schedules(graph, cpu, config, tuning_database)

@@ -79,7 +79,7 @@ class Layout:
     """A parsed data layout such as ``NCHW``, ``NCHW16c`` or ``OIHW16i16o``.
 
     A :class:`Layout` is immutable and hashable; equality is defined on the
-    normalized layout string.
+    normalized layout string.  It pickles as ``Layout(<that string>)``.
     """
 
     def __init__(self, layout_str: str) -> None:
@@ -107,10 +107,10 @@ class Layout:
         self._str = "".join(pieces)
 
     def __reduce__(self) -> tuple:
-        # Pickled as ``Layout(<its string>)``: loading parses through the
-        # ``_PARSED`` cache like any other construction, and the bytes do not
-        # depend on which facts are derived.  ``_str`` is a string of the
-        # layout's own, so the bytes do not depend on what the cache shares.
+        # Loading parses through ``_PARSED`` like any other construction, and
+        # the bytes do not depend on which facts are derived.  ``_str`` is a
+        # string of the layout's own, so they do not depend on what the cache
+        # shares either.
         return Layout, (self._str,)
 
     def __setstate__(self, state: dict) -> None:
