@@ -39,7 +39,7 @@ from conftest import write_result
 from repro.api import EngineDispatcher, build, load_engine
 from repro.graph import infer_shapes
 from repro.models.resnet import resnet50
-from repro.trace import measured_metrics, read_trace, replay, worker_sweep
+from repro.trace import measured_metrics, read_trace, replay, sweep
 
 #: 32 requests split evenly over 2 workers give every engine full batches
 #: (4x8 single-process, 2x8 per worker): the gate compares scheduling tiers,
@@ -231,7 +231,7 @@ def test_resnet50_replayed_p99_worker_curve(
             f"(errors: {', '.join(f'{e:.1%}' for e in errors)})"
         )
 
-    result = worker_sweep(trace, WORKER_CURVE)
+    result = sweep(trace, processes=sorted(set(WORKER_CURVE)))
     by_count = {
         report.knobs.processes: report
         for report in [result.baseline] + result.points

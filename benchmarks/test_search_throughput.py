@@ -22,6 +22,7 @@ import time
 from conftest import write_result
 
 from repro.core import CostModelMeasurer, GlobalSearch, LocalSearch, TuningDatabase
+from repro.costmodel import THREAD_POOL, ConvCostModel
 from repro.costmodel.graph_cost import conv_workload_from_node
 from repro.graph import infer_shapes
 from repro.hardware import get_target
@@ -31,7 +32,7 @@ PARITY_MODELS = ("resnet-50", "vgg-19", "ssd-resnet-50")
 
 
 class SeedLoopMeasurer:
-    """The seed pipeline's measurer: per-candidate calls, no batch interface.
+    """The seed pipeline's measurer: one scalar cost-model call per candidate.
 
     Delegates the measurement-context fingerprint so its database entries are
     keyed identically to the batched measurer's — the comparison below checks
@@ -40,12 +41,14 @@ class SeedLoopMeasurer:
 
     def __init__(self, cpu):
         self._inner = CostModelMeasurer(cpu)
+        self._model = ConvCostModel(cpu, THREAD_POOL)
 
     def fingerprint(self):
         return self._inner.fingerprint()
 
-    def measure(self, workload, schedule):
-        return self._inner.measure(workload, schedule)
+    def measure_batch(self, workload, schedules):
+        threads = self._inner.cpu.num_cores
+        return [self._model.estimate(workload, s, threads).total_time_s for s in schedules]
 
 
 def unique_workloads(model_name):

@@ -42,7 +42,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "RULE_REGISTRY",
-    "VerifyGraph",
     "assert_valid_graph",
     "default_rules",
     "register_rule",
@@ -52,7 +51,6 @@ __all__ = [
 _VERIFIER_EXPORTS = {
     "GraphProblem",
     "GraphVerificationError",
-    "VerifyGraph",
     "assert_valid_graph",
     "verify_graph",
 }

@@ -19,7 +19,6 @@ The AST helpers every rule shares live here too: :func:`dotted_name`,
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -230,9 +229,6 @@ class LintReport:
             "errors": list(self.errors),
             "clean": self.clean,
         }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def collect_files(paths: Sequence["str | Path"]) -> List[Path]:

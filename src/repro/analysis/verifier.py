@@ -40,13 +40,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graph.graph import Graph
 from ..graph.node import Node, NodeKind
-from ..graph.passes.pass_manager import GraphPass
 from ..tensor.tensor import BatchDim
 
 __all__ = [
     "GraphProblem",
     "GraphVerificationError",
-    "VerifyGraph",
     "assert_valid_graph",
     "verify_graph",
 ]
@@ -398,26 +396,3 @@ def assert_valid_graph(
     if problems:
         raise GraphVerificationError(context, problems)
     return graph
-
-
-class VerifyGraph(GraphPass):
-    """A pass-shaped wrapper: verify and return the graph unchanged.
-
-    Registered with a :class:`~repro.graph.passes.pass_manager.PassManager`
-    (or set as its ``verifier``) to catch the pass that corrupted a graph at
-    the point of corruption instead of ten passes later.  Structure-only by
-    default, for pipelines of passes that leave specs to a later
-    ``infer_shapes``; ``compile_graph``'s passes do not, and its ``verify_ir``
-    check includes shapes.
-    """
-
-    name = "VerifyGraph"
-
-    def __init__(self, context: str = "", check_shapes: bool = False) -> None:
-        self.context = context
-        self.check_shapes = check_shapes
-
-    def run(self, graph: Graph) -> Graph:
-        return assert_valid_graph(
-            graph, context=self.context, check_shapes=self.check_shapes
-        )

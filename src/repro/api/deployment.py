@@ -631,10 +631,6 @@ class GCReport:
     dry_run: bool = False
 
     @property
-    def freed_bytes(self) -> int:
-        return self.total_bytes_before - self.total_bytes_after
-
-    @property
     def over_budget(self) -> bool:
         """Still above budget after the sweep (everything left is pinned)."""
         return self.total_bytes_after > self.max_bytes
@@ -755,9 +751,6 @@ class ModelRepository:
             if problems:
                 report[path] = problems
         return report
-
-    def tuning_database(self) -> TuningDatabase:
-        return load_tuning_database(self.root)
 
     def gc(self, max_bytes: int, dry_run: bool = False) -> GCReport:
         """Evict least-recently-used artifacts until the store fits the budget.

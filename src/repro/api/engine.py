@@ -120,11 +120,6 @@ def batchability_report(graph: Graph) -> Optional[str]:
     return None
 
 
-def _graph_is_batchable(graph: Graph) -> bool:
-    """Can requests for this graph be coalesced along the batch axis?"""
-    return batchability_report(graph) is None
-
-
 class InferenceEngine:
     """Run inference requests against a compiled module.
 
@@ -338,10 +333,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
-    @property
-    def requests_served(self) -> int:
-        """Total number of inference requests this engine has completed."""
-        return self.stats().completed
 
     def run(
         self,
@@ -361,10 +352,6 @@ class InferenceEngine:
                 dispatched ahead of bulk by their weighted-fair share.
         """
         return self.scheduler.run(inputs, timeout_ms=timeout_ms, priority=priority)
-
-    def run_single(self, **inputs: np.ndarray) -> np.ndarray:
-        """Convenience wrapper returning the first output only."""
-        return self.run(inputs)[0]
 
     def submit(
         self,
@@ -496,10 +483,6 @@ class InferenceEngine:
         """Per-operator latency breakdown of the served module."""
         return self.module.profile(num_threads)
 
-    def estimate_latency_ms(self, num_threads: Optional[int] = None) -> float:
-        """Estimated per-request latency of the served module (ms)."""
-        return self.module.estimate_latency_ms(num_threads)
-
     def describe(self) -> str:
         """Serving-relevant facts: batchability (with the reason when off),
         the expected input signature and the scheduler knobs."""
@@ -525,7 +508,7 @@ class InferenceEngine:
             timeout = str(config.batch_timeout_ms)
             if scheduler is not None and scheduler.adaptive_timeout:
                 timeout += (
-                    f" (currently {scheduler.adaptive_timeout.window_ms:.2f}ms)"
+                    f" (currently {scheduler.adaptive_timeout.window_s * 1e3:.2f}ms)"
                 )
         lines.append(
             f"  scheduler: batch_timeout_ms={timeout}, "
@@ -543,21 +526,6 @@ class InferenceEngine:
                 f"(queue wait p99 {wait.get('p99', 0.0):.2f})"
             )
         return "\n".join(lines)
-
-    def summary(self) -> str:
-        stats = self.stats()
-        lines = [
-            f"InferenceEngine({self.module.graph.name} on {self.module.cpu.name})",
-            f"  requests served: {stats.completed}",
-            f"  dynamic batching: "
-            + (
-                f"on (max_batch_size={self.config.max_batch_size}, "
-                f"mean batch {stats.mean_batch_size:.2f})"
-                if self.batchable
-                else f"off ({self.batchability_reason})"
-            ),
-        ]
-        return "\n".join(lines) + "\n" + self.module.summary()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

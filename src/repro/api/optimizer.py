@@ -141,31 +141,6 @@ class Optimizer:
         module.fingerprint = fingerprint
         return module
 
-    def build(
-        self,
-        model: ModelLike,
-        targets: "list[str | CPUSpec]",
-        params: Optional[Mapping[str, np.ndarray]] = None,
-        config: Optional[CompileConfig] = None,
-        **kwargs,
-    ) -> "deployment.ArtifactBundle":
-        """Build a multi-target bundle from this session (see :func:`repro.api.build`).
-
-        The session's target is always included; its tuning database and
-        ``cache_dir`` are shared with the build.
-        """
-        if isinstance(targets, (str, CPUSpec)):  # a bare target, not a list
-            targets = [targets]
-        return deployment.build(
-            model,
-            [self.cpu, *targets],
-            params=params,
-            config=config if config is not None else self.config,
-            cache_dir=self.cache_dir,
-            database=self.database,
-            **kwargs,
-        )
-
     def engine(
         self,
         model: ModelLike,

@@ -171,10 +171,6 @@ class AdaptiveTimeout:
         return max(self.min_s, proposed)
 
     @property
-    def window_ms(self) -> float:
-        return self.window_s * 1e3
-
-    @property
     def params(self) -> Dict[str, float]:
         """The constructor arguments: ``AdaptiveTimeout(**params)`` is a
         fresh window with this one's policy and none of its observations."""
@@ -189,7 +185,7 @@ class AdaptiveTimeout:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         gap = self.interarrival_s
         observed = "unobserved" if gap is None else f"gap={gap * 1e3:.3f}ms"
-        return f"AdaptiveTimeout(window={self.window_ms:.3f}ms, {observed})"
+        return f"AdaptiveTimeout(window={self.window_s * 1e3:.3f}ms, {observed})"
 
 
 class DeadlineExceeded(TimeoutError):
@@ -305,11 +301,6 @@ class SchedulerStats:
     queue_wait_ms: Dict[str, float] = field(default_factory=dict)
     #: submission -> completion percentiles, ms (p50/p95/p99/mean).
     latency_ms: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def in_flight(self) -> int:
-        """Requests accepted but not yet resolved."""
-        return self.queued - self.completed - self.failed - self.deadline_misses
 
     @property
     def mean_batch_size(self) -> float:
@@ -700,17 +691,6 @@ class RequestScheduler:
         )
         self._collector.start()
 
-    @property
-    def batch_timeout_s(self) -> float:
-        """The collector's current coalescing window, in seconds.
-
-        A fixed constant normally; under ``batch_timeout_ms="auto"`` it
-        tracks the observed arrival rate (see :class:`AdaptiveTimeout`), so
-        consecutive reads may differ.
-        """
-        with self._cond:
-            return self._policy.window_s
-
     # ------------------------------------------------------------------ #
     # submission side
     # ------------------------------------------------------------------ #
@@ -1015,9 +995,11 @@ class RequestScheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         stats = self.stats()
+        with self._cond:
+            window_s = self._policy.window_s
         return (
             f"RequestScheduler(max_batch_size={self.config.max_batch_size}, "
-            f"batch_timeout_ms={self.batch_timeout_s * 1e3:g}, "
+            f"batch_timeout_ms={window_s * 1e3:g}, "
             f"queue_depth={self.config.queue_depth}, queued={stats.queued}, "
             f"mean_batch={stats.mean_batch_size:.2f})"
         )

@@ -72,8 +72,6 @@ __all__ = [
 #: blocked layout chosen by the upstream convolution.
 _LAYOUT_PRESERVING_OPS = {
     "relu",
-    "sigmoid",
-    "bias_add",
     "scale_shift",
     "batch_norm",
     "max_pool2d",
@@ -182,9 +180,7 @@ class ConvDependencyGraph:
 
     :meth:`predecessor_map` builds the full dst-indexed adjacency in one O(E)
     pass — the solvers fetch it once per solve, making their per-node lookups
-    O(1) instead of an O(E) edge-list scan each.  The convenience accessor
-    :meth:`predecessors` rebuilds the map per call, so it always reflects the
-    current edge list; use :meth:`predecessor_map` when looking up many nodes.
+    O(1) instead of an O(E) edge-list scan each.
     """
 
     candidates: Dict[str, List[ConvCandidate]] = field(default_factory=dict)
@@ -200,9 +196,6 @@ class ConvDependencyGraph:
         for edge in self.edges:
             pred_map.setdefault(edge.dst, []).append(edge)
         return pred_map
-
-    def predecessors(self, name: str) -> List[DependencyEdge]:
-        return self.predecessor_map().get(name, [])
 
     def total_cost(self, assignment: Dict[str, ConvSchedule], cpu: CPUSpec,
                    num_threads: int) -> float:
@@ -226,19 +219,6 @@ class ConvDependencyGraph:
             if _schedules_mismatch(edge.kind, assignment[edge.src], assignment[edge.dst]):
                 total += transform_time(edge.tensor_bytes)
         return total
-
-
-def _edge_transform_cost(
-    edge: DependencyEdge,
-    src_schedule: ConvSchedule,
-    dst_schedule: ConvSchedule,
-    cpu: CPUSpec,
-    num_threads: int,
-) -> float:
-    """Layout-transformation cost implied by a pair of schemes on an edge."""
-    if not _schedules_mismatch(edge.kind, src_schedule, dst_schedule):
-        return 0.0
-    return layout_transform_time(edge.tensor_bytes, cpu, num_threads)
 
 
 # --------------------------------------------------------------------------- #

@@ -65,10 +65,17 @@ __all__ = [
 
 
 class Measurer(Protocol):
-    """Anything that can attach a cost to a (workload, schedule) pair."""
+    """Anything that can attach costs to a workload's candidate schedules.
 
-    def measure(self, workload: ConvWorkload, schedule: ConvSchedule) -> float:
-        """Return the cost (seconds; lower is better) of one candidate."""
+    A measurer that also has ``measure_arrays`` (the analytical
+    :class:`CostModelMeasurer`) scores the whole candidate grid through it
+    instead, without building schedule objects.
+    """
+
+    def measure_batch(
+        self, workload: ConvWorkload, schedules: Sequence[ConvSchedule]
+    ) -> np.ndarray:
+        """Return one cost (seconds; lower is better) per candidate."""
         ...
 
 
@@ -90,19 +97,6 @@ class CostModelMeasurer:
     def fingerprint(self) -> str:
         """Measurement context that changes candidate costs (and rankings)."""
         return f"cm-t{self._threads}-{self.threading.name}"
-
-    def measure(self, workload: ConvWorkload, schedule: ConvSchedule) -> float:
-        return self._model.estimate(workload, schedule, self._threads).total_time_s
-
-    def measure_batch(
-        self, workload: ConvWorkload, schedules: Sequence[ConvSchedule]
-    ) -> np.ndarray:
-        """Score a whole candidate batch in one vectorized cost-model pass.
-
-        Returns costs identical to per-candidate :meth:`measure` calls (same
-        float64 formulas), just without the per-candidate Python overhead.
-        """
-        return self._model.estimate_batch(workload, schedules, self._threads)
 
     def measure_arrays(
         self,
@@ -151,13 +145,12 @@ class NumpyMeasurer:
         weight: np.ndarray,
         workload: ConvWorkload,
         schedule: ConvSchedule,
-        blocked_cache: Optional[dict] = None,
+        blocked_cache: dict,
     ) -> float:
-        blocked = None if blocked_cache is None else blocked_cache.get(schedule.ic_bn)
+        blocked = blocked_cache.get(schedule.ic_bn)
         if blocked is None:
             blocked = to_blocked_nchwc(data, schedule.ic_bn)
-            if blocked_cache is not None:
-                blocked_cache[schedule.ic_bn] = blocked
+            blocked_cache[schedule.ic_bn] = blocked
         # The callable the graph executor's plan runs: preparing it is set-up,
         # not part of the timed kernel.
         conv = prepare_conv2d_nchwc(workload, schedule, prepack_weights(weight, schedule))
@@ -170,10 +163,6 @@ class NumpyMeasurer:
             elapsed += time.perf_counter() - start
         return elapsed / self.repeats
 
-    def measure(self, workload: ConvWorkload, schedule: ConvSchedule) -> float:
-        data, weight = self._buffers(workload)
-        return self._time_candidate(data, weight, workload, schedule)
-
     def measure_batch(
         self, workload: ConvWorkload, schedules: Sequence[ConvSchedule]
     ) -> np.ndarray:
@@ -182,8 +171,7 @@ class NumpyMeasurer:
         The input and weight arrays are generated once per workload (instead
         of once per candidate, the dominant non-kernel cost for large feature
         maps), and the blocked input is reused across candidates sharing an
-        ``ic_bn``.  Each candidate is still warmed up and timed individually,
-        exactly like :meth:`measure`.
+        ``ic_bn``.  Each candidate is warmed up and timed individually.
         """
         data, weight = self._buffers(workload)
         blocked_cache: dict = {}
@@ -250,15 +238,6 @@ class LocalSearch:
             max_block=self.max_block,
         )
 
-    def _measure_candidates(
-        self, workload: ConvWorkload, schedules: List[ConvSchedule]
-    ) -> np.ndarray:
-        measure_batch = getattr(self.measurer, "measure_batch", None)
-        if measure_batch is not None:
-            return np.asarray(measure_batch(workload, schedules), dtype=np.float64)
-        return np.array(
-            [self.measurer.measure(workload, s) for s in schedules], dtype=np.float64
-        )
 
     def tune(self, workload: ConvWorkload, force: bool = False) -> List[TuningRecord]:
         """Search one workload, returning candidates sorted by ascending cost.
@@ -308,15 +287,13 @@ class LocalSearch:
                 raise RuntimeError(
                     f"no valid schedule candidates for workload {workload}"
                 )
-            costs = self._measure_candidates(workload, schedules)
+            costs = np.asarray(
+                self.measurer.measure_batch(workload, schedules), dtype=np.float64
+            )
             order = np.argsort(costs, kind="stable")[: self.top_k]
             kept = [TuningRecord(schedules[i], float(costs[i])) for i in order]
         self.database.put(workload, self.cpu_name, kept, self.params_fingerprint)
         return kept
-
-    def best(self, workload: ConvWorkload) -> TuningRecord:
-        """The single best schedule for a workload (tuning if necessary)."""
-        return self.tune(workload)[0]
 
     def tune_all(
         self,

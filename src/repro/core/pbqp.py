@@ -29,7 +29,7 @@ benchmark reproduces that comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -99,22 +99,6 @@ class PBQPProblem:
 
     def vector(self, node: NodeId) -> np.ndarray:
         return self._vectors[node]
-
-    def matrix(self, u: NodeId, v: NodeId) -> Optional[np.ndarray]:
-        key, _ = self._canonical(u, v, np.zeros((1, 1)))
-        mat = self._matrices.get((key[0], key[1]))
-        if mat is None:
-            return None
-        return mat if key == (u, v) else mat.T
-
-    def neighbors(self, node: NodeId) -> List[NodeId]:
-        result = []
-        for (a, b) in self._matrices:
-            if a == node:
-                result.append(b)
-            elif b == node:
-                result.append(a)
-        return result
 
     def evaluate(self, selection: Dict[NodeId, int]) -> float:
         """Total cost of a complete assignment."""

@@ -189,13 +189,6 @@ class TuningDatabase:
         with self._lock:
             return self.records.get(self._key(workload, cpu_name, params))
 
-    def best(
-        self, workload: ConvWorkload, cpu_name: str, params: str = ""
-    ) -> Optional[TuningRecord]:
-        """The single best stored schedule, or ``None`` when never tuned."""
-        records = self.get(workload, cpu_name, params)
-        return records[0] if records else None
-
     def __contains__(self, key: tuple) -> bool:
         workload, cpu_name = key[0], key[1]
         params = key[2] if len(key) > 2 else ""
@@ -205,11 +198,6 @@ class TuningDatabase:
     def __len__(self) -> int:
         with self._lock:
             return len(self.records)
-
-    def cpu_names(self) -> List[str]:
-        """Names of every CPU target with at least one stored entry."""
-        with self._lock:
-            return sorted({cpu_name for (_, cpu_name, _) in self.records})
 
     # ------------------------------------------------------------------ #
     # pickling (the lock itself cannot be pickled)

@@ -6,15 +6,10 @@ tuple, layout-transform and memory-bound operator costs, fork/join models of
 the custom thread pool vs OpenMP, and an end-to-end graph latency estimator.
 """
 
-from .conv_cost import (
-    ConvCostBreakdown,
-    ConvCostModel,
-    estimate_conv_time,
-    estimate_conv_time_default_layout,
-)
+from .conv_cost import ConvCostBreakdown, ConvCostModel
 from .graph_cost import GraphCostModel, LatencyReport, NodeCost, conv_workload_from_node
 from .parallel import OPENMP, OPENMP_EIGEN, OPENMP_OPENBLAS, THREAD_POOL, ThreadingModel
-from .transform_cost import elementwise_op_time, layout_transform_time, memory_bound_op_time
+from .transform_cost import layout_transform_time, memory_bound_op_time
 
 __all__ = [
     "OPENMP",
@@ -28,9 +23,6 @@ __all__ = [
     "NodeCost",
     "ThreadingModel",
     "conv_workload_from_node",
-    "elementwise_op_time",
-    "estimate_conv_time",
-    "estimate_conv_time_default_layout",
     "layout_transform_time",
     "memory_bound_op_time",
 ]

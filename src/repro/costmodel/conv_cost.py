@@ -31,7 +31,7 @@ frameworks on ARM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .parallel import THREAD_POOL, ThreadingModel
 __all__ = [
     "ConvCostModel",
     "ConvCostBreakdown",
-    "estimate_conv_time",
-    "estimate_conv_time_default_layout",
 ]
 
 #: Fraction of peak DRAM bandwidth a single convolution stream achieves.
@@ -71,11 +69,6 @@ class ConvCostBreakdown:
     single_thread_time_s: float
     total_time_s: float
     num_threads: int
-
-    @property
-    def bound(self) -> str:
-        """Whether the estimate is compute- or memory-bound."""
-        return "compute" if self.compute_time_s >= self.memory_time_s else "memory"
 
 
 class ConvCostModel:
@@ -219,31 +212,6 @@ class ConvCostModel:
             num_threads=num_threads,
         )
 
-    def estimate_batch(
-        self,
-        workload: ConvWorkload,
-        schedules: Sequence[ConvSchedule],
-        num_threads: int = 1,
-    ) -> np.ndarray:
-        """Estimated wall-clock times of many schedules for one workload.
-
-        Vectorized twin of :meth:`estimate`: every efficiency term is
-        evaluated as one float64 numpy expression over the whole candidate
-        batch, using exactly the formulas (and operation order) of the scalar
-        path, so the returned array matches per-candidate :meth:`estimate`
-        calls and the local search ranks candidates identically.
-        """
-        if not schedules:
-            return np.empty(0, dtype=np.float64)
-        return self.estimate_arrays(
-            workload,
-            np.array([s.ic_bn for s in schedules], dtype=np.int64),
-            np.array([s.oc_bn for s in schedules], dtype=np.int64),
-            np.array([s.reg_n for s in schedules], dtype=np.int64),
-            np.array([s.unroll_ker for s in schedules], dtype=bool),
-            num_threads,
-        )
-
     def estimate_arrays(
         self,
         workload: ConvWorkload,
@@ -253,9 +221,13 @@ class ConvCostModel:
         unroll: np.ndarray,
         num_threads: int = 1,
     ) -> np.ndarray:
-        """Array-native core of :meth:`estimate_batch`.
+        """Estimated wall-clock times of many schedules for one workload.
 
-        Takes the schedule tuple as four parallel arrays (see
+        Vectorized twin of :meth:`estimate`: every efficiency term is one
+        float64 numpy expression over the whole candidate batch, with the
+        formulas (and operation order) of the scalar path, so the local
+        search ranks candidates as per-candidate :meth:`estimate` calls
+        would.  Takes the schedule tuple as four parallel arrays (see
         ``repro.schedule.candidates.candidate_grid``) so the tuning hot path
         never has to materialize per-candidate schedule objects: scoring the
         ~O(100) candidates of a workload costs a handful of array operations
@@ -351,26 +323,3 @@ class ConvCostModel:
             total_time_s=total,
             num_threads=num_threads,
         )
-
-
-def estimate_conv_time(
-    workload: ConvWorkload,
-    schedule: ConvSchedule,
-    cpu: CPUSpec,
-    num_threads: int = 1,
-    threading: ThreadingModel = THREAD_POOL,
-) -> float:
-    """Convenience function returning just the estimated seconds."""
-    model = ConvCostModel(cpu, threading)
-    return model.estimate(workload, schedule, num_threads).total_time_s
-
-
-def estimate_conv_time_default_layout(
-    workload: ConvWorkload,
-    cpu: CPUSpec,
-    num_threads: int = 1,
-    threading: ThreadingModel = THREAD_POOL,
-) -> float:
-    """Convenience function for the un-blocked NCHW execution time."""
-    model = ConvCostModel(cpu, threading)
-    return model.estimate_default_layout(workload, num_threads).total_time_s

@@ -30,9 +30,7 @@ __all__ = ["GraphCostModel", "LatencyReport", "NodeCost", "conv_workload_from_no
 #: Operators that are pure memory traffic when not fused.
 _MEMORY_BOUND_OPS = {
     "relu",
-    "sigmoid",
     "softmax",
-    "bias_add",
     "scale_shift",
     "batch_norm",
     "elemwise_add",
@@ -107,15 +105,6 @@ class LatencyReport:
         for cost in self.node_costs:
             totals[cost.category] = totals.get(cost.category, 0.0) + cost.time_s
         return totals
-
-    def summary(self) -> str:
-        lines = [
-            f"{self.graph_name} on {self.cpu_name} with {self.num_threads} threads: "
-            f"{self.total_ms:.2f} ms"
-        ]
-        for category, seconds in sorted(self.by_category().items()):
-            lines.append(f"  {category:<10s} {seconds * 1e3:8.3f} ms")
-        return "\n".join(lines)
 
 
 class GraphCostModel:

@@ -15,7 +15,6 @@ work chunks of the convolution's outer loop and a per-thread efficiency decay
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,21 +41,6 @@ class ThreadingModel:
     fork_join_overhead_s: float
     per_thread_overhead_s: float
     efficiency_decay: float
-
-    def effective_speedup(self, num_threads: int, num_chunks: int) -> float:
-        """Speedup of a perfectly divisible region with ``num_chunks`` tasks."""
-        if num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        usable = min(num_threads, max(1, num_chunks))
-        # Load imbalance: with C chunks on T threads the critical path is
-        # ceil(C / T) chunks long.
-        if num_chunks > 0:
-            rounds = math.ceil(num_chunks / usable)
-            imbalance = num_chunks / (rounds * usable)
-        else:
-            imbalance = 1.0
-        decay = (1.0 - self.efficiency_decay) ** (usable - 1)
-        return max(1.0, usable * imbalance * decay)
 
     def region_overhead(self, num_threads: int) -> float:
         """Fork/join cost of one parallel region with ``num_threads`` workers."""

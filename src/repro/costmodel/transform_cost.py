@@ -20,7 +20,6 @@ from .parallel import THREAD_POOL, ThreadingModel
 __all__ = [
     "layout_transform_time",
     "memory_bound_op_time",
-    "elementwise_op_time",
 ]
 
 #: Permuted copies achieve a lower fraction of stream bandwidth than linear
@@ -87,13 +86,3 @@ def memory_bound_op_time(
     return _parallel_stream_time(
         bytes_moved, cpu, _ELEMWISE_BANDWIDTH_EFFICIENCY, num_threads, threading
     )
-
-
-def elementwise_op_time(
-    tensor_bytes: int,
-    cpu: CPUSpec,
-    num_threads: int = 1,
-    threading: ThreadingModel = THREAD_POOL,
-) -> float:
-    """Time of a simple unary element-wise operator over ``tensor_bytes``."""
-    return memory_bound_op_time([tensor_bytes], tensor_bytes, cpu, num_threads, threading)

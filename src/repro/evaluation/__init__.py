@@ -3,7 +3,7 @@
 from .figure4 import FIGURE4_CONFIGS, Figure4Result, ScalabilityCurve, run_figure4
 from .reporting import format_latency_table, format_table, speedup_summary
 from .table1 import TABLE1_ROWS, FeatureRow, format_table1, run_table1
-from .table2 import PAPER_NEOCPU_MS, Table2Result, neocpu_latency_ms, run_table2
+from .table2 import PAPER_NEOCPU_MS, Table2Result, run_table2
 from .table3 import (
     PAPER_TABLE3_SPEEDUPS,
     TABLE3_MODELS,
@@ -25,7 +25,6 @@ __all__ = [
     "format_latency_table",
     "format_table",
     "format_table1",
-    "neocpu_latency_ms",
     "run_figure4",
     "run_table1",
     "run_table2",

@@ -26,7 +26,7 @@ from ..hardware.presets import get_target
 from ..models.zoo import EVALUATION_MODELS, get_model
 from .reporting import format_latency_table, speedup_summary
 
-__all__ = ["Table2Result", "run_table2", "neocpu_latency_ms"]
+__all__ = ["Table2Result", "run_table2"]
 
 #: Published Table 2 values (ms) for the NeoCPU row, used by EXPERIMENTS.md
 #: and by shape-checking tests (not by the harness itself).
@@ -96,20 +96,6 @@ class Table2Result:
         )
         ordered = ["NeoCPU"] + [f for f in self.frameworks if f != "NeoCPU"]
         return format_latency_table(self.latencies_ms, ordered, title)
-
-
-def neocpu_latency_ms(
-    model_name: str,
-    cpu: CPUSpec,
-    num_threads: Optional[int] = None,
-    tuning_db: Optional[TuningDatabase] = None,
-    config: Optional[CompileConfig] = None,
-) -> float:
-    """End-to-end NeoCPU latency (ms) for one model on one CPU."""
-    cfg = config if config is not None else CompileConfig(num_threads=num_threads)
-    optimizer = Optimizer(cpu, cfg, database=tuning_db)
-    module = optimizer.compile(model_name)
-    return module.estimate_latency_ms(num_threads)
 
 
 def run_table2(

@@ -3,7 +3,7 @@
 from .builder import GraphBuilder
 from .graph import Graph
 from .node import Node, NodeKind
-from .shape_infer import InferenceError, edge_layouts, infer_shapes
+from .shape_infer import InferenceError, infer_shapes
 
 __all__ = [
     "Graph",
@@ -11,6 +11,5 @@ __all__ = [
     "InferenceError",
     "Node",
     "NodeKind",
-    "edge_layouts",
     "infer_shapes",
 ]

@@ -166,21 +166,11 @@ class GraphBuilder:
         node.spec = data.spec
         return node
 
-    def bias_add(self, data: Node, bias: Node, name: Optional[str] = None) -> Node:
-        node = self._op("bias_add", [data, bias], name=name)
-        node.spec = data.spec
-        return node
-
     # ------------------------------------------------------------------ #
     # activations / element-wise
     # ------------------------------------------------------------------ #
     def relu(self, data: Node, name: Optional[str] = None) -> Node:
         node = self._op("relu", [data], name=name)
-        node.spec = data.spec
-        return node
-
-    def sigmoid(self, data: Node, name: Optional[str] = None) -> Node:
-        node = self._op("sigmoid", [data], name=name)
         node.spec = data.spec
         return node
 

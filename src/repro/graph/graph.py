@@ -134,10 +134,6 @@ class Graph:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    @property
-    def nodes(self) -> List[Node]:
-        return self.topological_order()
-
     def op_nodes(self, op_name: Optional[str] = None) -> List[Node]:
         """All op nodes, optionally filtered by operator name."""
         result = []
@@ -147,9 +143,6 @@ class Graph:
             if op_name is None or node.op == op_name:
                 result.append(node)
         return result
-
-    def input_nodes(self) -> List[Node]:
-        return [n for n in self._order() if n.is_input]
 
     def constant_nodes(self) -> List[Node]:
         return [n for n in self._order() if n.is_constant]
@@ -167,21 +160,6 @@ class Graph:
             for producer in node.inputs:
                 table.setdefault(id(producer), []).append(node)
         return table
-
-    def op_histogram(self) -> Dict[str, int]:
-        """Count of each operator type (useful for sanity-checking models)."""
-        histogram: Dict[str, int] = {}
-        for node in self.op_nodes():
-            histogram[node.op] = histogram.get(node.op, 0) + 1
-        return histogram
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters held by constant nodes."""
-        total = 0
-        for node in self.constant_nodes():
-            if node.spec is not None:
-                total += node.spec.size
-        return total
 
     # ------------------------------------------------------------------ #
     # copying
@@ -288,15 +266,6 @@ class Graph:
                     )
             elif node.inputs:
                 raise ValueError(f"{node.kind} node {node.name} must not have inputs")
-
-    def summary(self) -> str:
-        """A human-readable multi-line summary of the graph."""
-        histogram = self.op_histogram()
-        lines = [f"Graph {self.name!r}: {len(self)} nodes, "
-                 f"{self.num_parameters():,} parameters"]
-        for op_name in sorted(histogram):
-            lines.append(f"  {op_name:<20s} x {histogram[op_name]}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"Graph(name={self.name!r}, nodes={len(self)})"

@@ -88,15 +88,11 @@ class Node:
         # pickled graph (an artifact's bytes) carries names, never how many
         # nodes the process has made.
         number = next(_COUNTER)
-        self.name = name or self._default_name(number)
+        self.name = name or f"{op if kind == NodeKind.OP else kind}_{number}"
         self.inputs: List[Node] = list(inputs or [])
         self.attrs: Dict[str, Any] = dict(attrs or {})
         self.spec: Optional[TensorSpec] = spec
         self.value: Optional[np.ndarray] = value
-
-    def _default_name(self, number: int) -> str:
-        base = self.op if self.kind == NodeKind.OP else self.kind
-        return f"{base}_{number}"
 
     # ------------------------------------------------------------------ #
     # predicates

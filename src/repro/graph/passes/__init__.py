@@ -3,7 +3,7 @@
 from .alter_layout import AlterOpLayout
 from .fold_constants import FoldConstants
 from .fusion import FuseOps
-from .pass_manager import FunctionPass, GraphPass, PassManager, PassRecord
+from .pass_manager import GraphPass, PassManager, PassRecord
 from .simplify_inference import SimplifyInference, resolve_derived_constant
 from .transform_elim import EliminateLayoutTransforms
 
@@ -11,7 +11,6 @@ __all__ = [
     "AlterOpLayout",
     "EliminateLayoutTransforms",
     "FoldConstants",
-    "FunctionPass",
     "FuseOps",
     "GraphPass",
     "PassManager",

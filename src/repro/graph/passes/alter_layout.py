@@ -39,25 +39,6 @@ from .pass_manager import GraphPass
 
 __all__ = ["AlterOpLayout"]
 
-_TRANSFORM_COUNTER = itertools.count()
-
-
-def _insert_transform(node_input: Node, src_layout: str, dst_layout: str,
-                      compile_time: bool = False) -> Node:
-    """Create a layout_transform node converting ``node_input``'s output."""
-    transform = Node(
-        NodeKind.OP,
-        name=f"layout_transform_{next(_TRANSFORM_COUNTER)}",
-        op="layout_transform",
-        inputs=[node_input],
-        attrs={
-            "src_layout": src_layout,
-            "dst_layout": dst_layout,
-            "compile_time": compile_time,
-        },
-    )
-    return transform
-
 
 class AlterOpLayout(GraphPass):
     """Apply per-convolution schedules and manage layout flow through the graph."""
@@ -80,6 +61,25 @@ class AlterOpLayout(GraphPass):
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _insert_transform(self, node_input: Node, src_layout: str, dst_layout: str,
+                          compile_time: bool = False) -> Node:
+        """Create a layout_transform node converting ``node_input``'s output.
+
+        Names are numbered per run, so a graph's transform names (and its
+        pickled bytes) do not depend on what the process compiled before.
+        """
+        return Node(
+            NodeKind.OP,
+            name=f"layout_transform_{next(self._transform_ids)}",
+            op="layout_transform",
+            inputs=[node_input],
+            attrs={
+                "src_layout": src_layout,
+                "dst_layout": dst_layout,
+                "compile_time": compile_time,
+            },
+        )
+
     def _rewire_data_input(self, node: Node, index: int, desired_layout: str,
                            layouts: Dict[int, str]) -> None:
         """Ensure input ``index`` of ``node`` arrives in ``desired_layout``."""
@@ -87,7 +87,7 @@ class AlterOpLayout(GraphPass):
         current = layouts.get(id(producer), self._default_layout(producer))
         if current == desired_layout:
             return
-        transform = _insert_transform(producer, current, desired_layout)
+        transform = self._insert_transform(producer, current, desired_layout)
         node.set_input(index, transform)
         layouts[id(transform)] = desired_layout
         self.num_transforms_inserted += 1
@@ -98,18 +98,12 @@ class AlterOpLayout(GraphPass):
             return str(node.spec.layout)
         return "NCHW"
 
-    @staticmethod
-    def _is_feature_map(node: Node, layouts: Dict[int, str]) -> bool:
-        layout = layouts.get(id(node))
-        if layout is None:
-            return node.spec is not None and len(node.spec.logical_shape) == 4
-        return Layout(layout).has_axis("N") and Layout(layout).has_axis("H")
-
     # ------------------------------------------------------------------ #
     # main pass
     # ------------------------------------------------------------------ #
     def run(self, graph: Graph) -> Graph:
         self.num_transforms_inserted = 0
+        self._transform_ids = itertools.count()
         #: current output layout per node id, as a layout string
         layouts: Dict[int, str] = {}
 
@@ -154,7 +148,7 @@ class AlterOpLayout(GraphPass):
             layout = layouts.get(id(output), self._default_layout(output))
             layout_obj = Layout(layout)
             if layout_obj.is_blocked:
-                transform = _insert_transform(output, layout, str(layout_obj.canonical))
+                transform = self._insert_transform(output, layout, str(layout_obj.canonical))
                 graph.outputs[index] = transform
                 self.num_transforms_inserted += 1
 
@@ -179,7 +173,7 @@ class AlterOpLayout(GraphPass):
         weight = node.inputs[1]
         weight_layout = layouts.get(id(weight), self._default_layout(weight))
         if weight_layout != schedule.weight_layout:
-            transform = _insert_transform(
+            transform = self._insert_transform(
                 weight, weight_layout, schedule.weight_layout, compile_time=True
             )
             node.set_input(1, transform)
@@ -192,7 +186,7 @@ class AlterOpLayout(GraphPass):
             # never see blocked data.  Consumers are rewired right away (never
             # ``back`` itself, which consumes ``node``); the traversal
             # operates on a snapshot so the new node is not revisited.
-            back = _insert_transform(node, schedule.output_layout, "NCHW")
+            back = self._insert_transform(node, schedule.output_layout, "NCHW")
             graph.replace_node(node, back)
             layouts[id(back)] = "NCHW"
             self.num_transforms_inserted += 1

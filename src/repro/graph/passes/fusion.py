@@ -3,8 +3,8 @@
 "The common practice is fusing [memory-bound operations] to CONVs so as to
 increase the overall arithmetic intensity of the workload" (section 2.2).
 This pass groups each compute-intensive anchor (conv2d, dense) with the chain
-of fusible element-wise operators that directly follows it (bias_add,
-scale_shift/batch_norm, relu, elemwise_add ...), provided the intermediate
+of fusible element-wise operators that directly follows it
+(scale_shift/batch_norm, relu, elemwise_add ...), provided the intermediate
 values have no other consumer.
 
 The pass is purely annotational: every node gets a ``fuse_group`` attribute
@@ -17,7 +17,7 @@ buys on real hardware.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ...ops.registry import registry
 from ..graph import Graph
@@ -72,12 +72,3 @@ class FuseOps(GraphPass):
                 self.num_fused_ops += len(fused)
             self.num_groups += 1
         return graph
-
-    @staticmethod
-    def fusion_groups(graph: Graph) -> Dict[str, List[str]]:
-        """Return the mapping anchor name -> fused follower names."""
-        groups: Dict[str, List[str]] = {}
-        for node in graph.op_nodes():
-            if node.attrs.get("fuse_group") == node.name:
-                groups[node.name] = list(node.attrs.get("fused_ops", []))
-        return groups

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..graph import Graph
 
-__all__ = ["GraphPass", "FunctionPass", "PassManager", "PassRecord"]
+__all__ = ["GraphPass", "PassManager", "PassRecord"]
 
 
 class GraphPass:
@@ -37,17 +37,6 @@ class GraphPass:
 
     def __repr__(self) -> str:
         return f"<{self.name or type(self).__name__}>"
-
-
-class FunctionPass(GraphPass):
-    """Wrap a plain ``Graph -> Graph`` function as a pass."""
-
-    def __init__(self, func: Callable[[Graph], Graph], name: Optional[str] = None) -> None:
-        self._func = func
-        self.name = name or getattr(func, "__name__", "function_pass")
-
-    def run(self, graph: Graph) -> Graph:
-        return self._func(graph)
 
 
 @dataclass
@@ -75,9 +64,7 @@ class PassManager:
     records: List[PassRecord] = field(default_factory=list)
     verifier: Optional[Callable[[Graph, str], None]] = None
 
-    def add(self, graph_pass: "GraphPass | Callable[[Graph], Graph]") -> "PassManager":
-        if not isinstance(graph_pass, GraphPass):
-            graph_pass = FunctionPass(graph_pass)
+    def add(self, graph_pass: GraphPass) -> "PassManager":
         self.passes.append(graph_pass)
         return self
 

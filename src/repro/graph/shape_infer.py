@@ -20,15 +20,11 @@ serving layer's batchability probe reads exactly this signal.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..ops.registry import registry
-from ..tensor.layout import Layout
 from ..tensor.tensor import TensorSpec
 from .graph import Graph
-from .node import Node
 
-__all__ = ["infer_shapes", "InferenceError", "edge_layouts"]
+__all__ = ["infer_shapes", "InferenceError"]
 
 
 class InferenceError(RuntimeError):
@@ -67,22 +63,3 @@ def infer_shapes(graph: Graph) -> Graph:
                 f"shape inference failed for node {node.name!r} ({node.op}): {exc}"
             ) from exc
     return graph
-
-
-def edge_layouts(graph: Graph) -> Dict[str, str]:
-    """Map each node name to the layout string of its output edge.
-
-    Convenience view over the inferred specs, used by tests and by the
-    illustration example that re-creates Figure 2.
-    """
-    infer_shapes(graph)
-    result: Dict[str, str] = {}
-    for node in graph.topological_order():
-        if node.spec is not None:
-            result[node.name] = str(node.spec.layout)
-    return result
-
-
-def output_layout(node: Node) -> Optional[Layout]:
-    """The layout of a node's output spec, or ``None`` when not yet inferred."""
-    return None if node.spec is None else node.spec.layout

@@ -2,7 +2,7 @@
 
 from .cache import CacheHierarchy, CacheLevel
 from .cpu import CPUSpec, make_cpu
-from .isa import AVX2, AVX512, ISA, NEON, SSE4, isa_from_name, known_isas
+from .isa import AVX2, AVX512, ISA, NEON, SSE4
 from .presets import (
     HOST_TARGET_ENV,
     amd_epyc_m5a_12xlarge,
@@ -37,8 +37,6 @@ __all__ = [
     "get_target",
     "host_fingerprint",
     "intel_skylake_c5_9xlarge",
-    "isa_from_name",
-    "known_isas",
     "known_targets",
     "make_cpu",
     "rank_targets",

@@ -11,16 +11,17 @@ bandwidth to each level is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 __all__ = ["CacheLevel", "CacheHierarchy"]
 
-#: Calibration knobs of :meth:`CacheHierarchy.residency_factor`: efficiency
-#: of a working set resident in each level, with fallbacks for unnamed
-#: levels and for spills to DRAM.  Single source — the vectorized cost model
-#: reads the same table through :meth:`residency_factor_batch`.
+#: Calibration knobs of :meth:`CacheHierarchy.residency_factor_batch`:
+#: efficiency of a working set resident in each level, with fallbacks for
+#: unnamed levels and for spills to DRAM.  They are calibration knobs for the
+#: analytical model, not physical truths, chosen so that sensible blockings
+#: (working set in L1/L2) clearly beat blockings that thrash.
 _RESIDENCY_FACTORS = {"L1": 1.0, "L2": 0.85, "L3": 0.6}
 _UNKNOWN_LEVEL_RESIDENCY = 0.5
 _DRAM_RESIDENCY = 0.35
@@ -45,10 +46,6 @@ class CacheLevel:
     latency_cycles: int = 4
     bandwidth_bytes_per_cycle: float = 64.0
     shared: bool = False
-
-    @property
-    def size_kib(self) -> float:
-        return self.size_bytes / 1024.0
 
 
 @dataclass(frozen=True)
@@ -76,46 +73,13 @@ class CacheHierarchy:
             )
         return cls(tuple(levels))
 
-    @property
-    def l1(self) -> CacheLevel:
-        return self.levels[0]
-
-    @property
-    def l2(self) -> CacheLevel:
-        return self.levels[1]
-
-    @property
-    def l3(self) -> Optional[CacheLevel]:
-        return self.levels[2] if len(self.levels) > 2 else None
-
-    def level_for_working_set(self, nbytes: int) -> Optional[CacheLevel]:
-        """Smallest cache level that can hold ``nbytes``, or None (DRAM)."""
-        for level in self.levels:
-            if nbytes <= level.size_bytes:
-                return level
-        return None
-
-    def residency_factor(self, nbytes: int) -> float:
-        """A [0, 1] efficiency factor for a working set of ``nbytes``.
+    def residency_factor_batch(self, nbytes: "np.ndarray") -> "np.ndarray":
+        """A [0, 1] efficiency factor per working-set size in ``nbytes``.
 
         1.0 means the working set fits in L1 and reuse is essentially free;
-        values shrink as the working set spills to outer levels or DRAM.  The
-        exact constants are calibration knobs for the analytical model, not
-        physical truths; they are chosen so that sensible blockings (working
-        set in L1/L2) clearly beat blockings that thrash.
+        values shrink as the working set spills to outer levels or DRAM.
         """
-        level = self.level_for_working_set(nbytes)
-        if level is None:
-            return _DRAM_RESIDENCY
-        return _RESIDENCY_FACTORS.get(level.name, _UNKNOWN_LEVEL_RESIDENCY)
-
-    def residency_factor_batch(self, nbytes: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`residency_factor` over an array of set sizes.
-
-        Same calibration table, evaluated with one ``np.select`` so the
-        batched conv cost model stays in lock-step with the scalar factor.
-        """
-        if not self.levels:  # everything spills to DRAM, like the scalar path
+        if not self.levels:  # everything spills to DRAM
             return np.full(np.shape(nbytes), _DRAM_RESIDENCY)
         conditions = [nbytes <= level.size_bytes for level in self.levels]
         choices = [

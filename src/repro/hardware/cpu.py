@@ -10,11 +10,11 @@ M5a.12xlarge, ARM Cortex-A72 A1.4xlarge) are provided as presets in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .cache import CacheHierarchy
-from .isa import ISA, isa_from_name
+from .isa import ISA
 
 __all__ = ["CPUSpec"]
 
@@ -61,35 +61,8 @@ class CPUSpec:
         return self.isa.flops_per_cycle(32) * self.frequency_ghz
 
     @property
-    def peak_gflops(self) -> float:
-        """Peak socket fp32 GFLOP/s with all cores active."""
-        return self.peak_gflops_per_core * self.num_cores
-
-    @property
     def dram_bandwidth_bytes_per_sec(self) -> float:
         return self.dram_bandwidth_gbps * 1e9
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert a per-core cycle count to seconds."""
-        return cycles / (self.frequency_ghz * 1e9)
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.frequency_ghz * 1e9
-
-    def with_cores(self, num_cores: int) -> "CPUSpec":
-        """A copy of this spec restricted to ``num_cores`` cores.
-
-        Used by the scalability experiments (Figure 4) to sweep the number of
-        worker threads.
-        """
-        if num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
-        if num_cores > self.num_cores:
-            raise ValueError(
-                f"{self.name} only has {self.num_cores} physical cores "
-                f"(requested {num_cores}); hyper-threading is not used"
-            )
-        return replace(self, num_cores=num_cores)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -102,7 +75,7 @@ def make_cpu(
     name: str,
     vendor: str,
     arch: str,
-    isa: "ISA | str",
+    isa: ISA,
     num_cores: int,
     frequency_ghz: float,
     l1_kib: float,
@@ -112,13 +85,12 @@ def make_cpu(
     smt: int = 2,
 ) -> CPUSpec:
     """Convenience factory assembling a :class:`CPUSpec` from scalar fields."""
-    isa_obj = isa if isinstance(isa, ISA) else isa_from_name(isa)
     caches = CacheHierarchy.from_sizes(l1_kib, l2_kib, l3_mib)
     return CPUSpec(
         name=name,
         vendor=vendor,
         arch=arch,
-        isa=isa_obj,
+        isa=isa,
         num_cores=num_cores,
         frequency_ghz=frequency_ghz,
         caches=caches,

@@ -11,9 +11,8 @@ bound the register-blocking factor ``reg_n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
-__all__ = ["ISA", "AVX512", "AVX2", "NEON", "SSE4", "isa_from_name"]
+__all__ = ["ISA", "AVX512", "AVX2", "NEON", "SSE4"]
 
 
 @dataclass(frozen=True)
@@ -62,26 +61,3 @@ AVX512 = ISA(name="avx512", vector_bits=512, num_vector_registers=32, fma_units=
 AVX2 = ISA(name="avx2", vector_bits=256, num_vector_registers=16, fma_units=2)
 NEON = ISA(name="neon", vector_bits=128, num_vector_registers=32, fma_units=1)
 SSE4 = ISA(name="sse4", vector_bits=128, num_vector_registers=16, fma_units=1)
-
-_REGISTRY: Dict[str, ISA] = {i.name: i for i in (AVX512, AVX2, NEON, SSE4)}
-
-
-def isa_from_name(name: str) -> ISA:
-    """Look up an ISA by name (case-insensitive).
-
-    Raises:
-        KeyError: for unknown ISA names.
-    """
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise KeyError(f"unknown ISA {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[key]
-
-
-def register_isa(isa: ISA) -> None:
-    """Register a custom ISA so that :func:`isa_from_name` can resolve it."""
-    _REGISTRY[isa.name] = isa
-
-
-def known_isas() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))

@@ -7,9 +7,9 @@ registry that classifies them by layout behaviour for the graph-level passes.
 """
 
 from . import op_library  # noqa: F401  (registers the standard operator set)
-from .activation import relu, sigmoid, softmax
+from .activation import relu, softmax
 from .batch_norm import batch_norm_inference, batch_norm_to_scale_shift, fold_batch_norm_into_conv
-from .blocked_conv import conv2d_nchwc, conv2d_nchwc_from_nchw, prepack_weights
+from .blocked_conv import prepack_weights
 from .conv2d import (
     conv2d_nchw,
     conv2d_nchw_naive,
@@ -18,7 +18,6 @@ from .conv2d import (
     workload_from_shapes,
 )
 from .dense import dense, flatten_nchw
-from .elementwise import bias_add
 from .pooling import global_avg_pool2d, prepare_pool2d
 from .registry import LayoutCategory, OpDef, OpRegistry, get_op, register_op, registry
 from .ssd_ops import decode_boxes, multibox_detection, multibox_prior, non_max_suppression
@@ -29,11 +28,8 @@ __all__ = [
     "OpRegistry",
     "batch_norm_inference",
     "batch_norm_to_scale_shift",
-    "bias_add",
     "conv2d_nchw",
     "conv2d_nchw_naive",
-    "conv2d_nchwc",
-    "conv2d_nchwc_from_nchw",
     "conv_output_size",
     "decode_boxes",
     "dense",
@@ -50,7 +46,6 @@ __all__ = [
     "register_op",
     "registry",
     "relu",
-    "sigmoid",
     "softmax",
     "workload_from_shapes",
 ]

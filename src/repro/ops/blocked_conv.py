@@ -36,9 +36,8 @@ input if some kept tap reads padding (``np.zeros`` plus a slice assignment,
 the same bits as ``np.pad``), take the strided window, make the im2col copy
 and run the stacked ``np.matmul``.  The batch is read from
 the data array, never from the workload, so one prepared kernel serves any
-coalesced batch.  :func:`conv2d_nchwc` is prepare then call; the graph
-executor prepares each convolution once, and the empirical measurer times the
-prepared call.
+coalesced batch.  The graph executor prepares each convolution once, and the
+empirical measurer times the prepared call.
 
 Numerical results agree with the NCHW reference up to fp round-off, which the
 test suite asserts for a range of workloads and schedules.
@@ -53,12 +52,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..schedule.template import ConvSchedule, validate_schedule
 from ..schedule.workload import ConvWorkload
-from ..tensor.transform import pack_conv_weights, to_blocked_nchwc, from_blocked_nchwc
-from .conv2d import workload_from_shapes
+from ..tensor.transform import pack_conv_weights
 
 __all__ = [
-    "conv2d_nchwc",
-    "conv2d_nchwc_from_nchw",
     "prepack_weights",
     "prepare_conv2d_nchwc",
 ]
@@ -203,56 +199,3 @@ def prepare_conv2d_nchwc(
         return out
 
     return conv
-
-
-def conv2d_nchwc(
-    data_blocked: np.ndarray,
-    weight_packed: np.ndarray,
-    workload: ConvWorkload,
-    schedule: ConvSchedule,
-    bias: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Convolution on blocked data: :func:`prepare_conv2d_nchwc`, then call.
-
-    Args:
-        data_blocked: input feature map, shape
-            ``(N, C/ic_bn, H, W, ic_bn)``.
-        weight_packed: pre-packed kernel, shape
-            ``(K/oc_bn, C/ic_bn, R, S, ic_bn, oc_bn)``.
-        workload: shape signature (must be consistent with the arrays).
-        schedule: the template configuration (ic_bn/oc_bn/reg_n/unroll_ker).
-        bias: optional per-output-channel bias of shape (K,).
-
-    Returns:
-        Output feature map of shape ``(N, K/oc_bn, OH, OW, oc_bn)``.
-    """
-    return prepare_conv2d_nchwc(workload, schedule, weight_packed, bias)(data_blocked)
-
-
-def conv2d_nchwc_from_nchw(
-    data_nchw: np.ndarray,
-    weight_oihw: np.ndarray,
-    schedule: ConvSchedule,
-    stride=1,
-    padding=0,
-    dilation=1,
-    bias: Optional[np.ndarray] = None,
-    return_blocked: bool = False,
-) -> np.ndarray:
-    """Convenience wrapper: run the blocked template on NCHW/OIHW inputs.
-
-    Performs the layout transforms explicitly (data -> ``NCHW[ic_bn]c``,
-    weights -> packed, output -> back to NCHW unless ``return_blocked``).
-    This is exactly what a single un-optimized graph node pays when the layout
-    transforms are *not* hoisted out — the overhead that sections 3.2/3.3
-    eliminate.
-    """
-    workload = workload_from_shapes(
-        data_nchw.shape, weight_oihw.shape, stride, padding, dilation
-    )
-    data_blocked = to_blocked_nchwc(data_nchw, schedule.ic_bn)
-    weight_packed = prepack_weights(weight_oihw, schedule)
-    out_blocked = conv2d_nchwc(data_blocked, weight_packed, workload, schedule, bias)
-    if return_blocked:
-        return out_blocked
-    return from_blocked_nchwc(out_blocked, schedule.oc_bn)

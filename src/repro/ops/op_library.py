@@ -20,7 +20,7 @@ from ..schedule.template import ConvSchedule
 from ..tensor.layout import Layout
 from ..tensor.tensor import BatchDim, TensorSpec
 from ..tensor.transform import layout_transform
-from . import activation, batch_norm, blocked_conv, conv2d, dense, elementwise, pooling
+from . import activation, batch_norm, blocked_conv, conv2d, dense, pooling
 from .conv2d import conv_output_size
 from .registry import LayoutCategory, register_op
 from .ssd_ops import multibox_detection
@@ -324,12 +324,6 @@ def _batch_norm_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants)
     )
 
 
-def _bias_add_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
-    del attrs, invariants
-    shape = _channel_shape(in_specs[0])
-    return lambda data, bias: elementwise.bias_add(data, bias, shape)
-
-
 def _scale_shift_prepare(
     attrs: dict,
     in_specs: Sequence[TensorSpec],
@@ -541,13 +535,6 @@ register_op(
     fusible=True,
 )
 register_op(
-    "bias_add",
-    LayoutCategory.TOLERANT,
-    _same_as_input_infer,
-    _bias_add_prepare,
-    fusible=True,
-)
-register_op(
     "scale_shift",
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
@@ -562,13 +549,6 @@ register_op(
     _numpy_prepare(activation.relu, lambda data: activation.relu(data, out=data)),
     fusible=True,
     in_place=True,
-)
-register_op(
-    "sigmoid",
-    LayoutCategory.OBLIVIOUS,
-    _same_as_input_infer,
-    _numpy_prepare(activation.sigmoid),
-    fusible=True,
 )
 register_op("softmax", LayoutCategory.OBLIVIOUS, _same_as_input_infer, _softmax_prepare)
 register_op(

@@ -127,9 +127,6 @@ class OpRegistry:
     def names(self) -> List[str]:
         return sorted(self._ops)
 
-    def by_category(self, category: LayoutCategory) -> List[OpDef]:
-        return [op for op in self._ops.values() if op.category is category]
-
 
 #: Global registry used by the graph IR and executor.
 registry = OpRegistry()

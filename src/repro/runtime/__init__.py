@@ -17,7 +17,7 @@ from .artifact import (
 )
 from .executor import GraphExecutor, initialize_parameters
 from .module import CompiledModule
-from .profiler import format_report, top_costs
+from .profiler import format_report
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -35,5 +35,4 @@ __all__ = [
     "manifest_targets",
     "read_manifest",
     "save_bundle",
-    "top_costs",
 ]

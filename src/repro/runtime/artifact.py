@@ -208,13 +208,14 @@ def bundle_fingerprint(member_fingerprints: "list[str] | tuple[str, ...]") -> st
 # save / load
 # --------------------------------------------------------------------------- #
 def _module_payload_bytes(module: "CompiledModule") -> bytes:
+    # No pass report: it holds each pass's wall time, and a build's bytes
+    # must depend only on its inputs.
     payload = {
         "graph": module.graph,
         "cpu": module.cpu,
         "config": module.config,
         "schedules": module.schedules,
         "search_method": module.search_method,
-        "pass_report": module.pass_report,
     }
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -398,7 +399,6 @@ def _module_from_payload(payload: dict, fingerprint: str) -> "CompiledModule":
         config=payload["config"],
         schedules=payload["schedules"],
         search_method=payload["search_method"],
-        pass_report=payload["pass_report"],
         fingerprint=fingerprint,
     )
 

@@ -54,7 +54,7 @@ from ..graph.node import Node
 from ..graph.passes.simplify_inference import resolve_derived_constant
 from ..ops.registry import Kernel, registry
 from ..tensor.tensor import Tensor, TensorSpec
-from ..tensor.transform import transform_tensor
+from ..tensor.transform import layout_transform
 
 __all__ = ["GraphExecutor", "initialize_parameters", "request_array"]
 
@@ -162,9 +162,7 @@ def request_array(spec: TensorSpec, value: ArrayLike) -> np.ndarray:
     dtype.
     """
     if isinstance(value, Tensor):
-        if value.layout != spec.layout:
-            value = transform_tensor(value, spec.layout)
-        value = value.data
+        value = layout_transform(value.data, value.layout, spec.layout)
     return np.asarray(value, dtype=spec.dtype.name)
 
 
@@ -341,8 +339,3 @@ class GraphExecutor:
         if return_all:
             return {node.name: slots[index] for index, node in enumerate(self._order)}
         return [slots[index] for index in plan.outputs]
-
-    def run_single(self, **inputs: ArrayLike) -> np.ndarray:
-        """Convenience wrapper returning the first output only."""
-        outputs = self.run(inputs)
-        return outputs[0]

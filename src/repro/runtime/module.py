@@ -53,15 +53,6 @@ class CompiledModule:
         """Build a functional executor over the optimized graph."""
         return GraphExecutor(self.graph, params=params, seed=seed)
 
-    def run(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        params: Optional[Mapping[str, np.ndarray]] = None,
-        seed: int = 0,
-    ):
-        """One-shot convenience: bind parameters and run a single inference."""
-        return self.create_executor(params, seed).run(inputs)
-
     # ------------------------------------------------------------------ #
     # latency estimation
     # ------------------------------------------------------------------ #

@@ -7,17 +7,9 @@ dominate, how much time goes into layout transforms).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from ..costmodel.graph_cost import LatencyReport
 
-__all__ = ["format_report", "top_costs"]
-
-
-def top_costs(report: LatencyReport, k: int = 10) -> List[Tuple[str, float]]:
-    """The ``k`` most expensive nodes of a latency report (name, milliseconds)."""
-    ordered = sorted(report.node_costs, key=lambda cost: cost.time_s, reverse=True)
-    return [(cost.name, cost.time_s * 1e3) for cost in ordered[:k]]
+__all__ = ["format_report"]
 
 
 def format_report(report: LatencyReport, k: int = 15) -> str:

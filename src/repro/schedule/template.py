@@ -18,7 +18,7 @@ analytical cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .workload import ConvWorkload
@@ -85,10 +85,6 @@ class ConvSchedule:
             reg_n=int(data["reg_n"]),
             unroll_ker=bool(data["unroll_ker"]),
         )
-
-    def with_(self, **changes) -> "ConvSchedule":
-        """Functional update helper (e.g. ``schedule.with_(reg_n=8)``)."""
-        return replace(self, **changes)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return (

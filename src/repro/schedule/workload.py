@@ -99,11 +99,6 @@ class ConvWorkload:
         )
 
     @property
-    def output_shape(self) -> Tuple[int, int, int, int]:
-        """NCHW output shape."""
-        return (self.batch, self.out_channels, self.out_height, self.out_width)
-
-    @property
     def flops(self) -> int:
         """Total multiply-add operation count, counted as 2 flops each."""
         macs = (
@@ -128,19 +123,6 @@ class ConvWorkload:
         )
         out_elems = self.batch * self.out_channels * self.out_height * self.out_width
         return (in_elems + w_elems + out_elems) * dtype_bytes
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Flops per byte of compulsory traffic (roofline x-coordinate)."""
-        return self.flops / max(1, self.bytes_accessed())
-
-    @property
-    def is_depthwise(self) -> bool:
-        return self.groups == self.in_channels and self.groups == self.out_channels
-
-    @property
-    def is_1x1(self) -> bool:
-        return self.kernel_h == 1 and self.kernel_w == 1
 
     def key(self) -> str:
         """Stable string key used by the tuning database."""

@@ -8,14 +8,7 @@ layout transformation kernels that the rest of the stack builds on.
 from .dtype import DType, dtype_from_name, float32, float64, int32, int8
 from .layout import AxisToken, Layout, LayoutError
 from .tensor import BatchDim, Tensor, TensorSpec
-from .transform import (
-    from_blocked_nchwc,
-    layout_transform,
-    pack_conv_weights,
-    to_blocked_nchwc,
-    transform_tensor,
-    unpack_conv_weights,
-)
+from .transform import layout_transform, pack_conv_weights, to_blocked_nchwc
 
 __all__ = [
     "AxisToken",
@@ -28,12 +21,9 @@ __all__ = [
     "dtype_from_name",
     "float32",
     "float64",
-    "from_blocked_nchwc",
     "int32",
     "int8",
     "layout_transform",
     "pack_conv_weights",
     "to_blocked_nchwc",
-    "transform_tensor",
-    "unpack_conv_weights",
 ]

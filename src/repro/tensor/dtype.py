@@ -36,10 +36,6 @@ class DType:
     def numpy_dtype(self) -> np.dtype:
         return np.dtype(self.name)
 
-    def lanes(self, vector_bits: int) -> int:
-        """How many elements of this type fit in one vector register."""
-        return max(1, vector_bits // self.bits)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

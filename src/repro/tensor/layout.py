@@ -30,9 +30,6 @@ __all__ = [
     "Layout",
     "LayoutError",
     "AxisToken",
-    "canonical_layout_of",
-    "blocked_shape",
-    "logical_shape",
 ]
 
 
@@ -177,11 +174,6 @@ class Layout:
         return self._tokens
 
     @property
-    def ndim(self) -> int:
-        """Number of concrete dimensions of data stored in this layout."""
-        return len(self._tokens)
-
-    @property
     def primal_axes(self) -> Tuple[str, ...]:
         """Primal axis names in the order they appear."""
         return self._primal_axes
@@ -262,10 +254,10 @@ class Layout:
 
     def logical_shape(self, concrete_shape: Sequence[int]) -> Tuple[int, ...]:
         """Inverse of :meth:`blocked_shape`."""
-        if len(concrete_shape) != self.ndim:
+        if len(concrete_shape) != len(self._tokens):
             raise LayoutError(
                 f"concrete shape {tuple(concrete_shape)} does not match "
-                f"layout {self} with {self.ndim} dims"
+                f"layout {self} with {len(self._tokens)} dims"
             )
         extents: Dict[str, int] = {}
         for token, extent in zip(self._tokens, concrete_shape):
@@ -297,24 +289,3 @@ class Layout:
 
     def __hash__(self) -> int:
         return hash(self._str)
-
-
-def canonical_layout_of(layout: "Layout | str") -> Layout:
-    """Return the canonical (un-blocked) layout of ``layout``."""
-    if isinstance(layout, str):
-        layout = Layout(layout)
-    return layout.canonical
-
-
-def blocked_shape(layout: "Layout | str", logical: Sequence[int]) -> Tuple[int, ...]:
-    """Module-level convenience wrapper around :meth:`Layout.blocked_shape`."""
-    if isinstance(layout, str):
-        layout = Layout(layout)
-    return layout.blocked_shape(logical)
-
-
-def logical_shape(layout: "Layout | str", concrete: Sequence[int]) -> Tuple[int, ...]:
-    """Module-level convenience wrapper around :meth:`Layout.logical_shape`."""
-    if isinstance(layout, str):
-        layout = Layout(layout)
-    return layout.logical_shape(concrete)

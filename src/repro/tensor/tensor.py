@@ -168,21 +168,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # convenience constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def zeros(
-        cls,
-        logical_shape: Sequence[int],
-        layout: LayoutLike = "NCHW",
-        dtype: str = "float32",
-    ) -> "Tensor":
-        spec = TensorSpec(logical_shape, layout, dtype)
-        return cls(np.zeros(spec.concrete_shape, dtype=dtype), spec.layout, logical_shape)
-
-    @classmethod
-    def from_spec(cls, spec: TensorSpec, data: Optional[np.ndarray] = None) -> "Tensor":
-        if data is None:
-            data = np.zeros(spec.concrete_shape, dtype=spec.dtype.name)
-        return cls(data, spec.layout, spec.logical_shape)
 
     @classmethod
     def random(
@@ -215,14 +200,6 @@ class Tensor:
     @property
     def dtype(self) -> DType:
         return self.spec.dtype
-
-    @property
-    def nbytes(self) -> int:
-        return self.spec.nbytes
-
-    def numpy(self) -> np.ndarray:
-        """The raw backing array (in the concrete/blocked shape)."""
-        return self.data
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.logical_shape}, layout={self.layout}, dtype={self.dtype})"

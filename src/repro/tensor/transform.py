@@ -25,15 +25,11 @@ from typing import Union
 import numpy as np
 
 from .layout import Layout, LayoutError
-from .tensor import Tensor
 
 __all__ = [
     "layout_transform",
-    "transform_tensor",
     "to_blocked_nchwc",
-    "from_blocked_nchwc",
     "pack_conv_weights",
-    "unpack_conv_weights",
 ]
 
 LayoutLike = Union[Layout, str]
@@ -135,14 +131,6 @@ def layout_transform(
     return _block(np.ascontiguousarray(canonical), dst)
 
 
-def transform_tensor(tensor: Tensor, dst_layout: LayoutLike) -> Tensor:
-    """Layout-transform a :class:`Tensor`, preserving its logical content."""
-    dst = _as_layout(dst_layout)
-    new_data = layout_transform(tensor.data, tensor.layout, dst)
-    new_spec = tensor.spec.with_layout(dst)
-    return Tensor(new_data, dst, new_spec.logical_shape)
-
-
 def to_blocked_nchwc(data: np.ndarray, block: int) -> np.ndarray:
     """Convert an ``NCHW`` feature map to ``NCHW[block]c``.
 
@@ -150,11 +138,6 @@ def to_blocked_nchwc(data: np.ndarray, block: int) -> np.ndarray:
     their tests.
     """
     return layout_transform(data, "NCHW", Layout(f"NCHW{block}c"))
-
-
-def from_blocked_nchwc(data: np.ndarray, block: int) -> np.ndarray:
-    """Inverse of :func:`to_blocked_nchwc`."""
-    return layout_transform(data, Layout(f"NCHW{block}c"), "NCHW")
 
 
 def pack_conv_weights(weights: np.ndarray, ic_bn: int, oc_bn: int) -> np.ndarray:
@@ -173,13 +156,4 @@ def pack_conv_weights(weights: np.ndarray, ic_bn: int, oc_bn: int) -> np.ndarray
     packed = weights.reshape(out_c // oc_bn, oc_bn, in_c // ic_bn, ic_bn, k_h, k_w)
     # target order: O_outer, I_outer, H, W, i_inner, o_inner
     return np.ascontiguousarray(packed.transpose(0, 2, 4, 5, 3, 1))
-
-
-def unpack_conv_weights(packed: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_conv_weights`, returning OIHW weights."""
-    oc_outer, ic_outer, k_h, k_w, ic_bn, oc_bn = packed.shape
-    weights = packed.transpose(0, 5, 1, 4, 2, 3)
-    return np.ascontiguousarray(
-        weights.reshape(oc_outer * oc_bn, ic_outer * ic_bn, k_h, k_w)
-    )
 

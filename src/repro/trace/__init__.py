@@ -38,7 +38,7 @@ from .replayer import (
     measured_metrics,
     replay,
 )
-from .whatif import WhatIfResult, sweep, worker_sweep
+from .whatif import WhatIfResult, sweep
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -61,5 +61,4 @@ __all__ = [
     "replay",
     "signature_hash",
     "sweep",
-    "worker_sweep",
 ]

@@ -118,9 +118,6 @@ class Trace:
     #: timeline (monotonic clocks are shared across processes on one host).
     events: List[TraceEvent]
 
-    def by_role(self, role: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.role == role]
-
     def scheduler_pids(self) -> List[int]:
         """Pids that recorded a scheduler stream, in stable order."""
         return sorted(pid for pid, role in self.metas if role == "scheduler")
@@ -235,22 +232,12 @@ class TraceWriter:
             if len(self._buffer) >= self.events_per_segment:
                 self._flush_segment_locked()
 
-    def flush(self) -> None:
-        """Force the buffered tail onto disk as a (possibly short) segment."""
-        with self._lock:
-            self._flush_segment_locked()
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._flush_segment_locked()
             self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     def __enter__(self) -> "TraceWriter":
         return self

@@ -83,17 +83,9 @@ class TraceRecorder:
         """
         self._writer.append(kind, t, fields)
 
-    def flush(self) -> None:
-        """Force buffered events onto disk as a complete segment."""
-        self._writer.flush()
-
     def close(self) -> None:
         """Flush and stop recording (late events are dropped, not errors)."""
         self._writer.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._writer.closed
 
     def __enter__(self) -> "TraceRecorder":
         return self

@@ -237,14 +237,6 @@ class ReplayKnobs(SchedulerConfig):
     processes: int = 1  #: worker-process count
     cores: int = 1  #: host cores, for the worker-count scaling model
 
-    @property
-    def scheduler_workers(self) -> int:
-        """Executor threads per worker process (``num_workers``)."""
-        return self.num_workers
-
-    def weights(self) -> Dict[str, float]:
-        return dict(self.priority_weights)
-
     def describe(self) -> str:
         timeout = self.to_manifest()["batch_timeout_ms"]
         if not isinstance(timeout, str):

@@ -32,7 +32,7 @@ from .replayer import (
     _Replayer,
 )
 
-__all__ = ["WhatIfResult", "sweep", "worker_sweep"]
+__all__ = ["WhatIfResult", "sweep"]
 
 
 @dataclass
@@ -144,8 +144,3 @@ def sweep(
             continue  # the baseline already covers the recorded point
         points.append(_replay_with(knobs, model, requests, base.processes))
     return WhatIfResult(baseline=baseline, points=points)
-
-
-def worker_sweep(trace: Trace, counts: Sequence[int]) -> WhatIfResult:
-    """The p99-vs-worker-count curve: replay one trace at each fleet size."""
-    return sweep(trace, processes=sorted(set(int(c) for c in counts)))

@@ -40,7 +40,7 @@ from repro.analysis.rules import (
 )
 from repro.graph import infer_shapes
 from repro.graph.node import Node, NodeKind
-from repro.graph.passes import PassManager
+from repro.graph.passes import GraphPass, PassManager
 from repro.tensor.tensor import BatchDim, TensorSpec
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -534,16 +534,19 @@ class TestVerifyGraph:
 # --------------------------------------------------------------------------- #
 class TestVerifyIrWiring:
     def test_pass_manager_verifier_names_the_corrupting_pass(self):
-        def corruptor(graph):
-            graph.op_nodes()[0].inputs[0] = "gone"
-            return graph
+        class Corruptor(GraphPass):
+            name = "corruptor"
+
+            def run(self, graph):
+                graph.op_nodes()[0].inputs[0] = "gone"
+                return graph
 
         manager = PassManager(
             verifier=lambda g, name: assert_valid_graph(
                 g, context=f"after pass {name}", check_shapes=False
             )
         )
-        manager.add(corruptor)
+        manager.add(Corruptor())
         with pytest.raises(GraphVerificationError) as excinfo:
             manager.run(infer_shapes(build_tiny_cnn()))
         assert "corruptor" in str(excinfo.value)

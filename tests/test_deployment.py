@@ -32,6 +32,7 @@ from repro.api import (
     load_engine,
     pinned_artifacts,
 )
+from repro.api import deployment
 from repro.core import CostModelMeasurer, NumpyMeasurer
 from repro.hardware import (
     compatibility_score,
@@ -43,6 +44,7 @@ from repro.hardware import (
     rank_targets,
 )
 from repro.runtime import load_member, manifest_targets, read_manifest
+from repro.runtime.artifact import graph_fingerprint
 
 from tests.conftest import build_tiny_cnn
 
@@ -62,7 +64,7 @@ def no_search(monkeypatch):
         raise AssertionError("search measurer invoked on a warm cache")
 
     for cls in (CostModelMeasurer, NumpyMeasurer):
-        for name in ("measure", "measure_batch", "measure_arrays"):
+        for name in ("measure_batch", "measure_arrays"):
             if hasattr(cls, name):
                 monkeypatch.setattr(cls, name, boom)
 
@@ -126,8 +128,8 @@ class TestBundleBuild:
             assert entry["payload_sha256"]
             assert entry["cpu"]["isa"]["vector_bits"] > 0
         # Every target's records land in the one shared tuning database.
-        database = ModelRepository(tmp_path).tuning_database()
-        assert sorted(database.cpu_names()) == sorted(bundle.targets)
+        database = deployment.load_tuning_database(tmp_path)
+        assert sorted({cpu for (_, cpu, _) in database.records}) == sorted(bundle.targets)
 
     def test_bundle_members_identical_to_per_target_compile(self, tmp_path):
         """Acceptance: each member serves byte-identical outputs to a
@@ -159,7 +161,7 @@ class TestBundleBuild:
         import repro.core.local_search as local_search
 
         originals = {}
-        for name in ("measure", "measure_batch", "measure_arrays"):
+        for name in ("measure_arrays",):
             originals[name] = getattr(local_search.CostModelMeasurer, name)
             setattr(local_search.CostModelMeasurer, name, boom)
         try:
@@ -204,9 +206,9 @@ class TestBundleBuild:
 
     def test_build_does_not_mutate_caller_graph(self, tmp_path):
         graph = build_tiny_cnn()
-        histogram = graph.op_histogram()
+        before = graph_fingerprint(graph)
         build(graph, ["skylake", "arm"], cache_dir=tmp_path)
-        assert graph.op_histogram() == histogram
+        assert graph_fingerprint(graph) == before
 
     def test_explicit_output_path(self, tmp_path):
         out = tmp_path / "deploy" / "model.neocpu"
@@ -230,16 +232,15 @@ class TestBundleBuild:
             assert second.load_module(target).schedules
 
 
-#: Compile resnet-18@32 for skylake and print the SHA-256 of its payload;
-#: the pass report is left out, it holds each pass's wall time.
+#: Compile resnet-18@32 for skylake and print the SHA-256 of its payload.
 PAYLOAD_DIGEST_SCRIPT = """
-import dataclasses, hashlib
+import hashlib
 from repro.core import compile_graph
 from repro.core.tuning_db import TuningDatabase
 from repro.models.resnet import resnet18
 from repro.runtime.artifact import _module_payload_bytes
 module = compile_graph(resnet18(image_size=32), "skylake", tuning_database=TuningDatabase())
-blob = _module_payload_bytes(dataclasses.replace(module, pass_report=""))
+blob = _module_payload_bytes(module)
 print(hashlib.sha256(blob).hexdigest(), end="")
 """
 
@@ -278,14 +279,12 @@ class TestPickledForm:
         assert saved == {loaded.cpu.name: graph_fingerprint(loaded.graph)}
         assert graph_fingerprint(source) == graph_fingerprint(get_model("resnet-152"))
 
-    def test_payload_bytes_do_not_depend_on_warm_caches(self, monkeypatch):
+    def test_payload_bytes_do_not_depend_on_warm_caches(self):
         import contextlib
         import io
-        import itertools
 
         from repro.core import compile_graph
         from repro.core.tuning_db import TuningDatabase
-        from repro.graph.passes import alter_layout
         from repro.models.zoo import get_model
 
         fresh = subprocess.run(
@@ -296,13 +295,30 @@ class TestPickledForm:
         # other models, and the same one on another target.
         for name, target in (("inception-v3", "epyc"), ("resnet-18", "arm")):
             compile_graph(get_model(name), target, tuning_database=TuningDatabase())
-        # Transform names are numbered process-wide; start them where a
-        # fresh process does, so that only the caches differ.
-        monkeypatch.setattr(alter_layout, "_TRANSFORM_COUNTER", itertools.count())
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             exec(PAYLOAD_DIGEST_SCRIPT, {})
         assert out.getvalue() == fresh
+
+    def test_a_payload_holding_a_pass_report_still_loads(self, tmp_path, monkeypatch):
+        """Payloads no longer carry the pass report (it holds wall times); a
+        bundle written with one loads, and a loaded module's report is empty."""
+        import pickle
+
+        from repro.runtime import artifact
+
+        current = artifact._module_payload_bytes
+
+        def with_report(module):
+            payload = pickle.loads(current(module))
+            payload["pass_report"] = "alter_op_layout 1.2 ms"
+            return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+        monkeypatch.setattr(artifact, "_module_payload_bytes", with_report)
+        bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
+        monkeypatch.undo()
+        module = ArtifactBundle.load(bundle.path).load_module(bundle.targets[0])
+        assert module.pass_report == "" and module.schedules
 
 
 class TestFailedWrites:
@@ -327,7 +343,7 @@ class TestFailedWrites:
         build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         path = tmp_path / "tuning_db.json"
         previous = path.read_bytes()
-        database = ModelRepository(tmp_path).tuning_database()
+        database = deployment.load_tuning_database(tmp_path)
         self._fail_midway(monkeypatch, "write_text")
         with pytest.raises(OSError, match="No space"):
             database.save(path)
@@ -401,7 +417,7 @@ class TestLoadEngine:
 
         originals = {
             name: getattr(local_search.CostModelMeasurer, name)
-            for name in ("measure", "measure_batch", "measure_arrays")
+            for name in ("measure_arrays",)
         }
         for name in originals:
             setattr(local_search.CostModelMeasurer, name, boom)
@@ -442,8 +458,8 @@ class TestLoadEngine:
         bundle = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
         with load_engine(bundle.path, host="arm", seed=7) as engine:
             assert engine.host_match == "recompiled"
-        database = ModelRepository(tmp_path).tuning_database()
-        assert get_target("arm").name in database.cpu_names()
+        database = deployment.load_tuning_database(tmp_path)
+        assert get_target("arm").name in {cpu for (_, cpu, _) in database.records}
 
     def test_lying_manifest_is_not_served(self, tmp_path):
         """A manifest claiming an ARM payload that actually unpickles to an

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph, GraphBuilder, InferenceError, Node, NodeKind, edge_layouts, infer_shapes
+from repro.graph import Graph, GraphBuilder, InferenceError, Node, NodeKind, infer_shapes
 from repro.models.zoo import get_model
 from repro.ops import LayoutCategory, get_op, registry
 from repro.tensor import TensorSpec
@@ -57,11 +57,6 @@ class TestGraph:
         assert len(tiny_cnn.op_nodes("dense")) == 1
         assert all(node.is_op for node in tiny_cnn.op_nodes())
 
-    def test_histogram_and_params(self, tiny_cnn):
-        histogram = tiny_cnn.op_histogram()
-        assert histogram["conv2d"] == 3
-        assert tiny_cnn.num_parameters() > 10000
-
     def test_find(self, tiny_cnn):
         assert tiny_cnn.find("conv1").is_op_type("conv2d")
         with pytest.raises(KeyError):
@@ -77,11 +72,11 @@ class TestGraph:
     def test_replace_node(self, tiny_cnn):
         conv3 = tiny_cnn.find("conv3")
         relu_after = [n for n in tiny_cnn.op_nodes("relu") if n.inputs[0] is conv3][0]
-        replacement = Node(NodeKind.OP, op="sigmoid", inputs=[conv3], name="swap")
+        replacement = Node(NodeKind.OP, op="softmax", inputs=[conv3], name="swap")
         replacement.spec = relu_after.spec
         count = tiny_cnn.replace_node(relu_after, replacement)
         assert count >= 1
-        assert "swap" in [n.name for n in tiny_cnn.op_nodes("sigmoid")]
+        assert "swap" in [n.name for n in tiny_cnn.op_nodes("softmax")]
 
     def test_topological_order_is_the_recursive_post_order(self):
         def recursive(graph):
@@ -117,16 +112,16 @@ class TestGraph:
     def test_replace_nodes_resolves_a_dropout_chain(self):
         graph = self._dropout_chain()
         data, d1, d2, bn = (graph.find(n) for n in ("data", "d1", "d2", "bn"))
-        lowered = Node(NodeKind.OP, op="sigmoid", inputs=[data], name="lowered")
+        lowered = Node(NodeKind.OP, op="softmax", inputs=[data], name="lowered")
         graph.replace_nodes({d1: data, d2: d1, bn: lowered})
         assert graph.find("relu").inputs == [lowered]
         assert graph.outputs[1] is data
-        assert sorted(graph.op_histogram()) == ["relu", "sigmoid"]
+        assert sorted(node.op for node in graph.op_nodes()) == ["relu", "softmax"]
 
     def test_replace_nodes_rewires_a_graph_output(self):
         graph = self._dropout_chain()
         relu = graph.find("relu")
-        swap = Node(NodeKind.OP, op="sigmoid", inputs=[graph.find("bn")], name="swap")
+        swap = Node(NodeKind.OP, op="softmax", inputs=[graph.find("bn")], name="swap")
         assert graph.replace_nodes({relu: swap}) == 1
         assert graph.outputs[0] is swap
 
@@ -135,7 +130,7 @@ class TestGraph:
         # graph, so the walk reaches it and must leave its input alone.
         graph = self._dropout_chain()
         bn, relu = graph.find("bn"), graph.find("relu")
-        wrap = Node(NodeKind.OP, op="sigmoid", inputs=[bn], name="wrap")
+        wrap = Node(NodeKind.OP, op="softmax", inputs=[bn], name="wrap")
         assert graph.replace_nodes({bn: wrap}) == 1
         assert relu.inputs == [wrap] and wrap.inputs == [bn]
 
@@ -153,11 +148,11 @@ class TestGraph:
         for name in ("d1", "d2", "bn"):
             node = graph.find(name)
             new = node.inputs[0] if node.op == "dropout" else Node(
-                NodeKind.OP, op="sigmoid", inputs=[node.inputs[0]], name="lowered")
+                NodeKind.OP, op="softmax", inputs=[node.inputs[0]], name="lowered")
             one_at_a_time += graph.replace_node(node, new)
         chain = self._dropout_chain()
         data, d1, d2, bn = (chain.find(n) for n in ("data", "d1", "d2", "bn"))
-        lowered = Node(NodeKind.OP, op="sigmoid", inputs=[data], name="lowered")
+        lowered = Node(NodeKind.OP, op="softmax", inputs=[data], name="lowered")
         assert chain.replace_nodes({d1: data, d2: d1, bn: lowered}) == one_at_a_time == 4
         assert [n.name for n in chain.topological_order()] == [
             n.name for n in graph.topological_order()
@@ -172,10 +167,6 @@ class TestGraph:
     def test_requires_outputs(self):
         with pytest.raises(ValueError):
             Graph([])
-
-    def test_summary_mentions_ops(self, tiny_cnn):
-        text = tiny_cnn.summary()
-        assert "conv2d" in text and "dense" in text
 
 
 class TestOrderCache:
@@ -275,18 +266,21 @@ class TestOrderCache:
 
     def test_verify_ir_names_the_pass_that_bypassed_the_api(self, tiny_cnn):
         from repro.analysis import GraphVerificationError, assert_valid_graph
-        from repro.graph.passes import PassManager
+        from repro.graph.passes import GraphPass, PassManager
 
-        def bypass(graph):
-            graph.find("fc").inputs[0] = graph.find("pool1")
-            return graph
+        class Bypass(GraphPass):
+            name = "bypass"
+
+            def run(self, graph):
+                graph.find("fc").inputs[0] = graph.find("pool1")
+                return graph
 
         manager = PassManager(
             verifier=lambda g, name: assert_valid_graph(
                 g, context=f"after pass {name}", check_shapes=False
             )
         )
-        manager.add(bypass)
+        manager.add(Bypass())
         with pytest.raises(GraphVerificationError) as excinfo:
             manager.run(tiny_cnn)
         assert "stale-order" in str(excinfo.value) and "bypass" in str(excinfo.value)
@@ -343,9 +337,9 @@ class TestShapeInference:
         assert tiny_cnn.outputs[0].spec.logical_shape == (1, 10)
 
     def test_edge_layouts_default_is_nchw(self, tiny_cnn):
-        layouts = edge_layouts(tiny_cnn)
-        assert layouts["conv1"] == "NCHW"
-        assert layouts["flatten"] == "NC"
+        infer_shapes(tiny_cnn)
+        assert str(tiny_cnn.find("conv1").spec.layout) == "NCHW"
+        assert str(tiny_cnn.find("flatten").spec.layout) == "NC"
 
     def test_missing_spec_raises(self):
         data = Node(NodeKind.INPUT)
@@ -393,5 +387,5 @@ class TestRegistry:
             registry.register(existing)
 
     def test_by_category_nonempty(self):
-        assert registry.by_category(LayoutCategory.TOLERANT)
+        assert registry.get("max_pool2d").category is LayoutCategory.TOLERANT
         assert "conv2d" in registry.names()

@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tensor.layout import Layout, LayoutError, blocked_shape, logical_shape
+from repro.tensor.layout import Layout, LayoutError
 
 
 class TestLayoutParsing:
@@ -14,20 +14,17 @@ class TestLayoutParsing:
         layout = Layout("NCHW")
         assert layout.primal_axes == ("N", "C", "H", "W")
         assert not layout.is_blocked
-        assert layout.ndim == 4
 
     def test_blocked_nchw16c(self):
         layout = Layout("NCHW16c")
         assert layout.is_blocked
         assert layout.block_factor("C") == 16
-        assert layout.ndim == 5
         assert layout.primal_axes == ("N", "C", "H", "W")
 
     def test_weight_layout_oihw16i16o(self):
         layout = Layout("OIHW16i16o")
         assert layout.block_factor("I") == 16
         assert layout.block_factor("O") == 16
-        assert layout.ndim == 6
 
     def test_str_round_trip(self):
         for text in ("NCHW", "NHWC", "NCHW8c", "OIHW4i32o", "OIHW"):
@@ -115,10 +112,6 @@ class TestShapeComputation:
     def test_wrong_rank_raises(self):
         with pytest.raises(LayoutError):
             Layout("NCHW").blocked_shape((1, 3, 8))
-
-    def test_module_level_helpers(self):
-        assert blocked_shape("NCHW8c", (1, 16, 4, 4)) == (1, 2, 4, 4, 8)
-        assert logical_shape("NCHW8c", (1, 2, 4, 4, 8)) == (1, 16, 4, 4)
 
 
 @given(

@@ -8,15 +8,14 @@ import repro.ops.blocked_conv as blocked_conv
 from repro.ops import (
     conv2d_nchw,
     conv2d_nchw_naive,
-    conv2d_nchwc,
-    conv2d_nchwc_from_nchw,
     conv_output_size,
     pad_nchw,
     prepack_weights,
     workload_from_shapes,
 )
+from repro.ops.blocked_conv import prepare_conv2d_nchwc
 from repro.schedule import ConvSchedule
-from repro.tensor import from_blocked_nchwc, to_blocked_nchwc
+from repro.tensor import to_blocked_nchwc
 
 
 def random_case(seed, n=1, c=8, h=8, w=8, k=16, r=3, s=3):
@@ -120,30 +119,38 @@ class TestBlockedConvTemplate:
     def test_matches_reference(self, ic_bn, oc_bn, reg_n, unroll):
         data, weight = random_case(10)
         schedule = ConvSchedule(ic_bn, oc_bn, reg_n, unroll)
-        out = conv2d_nchwc_from_nchw(data, weight, schedule, stride=1, padding=1)
+        workload = workload_from_shapes(data.shape, weight.shape, 1, 1)
+        packed = prepack_weights(weight, schedule)
+        out = prepare_conv2d_nchwc(workload, schedule, packed)(to_blocked_nchwc(data, ic_bn))
         ref = conv2d_nchw(data, weight, stride=1, padding=1)
-        np.testing.assert_allclose(out, ref, atol=1e-3)
+        np.testing.assert_allclose(out, to_blocked_nchwc(ref, oc_bn), atol=1e-3)
 
     def test_strided_and_remainder_tile(self):
         # out_width = 5, reg_n = 4 leaves a remainder tile of 1.
         data, weight = random_case(11, h=10, w=10)
         schedule = ConvSchedule(8, 8, 4, True)
-        out = conv2d_nchwc_from_nchw(data, weight, schedule, stride=2, padding=1)
+        workload = workload_from_shapes(data.shape, weight.shape, 2, 1)
+        packed = prepack_weights(weight, schedule)
+        out = prepare_conv2d_nchwc(workload, schedule, packed)(to_blocked_nchwc(data, 8))
         ref = conv2d_nchw(data, weight, stride=2, padding=1)
-        np.testing.assert_allclose(out, ref, atol=1e-3)
+        np.testing.assert_allclose(out, to_blocked_nchwc(ref, 8), atol=1e-3)
 
     def test_bias_in_blocked_path(self):
         data, weight = random_case(12)
         bias = np.linspace(-1, 1, 16).astype(np.float32)
         schedule = ConvSchedule(8, 16, 4, True)
-        out = conv2d_nchwc_from_nchw(data, weight, schedule, padding=1, bias=bias)
+        workload = workload_from_shapes(data.shape, weight.shape, 1, 1)
+        packed = prepack_weights(weight, schedule)
+        out = prepare_conv2d_nchwc(workload, schedule, packed, bias)(to_blocked_nchwc(data, 8))
         ref = conv2d_nchw(data, weight, padding=1, bias=bias)
-        np.testing.assert_allclose(out, ref, atol=1e-3)
+        np.testing.assert_allclose(out, to_blocked_nchwc(ref, 16), atol=1e-3)
 
     def test_blocked_output_layout(self):
         data, weight = random_case(13)
         schedule = ConvSchedule(8, 8, 4, True)
-        out = conv2d_nchwc_from_nchw(data, weight, schedule, padding=1, return_blocked=True)
+        workload = workload_from_shapes(data.shape, weight.shape, 1, 1)
+        packed = prepack_weights(weight, schedule)
+        out = prepare_conv2d_nchwc(workload, schedule, packed)(to_blocked_nchwc(data, 8))
         assert out.shape == (1, 2, 8, 8, 8)
 
     def test_shape_validation(self):
@@ -153,20 +160,17 @@ class TestBlockedConvTemplate:
         blocked = to_blocked_nchwc(data, 8)
         packed = prepack_weights(weight, schedule)
         with pytest.raises(ValueError):
-            conv2d_nchwc(blocked[:, :, :4], packed, workload, schedule)
+            prepare_conv2d_nchwc(workload, schedule, packed)(blocked[:, :, :4])
         with pytest.raises(ValueError):
-            conv2d_nchwc(blocked, packed[:, :, :1], workload, schedule)
+            prepare_conv2d_nchwc(workload, schedule, packed[:, :, :1])(blocked)
 
     def test_groups_not_supported_by_template(self):
         workload = workload_from_shapes((1, 8, 8, 8), (8, 4, 3, 3), 1, 1, groups=2)
         schedule = ConvSchedule(4, 4, 4, True)
         with pytest.raises(NotImplementedError):
-            conv2d_nchwc(
-                np.zeros((1, 2, 8, 8, 4), np.float32),
-                np.zeros((2, 1, 3, 3, 4, 4), np.float32),
-                workload,
-                schedule,
-            )
+            prepare_conv2d_nchwc(
+                workload, schedule, np.zeros((2, 1, 3, 3, 4, 4), np.float32)
+            )(np.zeros((1, 2, 8, 8, 4), np.float32))
 
     def test_workload_from_shapes_validation(self):
         with pytest.raises(ValueError):
@@ -216,14 +220,14 @@ class TestGemmLowering:
             20, n=2, **shape, **conv
         )
         bias = np.linspace(-1, 1, shape["k"]).astype(np.float32)
-        out = conv2d_nchwc(blocked, packed, workload, schedule, bias)
+        out = prepare_conv2d_nchwc(workload, schedule, packed, bias)(blocked)
         assert out.dtype == np.float32
         assert out.shape == (
             2, shape["k"] // schedule.oc_bn, workload.out_height, workload.out_width,
             schedule.oc_bn,
         )
         ref = conv2d_nchw(data, weight, bias=bias, **conv)
-        np.testing.assert_allclose(from_blocked_nchwc(out, schedule.oc_bn), ref, atol=1e-3)
+        np.testing.assert_allclose(out, to_blocked_nchwc(ref, schedule.oc_bn), atol=1e-3)
 
     @pytest.mark.parametrize("batch", [3, 8])
     @pytest.mark.parametrize("tile_rows", [None, 3])
@@ -240,20 +244,20 @@ class TestGemmLowering:
             # 10 output rows in tiles of 3 -> 3 + 3 + 3 + 1.
             row_bytes = workload.out_width * 8 * 3 * 3 * 4
             monkeypatch.setattr(blocked_conv, "IM2COL_TILE_BYTES", tile_rows * row_bytes)
-        stacked = conv2d_nchwc(blocked, packed, workload, schedule)
+        stacked = prepare_conv2d_nchwc(workload, schedule, packed)(blocked)
         single = workload_from_shapes((1, 8, 10, 10), (16, 8, 3, 3), 1, 1)
         for i in range(batch):
-            alone = conv2d_nchwc(blocked[i : i + 1], packed, single, schedule)
+            alone = prepare_conv2d_nchwc(single, schedule, packed)(blocked[i : i + 1])
             assert np.array_equal(stacked[i : i + 1], alone)
 
     def test_tiled_equals_untiled(self, monkeypatch):
         _, _, blocked, packed, workload, schedule = _blocked_case(
             22, n=2, c=8, h=10, w=10, k=16, r=3, s=3, ic_bn=4, oc_bn=8, padding=1
         )
-        whole = conv2d_nchwc(blocked, packed, workload, schedule)
+        whole = prepare_conv2d_nchwc(workload, schedule, packed)(blocked)
         monkeypatch.setattr(blocked_conv, "IM2COL_TILE_BYTES", 1)  # one row per tile
         np.testing.assert_allclose(
-            conv2d_nchwc(blocked, packed, workload, schedule), whole, atol=1e-4
+            prepare_conv2d_nchwc(workload, schedule, packed)(blocked), whole, atol=1e-4
         )
 
 
@@ -274,9 +278,11 @@ def test_blocked_conv_equals_reference_property(c, k, ic_bn, oc_bn, reg_n, strid
     weight = rng.standard_normal((k, c, 3, 3)).astype(np.float32)
     out_width = 8 if stride == 1 else 4
     schedule = ConvSchedule(min(ic_bn, c), min(oc_bn, k), min(reg_n, out_width), False)
-    out = conv2d_nchwc_from_nchw(data, weight, schedule, stride=stride, padding=1)
+    workload = workload_from_shapes(data.shape, weight.shape, stride, 1)
+    packed = prepack_weights(weight, schedule)
+    out = prepare_conv2d_nchwc(workload, schedule, packed)(to_blocked_nchwc(data, schedule.ic_bn))
     ref = conv2d_nchw(data, weight, stride=stride, padding=1)
-    np.testing.assert_allclose(out, ref, atol=1e-3)
+    np.testing.assert_allclose(out, to_blocked_nchwc(ref, schedule.oc_bn), atol=1e-3)
 
 
 @st.composite
@@ -312,16 +318,14 @@ def test_trimmed_geometry_equals_reference_property(geometry):
     data, weight = random_case(24, n=3, c=4, h=h, w=w, k=8, r=r, s=s)
     bias = np.linspace(-1, 1, 8).astype(np.float32)
     schedule = ConvSchedule(2, 4, 1, False)
-    out = conv2d_nchwc_from_nchw(data, weight, schedule, bias=bias, **conv)
-    ref = conv2d_nchw(data, weight, bias=bias, **conv)
-    np.testing.assert_allclose(out, ref, atol=1e-3)
-
     workload = workload_from_shapes(data.shape, weight.shape, **conv)
     blocked = to_blocked_nchwc(data, schedule.ic_bn)
     packed = prepack_weights(weight, schedule)
-    stacked = conv2d_nchwc(blocked, packed, workload, schedule, bias)
+    stacked = prepare_conv2d_nchwc(workload, schedule, packed, bias)(blocked)
+    ref = conv2d_nchw(data, weight, bias=bias, **conv)
+    np.testing.assert_allclose(stacked, to_blocked_nchwc(ref, schedule.oc_bn), atol=1e-3)
     for i in range(3):
-        alone = conv2d_nchwc(blocked[i : i + 1], packed, workload, schedule, bias)
+        alone = prepare_conv2d_nchwc(workload, schedule, packed, bias)(blocked[i : i + 1])
         assert np.array_equal(stacked[i : i + 1], alone)
 
 
@@ -342,7 +346,9 @@ def test_trimmed_dead_taps_are_never_read(size, stride, live):
     poisoned[:, :, dead] = np.nan
     zeroed[:, :, dead] = 0.0
     schedule = ConvSchedule(4, 4, 1, False)
-    out = conv2d_nchwc_from_nchw(data, poisoned, schedule, stride=stride, padding=1)
+    workload = workload_from_shapes(data.shape, weight.shape, stride, 1)
+    packed = prepack_weights(poisoned, schedule)
+    out = prepare_conv2d_nchwc(workload, schedule, packed)(to_blocked_nchwc(data, 4))
     assert np.isfinite(out).all()
     ref = conv2d_nchw(data, zeroed, stride=stride, padding=1)
-    np.testing.assert_allclose(out, ref, atol=1e-3)
+    np.testing.assert_allclose(out, to_blocked_nchwc(ref, 4), atol=1e-3)

@@ -35,10 +35,9 @@ def reference_output(tiny_input, seed=11):
 class TestSimplifyInference:
     def test_removes_dropout_and_batch_norm(self, tiny_cnn):
         graph = SimplifyInference().run(tiny_cnn)
-        histogram = graph.op_histogram()
-        assert "dropout" not in histogram
-        assert "batch_norm" not in histogram
-        assert histogram["scale_shift"] == 2
+        assert not graph.op_nodes("dropout")
+        assert not graph.op_nodes("batch_norm")
+        assert len(graph.op_nodes("scale_shift")) == 2
 
     def test_preserves_output_values(self, tiny_input):
         expected = reference_output(tiny_input)
@@ -82,19 +81,18 @@ class TestFuseOps:
         fuser = FuseOps()
         graph = fuser.run(graph)
         assert fuser.num_groups >= 4  # 3 convs + dense
-        groups = FuseOps.fusion_groups(graph)
-        assert "conv1" in groups
+        conv1 = graph.find("conv1")
+        assert conv1.attrs["fuse_group"] == "conv1"
         # conv1 is followed by scale_shift + relu, both fusible.
-        assert len(groups["conv1"]) >= 2
+        assert len(conv1.attrs["fused_ops"]) >= 2
 
     def test_multi_consumer_breaks_fusion(self, tiny_cnn):
         graph = SimplifyInference().run(tiny_cnn)
         graph = FuseOps().run(graph)
-        groups = FuseOps.fusion_groups(graph)
         # pool1 output has two consumers, so conv1's chain must stop at or
         # before it; pool is not fusible anyway but the add cannot be fused
         # into conv1 either.
-        assert "res_add" not in groups.get("conv1", [])
+        assert "res_add" not in graph.find("conv1").attrs.get("fused_ops", [])
 
 
 class TestAlterOpLayout:
@@ -253,18 +251,6 @@ class TestPassManager:
         report = pm.report()
         assert "simplify_inference" in report and "fuse_ops" in report
 
-    def test_accepts_plain_functions(self, tiny_cnn):
-        calls = []
-
-        def custom(graph):
-            calls.append(graph.name)
-            return graph
-
-        pm = PassManager()
-        pm.add(custom)
-        pm.run(tiny_cnn)
-        assert calls == [tiny_cnn.name]
-
 
 class TestPassScaling:
     """A pass walks the graph a fixed number of times, whatever its size.
@@ -316,9 +302,8 @@ class TestPassScaling:
         assert self._walks(monkeypatch, SimplifyInference(), small) == self._walks(
             monkeypatch, SimplifyInference(), large
         )
-        histogram = large.op_histogram()
-        assert histogram["scale_shift"] == 64
-        assert "batch_norm" not in histogram and "dropout" not in histogram
+        assert len(large.op_nodes("scale_shift")) == 64
+        assert not large.op_nodes("batch_norm") and not large.op_nodes("dropout")
 
     def test_transform_elimination_walks_do_not_grow(self, monkeypatch):
         walks = []

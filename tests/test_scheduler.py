@@ -35,7 +35,6 @@ from repro.api import (
     RequestScheduler,
     batchability_report,
 )
-from repro.api.engine import _graph_is_batchable
 from repro.api.scheduler import BatchingPolicy, SchedulerConfig
 from repro.graph import GraphBuilder, infer_shapes
 from repro.models.ssd import ssd_resnet50
@@ -344,7 +343,7 @@ class TestEngineStress:
         x = builder.reshape(x, (1, 10), name="fix")  # literal batch extent
         graph = builder.build(x)
         infer_shapes(graph)
-        assert not _graph_is_batchable(graph)
+        assert batchability_report(graph) is not None
         # The probe names the offending node so describe() can surface it.
         assert "fix" in batchability_report(graph)
 
@@ -365,16 +364,16 @@ class TestEngineStress:
         assert stats.max_batch_size == 1
 
     def test_batchable_probe_accepts_the_test_cnn(self, tiny_module):
-        assert _graph_is_batchable(tiny_module.graph)
+        assert batchability_report(tiny_module.graph) is None
 
     def test_stats_summary_and_lazy_scheduler(self, tiny_module):
         engine = InferenceEngine(tiny_module, seed=5)
         # No scheduler threads before first use; stats still readable.
         assert engine._scheduler is None
         assert engine.stats().queued == 0
-        assert "dynamic batching: on" in engine.summary()
+        assert engine.batchable
         engine.run(tiny_requests(1)[0])
-        assert engine.requests_served == 1
+        assert engine.stats().completed == 1
         engine.close()
         engine.close()  # idempotent
 
@@ -423,7 +422,7 @@ class TestBatchPolymorphicSSD:
     def test_ssd_resnet50_graph_is_batchable(self):
         graph = ssd_resnet50(image_size=32)
         infer_shapes(graph)
-        assert _graph_is_batchable(graph)
+        assert batchability_report(graph) is None
 
     def test_detector_stream_byte_identity_at_mixed_batch_extents(
         self, detector_module
@@ -571,20 +570,20 @@ class TestAdaptiveTimeout:
 
     def test_unobserved_window_is_the_initial_default(self):
         timeout = AdaptiveTimeout(initial_ms=2.0)
-        assert timeout.window_ms == pytest.approx(2.0)
+        assert timeout.window_s * 1e3 == pytest.approx(2.0)
         timeout.observe(1.0)  # one arrival: still no gap to learn from
-        assert timeout.window_ms == pytest.approx(2.0)
+        assert timeout.window_s * 1e3 == pytest.approx(2.0)
 
     def test_dense_trace_window_scales_with_interarrival(self):
         timeout = AdaptiveTimeout(multiplier=3.0, min_ms=0.2, max_ms=20.0)
         self._drive(timeout, [1e-3] * 50)  # steady 1ms stream
         assert timeout.interarrival_s == pytest.approx(1e-3)
-        assert timeout.window_ms == pytest.approx(3.0)  # multiplier * gap
+        assert timeout.window_s * 1e3 == pytest.approx(3.0)  # multiplier * gap
 
     def test_very_dense_trace_clamps_to_min(self):
         timeout = AdaptiveTimeout(multiplier=3.0, min_ms=0.5, max_ms=20.0)
         self._drive(timeout, [1e-5] * 50)  # 10us stream: 3*gap << min
-        assert timeout.window_ms == pytest.approx(0.5)
+        assert timeout.window_s * 1e3 == pytest.approx(0.5)
 
     def test_sparse_trace_drops_to_min_instead_of_waiting_max(self):
         """When even `multiplier` gaps exceed max_ms no straggler can arrive
@@ -592,15 +591,15 @@ class TestAdaptiveTimeout:
         request with max_ms of hopeless waiting."""
         timeout = AdaptiveTimeout(multiplier=3.0, min_ms=0.2, max_ms=20.0)
         self._drive(timeout, [0.5] * 10)  # one request every 500ms
-        assert timeout.window_ms == pytest.approx(0.2)
+        assert timeout.window_s * 1e3 == pytest.approx(0.2)
 
     def test_rate_shift_adapts(self):
         timeout = AdaptiveTimeout(alpha=0.5, multiplier=2.0, min_ms=0.1, max_ms=50.0)
         self._drive(timeout, [10e-3] * 30)  # slow phase: 10ms gaps
-        slow_window = timeout.window_ms
+        slow_window = timeout.window_s * 1e3
         assert slow_window == pytest.approx(20.0, rel=1e-3)
         self._drive(timeout, [1e-3] * 30, start=200.0)  # burst phase: 1ms gaps
-        fast_window = timeout.window_ms
+        fast_window = timeout.window_s * 1e3
         assert fast_window < slow_window
         assert fast_window == pytest.approx(2.0, rel=0.05)  # EWMA converged
 
@@ -623,7 +622,7 @@ class TestAdaptiveTimeout:
                 )
             # Arrivals were observed, so the window is live (within bounds).
             assert scheduler.adaptive_timeout.interarrival_s is not None
-            window = scheduler.batch_timeout_s
+            window = scheduler.adaptive_timeout.window_s
             assert (
                 scheduler.adaptive_timeout.min_s
                 <= window
@@ -1063,8 +1062,8 @@ class TimedGateRunner(GatedRunner):
 def recorded_batches(trace):
     return [
         event.field("reqs")
-        for event in trace.by_role("scheduler")
-        if event.kind == "exec_start"
+        for event in trace.events
+        if event.role == "scheduler" and event.kind == "exec_start"
     ]
 
 
@@ -1229,8 +1228,8 @@ class TestOnePolicyTwoDrivers:
             recorder.close()
         stats = scheduler.stats()
         assert (stats.completed, stats.failed, stats.deadline_misses) == (1, 2, 1)
-        assert stats.in_flight == 0
-        events = list(read_trace(tmp_path / "trace").by_role("scheduler"))
+        assert stats.queued == stats.completed + stats.failed + stats.deadline_misses
+        events = [e for e in read_trace(tmp_path / "trace").events if e.role == "scheduler"]
         arrivals = [event.field("req") for event in events if event.kind == "arrival"]
         done = {}
         for event in events:

@@ -20,6 +20,7 @@ from repro.core import (
     solve_pbqp,
 )
 from repro.core.global_search import ConvCandidate, ConvDependencyGraph, DependencyEdge
+from repro.costmodel import THREAD_POOL, ConvCostModel
 from repro.graph import infer_shapes
 from repro.hardware import get_target
 from repro.schedule import ConvSchedule, ConvWorkload
@@ -38,7 +39,7 @@ class TestTuningDatabase:
             TuningRecord(ConvSchedule(8, 8, 4), 1e-3),
         ]
         db.put(WORKLOAD, "cpu-x", records)
-        assert db.best(WORKLOAD, "cpu-x").cost_s == 1e-3  # sorted ascending
+        assert db.get(WORKLOAD, "cpu-x")[0].cost_s == 1e-3  # sorted ascending
         assert len(db.get(WORKLOAD, "cpu-x")) == 2
         assert (WORKLOAD, "cpu-x") in db and (WORKLOAD, "cpu-y") not in db
 
@@ -48,7 +49,7 @@ class TestTuningDatabase:
         path = tmp_path / "tuning.json"
         db.save(path)
         loaded = TuningDatabase.load(path)
-        best = loaded.best(WORKLOAD, "cpu-x")
+        best = loaded.get(WORKLOAD, "cpu-x")[0]
         assert best.schedule == ConvSchedule(4, 8, 2, True)
         assert best.cost_s == pytest.approx(5e-4)
 
@@ -84,7 +85,7 @@ class TestTuningDatabase:
         path = tmp_path / "tuning.json"
         db.save(path)
         loaded = TuningDatabase.load(path)
-        best = loaded.best(WORKLOAD, cpu_name, params)
+        best = loaded.get(WORKLOAD, cpu_name, params)[0]
         assert best is not None
         assert best.schedule == ConvSchedule(8, 16, 4)
         assert loaded.records == db.records
@@ -135,9 +136,9 @@ class TestTuningDatabase:
 
         migrated = TuningDatabase.load(path)
         assert len(migrated) == 2
-        assert migrated.best(WORKLOAD, "cpu-x", "mb64-k8").schedule == record.schedule
-        assert migrated.best(WORKLOAD, "cpu-y").cost_s == pytest.approx(3e-4)
-        assert sorted(migrated.cpu_names()) == ["cpu-x", "cpu-y"]
+        assert migrated.get(WORKLOAD, "cpu-x", "mb64-k8")[0].schedule == record.schedule
+        assert migrated.get(WORKLOAD, "cpu-y")[0].cost_s == pytest.approx(3e-4)
+        assert sorted({cpu for (_, cpu, _) in migrated.records}) == ["cpu-x", "cpu-y"]
 
         # Round trip: the migrated database persists as v3 and reloads equal.
         migrated.save(path)
@@ -192,7 +193,7 @@ class TestLocalSearch:
 
     def test_best_schedule_is_valid_and_sensible(self, skylake):
         search = LocalSearch(CostModelMeasurer(skylake), skylake.name)
-        best = search.best(WORKLOAD).schedule
+        best = search.tune(WORKLOAD)[0].schedule
         assert WORKLOAD.in_channels % best.ic_bn == 0
         assert WORKLOAD.out_channels % best.oc_bn == 0
         # On AVX-512 the best output block should use full 16-lane vectors.
@@ -215,7 +216,7 @@ class TestLocalSearch:
         """The empirical measurer actually runs the kernel and returns time."""
         workload = ConvWorkload(1, 8, 8, 8, 8, 3, 3, (1, 1), (1, 1))
         measurer = NumpyMeasurer(repeats=1)
-        cost = measurer.measure(workload, ConvSchedule(8, 8, 4, True))
+        (cost,) = measurer.measure_batch(workload, [ConvSchedule(8, 8, 4, True)])
         assert cost > 0
 
     def test_numpy_measurer_does_not_reuse_full_tap_timings(self):
@@ -236,8 +237,8 @@ class TestLocalSearch:
     def test_best_differs_across_architectures(self):
         skylake = get_target("skylake")
         arm = get_target("arm")
-        best_skl = LocalSearch(CostModelMeasurer(skylake), skylake.name).best(WORKLOAD)
-        best_arm = LocalSearch(CostModelMeasurer(arm), arm.name).best(WORKLOAD)
+        best_skl = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune(WORKLOAD)[0]
+        best_arm = LocalSearch(CostModelMeasurer(arm), arm.name).tune(WORKLOAD)[0]
         # ARM NEON has 4 lanes; its best oc_bn need not be 16-aligned like AVX-512.
         assert best_skl.schedule.oc_bn % 16 == 0
         assert best_arm.schedule.oc_bn % 4 == 0
@@ -246,29 +247,22 @@ class TestLocalSearch:
         """The vectorized batch pass ranks exactly like per-candidate calls."""
 
         class ScalarOnly:
-            """CostModelMeasurer stripped of measure_batch (the seed path)."""
+            """One scalar cost-model estimate per candidate (the seed path)."""
 
             def __init__(self, cpu):
-                self._inner = CostModelMeasurer(cpu)
+                self._model = ConvCostModel(cpu, THREAD_POOL)
+                self._threads = cpu.num_cores
 
-            def measure(self, workload, schedule):
-                return self._inner.measure(workload, schedule)
+            def measure_batch(self, workload, schedules):
+                return [
+                    self._model.estimate(workload, s, self._threads).total_time_s
+                    for s in schedules
+                ]
 
         batched = LocalSearch(CostModelMeasurer(skylake), skylake.name).tune(WORKLOAD)
         scalar = LocalSearch(ScalarOnly(skylake), skylake.name).tune(WORKLOAD)
         assert [r.schedule for r in batched] == [r.schedule for r in scalar]
         assert [r.cost_s for r in batched] == [r.cost_s for r in scalar]
-
-    def test_measure_batch_agrees_with_measure(self, skylake):
-        measurer = CostModelMeasurer(skylake)
-        schedules = [
-            ConvSchedule(16, 16, 8, True),
-            ConvSchedule(8, 32, 4, False),
-            ConvSchedule(32, 8, 2, True),
-        ]
-        batch = measurer.measure_batch(WORKLOAD, schedules)
-        for cost, schedule in zip(batch, schedules):
-            assert cost == measurer.measure(WORKLOAD, schedule)
 
     def test_differently_configured_searches_do_not_share_cache(self, skylake):
         """Same DB, different top_k: the second search must not reuse entries."""
@@ -303,11 +297,11 @@ class TestLocalSearch:
 
         class TimingMeasurer:
             def __init__(self, cpu):
-                self._inner = CostModelMeasurer(cpu)
+                self._model = ConvCostModel(cpu, THREAD_POOL)
 
-            def measure(self, workload, schedule):
+            def measure_batch(self, workload, schedules):
                 thread_ids.add(_threading.get_ident())
-                return self._inner.measure(workload, schedule)
+                return [self._model.estimate(workload, s, 1).total_time_s for s in schedules]
 
         workloads = [
             ConvWorkload(1, 8 * (i + 1), 8, 8, 16, 3, 3, (1, 1), (1, 1))
@@ -475,15 +469,15 @@ class TestGlobalSearch:
 
     def test_edge_transform_cost_zero_when_blocks_match(self, skylake):
         edge = DependencyEdge("a", "b", tensor_bytes=1 << 20, kind="dataflow")
-        from repro.core.global_search import _edge_transform_cost
-
-        matched = _edge_transform_cost(
-            edge, ConvSchedule(16, 16, 8), ConvSchedule(16, 16, 8), skylake, 8
-        )
-        mismatched = _edge_transform_cost(
-            edge, ConvSchedule(16, 8, 8), ConvSchedule(16, 16, 8), skylake, 8
-        )
-        assert matched == 0.0 and mismatched > 0.0
+        dep = ConvDependencyGraph()
+        dep.candidates = {
+            "a": [ConvCandidate(ConvSchedule(16, s, 8), 1e-3) for s in (8, 16)],
+            "b": [ConvCandidate(ConvSchedule(16, 16, 8), 1e-3)],
+        }
+        dep.add_edge(edge)
+        matched = dep.total_cost({"a": ConvSchedule(16, 16, 8), "b": ConvSchedule(16, 16, 8)}, skylake, 8)
+        mismatched = dep.total_cost({"a": ConvSchedule(16, 8, 8), "b": ConvSchedule(16, 16, 8)}, skylake, 8)
+        assert matched == 2e-3 and mismatched > matched
 
 
 def build_and_infer():
@@ -591,7 +585,7 @@ class TestGlobalSearchGraphShapes:
         from repro.costmodel.graph_cost import conv_workload_from_node
 
         workload = conv_workload_from_node(graph.op_nodes("conv2d")[0])
-        assert result.schedules["only"] == search.best(workload).schedule
+        assert result.schedules["only"] == search.tune(workload)[0].schedule
 
     def test_dataflow_edge_prices_transformed_tensor_on_pooled_chain(self, skylake):
         """Across a downsampling chain the edge prices the post-pool tensor
@@ -667,10 +661,10 @@ class TestGlobalSearchGraphShapes:
         dep = ConvDependencyGraph()
         dep.candidates = {"a": [], "b": [], "c": []}
         dep.add_edge(DependencyEdge("a", "c", 128))
-        assert [e.src for e in dep.predecessors("c")] == ["a"]
-        assert dep.predecessors("b") == []
+        assert [e.src for e in dep.predecessor_map()["c"]] == ["a"]
+        assert "b" not in dep.predecessor_map()
         dep.add_edge(DependencyEdge("b", "c", 256))  # index must pick this up
-        assert [e.src for e in dep.predecessors("c")] == ["a", "b"]
+        assert [e.src for e in dep.predecessor_map()["c"]] == ["a", "b"]
 
     def test_total_cost_rejects_unknown_candidate(self, skylake):
         dep = ConvDependencyGraph()

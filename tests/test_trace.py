@@ -58,7 +58,6 @@ from repro.trace import (
     replay,
     signature_hash,
     sweep,
-    worker_sweep,
 )
 from repro import cli
 
@@ -377,9 +376,9 @@ class TestReplayDeterminism:
         assert knobs.max_batch_size == 6
         assert knobs.batch_timeout_ms == 3.0
         assert knobs.queue_depth == 32
-        assert knobs.scheduler_workers == 3
+        assert knobs.num_workers == 3
         assert knobs.processes == 1
-        assert knobs.weights() == DEFAULT_PRIORITY_WEIGHTS
+        assert dict(knobs.priority_weights) == DEFAULT_PRIORITY_WEIGHTS
 
 
 def recorded_fidelity_trace(name):
@@ -485,12 +484,12 @@ class TestAdaptiveTimeoutOnRecordedTraces:
             priorities=("interactive", "normal", "bulk"),
         )
         priority_of = {}
-        for event in trace.by_role("scheduler"):
-            if event.kind == "arrival":
+        for event in trace.events:
+            if event.role == "scheduler" and event.kind == "arrival":
                 priority_of[event.field("req")] = event.field("pri")
         batches = [
-            event for event in trace.by_role("scheduler")
-            if event.kind == "exec_start"
+            event for event in trace.events
+            if event.role == "scheduler" and event.kind == "exec_start"
         ]
         assert batches
         for event in batches:
@@ -530,11 +529,6 @@ class TestWhatIfSweep:
             best_p99.metrics.latency_ms["p99"] <= point.metrics.latency_ms["p99"]
             for point in result.points
         )
-
-    def test_worker_sweep_dedups_and_sorts(self, trace):
-        result = worker_sweep(trace, [4, 1, 4, 2, 1])
-        counts = [point.knobs.processes for point in result.points]
-        assert counts == [2, 4]  # 1 is the recorded baseline, reported apart
 
     def test_table_and_json_are_deterministic(self, trace):
         first = sweep(trace, processes=[1, 2])
@@ -581,9 +575,9 @@ class TestRecordedTraces:
         knobs = knobs_from_trace(trace)
         for field, value in RECORDED_CONFIGS[name].items():
             assert getattr(knobs, field) == value
-        assert knobs.scheduler_workers == 2
+        assert knobs.num_workers == 2
         assert (knobs.processes, knobs.cores) == (1, 2)
-        assert knobs.weights() == DEFAULT_PRIORITY_WEIGHTS
+        assert dict(knobs.priority_weights) == DEFAULT_PRIORITY_WEIGHTS
         assert knobs.adaptive == {}
         assert knobs.to_manifest() == trace.scheduler_meta()["knobs"]
 
@@ -702,10 +696,10 @@ class TestServingIntegration:
         assert len(trace.scheduler_pids()) == 2  # one stream per worker
 
         # Every request is visible at every layer of the stack.
-        routes = [e for e in trace.by_role("dispatch") if e.kind == "route"]
-        replies = [e for e in trace.by_role("dispatch") if e.kind == "reply"]
-        recvs = [e for e in trace.by_role("daemon") if e.kind == "recv"]
-        writes = [e for e in trace.by_role("daemon") if e.kind == "reply_write"]
+        routes = [e for e in trace.events if e.role == "dispatch" and e.kind == "route"]
+        replies = [e for e in trace.events if e.role == "dispatch" and e.kind == "reply"]
+        recvs = [e for e in trace.events if e.role == "daemon" and e.kind == "recv"]
+        writes = [e for e in trace.events if e.role == "daemon" and e.kind == "reply_write"]
         assert len(routes) == len(replies) == len(recvs) == len(writes) == 24
         assert all(e.field("ok") for e in replies + writes)
 
