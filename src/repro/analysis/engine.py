@@ -148,9 +148,6 @@ class Rule:
 class ProjectRule(Rule):
     """A rule over every module at once."""
 
-    def check(self, module: ModuleSource) -> Iterable[Finding]:
-        return ()
-
     def check_project(self, modules: Sequence[ModuleSource]) -> Iterable[Finding]:
         raise NotImplementedError
 

@@ -43,9 +43,9 @@ serving tier:
   and the ``os.replace`` into the final name, a raise orphans the on-disk
   temp file forever; the window must be protected by a handler/``finally``
   that unlinks it (the ``write_pin_file`` fsync window).
-* **GC pins** — a module that writes pin files (``write_pin_file`` /
-  ``pin_artifact``) with no release call anywhere in the module pins
-  artifacts for the life of the process.
+* **GC pins** — a module that writes pin files (``write_pin_file``) with
+  no release call anywhere in the module pins artifacts for the life of
+  the process.
 """
 
 from __future__ import annotations
@@ -101,11 +101,8 @@ _TEMPFILE_FACTORIES = {
 }
 
 #: module-level pin acquisitions and their matching releases.
-_PIN_ACQUIRE_TAILS = {"write_pin_file", "pin_artifact"}
-_PIN_RELEASE_TAILS = {
-    "remove_pin_file", "unpin_artifact", "release_pin", "release_artifact",
-    "sweep_stale_pin_files",
-}
+_PIN_ACQUIRE_TAILS = {"write_pin_file"}
+_PIN_RELEASE_TAILS = {"remove_pin_file", "sweep_stale_pin_files"}
 
 
 def _acquisition_kind(call: ast.Call) -> Optional[str]:

@@ -54,7 +54,6 @@ from .deployment import (
     ModelRepository,
     build,
     load_engine,
-    pinned_artifacts,
 )
 from .dispatch import DispatchError, EngineDispatcher, WorkerCrashed
 from .engine import InferenceEngine, batchability_report
@@ -94,6 +93,5 @@ __all__ = [
     "batchability_report",
     "build",
     "load_engine",
-    "pinned_artifacts",
     "StaleArtifactError",
 ]

@@ -15,7 +15,10 @@ module is the deployment surface that makes one build serve every host:
   first, then the best ISA/cache-compatibility score
   (:func:`repro.hardware.compatibility_score`), and — when no payload can
   run on this host — a transparent recompile from the embedded source graph.
-  It never serves a payload the host cannot execute.
+  It never serves a payload the host cannot execute.  Each engine holds a
+  pin file of its own on the artifact until it closes
+  (:mod:`repro.runtime.artifact` keeps all pin state; this module keeps
+  none).
 * :class:`ModelRepository` is the management view over a cache directory:
   list/inspect/verify the artifact manifests and garbage-collect the cache
   down to a byte budget, evicting least-recently-used artifacts while never
@@ -30,7 +33,6 @@ and can be recompiled for a host it was not built for.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -66,6 +68,7 @@ from ..runtime.artifact import (
     save_bundle,
     sweep_orphaned_writes,
     sweep_stale_pin_files,
+    unlink_unless_pinned,
     verify_artifact,
     write_pin_file,
 )
@@ -79,7 +82,6 @@ __all__ = [
     "build",
     "load_engine",
     "module_fingerprint",
-    "pinned_artifacts",
 ]
 
 ModelLike = Union[str, Graph]
@@ -91,88 +93,6 @@ TargetLike = Union[str, CPUSpec]
 TUNING_DB_FILENAME = "tuning_db.json"
 MODULE_CACHE_DIRNAME = "modules"
 ARTIFACT_SUFFIX = ".neocpu"
-
-
-# --------------------------------------------------------------------------- #
-# pin registry: artifacts held open by live engines are GC-exempt
-# --------------------------------------------------------------------------- #
-# One refcount per artifact for this process.  Its 0->1 transition also
-# publishes a ``<artifact>.pin.<pid>`` file next to the artifact (see
-# :mod:`repro.runtime.artifact`) and its 1->0 transition removes it, both
-# under the lock: the count and the file's existence are one atomic fact, or
-# a racing release could observe a count with no file yet and remove a pin
-# it never saw.  A ``repro.cli gc`` in this process checks the refcount; one
-# in *another* process checks the pin files (validated for owner liveness),
-# so repository GC is safe to run unattended beside a live worker fleet.
-_PIN_LOCK = threading.Lock()
-_PINS: Dict[str, int] = {}
-
-
-def _pin_key(path: "str | Path") -> str:
-    path = Path(path)
-    try:
-        return str(path.resolve())
-    except OSError:  # pragma: no cover - unresolvable path: fall back verbatim
-        return str(path)
-
-
-def pin_artifact(path: "str | Path") -> None:
-    """Mark an artifact as in use; no repository GC, in any process, evicts it."""
-    key = _pin_key(path)
-    with _PIN_LOCK:
-        count = _PINS.get(key, 0)
-        if count == 0:
-            write_pin_file(path)
-        _PINS[key] = count + 1
-
-
-def release_artifact(path: "str | Path") -> None:
-    """Drop one pin; the artifact becomes evictable when no pins remain."""
-    key = _pin_key(path)
-    with _PIN_LOCK:
-        count = _PINS.get(key, 0) - 1
-        if count > 0:
-            _PINS[key] = count
-        elif _PINS.pop(key, None) is not None:
-            remove_pin_file(path)
-
-
-def pinned_artifacts() -> "set[str]":
-    """Resolved paths of every artifact currently pinned by a live engine."""
-    with _PIN_LOCK:
-        return set(_PINS)
-
-
-def _unlink_unless_pinned(path: Path) -> str:
-    """Atomically (w.r.t. the pin registry) delete an unpinned artifact.
-
-    The membership check and the unlink happen under the registry lock, so a
-    concurrent :func:`load_engine` either pinned first (the file survives)
-    or pins after the unlink (its load starts on an already-deleted file and
-    fails cleanly) — there is no window where a load that pinned in time
-    loses its file mid-read.  The same contract holds across processes via
-    pin files: a loader elsewhere renames its pin into place *before* its
-    first read, so a pin that exists when this check runs keeps the file;
-    a loader that pins after the unlink fails cleanly on the missing file.
-    Returns ``"pinned"``, ``"evicted"`` or ``"missing"`` (someone else
-    deleted it first).
-    """
-    with _PIN_LOCK:
-        if _pin_key(path) in _PINS:
-            return "pinned"
-        if live_pin_owners(path):
-            # Pinned by another process (a serving daemon's worker, a
-            # concurrent load): the pin file's owner is alive, so the
-            # artifact is in use even though this process never pinned it.
-            return "pinned"
-        try:
-            # The unlink must happen under _PIN_LOCK: the pin-check and
-            # the delete are one atomic decision (see docstring above), so
-            # this file I/O under the lock is deliberate.
-            path.unlink()
-        except FileNotFoundError:
-            return "missing"
-    return "evicted"
 
 
 # --------------------------------------------------------------------------- #
@@ -518,8 +438,8 @@ def load_engine(
 
     Returns:
         A live :class:`InferenceEngine`; ``engine.host_match`` records how
-        the payload was chosen and ``engine.artifact_path`` pins the file
-        against repository GC until ``engine.close()``.
+        the payload was chosen, and the engine's pin file keeps
+        ``engine.artifact_path`` from repository GC until ``engine.close()``.
 
     Raises:
         ArtifactError: when the file is corrupt, or when no payload fits the
@@ -533,10 +453,8 @@ def load_engine(
     # Pin before the first read: a concurrent repository GC sweep must see
     # this artifact as in-use for the whole load, not just once an engine
     # holds it — otherwise an over-budget sweep could unlink the file
-    # between the manifest read and the payload read.  The pin file goes
-    # down equally early so a GC sweep in *another* process obeys the same
-    # contract.
-    pin_artifact(path)
+    # between the manifest read and the payload read.
+    pin = write_pin_file(path)
     try:
         bundle = ArtifactBundle.load(path)
         entry, reason = bundle.select(host)
@@ -578,13 +496,13 @@ def load_engine(
 
         engine = InferenceEngine(module, params=params, seed=seed, **engine_kwargs)
     except BaseException:
-        release_artifact(path)
+        remove_pin_file(pin)
         raise
     engine.artifact_path = path
     engine.host_match = reason
     engine.served_target = module.cpu.name
 
-    engine.add_close_hook(lambda: release_artifact(path))
+    engine.add_close_hook(lambda: remove_pin_file(pin))
     _touch(path)
     return engine
 
@@ -592,30 +510,6 @@ def load_engine(
 # --------------------------------------------------------------------------- #
 # the model repository (what repro.cli operates on)
 # --------------------------------------------------------------------------- #
-@dataclass
-class ArtifactInfo:
-    """One repository entry: the file plus its manifest (or why it has none)."""
-
-    path: Path
-    size_bytes: int
-    mtime: float
-    manifest: Optional[dict] = None
-    error: Optional[str] = None
-
-    @property
-    def model(self) -> str:
-        return str(self.manifest.get("model", "?")) if self.manifest else "?"
-
-    @property
-    def targets(self) -> List[str]:
-        if not self.manifest:
-            return []
-        try:
-            return [entry["target"] for entry in manifest_targets(self.manifest)]
-        except ArtifactError:
-            return []
-
-
 @dataclass
 class GCReport:
     """What one :meth:`ModelRepository.gc` sweep did (or would do)."""
@@ -672,10 +566,9 @@ class ModelRepository:
     Eviction is least-recently-*used*: every artifact load (engine open,
     cache hit, rebuild hit) refreshes the file's mtime, and :meth:`gc`
     deletes oldest-first until the store fits ``max_bytes`` — skipping
-    artifacts pinned by live engines in this process (see
-    :func:`pin_artifact`) or any other (``<artifact>.pin.<pid>`` files with
-    a live owner) and in-progress ``.tmp-*`` writes.  Deletion is whole-file
-    ``unlink``, so a
+    artifacts a live engine in any process pins (``<artifact>.pin.<pid>-<n>``
+    files with a live owner, see :mod:`repro.runtime.artifact`) and
+    in-progress ``.tmp-*`` writes.  Deletion is whole-file ``unlink``, so a
     concurrent reader either sees an intact artifact or none at all, never a
     truncated one.
     """
@@ -697,31 +590,19 @@ class ModelRepository:
             and ".tmp-" not in path.name
         )
 
-    def artifacts(self) -> List[ArtifactInfo]:
-        """Repository inventory, most recently used first."""
-        infos: List[ArtifactInfo] = []
+    def _stat_artifacts(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every artifact, in path order."""
+        entries = []
         for path in self.artifact_paths():
             try:
                 stat = path.stat()
             except FileNotFoundError:
                 continue  # raced with a concurrent GC/eviction
-            info = ArtifactInfo(path, stat.st_size, stat.st_mtime)
-            try:
-                info.manifest = read_manifest(path)
-            except (ArtifactError, OSError) as error:
-                info.error = str(error)
-            infos.append(info)
-        infos.sort(key=lambda info: info.mtime, reverse=True)
-        return infos
+            entries.append((stat.st_mtime, stat.st_size, path))
+        return entries
 
     def total_bytes(self) -> int:
-        total = 0
-        for path in self.artifact_paths():
-            try:
-                total += path.stat().st_size
-            except FileNotFoundError:
-                pass
-        return total
+        return sum(size for _, size, _ in self._stat_artifacts())
 
     def resolve(self, name_or_path: "str | Path") -> Path:
         """An artifact path from a repository-relative name or a real path."""
@@ -758,14 +639,14 @@ class ModelRepository:
         Artifacts pinned by live engines are never deleted, even if the
         budget cannot be met without them (the report's ``over_budget`` flag
         says so).  Safe to run concurrently with engine loads in this
-        process *and in others*: :func:`load_engine` pins before its first
-        read (in-process registry plus a ``<artifact>.pin.<pid>`` file other
-        processes can see), pins are checked per file immediately before its
-        unlink, and a file that vanishes underneath the sweep (a racing GC)
-        is simply skipped.  Pin files whose owning process has died are
-        swept first — a crashed worker cannot exempt an artifact forever —
-        while a live owner's pin file is never touched by anyone but that
-        owner.  Likewise the temp file of an artifact write whose writer
+        process *and in others*: :func:`load_engine` writes its pin file
+        before its first read, every artifact's pins are checked by
+        :func:`~repro.runtime.artifact.unlink_unless_pinned` (a dry run
+        makes the same check without the unlink), and a file that vanishes
+        underneath the sweep (a racing GC) is simply skipped.  Pin files
+        whose owning process has died are swept first — a crashed worker
+        cannot exempt an artifact forever — while a live owner's pin file is
+        never touched by anyone but that owner.  Likewise the temp file of an artifact write whose writer
         died mid-write is removed, and a live writer's is left alone.
 
         Args:
@@ -776,17 +657,8 @@ class ModelRepository:
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        # stat() only: eviction needs size, age and pin state — parsing the
-        # manifests (what artifacts() does for the inventory views) would be
-        # one file read per artifact per sweep of pure waste.
-        entries = []
-        for path in self.artifact_paths():
-            try:
-                stat = path.stat()
-            except FileNotFoundError:
-                continue  # raced with a concurrent GC/eviction
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()  # oldest first
+        # stat() only: eviction needs size, age and pin state, not manifests.
+        entries = sorted(self._stat_artifacts())  # oldest first
         report = GCReport(max_bytes=max_bytes, dry_run=dry_run)
         if self.modules_dir.is_dir():
             report.stale_pins_removed = sweep_stale_pin_files(self.modules_dir)
@@ -798,13 +670,9 @@ class ModelRepository:
                 report.kept.append(path)
                 continue
             if dry_run:
-                if _pin_key(path) in pinned_artifacts() or live_pin_owners(path):
-                    report.pinned.append(path)
-                else:
-                    total -= size
-                    report.evicted.append(path)
-                continue
-            outcome = _unlink_unless_pinned(path)
+                outcome = "pinned" if live_pin_owners(path) else "evicted"
+            else:
+                outcome = unlink_unless_pinned(path)
             if outcome == "pinned":
                 report.pinned.append(path)
             elif outcome == "missing":
@@ -816,20 +684,28 @@ class ModelRepository:
         return report
 
     def describe(self) -> str:
-        """Inventory table (what ``repro.cli list`` prints)."""
-        infos = self.artifacts()
+        """Inventory table, most recently used first (what ``repro.cli
+        list`` prints)."""
+        entries = sorted(
+            self._stat_artifacts(), key=lambda entry: entry[0], reverse=True
+        )
         lines = [
-            f"repository {self.root} — {len(infos)} artifact(s), "
-            f"{self.total_bytes():,} bytes"
+            f"repository {self.root} — {len(entries)} artifact(s), "
+            f"{sum(size for _, size, _ in entries):,} bytes"
         ]
-        for info in infos:
-            if info.error is not None:
-                lines.append(f"  {info.path.name:<48s} UNREADABLE: {info.error}")
+        for _, size, path in entries:
+            try:
+                bundle = ArtifactBundle.load(path)
+            except (ArtifactError, OSError) as error:
+                lines.append(f"  {path.name:<48s} UNREADABLE: {error}")
                 continue
-            targets = ",".join(info.targets)
+            try:
+                targets = ",".join(bundle.targets)
+            except ArtifactError:  # a malformed targets list
+                targets = ""
             lines.append(
-                f"  {info.path.name:<48s} {info.model:<16s} "
-                f"{info.size_bytes:>10,} B  targets={targets}"
+                f"  {path.name:<48s} {bundle.model:<16s} "
+                f"{size:>10,} B  targets={targets}"
             )
         return "\n".join(lines)
 

@@ -88,8 +88,6 @@ class EngineDispatcher:
     Args:
         artifact_path: the ``.neocpu`` artifact every worker loads.
         num_workers: worker-process count (>= 1).
-        start_method: ``multiprocessing`` start method; defaults to ``fork``
-            where offered (cheap, shares the page cache), else ``spawn``.
         engine_kwargs: forwarded to each worker's
             :func:`~repro.api.load_engine` call (scheduler knobs:
             ``max_batch_size``, ``priority_weights``, ...).
@@ -103,7 +101,6 @@ class EngineDispatcher:
         self,
         artifact_path: "str | Path",
         num_workers: int = 2,
-        start_method: Optional[str] = None,
         engine_kwargs: Optional[Mapping[str, object]] = None,
         trace_dir: Optional[str] = None,
     ) -> None:
@@ -127,9 +124,11 @@ class EngineDispatcher:
             priority_weights=self._engine_kwargs.get("priority_weights"),
             default_priority=self._engine_kwargs.get("default_priority"),
         )
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
+        # Fork where the platform offers it (cheap, shares the page cache),
+        # else spawn.
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self._lock = threading.Lock()
         self._closed = False
         self._workers: List[_Worker] = []

@@ -278,7 +278,9 @@ class InferenceEngine:
         items = []
         for name in sorted(inputs):
             value = inputs[name]
-            shape = tuple(np.shape(value.data if isinstance(value, Tensor) else value))
+            if isinstance(value, Tensor):
+                value = value.data
+            shape = tuple(np.shape(value))
             dtype = getattr(value, "dtype", None)
             if dtype is None:
                 dtype = np.asarray(value).dtype

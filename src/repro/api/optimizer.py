@@ -44,7 +44,6 @@ from ..hardware.presets import get_target
 from ..models.zoo import get_model
 from ..runtime.module import CompiledModule
 from . import deployment
-from .engine import InferenceEngine
 
 __all__ = ["Optimizer"]
 
@@ -140,17 +139,6 @@ class Optimizer:
         )
         module.fingerprint = fingerprint
         return module
-
-    def engine(
-        self,
-        model: ModelLike,
-        params: Optional[Mapping[str, np.ndarray]] = None,
-        config: Optional[CompileConfig] = None,
-        seed: int = 0,
-    ) -> InferenceEngine:
-        """Compile (or load from cache) and wrap in an :class:`InferenceEngine`."""
-        module = self.compile(model, params=params, config=config)
-        return InferenceEngine(module, params=params, seed=seed)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         cache = str(self.cache_dir) if self.cache_dir is not None else None

@@ -643,8 +643,6 @@ class RequestScheduler:
             (arrival/enqueue/dequeue/exec_start/exec_end/done) for
             trace-driven replay.  None (the default) records nothing and
             costs nothing.
-        reservoir_size: capacity of the queue-wait and latency percentile
-            reservoirs reported by :meth:`stats`.
     """
 
     def __init__(
@@ -655,7 +653,6 @@ class RequestScheduler:
         signature: Callable[[Mapping[str, object]], Tuple] = request_signature,
         name: str = "neocpu-scheduler",
         recorder: Optional["object"] = None,
-        reservoir_size: int = 2048,
         **knobs,
     ) -> None:
         self._runner = runner
@@ -675,8 +672,8 @@ class RequestScheduler:
         self._stats_lock = threading.Lock()
         self._counter = itertools.count()
         self._batch_counter = itertools.count()
-        self._wait_reservoir = LatencyReservoir(reservoir_size)
-        self._latency_reservoir = LatencyReservoir(reservoir_size)
+        self._wait_reservoir = LatencyReservoir()
+        self._latency_reservoir = LatencyReservoir()
         self._recorder = recorder
         if recorder is not None:
             from ..trace.recorder import signature_hash  # deferred: no cycle

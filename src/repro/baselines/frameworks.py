@@ -15,7 +15,7 @@ used for NeoCPU, but configured the way the given framework actually behaves
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.config import CompileConfig, OptLevel
 from ..core.compiler import select_schedules

@@ -28,7 +28,7 @@ factor), as discussed in DESIGN.md §3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..costmodel.parallel import (
     OPENMP,

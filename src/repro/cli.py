@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -213,6 +214,9 @@ def _cmd_serve(args) -> int:
     print(f"serving {path.name} on {host}:{port} with {args.workers} worker(s)", flush=True)
     if args.trace:
         print(f"tracing to {args.trace}", flush=True)
+    # A shell starts a background job with SIGINT ignored, and Python then
+    # installs no handler for it: stop on SIGINT however serve was started.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:

@@ -28,7 +28,7 @@ benchmark reproduces that comparison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Tuple
 
 import numpy as np

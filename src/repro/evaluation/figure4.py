@@ -17,7 +17,7 @@ every parallel region), and MXNet/OpenBLAS on ARM scales worst.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..api.optimizer import Optimizer
 from ..baselines.frameworks import estimate_baseline_latency

@@ -14,7 +14,7 @@ framework profile over the same models and the same CPU description.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..api.optimizer import Optimizer
 from ..baselines.frameworks import estimate_baseline_latency

@@ -24,9 +24,9 @@ pickling never recurses down a chain of inputs and the deepest zoo models
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .node import Node, NodeKind, rewire_epoch
+from .node import Node, rewire_epoch
 
 __all__ = ["Graph"]
 

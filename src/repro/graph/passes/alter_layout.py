@@ -27,7 +27,7 @@ output back, so the blocked layout never flows across operator boundaries.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from ...ops.registry import LayoutCategory, registry
 from ...schedule.template import ConvSchedule

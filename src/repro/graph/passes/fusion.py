@@ -21,7 +21,6 @@ from typing import List
 
 from ...ops.registry import registry
 from ..graph import Graph
-from ..node import Node
 from .pass_manager import GraphPass
 
 __all__ = ["FuseOps"]

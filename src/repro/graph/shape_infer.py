@@ -21,7 +21,6 @@ serving layer's batchability probe reads exactly this signal.
 from __future__ import annotations
 
 from ..ops.registry import registry
-from ..tensor.tensor import TensorSpec
 from .graph import Graph
 
 __all__ = ["infer_shapes", "InferenceError"]

@@ -10,8 +10,7 @@ M5a.12xlarge, ARM Cortex-A72 A1.4xlarge) are provided as presets in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .cache import CacheHierarchy
 from .isa import ISA

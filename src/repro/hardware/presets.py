@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import platform
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .cpu import CPUSpec, make_cpu
 from .isa import AVX512, ISA, NEON

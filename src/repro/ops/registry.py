@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class OpRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._ops
-
-    def names(self) -> List[str]:
-        return sorted(self._ops)
 
 
 #: Global registry used by the graph IR and executor.

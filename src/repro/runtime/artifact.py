@@ -35,6 +35,17 @@ of the source graph and a digest of the bound parameters.  Loading
 with a different expected fingerprint raises :class:`StaleArtifactError`
 instead of silently serving schedules tuned for another target or
 configuration — the caller recompiles and overwrites.
+
+Pins
+----
+
+A live engine keeps its artifact out of repository GC with a pin file, and
+the pin files are the only record of that: each
+:func:`~repro.api.load_engine` writes its own ``<artifact>.pin.<pid>-<n>``
+beside the artifact before its first read and removes exactly that file on
+close.  :func:`unlink_unless_pinned` evicts an artifact only when no pin
+has a live owner; pins whose owner died are swept by
+:func:`sweep_stale_pin_files`.  A GC in any process reads the same files.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import pickle
@@ -71,9 +83,9 @@ __all__ = [
     "load_source",
     "verify_artifact",
     "PIN_INFIX",
-    "pin_file_path",
     "write_pin_file",
     "remove_pin_file",
+    "unlink_unless_pinned",
     "pid_alive",
     "pin_file_owners",
     "live_pin_owners",
@@ -573,67 +585,86 @@ def verify_artifact(path: "str | Path", deep: bool = False) -> "list[str]":
 
 
 # --------------------------------------------------------------------------- #
-# cross-process pin files
+# pin files: the one record of which artifacts live engines hold
 # --------------------------------------------------------------------------- #
-#: Separator between an artifact's filename and the owning pid in a pin file:
-#: ``model.neocpu`` pinned by pid 4242 is shadowed by ``model.neocpu.pin.4242``.
+#: Separator between an artifact's filename and a pin's owner: the first pin
+#: that pid 4242 takes on ``model.neocpu`` is ``model.neocpu.pin.4242-1``.
 PIN_INFIX = ".pin."
 
-
-def pin_file_path(artifact: "str | Path", pid: Optional[int] = None) -> Path:
-    """The pin file that marks ``artifact`` as in use by process ``pid``.
-
-    Pin files are siblings of the artifact (same directory), so a repository
-    sweep sees artifact and pins in one ``iterdir`` pass, and deleting the
-    repository deletes its pins with it.  The artifact path is resolved
-    first: a pin taken through a symlink lands beside the real file, where
-    the repository that owns it looks.  ``pid`` defaults to the calling
-    process.
-    """
-    artifact = Path(artifact).resolve()
-    if pid is None:
-        pid = os.getpid()
-    return artifact.with_name(f"{artifact.name}{PIN_INFIX}{int(pid)}")
+# Held by every pin write and by unlink_unless_pinned's check-and-unlink, so
+# within a process a pin and an eviction never interleave.
+_PIN_LOCK = threading.Lock()
+_PIN_NUMBERS = itertools.count(1)
 
 
 def write_pin_file(artifact: "str | Path", pid: Optional[int] = None) -> Path:
-    """Pin ``artifact`` for ``pid`` (default: this process); returns the pin.
+    """Pin ``artifact`` with a pin file of its own; returns the pin.
 
-    The pin is written write-then-rename so a concurrent sweep never observes
-    a half-written pin: it either sees no pin (artifact evictable) or a
-    complete one.  Re-pinning by the same pid is idempotent — the rename
-    simply replaces the previous pin.
+    Each call writes a new ``<artifact>.pin.<pid>-<n>`` (``n`` counts this
+    process's pins), so two engines on one artifact hold two pins and
+    closing one leaves the other's.  ``pid`` (default: this process) is the
+    owner whose liveness keeps the pin.  Pins are siblings of the artifact,
+    so a repository sweep sees artifact and pins in one ``iterdir`` pass;
+    a pin taken through a symlink lands beside the real file, where the
+    repository that owns it looks.  The pin is written write-then-rename,
+    so a concurrent sweep sees either no pin or a complete one.
     """
-    pin = pin_file_path(artifact, pid)
-    # One writer per (artifact, pid) by construction, so a pid-suffixed tmp
-    # name cannot collide with another writer's.
-    tmp = pin.with_name(f"{pin.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(f"{int(pid if pid is not None else os.getpid())}\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, pin)
-    except BaseException:
-        # A failed write/fsync/rename must not orphan the temp pin: it would
-        # sit beside the artifact forever (sweeps only reclaim it once this
-        # process dies).
+    artifact = Path(artifact).resolve()
+    pid = os.getpid() if pid is None else int(pid)
+    with _PIN_LOCK:
+        pin = artifact.with_name(
+            f"{artifact.name}{PIN_INFIX}{pid}-{next(_PIN_NUMBERS)}"
+        )
+        tmp = pin.with_name(f"{pin.name}.tmp-{os.getpid()}")
         try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(f"{pid}\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, pin)
+        except BaseException:
+            # A failed write/fsync/rename must not orphan the temp pin: it
+            # would sit beside the artifact until this process dies.
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
     return pin
 
 
-def remove_pin_file(artifact: "str | Path", pid: Optional[int] = None) -> bool:
-    """Release ``pid``'s pin on ``artifact``; True if a pin was removed."""
-    pin = pin_file_path(artifact, pid)
+def remove_pin_file(pin: "str | Path") -> bool:
+    """Release one pin (a path :func:`write_pin_file` returned); True if
+    the pin was still there."""
     try:
-        pin.unlink()
+        Path(pin).unlink()
     except FileNotFoundError:
         return False
     return True
+
+
+def unlink_unless_pinned(path: "str | Path") -> str:
+    """Delete an artifact no live process pins, as one decision.
+
+    The pin check and the unlink run under the lock every pin write takes,
+    so a :func:`write_pin_file` in this process either lands first (the
+    file survives) or after the unlink (its load starts on a deleted file
+    and fails cleanly).  Across processes, a loader renames its pin into
+    place before its first read, so a pin that exists when this check runs
+    keeps the file.  Returns ``"pinned"``, ``"evicted"`` or ``"missing"``
+    (someone else deleted it first).
+    """
+    path = Path(path)
+    with _PIN_LOCK:
+        if live_pin_owners(path):
+            return "pinned"
+        try:
+            # Deliberate file I/O under the lock: the check and the delete
+            # are one decision (see the docstring).
+            path.unlink()
+        except FileNotFoundError:
+            return "missing"
+    return "evicted"
 
 
 def pid_alive(pid: int) -> bool:
@@ -659,9 +690,10 @@ def pid_alive(pid: int) -> bool:
 def pin_file_owners(artifact: "str | Path") -> "list[tuple[int, Path]]":
     """Every pin file shadowing ``artifact``: ``(owning pid, pin path)`` pairs.
 
-    A pin file whose pid segment does not parse was not written by this
-    protocol; it is reported as pid ``-1`` (which :func:`pid_alive` treats as
-    dead, so sweeps reclaim it).
+    Both ``<pid>-<n>`` pins and the plain ``<pid>`` pins of older code
+    parse.  A pin whose owner segment does not parse was not written by
+    this protocol; it is reported as pid ``-1`` (which :func:`pid_alive`
+    treats as dead, so sweeps reclaim it).
     """
     artifact = Path(artifact).resolve()
     owners = []
@@ -674,18 +706,27 @@ def pin_file_owners(artifact: "str | Path") -> "list[tuple[int, Path]]":
         name = path.name
         if not name.startswith(prefix) or ".tmp-" in name:
             continue
-        try:
-            pid = int(name[len(prefix):])
-        except ValueError:
-            pid = -1
-        owners.append((pid, path))
+        owners.append((_pin_pid(name[len(prefix):]), path))
     owners.sort()
     return owners
 
 
 def live_pin_owners(artifact: "str | Path") -> "list[int]":
-    """Pids of live processes currently cross-process-pinning ``artifact``."""
+    """The owner pid of every live pin on ``artifact`` (a pid repeats once
+    per pin it holds); empty when no live process pins it."""
     return [pid for pid, _ in pin_file_owners(artifact) if pid_alive(pid)]
+
+
+def _pin_pid(owner: str) -> int:
+    """The pid in a pin name's ``<pid>-<n>`` or ``<pid>`` owner segment
+    (``-1``, which :func:`pid_alive` treats as dead, when it does not parse)."""
+    pid, dash, number = owner.partition("-")
+    try:
+        if dash:
+            int(number)
+        return int(pid)
+    except ValueError:
+        return -1
 
 
 def _temp_writer_pid(name: str) -> int:
@@ -728,10 +769,7 @@ def _pin_owner(name: str) -> Optional[int]:
         # is imminent (leave it alone); dead writer means the crash
         # orphaned it and nobody else will ever reclaim it.
         return _temp_writer_pid(name)
-    try:
-        return int(name.rsplit(PIN_INFIX, 1)[1])
-    except ValueError:
-        return -1
+    return _pin_pid(name.rsplit(PIN_INFIX, 1)[1])
 
 
 def _write_owner(name: str) -> Optional[int]:

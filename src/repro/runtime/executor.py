@@ -162,7 +162,7 @@ def request_array(spec: TensorSpec, value: ArrayLike) -> np.ndarray:
     dtype.
     """
     if isinstance(value, Tensor):
-        value = layout_transform(value.data, value.layout, spec.layout)
+        value = layout_transform(value.data, value.spec.layout, spec.layout)
     return np.asarray(value, dtype=spec.dtype.name)
 
 

@@ -10,7 +10,7 @@ CPU type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["ConvWorkload", "DenseWorkload"]

@@ -165,41 +165,6 @@ class Tensor:
             )
         self.data = data
 
-    # ------------------------------------------------------------------ #
-    # convenience constructors
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def random(
-        cls,
-        logical_shape: Sequence[int],
-        layout: LayoutLike = "NCHW",
-        dtype: str = "float32",
-        seed: Optional[int] = None,
-    ) -> "Tensor":
-        spec = TensorSpec(logical_shape, layout, dtype)
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal(spec.concrete_shape).astype(dtype)
-        return cls(data, spec.layout, logical_shape)
-
-    # ------------------------------------------------------------------ #
-    # accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def layout(self) -> Layout:
-        return self.spec.layout
-
-    @property
-    def logical_shape(self) -> Tuple[int, ...]:
-        return self.spec.logical_shape
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(self.data.shape)
-
-    @property
-    def dtype(self) -> DType:
-        return self.spec.dtype
-
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.logical_shape}, layout={self.layout}, dtype={self.dtype})"
+        spec = self.spec
+        return f"Tensor(shape={spec.logical_shape}, layout={spec.layout}, dtype={spec.dtype})"

@@ -438,11 +438,6 @@ class TestInferenceEngine:
         engine = InferenceEngine(module)
         assert engine.profile().total_s == module.profile().total_s
 
-    def test_optimizer_engine_shortcut(self, skylake, tiny_input):
-        engine = Optimizer(skylake).engine(build_tiny_cnn(), seed=21)
-        out = engine.run({"data": tiny_input})[0]
-        assert out.shape == (1, 10)
-
 
 class TestCompileModelCompat:
     """Graph-ownership contract of the bare pipeline entry point.

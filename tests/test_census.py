@@ -90,3 +90,23 @@ def test_allowlisted_and_dunder_functions_do_not_fail(tmp_path):
         census.inventory(module.parent), set(), set(), {"pkg.mod.oracle": "oracle"}, set()
     )
     assert len(result.unreached) == 3 and result.failures == []
+
+
+def test_perf_references_resolve_to_objects_not_names(tmp_path):
+    (tmp_path / "harness.py").write_text(textwrap.dedent("""
+        import numpy as np
+        import repro.runtime.artifact as artifact
+        from repro.api import ArtifactBundle
+        from repro.ops import registry
+
+        def walk(spec, engine, rng):
+            registry.get("relu")
+            ArtifactBundle.load
+            artifact.save_bundle
+            spec.render(), engine.run(), rng.random(3), np.random.default_rng
+    """))
+    assert census.perf_references(tmp_path) == {
+        "repro.ops.registry.OpRegistry.get",
+        "repro.api.deployment.ArtifactBundle.load",
+        "repro.runtime.artifact.save_bundle",
+    }

@@ -34,11 +34,12 @@ from repro.api import (
 )
 from repro.api.daemon import DaemonClient, ServingDaemon
 from repro.runtime.artifact import (
+    ArtifactError,
     live_pin_owners,
     pid_alive,
     pin_file_owners,
-    pin_file_path,
     remove_pin_file,
+    save_bundle,
     sweep_stale_pin_files,
     write_pin_file,
 )
@@ -154,16 +155,22 @@ HOSTILE_FRAMES = _hostile_frames()
 class TestPinFileProtocol:
     def test_pin_path_encodes_artifact_and_pid(self, tmp_path):
         artifact = tmp_path / "m.neocpu"
-        assert pin_file_path(artifact, 42).name == "m.neocpu.pin.42"
-        assert pin_file_path(artifact).name == f"m.neocpu.pin.{os.getpid()}"
+        first = write_pin_file(artifact, 42)
+        second = write_pin_file(artifact)
+        pid, number = first.name.removeprefix("m.neocpu.pin.").split("-")
+        assert pid == "42"
+        mine, later = second.name.removeprefix("m.neocpu.pin.").split("-")
+        assert mine == str(os.getpid()) and int(later) > int(number)
 
-    def test_write_is_complete_and_idempotent(self, tmp_path):
+    def test_write_is_complete_and_every_write_is_a_new_pin(self, tmp_path):
         artifact = tmp_path / "m.neocpu"
         artifact.write_bytes(b"payload")
         pin = write_pin_file(artifact)
         assert pin.exists()
         assert pin.read_text().strip() == str(os.getpid())
-        assert write_pin_file(artifact) == pin  # re-pin replaces, no error
+        again = write_pin_file(artifact)
+        assert again != pin and pin.exists() and again.exists()
+        assert live_pin_owners(artifact) == [os.getpid(), os.getpid()]
         # write-then-rename leaves no tmp litter behind
         assert [p.name for p in tmp_path.iterdir() if ".tmp-" in p.name] == []
 
@@ -186,6 +193,20 @@ class TestPinFileProtocol:
         removed = sweep_stale_pin_files(tmp_path)
         assert rogue in removed and not rogue.exists()
 
+    def test_plain_pid_pins_of_older_code_still_parse(self, tmp_path):
+        artifact = tmp_path / "m.neocpu"
+        artifact.write_bytes(b"payload")
+        dead = _certainly_dead_pid()
+        live = tmp_path / f"m.neocpu.pin.{os.getpid()}"
+        stale = tmp_path / f"m.neocpu.pin.{dead}"
+        half = tmp_path / f"m.neocpu.pin.{os.getpid()}-x"
+        for pin in (live, stale, half):
+            pin.write_text("?")
+        assert dict(pin_file_owners(artifact)) == {os.getpid(): live, dead: stale, -1: half}
+        assert live_pin_owners(artifact) == [os.getpid()]
+        assert sorted(sweep_stale_pin_files(tmp_path)) == sorted([stale, half])
+        assert live.exists()
+
     def test_sweep_reclaims_dead_owners_only(self, tmp_path):
         artifact = tmp_path / "m.neocpu"
         artifact.write_bytes(b"payload")
@@ -194,8 +215,8 @@ class TestPinFileProtocol:
         removed = sweep_stale_pin_files(tmp_path)
         assert removed == [stale_pin]
         assert live_pin.exists(), "a live owner's pin is never swept"
-        assert remove_pin_file(artifact) is True
-        assert remove_pin_file(artifact) is False
+        assert remove_pin_file(live_pin) is True
+        assert remove_pin_file(live_pin) is False
 
     def test_pid_alive_never_probes_process_groups(self):
         assert pid_alive(0) is False
@@ -214,29 +235,49 @@ class TestGCWithCrossProcessPins:
             assert engine.artifact_path == artifact
         assert os.getpid() not in live_pin_owners(artifact)
 
-    def test_pin_file_is_refcounted_within_a_process(self, repo):
-        artifact = repo["artifact"]
+    def test_two_engines_hold_two_pins_and_gc_waits_for_both(self, repo, tmp_path):
+        repository = ModelRepository(tmp_path)
+        repository.modules_dir.mkdir(parents=True)
+        artifact = repository.modules_dir / repo["artifact"].name
+        artifact.write_bytes(repo["artifact"].read_bytes())
         first = load_engine(artifact, **ENGINE_KWARGS)
         second = load_engine(artifact, **ENGINE_KWARGS)
+        assert [pid for pid, _ in pin_file_owners(artifact)] == [os.getpid()] * 2
         first.close()
-        assert os.getpid() in live_pin_owners(artifact), (
-            "closing one of two engines must not drop the shared pin file"
+        report = repository.gc(max_bytes=0)
+        assert artifact in report.pinned and artifact.exists(), (
+            "closing one of two engines must leave the other's pin"
         )
         second.close()
-        assert os.getpid() not in live_pin_owners(artifact)
+        assert pin_file_owners(artifact) == []
+        report = repository.gc(max_bytes=0)
+        assert report.evicted == [artifact] and not artifact.exists()
+
+    @pytest.mark.parametrize("failure", ["no-compatible-payload", "corrupt-file"])
+    def test_a_failed_load_leaves_no_pin_file(self, repo, tmp_path, failure):
+        artifact = tmp_path / "m.neocpu"
+        if failure == "corrupt-file":
+            artifact.write_bytes(b"NEOCPU-ARTIFACT\n{not json\n")
+        else:  # a skylake-only payload and no source graph, loaded on arm
+            with load_engine(repo["artifact"], **ENGINE_KWARGS) as engine:
+                module = engine.module
+            save_bundle([(module, module.fingerprint)], artifact)
+        with pytest.raises(ArtifactError, match="no payload compatible|corrupt"):
+            load_engine(artifact, host="arm")
+        assert pin_file_owners(artifact) == []
 
     def test_gc_never_unlinks_an_artifact_with_a_live_foreign_pin(self, repo):
         artifact = repo["artifact"]
-        # Simulate another process's pin with our own (definitely live) pid
-        # written directly, bypassing the in-process registry entirely.
-        write_pin_file(artifact)
+        # Another process's pin, simulated with our own (definitely live)
+        # pid and no engine behind it.
+        pin = write_pin_file(artifact)
         try:
             report = ModelRepository(repo["cache_dir"]).gc(max_bytes=0)
             assert artifact.exists()
             assert artifact in report.pinned
             assert report.over_budget
         finally:
-            remove_pin_file(artifact)
+            remove_pin_file(pin)
 
     def test_gc_reclaims_artifact_after_owner_dies(self, repo, tmp_path):
         repository = ModelRepository(tmp_path)
@@ -286,17 +327,16 @@ class TestGCWithCrossProcessPins:
 
     def test_gc_dry_run_respects_foreign_pins(self, repo):
         artifact = repo["artifact"]
-        write_pin_file(artifact)
+        pin = write_pin_file(artifact)
         try:
             report = ModelRepository(repo["cache_dir"]).gc(max_bytes=0, dry_run=True)
             assert artifact in report.pinned and artifact.exists()
         finally:
-            remove_pin_file(artifact)
+            remove_pin_file(pin)
 
     def test_gc_in_a_separate_process_respects_this_processes_pin(self, repo):
         """The actual cross-process contract: a `repro.cli gc` subprocess
-        cannot see our in-process registry — only the pin file keeps the
-        artifact alive."""
+        sees this process's engine only through its pin file."""
         artifact = repo["artifact"]
         src_root = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, REPRO_CACHE_DIR=str(repo["cache_dir"]))
@@ -356,6 +396,8 @@ class TestEngineDispatcher:
                 assert time.monotonic() < deadline, "workers never pinned"
                 time.sleep(0.05)
             victim_pid = dispatcher.worker_pids()[0]
+            victim_pins = [pin for pid, pin in pin_file_owners(artifact) if pid == victim_pid]
+            assert len(victim_pins) == 1
             os.kill(victim_pid, signal.SIGKILL)
             deadline = time.monotonic() + 60
             while dispatcher.live_workers() != 1:
@@ -370,7 +412,7 @@ class TestEngineDispatcher:
             # artifact (the survivor's pin is live).
             assert victim_pid not in live_pin_owners(artifact)
             report = ModelRepository(repo["cache_dir"]).gc(max_bytes=0)
-            assert pin_file_path(artifact, victim_pid) in report.stale_pins_removed
+            assert victim_pins[0] in report.stale_pins_removed
             assert artifact.exists() and artifact in report.pinned
         finally:
             dispatcher.close()
@@ -515,6 +557,42 @@ class TestServingDaemon:
             assert time.monotonic() < deadline, "workers never pinned"
             time.sleep(0.05)
         daemon.close()
+        assert pin_file_owners(artifact) == []
+
+    def test_cli_serve_stops_on_sigint_it_was_started_ignoring(self, repo, tmp_path):
+        """`repro.cli serve &` in a script starts with SIGINT ignored; it
+        still stops on SIGINT, and its workers leave no pin behind."""
+        repository = ModelRepository(tmp_path)
+        repository.modules_dir.mkdir(parents=True)
+        artifact = repository.modules_dir / repo["artifact"].name
+        artifact.write_bytes(repo["artifact"].read_bytes())
+        argv = ["repro.cli", "--cache-dir", str(tmp_path), "serve", str(artifact),
+                "--workers", "2", "--port", "0", "--host", "skylake"]
+        script = (
+            "import runpy, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            f"sys.argv = {argv!r}; runpy.run_module('repro.cli', run_name='__main__')"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in (env.get("PYTHONPATH"),) if p]
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            assert daemon.stdout.readline().startswith("serving ")
+            deadline = time.monotonic() + 60
+            while len(live_pin_owners(artifact)) < 2:
+                assert time.monotonic() < deadline, "workers never pinned"
+                time.sleep(0.05)
+            daemon.send_signal(signal.SIGINT)
+            assert daemon.wait(timeout=60) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
         assert pin_file_owners(artifact) == []
 
     def test_closed_connections_leave_the_daemon(self, repo):
@@ -999,9 +1077,9 @@ class TestServingErrorPaths:
         artifact.write_bytes(b"payload")
         live_pin = write_pin_file(artifact)
         dead = _certainly_dead_pid()
-        orphaned = tmp_path / f"m.neocpu.pin.4242.tmp-{dead}"
+        orphaned = tmp_path / f"m.neocpu.pin.4242-1.tmp-{dead}"
         orphaned.write_text("4242\n")
-        in_flight = tmp_path / f"m.neocpu.pin.17.tmp-{os.getpid()}"
+        in_flight = tmp_path / f"m.neocpu.pin.17-1.tmp-{os.getpid()}"
         in_flight.write_text("17\n")
         removed = sweep_stale_pin_files(tmp_path)
         assert orphaned in removed and not orphaned.exists()

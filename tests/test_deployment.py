@@ -30,7 +30,6 @@ from repro.api import (
     Optimizer,
     build,
     load_engine,
-    pinned_artifacts,
 )
 from repro.api import deployment
 from repro.core import CostModelMeasurer, NumpyMeasurer
@@ -44,7 +43,7 @@ from repro.hardware import (
     rank_targets,
 )
 from repro.runtime import load_member, manifest_targets, read_manifest
-from repro.runtime.artifact import graph_fingerprint
+from repro.runtime.artifact import graph_fingerprint, live_pin_owners
 
 from tests.conftest import build_tiny_cnn
 
@@ -507,10 +506,9 @@ class TestModelRepository:
 
     def test_list_and_inspect(self, tmp_path):
         repository = self._fill(tmp_path)
-        infos = repository.artifacts()
-        assert len(infos) == 3
-        assert {info.model for info in infos} == {"m1", "m2", "m3"}
-        assert all(info.targets == [get_target("skylake").name] for info in infos)
+        bundles = [repository.open(path) for path in repository.artifact_paths()]
+        assert {bundle.model for bundle in bundles} == {"m1", "m2", "m3"}
+        assert all(bundle.targets == [get_target("skylake").name] for bundle in bundles)
         described = repository.describe()
         assert "3 artifact(s)" in described and "m2" in described
 
@@ -563,7 +561,7 @@ class TestModelRepository:
         repository = ModelRepository(tmp_path)
         engine = load_engine(bundle.path, host="skylake")
         try:
-            assert str(bundle.path.resolve()) in pinned_artifacts()
+            assert live_pin_owners(bundle.path) == [os.getpid()]
             report = repository.gc(0)
             assert bundle.path.exists()
             assert report.pinned == [bundle.path]
@@ -572,49 +570,10 @@ class TestModelRepository:
             engine.run(tiny_request())
         finally:
             engine.close()
-        assert str(bundle.path.resolve()) not in pinned_artifacts()
+        assert live_pin_owners(bundle.path) == []
         report = repository.gc(0)
         assert report.evicted == [bundle.path]
         assert not bundle.path.exists()
-
-    def test_pin_racing_the_last_release_keeps_its_pin_file(
-        self, tmp_path, monkeypatch
-    ):
-        """One refcount drives the cross-process pin file, under one lock: a
-        pin taken while the last release is still unlinking the file waits
-        for the unlink and then publishes a fresh file, so it is never held
-        with no file on disk."""
-        import threading
-        import time
-
-        from repro.api import deployment
-        from repro.runtime.artifact import live_pin_owners, remove_pin_file
-
-        unlinking = threading.Event()
-
-        def slow_remove(path):
-            unlinking.set()
-            time.sleep(0.05)  # the racing pin must not slip in before this
-            return remove_pin_file(path)
-
-        monkeypatch.setattr(deployment, "remove_pin_file", slow_remove)
-        artifact = tmp_path / "m.neocpu"
-        artifact.write_bytes(b"artifact")
-        deployment.pin_artifact(artifact)
-        releaser = threading.Thread(
-            target=deployment.release_artifact, args=(artifact,)
-        )
-        releaser.start()
-        assert unlinking.wait(timeout=10)
-        deployment.pin_artifact(artifact)
-        releaser.join(timeout=10)
-        assert not releaser.is_alive()
-        try:
-            assert live_pin_owners(artifact), "pin held with no pin file"
-        finally:
-            deployment.release_artifact(artifact)
-        assert live_pin_owners(artifact) == []
-        assert str(artifact.resolve()) not in pinned_artifacts()
 
     def test_gc_skips_in_progress_writes(self, tmp_path):
         """A live writer's temp file is never GC'd; a dead writer's is swept."""
@@ -670,6 +629,48 @@ class TestCLI:
         inspected = capsys.readouterr().out
         assert get_target("skylake").name in inspected
         assert get_target("epyc").name in inspected
+
+    def test_list_prints_the_inventory_table(self, tmp_path, capsys):
+        """`list` reads each manifest once: most recently used first, an
+        unreadable file and a malformed targets list each get a row, and
+        the bytes are the table the command has always printed."""
+        modules = tmp_path / "modules"
+        modules.mkdir()
+
+        def entry(target):
+            return {"target": target, "fingerprint": "f" * 64,
+                    "payload_bytes": 0, "payload_sha256": "0" * 64}
+
+        def write(name, body, age):
+            (modules / name).write_bytes(body)
+            os.utime(modules / name, (1_700_000_000 + age, 1_700_000_000 + age))
+
+        def artifact(name, model, targets, payload, age):
+            manifest = {"artifact_version": 2, "model": model, "targets": targets}
+            body = b"NEOCPU-ARTIFACT\n" + json.dumps(manifest).encode() + b"\n"
+            write(name, body + payload, age)
+
+        artifact("resnet18-0a1b.neocpu", "resnet18",
+                 [entry("intel-skylake"), entry("amd-epyc")], b"x" * 1000, 3)
+        artifact("vgg16-2c3d.neocpu", "vgg16", [entry("arm-cortex-a72")], b"x" * 123456, 5)
+        artifact("tiny-cnn-4e5f.neocpu", "tiny-cnn", [entry("intel-skylake")], b"", 1)
+        write("notes.neocpu", b"not an artifact\n", 4)
+        artifact("broken-6a7b.neocpu", "broken", "intel-skylake", b"x" * 10, 1)
+
+        assert cli.main(["--cache-dir", str(tmp_path), "list"]) == 0
+        name = "{:<49s}".format
+        assert capsys.readouterr().out == (
+            f"repository {tmp_path} \u2014 5 artifact(s), 125,656 bytes\n"
+            f"  {name('vgg16-2c3d.neocpu')}vgg16               123,746 B  "
+            "targets=arm-cortex-a72\n"
+            f"  {name('notes.neocpu')}UNREADABLE: {modules / 'notes.neocpu'} is not "
+            "a NeoCPU compiled-module artifact\n"
+            f"  {name('resnet18-0a1b.neocpu')}resnet18              1,505 B  "
+            "targets=intel-skylake,amd-epyc\n"
+            f"  {name('broken-6a7b.neocpu')}broken                   97 B  targets=\n"
+            f"  {name('tiny-cnn-4e5f.neocpu')}tiny-cnn                292 B  "
+            "targets=intel-skylake\n"
+        )
 
     def test_verify_clean_and_corrupt(self, tmp_path, capsys):
         self._build(tmp_path, capsys)

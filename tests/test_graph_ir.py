@@ -388,4 +388,4 @@ class TestRegistry:
 
     def test_by_category_nonempty(self):
         assert registry.get("max_pool2d").category is LayoutCategory.TOLERANT
-        assert "conv2d" in registry.names()
+        assert "conv2d" in registry

@@ -237,7 +237,7 @@ class TestDenseAndShapes:
     def test_concat_channels(self):
         a, b = rand((1, 3, 2, 2)), rand((1, 5, 2, 2))
         out = get_op("concat").compute({"axis": "C"}, [Tensor(a, "NCHW"), Tensor(b, "NCHW")])
-        assert out.logical_shape == (1, 8, 2, 2)
+        assert out.spec.logical_shape == (1, 8, 2, 2)
         np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=1))
 
 

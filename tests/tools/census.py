@@ -19,7 +19,10 @@ A function reached by no use path fails the census (exit 1) unless it is
 exempt by rule or named in ``census_allow.txt`` with a reason.  Exempt by
 rule: dunder methods (the data model calls them), abstract methods (a body
 that only raises ``NotImplementedError`` or is ``...``), and any function
-whose name the frozen perf harness (``benchmarks/perf``) references.
+the frozen perf harness (``benchmarks/perf``) names: each of its references
+that starts at an import from ``repro`` is resolved to the object it names,
+so a local variable or a numpy call that shares a method's name exempts
+nothing.
 
 Stdlib only.  The test run's own result is not checked here (the tier-1
 job does that); it only tells test-only functions from unreached ones.
@@ -28,6 +31,8 @@ job does that); it only tells test-only functions from unreached ones.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import os
 import signal
 import subprocess
@@ -36,7 +41,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -141,20 +146,79 @@ def load_allowlist(path: Path) -> Dict[str, str]:
     return allowed
 
 
-def referenced_names(directory: Path) -> Set[str]:
-    """Every identifier the Python files under *directory* use: names,
-    attributes, keywords and imports."""
+def _repro_imports(tree: ast.AST) -> Dict[str, List[str]]:
+    """Local name -> ``[module, attribute...]`` it is bound to, for every
+    import from ``repro`` in *tree*."""
+    bound: Dict[str, List[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module \
+                and node.module.split(".")[0] == "repro":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = [node.module, alias.name]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    bound[alias.asname or "repro"] = [alias.name if alias.asname else "repro"]
+    return bound
+
+
+def _chain(node: ast.AST) -> Optional[List[str]]:
+    """``a.b.c`` as ``["a", "b", "c"]``; None for anything but names and
+    attributes all the way down."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + parts[::-1]
+
+
+def _resolve(path: List[str]) -> object:
+    """The object module ``path[0]`` then the attributes ``path[1:]`` name
+    (static lookups, so no property runs; a submodule is imported when it
+    is not an attribute yet); None if they name none."""
+    try:
+        obj = importlib.import_module(path[0])
+        for part in path[1:]:
+            try:
+                obj = inspect.getattr_static(obj, part)
+            except AttributeError:
+                if not inspect.ismodule(obj):
+                    raise
+                obj = importlib.import_module(f"{obj.__name__}.{part}")
+    except (AttributeError, ImportError):
+        return None
+    return obj
+
+
+def _function_name(obj: object) -> Optional[str]:
+    """*obj*'s dotted name as :func:`inventory` spells it, for a function,
+    method, classmethod, staticmethod or property of ``repro``."""
+    if isinstance(obj, property):
+        obj = obj.fget
+    obj = getattr(obj, "__func__", obj)
+    module = getattr(obj, "__module__", None) or ""
+    if not inspect.isfunction(obj) or module.split(".")[0] != "repro":
+        return None
+    return f"{module}.{obj.__qualname__}"
+
+
+def perf_references(directory: Path) -> Set[str]:
+    """The ``repro`` functions the Python files under *directory* name,
+    each reference resolved from its import to the object it names."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
     names: Set[str] = set()
     for file in directory.rglob("*.py"):
-        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"), str(file))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.keyword) and node.arg:
-                names.add(node.arg)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
+        tree = ast.parse(file.read_text(encoding="utf-8"), str(file))
+        bound = _repro_imports(tree)
+        for node in ast.walk(tree):
+            chain = _chain(node)
+            if chain and chain[0] in bound:
+                name = _function_name(_resolve(bound[chain[0]] + chain[1:]))
+                if name:
+                    names.add(name)
     return names
 
 
@@ -178,7 +242,7 @@ def classify(
     use_sites: Set[Site],
     test_sites: Set[Site],
     allowed: Dict[str, str],
-    perf_names: Set[str],
+    perf_refs: Set[str],
 ) -> Census:
     census = Census([], [], [], {})
     for function in functions:
@@ -193,7 +257,7 @@ def classify(
             census.exempt[function.name] = "dunder"
         elif function.abstract:
             census.exempt[function.name] = "abstract"
-        elif short in perf_names:
+        elif function.name in perf_refs:
             census.exempt[function.name] = "named by benchmarks/perf"
     return census
 
@@ -412,7 +476,7 @@ def main() -> int:
         work = Path(tmp)
         use = record_use(work)
         tests = record_tests(work)
-    census = classify(functions, use, tests, allowed, referenced_names(PERF_DIR))
+    census = classify(functions, use, tests, allowed, perf_references(PERF_DIR))
     report(census)
     stale = sorted(f.name for f in census.use if f.name in allowed)
     for name in stale:
