@@ -55,6 +55,7 @@ from ..hardware.presets import (
 from ..models.zoo import get_model
 from ..runtime.artifact import (
     ArtifactError,
+    StaleArtifactError,
     bundle_fingerprint,
     compilation_fingerprint,
     graph_fingerprint,
@@ -204,7 +205,8 @@ def build(
     answers without a single search-measurer call.  A warm file counts as a
     hit only when it would load — it records exactly these (target,
     fingerprint) members and passes the shallow :func:`verify_artifact`
-    check — so a stale, torn or bit-flipped file is rebuilt in place.
+    check — so a stale, torn or bit-flipped file, or one that other code
+    wrote, is rebuilt in place.
 
     Args:
         model: a model-zoo name (``"resnet-50"``) or a :class:`Graph` (never
@@ -419,10 +421,11 @@ def load_engine(
 
     Payload selection (see :meth:`ArtifactBundle.select`): exact host
     fingerprint, else the best positive ISA/cache-compatibility score, else
-    a transparent recompile from the bundle's embedded source graph.  After
-    unpickling, the chosen payload's *actual* target is re-checked against
-    the host — a manifest that lies about its payload is recompiled or
-    refused, not served.
+    a transparent recompile from the bundle's embedded source graph.  A
+    payload that other code wrote is recompiled too.  After unpickling, the
+    chosen payload's *actual* target is re-checked against the host — a
+    manifest that lies about its payload is recompiled or refused, not
+    served.
 
     Args:
         path: artifact file (a bundle or a one-target artifact).
@@ -460,8 +463,12 @@ def load_engine(
         entry, reason = bundle.select(host)
         module: Optional[CompiledModule] = None
         if entry is not None:
-            module = bundle.load_module(target=entry["target"])
-            if compatibility_score(host, module.cpu) <= 0.0:
+            try:
+                module = bundle.load_module(target=entry["target"])
+            except StaleArtifactError:
+                # Other code wrote the payload: recompile the source graph.
+                module, reason = None, "none"
+            if module is not None and compatibility_score(host, module.cpu) <= 0.0:
                 # The manifest promised a compatible payload but the
                 # unpickled module targets something the host cannot
                 # execute: fall through to the recompile path rather than

@@ -72,7 +72,6 @@ __all__ = [
 #: blocked layout chosen by the upstream convolution.
 _LAYOUT_PRESERVING_OPS = {
     "relu",
-    "scale_shift",
     "batch_norm",
     "max_pool2d",
     "avg_pool2d",

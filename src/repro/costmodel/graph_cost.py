@@ -31,7 +31,6 @@ __all__ = ["GraphCostModel", "LatencyReport", "NodeCost", "conv_workload_from_no
 _MEMORY_BOUND_OPS = {
     "relu",
     "softmax",
-    "scale_shift",
     "batch_norm",
     "elemwise_add",
     "max_pool2d",

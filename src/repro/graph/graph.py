@@ -167,49 +167,25 @@ class Graph:
     def copy(self) -> "Graph":
         """Structural deep copy: fresh nodes, shared (immutable) payloads.
 
-        Every reachable node is cloned — including nodes referenced only from
-        ``attrs`` (e.g. the source constants of a derived-constant
-        ``derivation``), so that binding values on the copy never leaks back
-        into the original.  ``TensorSpec`` objects and bound numpy values are
-        shared, not copied: both are treated as immutable throughout the stack
-        (passes always *replace* them, never mutate in place).
+        Every reachable node is cloned, with a copy of its ``attrs`` dict, so
+        that binding values or setting attrs on the copy never leaks back
+        into the original.  ``TensorSpec`` objects, attr values and bound
+        numpy values are shared, not copied: all are treated as immutable
+        throughout the stack (passes always *replace* them, never mutate in
+        place).
         """
         memo: Dict[int, Node] = {}
-
-        def remap(value):
-            if isinstance(value, Node):
-                return clone(value)
-            if isinstance(value, tuple):
-                return tuple(remap(v) for v in value)
-            if isinstance(value, list):
-                return [remap(v) for v in value]
-            if isinstance(value, dict):
-                return {k: remap(v) for k, v in value.items()}
-            return value
-
-        def clone(node: Node) -> Node:
-            existing = memo.get(id(node))
-            if existing is not None:
-                return existing
-            new = Node(
+        # Producers first, so every input is cloned before its consumer.
+        for node in self._order():
+            memo[id(node)] = Node(
                 node.kind,
                 name=node.name,
                 op=node.op,
-                inputs=[clone(p) for p in node.inputs],
+                inputs=[memo[id(producer)] for producer in node.inputs],
+                attrs=node.attrs,
                 spec=node.spec,
                 value=node.value,
             )
-            # Register before remapping attrs: attr-referenced nodes may in
-            # turn reference this one.
-            memo[id(node)] = new
-            new.attrs = remap(node.attrs)
-            return new
-
-        # Walk the (iterative) topological order first so that clone() only
-        # ever recurses through the shallow attr-referenced constants, never
-        # down a ResNet-152-deep input chain.
-        for node in self._order():
-            clone(node)
         return Graph([memo[id(output)] for output in self.outputs], name=self.name)
 
     # ------------------------------------------------------------------ #

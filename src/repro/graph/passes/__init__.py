@@ -4,7 +4,7 @@ from .alter_layout import AlterOpLayout
 from .fold_constants import FoldConstants
 from .fusion import FuseOps
 from .pass_manager import GraphPass, PassManager, PassRecord
-from .simplify_inference import SimplifyInference, resolve_derived_constant
+from .simplify_inference import SimplifyInference
 from .transform_elim import EliminateLayoutTransforms
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "SimplifyInference",
-    "resolve_derived_constant",
 ]

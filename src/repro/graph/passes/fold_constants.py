@@ -19,7 +19,6 @@ from ...tensor.tensor import Tensor
 from ..graph import Graph
 from ..node import Node, NodeKind
 from .pass_manager import GraphPass
-from .simplify_inference import resolve_derived_constant
 
 __all__ = ["FoldConstants"]
 
@@ -33,14 +32,9 @@ class FoldConstants(GraphPass):
         self.num_folded = 0
 
     def _foldable(self, node: Node, producers: List[Node]) -> bool:
-        if not node.is_op:
-            return False
-        for producer in producers:
-            if not producer.is_constant:
-                return False
-            if producer.value is None and resolve_derived_constant(producer) is None:
-                return False
-        return True
+        return node.is_op and all(
+            producer.is_constant and producer.value is not None for producer in producers
+        )
 
     def run(self, graph: Graph) -> Graph:
         self.num_folded = 0

@@ -4,7 +4,7 @@
 increase the overall arithmetic intensity of the workload" (section 2.2).
 This pass groups each compute-intensive anchor (conv2d, dense) with the chain
 of fusible element-wise operators that directly follows it
-(scale_shift/batch_norm, relu, elemwise_add ...), provided the intermediate
+(batch_norm, relu, elemwise_add ...), provided the intermediate
 values have no other consumer.
 
 The pass is purely annotational: every node gets a ``fuse_group`` attribute

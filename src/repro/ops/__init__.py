@@ -8,7 +8,7 @@ registry that classifies them by layout behaviour for the graph-level passes.
 
 from . import op_library  # noqa: F401  (registers the standard operator set)
 from .activation import relu, softmax
-from .batch_norm import batch_norm_inference, batch_norm_to_scale_shift, fold_batch_norm_into_conv
+from .batch_norm import batch_norm_affine, fold_batch_norm_into_conv
 from .blocked_conv import prepack_weights
 from .conv2d import (
     conv2d_nchw,
@@ -26,8 +26,7 @@ __all__ = [
     "LayoutCategory",
     "OpDef",
     "OpRegistry",
-    "batch_norm_inference",
-    "batch_norm_to_scale_shift",
+    "batch_norm_affine",
     "conv2d_nchw",
     "conv2d_nchw_naive",
     "conv_output_size",

@@ -1,10 +1,12 @@
-"""Batch normalization (inference mode) and its simplification.
+"""Batch normalization (inference mode) as a per-channel affine transform.
 
 Batch_Norm is a layout-tolerant operation (section 3.2): it only needs to know
-which axis is the channel axis.  At inference time it is an affine transform
-per channel, so the "simplify inference" graph pass folds it into a scale and
-a shift (and, when it directly follows a convolution, into the convolution's
-weights and bias — the classic BN folding).
+which axis is the channel axis.  At inference time it is ``data * scale +
+shift`` per channel; the ``batch_norm`` operator's ``prepare`` computes the
+scale and shift once from the invariant statistics
+(:func:`batch_norm_affine`).  When the batch norm directly follows a
+convolution it can also be folded into the convolution's weights and bias —
+the classic BN folding (:func:`fold_batch_norm_into_conv`).
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "batch_norm_inference",
-    "batch_norm_to_scale_shift",
+    "batch_norm_affine",
     "fold_batch_norm_into_conv",
 ]
 
 
-def batch_norm_to_scale_shift(
+def batch_norm_affine(
     gamma: np.ndarray,
     beta: np.ndarray,
     mean: np.ndarray,
@@ -36,26 +37,6 @@ def batch_norm_to_scale_shift(
     scale = gamma / np.sqrt(variance + epsilon)
     shift = beta - scale * mean
     return scale.astype(np.float32), shift.astype(np.float32)
-
-
-def batch_norm_inference(
-    data: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    variance: np.ndarray,
-    channel_shape: Tuple[int, ...],
-    epsilon: float = 1e-5,
-) -> np.ndarray:
-    """Inference-mode batch norm.
-
-    The per-channel parameters are reshaped to ``channel_shape``, their
-    broadcast shape against ``data``: ``(1, C_o, 1, 1, c)`` matches the
-    blocking of ``NCHW[x]c`` data, so no layout transform is required — this
-    is what makes BN layout-tolerant.
-    """
-    scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, variance, epsilon)
-    return data * scale.reshape(channel_shape) + shift.reshape(channel_shape)
 
 
 def fold_batch_norm_into_conv(
@@ -75,7 +56,7 @@ def fold_batch_norm_into_conv(
     Returns:
         The folded (weight, bias) pair.
     """
-    scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, variance, epsilon)
+    scale, shift = batch_norm_affine(gamma, beta, mean, variance, epsilon)
     folded_weight = weight_oihw * scale.reshape(-1, 1, 1, 1)
     if bias is None:
         bias = np.zeros(weight_oihw.shape[0], dtype=np.float32)

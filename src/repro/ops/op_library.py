@@ -309,47 +309,39 @@ def _reshape_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
 
 
 # --------------------------------------------------------------------------- #
-# batch norm / bias add / scale-shift
+# batch norm
 # --------------------------------------------------------------------------- #
 def _same_as_input_infer(attrs: dict, in_specs: Sequence[TensorSpec]) -> TensorSpec:
     del attrs
     return in_specs[0]
 
 
-def _batch_norm_prepare(attrs: dict, in_specs: Sequence[TensorSpec], invariants):
-    del invariants
-    shape, epsilon = _channel_shape(in_specs[0]), float(attrs.get("epsilon", 1e-5))
-    return lambda data, gamma, beta, mean, var: batch_norm.batch_norm_inference(
-        data, gamma, beta, mean, var, shape, epsilon
-    )
-
-
-def _scale_shift_prepare(
+def _batch_norm_prepare(
     attrs: dict,
     in_specs: Sequence[TensorSpec],
     invariants: Sequence[Optional[np.ndarray]],
     into: Optional[int] = None,
 ):
-    """Per-channel ``data * scale + shift`` (folded batch norm) on blocked or
-    NCHW data; with ``into=0`` the result is written into the data buffer."""
-    del attrs
-    shape = _channel_shape(in_specs[0])
+    """Inference batch norm as per-channel ``data * scale + shift`` on blocked
+    or NCHW data.  The scale and shift are computed once from invariant
+    statistics; with ``into=0`` the result is written into the data buffer."""
+    shape, epsilon = _channel_shape(in_specs[0]), float(attrs.get("epsilon", 1e-5))
 
-    def bind(scale: np.ndarray, shift: np.ndarray):
+    def bind(gamma, beta, mean, var):
+        scale, shift = batch_norm.batch_norm_affine(gamma, beta, mean, var, epsilon)
         scale, shift = scale.reshape(shape), shift.reshape(shape)
-        dtype = scale.dtype if scale.dtype == shift.dtype else None
 
         def kernel(data, *_):
-            if data.dtype != dtype:  # mixed dtypes: numpy's own promotion
+            if data.dtype != scale.dtype:  # mixed dtypes: numpy's own promotion
                 return data * scale + shift
             out = np.multiply(data, scale, out=data if into == 0 else None)
             return np.add(out, shift, out=out)
 
         return kernel
 
-    if invariants[1] is not None and invariants[2] is not None:
-        return bind(invariants[1], invariants[2])
-    return lambda data, scale, shift: bind(scale, shift)(data)
+    if all(value is not None for value in invariants[1:]):
+        return bind(*invariants[1:])
+    return lambda data, *stats: bind(*stats)(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -532,13 +524,6 @@ register_op(
     LayoutCategory.TOLERANT,
     _same_as_input_infer,
     _batch_norm_prepare,
-    fusible=True,
-)
-register_op(
-    "scale_shift",
-    LayoutCategory.TOLERANT,
-    _same_as_input_infer,
-    _scale_shift_prepare,
     fusible=True,
     in_place=True,
 )

@@ -36,6 +36,16 @@ with a different expected fingerprint raises :class:`StaleArtifactError`
 instead of silently serving schedules tuned for another target or
 configuration — the caller recompiles and overwrites.
 
+The fingerprint does not cover the compiler's code, and a payload pickles a
+compiled graph that only the code which wrote it is sure to read (an
+operator it names may since have been deleted).  So the manifest also
+records ``code_sha256``, a digest of the ``repro`` package's sources, and a
+payload is loaded only by the same code: a bundle from other code, or one
+that records no digest, fails :func:`load_member` with
+:class:`StaleArtifactError` and the shallow :func:`verify_artifact` check,
+so ``build`` rebuilds it and ``load_engine`` recompiles it from its source
+graph.
+
 Pins
 ----
 
@@ -51,6 +61,7 @@ has a live owner; pins whose owner died are swept by
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -216,6 +227,31 @@ def bundle_fingerprint(member_fingerprints: "list[str] | tuple[str, ...]") -> st
     return _digest({"bundle": sorted(member_fingerprints)})
 
 
+@functools.lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` files, once per process."""
+    package = Path(__file__).resolve().parent.parent
+    sha = hashlib.sha256()
+    for source in sorted(package.rglob("*.py")):
+        data = source.read_bytes()
+        name = source.relative_to(package).as_posix().encode("utf-8")
+        sha.update(b"%s\0%d\0" % (name, len(data)))
+        sha.update(data)
+    return sha.hexdigest()
+
+
+def _check_code(path: Path, manifest: dict) -> None:
+    """Refuse an artifact whose payloads other code wrote (or whose manifest
+    records no ``code_sha256``, as bundles from before the record do)."""
+    recorded = manifest.get("code_sha256")
+    if recorded != _code_digest():
+        raise StaleArtifactError(
+            f"{path} was written by other code (code_sha256 "
+            f"{str(recorded)[:16]}..., this code {_code_digest()[:16]}...); "
+            f"recompile to refresh it"
+        )
+
+
 # --------------------------------------------------------------------------- #
 # save / load
 # --------------------------------------------------------------------------- #
@@ -288,6 +324,7 @@ def save_bundle(
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "repro_version": __version__,
+        "code_sha256": _code_digest(),
         "model": members[0][0].graph.name,
         "targets": targets,
         "fingerprint": _manifest_fingerprint([fp for _, fp in members]),
@@ -432,9 +469,10 @@ def load_member(
     Raises:
         ArtifactError: for non-artifact files, unknown targets, truncated or
             checksum-failing payloads.
-        StaleArtifactError: when ``expected_fingerprint`` does not match the
-            recorded one — the member was compiled for a different target,
-            configuration, model or parameter set.
+        StaleArtifactError: when other code wrote the artifact, or when
+            ``expected_fingerprint`` does not match the recorded one — the
+            member was compiled for a different target, configuration, model
+            or parameter set.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -455,6 +493,7 @@ def load_member(
                 f"available: {sorted(by_name)}"
             )
         index = by_name[target]
+    _check_code(path, manifest)
     entry = targets[index]
     recorded = entry.get("fingerprint")
     # Single-member artifacts record the member's fingerprint at manifest
@@ -559,6 +598,10 @@ def verify_artifact(path: "str | Path", deep: bool = False) -> "list[str]":
     except (ArtifactError, OSError) as error:
         return [str(error)]
     problems: "list[str]" = []
+    try:
+        _check_code(path, manifest)
+    except StaleArtifactError as error:
+        problems.append(str(error))
     recorded = [str(entry.get("fingerprint")) for entry in targets]
     if manifest.get("fingerprint") != _manifest_fingerprint(recorded):
         problems.append(f"{path}: manifest fingerprint disagrees with its targets")

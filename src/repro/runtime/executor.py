@@ -18,10 +18,11 @@ arithmetic:
   steps ``(kernel, input slots, output slot)``.  Every operator's ``prepare``
   function builds its kernel from the node attributes, its inputs' static
   specs and the folded arrays, so schedule validation, convolution geometry,
-  weight panel views, layouts, axes and broadcast shapes are settled here.
+  weight panel views, batch-norm scales and shifts, layouts, axes and
+  broadcast shapes are settled here.
   :meth:`GraphExecutor.run` fills the request slots and calls kernels on raw
   ndarrays.
-* **In place.**  An operator marked ``in_place`` (scale_shift, relu,
+* **In place.**  An operator marked ``in_place`` (batch_norm, relu,
   elemwise_add) writes its result into an input buffer only when that buffer
   is any step's output (every kernel returns a new array, so it was allocated
   by the same run — never a request array or a folded one), has exactly one
@@ -51,7 +52,6 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.node import Node
-from ..graph.passes.simplify_inference import resolve_derived_constant
 from ..ops.registry import Kernel, registry
 from ..tensor.tensor import Tensor, TensorSpec
 from ..tensor.transform import layout_transform
@@ -118,38 +118,16 @@ def initialize_parameters(
     """
     params = dict(params or {})
     bound: Dict[str, np.ndarray] = {}
-    deferred: List[Node] = []
     for node in graph.constant_nodes():
-        if node.value is not None:
-            bound[node.name] = node.value
-            continue
-        if node.name in params:
-            node.bind_value(np.asarray(params[node.name], dtype=node.spec.dtype.name))
-            bound[node.name] = node.value
-            continue
-        if "derivation" in node.attrs:
-            deferred.append(node)
-            continue
-        # Per-node deterministic stream: independent of graph iteration order.
-        rng = np.random.default_rng(_name_seed(seed, node.name))
-        node.bind_value(_default_initializer(node, rng))
+        if node.value is None:
+            if node.name in params:
+                value = np.asarray(params[node.name], dtype=node.spec.dtype.name)
+            else:
+                # Per-node deterministic stream: independent of graph order.
+                rng = np.random.default_rng(_name_seed(seed, node.name))
+                value = _default_initializer(node, rng)
+            node.bind_value(value)
         bound[node.name] = node.value
-
-    # Resolve derived constants (e.g. BN scale/shift) now that sources exist.
-    for node in deferred:
-        derivation = node.attrs["derivation"]
-        sources = [src for src in derivation[1:] if isinstance(src, Node)]
-        for src in sources:
-            if src.value is None:
-                if src.name in params:
-                    src.bind_value(np.asarray(params[src.name], dtype=src.spec.dtype.name))
-                else:
-                    rng = np.random.default_rng(_name_seed(seed, src.name))
-                    src.bind_value(_default_initializer(src, rng))
-        value = resolve_derived_constant(node)
-        if value is None:
-            raise RuntimeError(f"could not resolve derived constant {node.name!r}")
-        bound[node.name] = value
     return bound
 
 

@@ -458,7 +458,7 @@ class TestCompileModelCompat:
         graph = build_tiny_cnn()
         module = compile_graph(graph, skylake, CompileConfig(), in_place=True)
         assert module.graph is graph  # historical behavior on request
-        assert not graph.op_nodes("batch_norm")
+        assert not graph.op_nodes("dropout")
 
 
 class TestGraphCopy:

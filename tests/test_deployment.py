@@ -43,7 +43,7 @@ from repro.hardware import (
     rank_targets,
 )
 from repro.runtime import load_member, manifest_targets, read_manifest
-from repro.runtime.artifact import graph_fingerprint, live_pin_owners
+from repro.runtime.artifact import StaleArtifactError, graph_fingerprint, live_pin_owners
 
 from tests.conftest import build_tiny_cnn
 
@@ -229,6 +229,67 @@ class TestBundleBuild:
         assert second.verify() == []
         for target in second.targets:
             assert second.load_module(target).schedules
+
+
+#: A tiny-CNN ``skylake`` bundle written by the code from before manifests
+#: recorded ``code_sha256``: its payload holds the ``scale_shift`` nodes that
+#: code lowered each batch norm into, an operator this code does not have.
+BUNDLE_WITHOUT_CODE_DIGEST = (
+    Path(__file__).resolve().parent / "data" / "tiny_cnn_without_code_digest.neocpu"
+)
+
+
+def rewrite_manifest(path, **fields):
+    """Set ``fields`` in an artifact's manifest line, payloads untouched."""
+    magic, data = b"NEOCPU-ARTIFACT\n", path.read_bytes()
+    end = data.index(b"\n", len(magic))
+    manifest = json.loads(data[len(magic):end].decode("utf-8"))
+    manifest.update(fields)
+    line = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(magic + line + data[end:])
+
+
+class TestBundlesFromOtherCode:
+    """A payload is served only by the code that wrote it: a bundle whose
+    ``code_sha256`` differs from this code's, or that records none, is
+    rebuilt by ``build`` and recompiled by ``load_engine``."""
+
+    def test_a_foreign_code_digest_is_rebuilt_and_recompiled(self, tmp_path):
+        first = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
+        original = first.path.read_bytes()
+        rewrite_manifest(first.path, code_sha256="0" * 64)
+        assert first.verify()
+        with pytest.raises(StaleArtifactError, match="other code"):
+            load_member(first.path)
+        with load_engine(first.path, host="skylake", seed=7) as engine:
+            assert engine.host_match == "recompiled"
+
+        second = build(build_tiny_cnn(), ["skylake"], cache_dir=tmp_path)
+        assert second.path == first.path
+        assert second.path.read_bytes() == original
+
+    def test_a_bundle_without_a_code_digest_is_rebuilt_and_recompiled(self, tmp_path):
+        fresh = build(build_tiny_cnn(), ["skylake"], output=tmp_path / "fresh.neocpu")
+        path = tmp_path / "old.neocpu"
+        path.write_bytes(BUNDLE_WITHOUT_CODE_DIGEST.read_bytes())
+        manifest = read_manifest(path)
+        assert "code_sha256" not in manifest
+        # Same (target, fingerprint) members: only the digest tells them apart.
+        assert [e["fingerprint"] for e in manifest_targets(manifest)] == [
+            e["fingerprint"] for e in fresh.entries()
+        ]
+
+        request = tiny_request()
+        with load_engine(path, host="skylake", seed=7) as engine, \
+                load_engine(fresh.path, host="skylake", seed=7) as expected:
+            assert engine.host_match == "recompiled"
+            assert expected.host_match == "fingerprint"
+            np.testing.assert_array_equal(
+                engine.run(request)[0], expected.run(request)[0]
+            )
+
+        rebuilt = build(build_tiny_cnn(), ["skylake"], output=path)
+        assert rebuilt.path.read_bytes() == fresh.path.read_bytes()
 
 
 #: Compile resnet-18@32 for skylake and print the SHA-256 of its payload.

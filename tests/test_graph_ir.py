@@ -374,7 +374,7 @@ class TestRegistry:
 
     def test_fusible_flags(self):
         assert get_op("relu").fusible
-        assert get_op("scale_shift").fusible
+        assert get_op("batch_norm").fusible
         assert not get_op("softmax").fusible
 
     def test_unknown_op_raises(self):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.ops import (
-    batch_norm_inference,
-    batch_norm_to_scale_shift,
+    batch_norm_affine,
     decode_boxes,
     dense,
     flatten_nchw,
@@ -35,6 +34,12 @@ def run_op(name, data, layout="NCHW", params=(), **attrs):
     per-channel ``params``."""
     inputs = [Tensor(data, layout)] + [Tensor(param, "C") for param in params]
     return get_op(name).compute(attrs, inputs).data
+
+
+def textbook_batch_norm(x, gamma, beta, mean, var, epsilon=1e-5):
+    """``gamma * (x - mean) / sqrt(var + eps) + beta`` per channel of NCHW ``x``."""
+    gamma, beta, mean, var = (v.reshape(NCHW) for v in (gamma, beta, mean, var))
+    return gamma * (x - mean) / np.sqrt(var + epsilon) + beta
 
 
 def pool_per_pixel(data, reducer, kernel, stride=1, padding=0):
@@ -161,16 +166,16 @@ class TestBatchNorm:
 
     def test_scale_shift_identity(self):
         gamma, beta, mean, var = self._params(8)
-        scale, shift = batch_norm_to_scale_shift(gamma, beta, mean, var)
+        scale, shift = batch_norm_affine(gamma, beta, mean, var)
         x = rand((1, 8, 4, 4), 1)
-        direct = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
-        via_affine = x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+        direct = textbook_batch_norm(x, gamma, beta, mean, var)
+        via_affine = x * scale.reshape(NCHW) + shift.reshape(NCHW)
         np.testing.assert_allclose(direct, via_affine, atol=1e-5)
 
     def test_normalizes_to_gamma_beta(self):
         gamma, beta, mean, var = self._params(4)
         x = np.broadcast_to(mean.reshape(1, 4, 1, 1), (1, 4, 3, 3)).astype(np.float32)
-        out = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
+        out = run_op("batch_norm", x, params=(gamma, beta, mean, var))
         np.testing.assert_allclose(out[0, :, 0, 0], beta, atol=1e-4)
 
     def test_blocked_matches_nchw(self):
@@ -180,7 +185,7 @@ class TestBatchNorm:
         out_blocked = run_op(
             "batch_norm", blocked, "NCHW16c", epsilon=1e-5, params=(gamma, beta, mean, var)
         )
-        expected = batch_norm_inference(x, gamma, beta, mean, var, NCHW)
+        expected = textbook_batch_norm(x, gamma, beta, mean, var)
         np.testing.assert_allclose(layout_transform(out_blocked, "NCHW16c", "NCHW"), expected, atol=1e-5)
 
     def test_fold_into_conv(self):
@@ -190,8 +195,8 @@ class TestBatchNorm:
         bias = rand((16,), 5)
         folded_w, folded_b = fold_batch_norm_into_conv(weight, bias, gamma, beta, mean, var)
         fused = conv2d_nchw(data, folded_w, padding=1, bias=folded_b)
-        unfused = batch_norm_inference(
-            conv2d_nchw(data, weight, padding=1, bias=bias), gamma, beta, mean, var, NCHW
+        unfused = textbook_batch_norm(
+            conv2d_nchw(data, weight, padding=1, bias=bias), gamma, beta, mean, var
         )
         np.testing.assert_allclose(fused, unfused, atol=1e-3)
 

@@ -152,6 +152,18 @@ class TestCompileTimeFold:
         assert [transform_calls[n.name] for n in data] == [3] * len(data)
         assert np.array_equal(outputs[0], outputs[2])
 
+    def test_bound_build_serves_the_bytes_of_an_unbound_one(self, skylake, tiny_input):
+        """Parameters bound at compile time, and the same values given at
+        executor creation instead, serve the same bytes."""
+        params = initialize_parameters(build_tiny_cnn(), seed=3)
+        bound = compile_graph(build_tiny_cnn(), skylake, CompileConfig(), params=params)
+        unbound = compile_graph(build_tiny_cnn(), skylake, CompileConfig())
+        assert any(node.value is not None for node in bound.graph.constant_nodes())
+        assert all(node.value is None for node in unbound.graph.constant_nodes())
+        served = bound.create_executor().run({"data": tiny_input})[0]
+        expected = unbound.create_executor(params=params).run({"data": tiny_input})[0]
+        assert served.tobytes() == expected.tobytes()
+
     def test_return_all_includes_folded_nodes(self, module, tiny_input):
         weight, _ = self._transforms(module.graph)
         values = module.create_executor(seed=0).run({"data": tiny_input}, return_all=True)

@@ -598,10 +598,11 @@ def test_sweep_over_classes_without_the_recorded_default():
 # --------------------------------------------------------------------------- #
 class TestTraceCli:
     @pytest.fixture(scope="class")
-    def trace_dir(self, tmp_path_factory):
-        trace_dir = tmp_path_factory.mktemp("cli") / "trace"
-        record_scheduler_trace(trace_dir, requests=24, gap_ms=1.0)
-        return trace_dir
+    def trace_dir(self):
+        # A committed recording, not fresh traffic: the ``--check`` gates
+        # below compare replay with wall-clock measurements, and only a fixed
+        # recording makes that comparison the same on every run.
+        return DATA_DIR / "trace_fixed"
 
     def test_replay_check_passes_at_recorded_knobs(self, trace_dir, capsys):
         assert cli.main(["trace", "replay", str(trace_dir), "--check", "20"]) == 0
@@ -612,7 +613,7 @@ class TestTraceCli:
         assert cli.main(["trace", "replay", str(trace_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["source"] == "replay"
-        assert payload["metrics"]["completed"] == 24
+        assert payload["metrics"]["completed"] == 40
 
     def test_replay_overrides_change_the_simulated_knobs(self, trace_dir, capsys):
         assert (
